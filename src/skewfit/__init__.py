@@ -51,7 +51,6 @@ from .recovery import (
     build_skew_operator,
     decompose,
     reduce,
-    single_valued_check,
     span_basis,
     verify_reconstruction,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "random_skew",
     "reduce",
     "save_graph",
-    "single_valued_check",
     "skew_form_check",
     "span_basis",
     "translate",

@@ -91,11 +91,20 @@ class NotMonotone:
         return {"status": "not_monotone", "monotone": self.monotone.to_dict()}
 
 
+# Scans silence numpy's overflow warnings; a NaN they produce raises instead.
+_quiet = np.errstate(over="ignore", invalid="ignore")
+
+
+def _overflow(pair: tuple[int, int]) -> ValidationError:
+    return ValidationError(f"pair {pair} overflows double precision; rescale the sample")
+
+
 class _Worst:
     """Deterministic max-reduction over violation blocks.
 
     Blocks arrive in ascending row order and np.argmax returns the first
     maximum in row-major order, so ties resolve to the smallest (i, j).
+    np.argmax also returns the first NaN, which raises: a NaN never passes.
     """
 
     def __init__(self) -> None:
@@ -107,10 +116,13 @@ class _Worst:
             return
         flat = int(np.argmax(violations))
         val = float(violations.flat[flat])
+        width = violations.shape[1]
+        pair = (row_offset + flat // width, flat % width)
+        if np.isnan(val):
+            raise _overflow(pair)
         if val > self.value:
-            width = violations.shape[1]
             self.value = val
-            self.pair = (row_offset + flat // width, flat % width)
+            self.pair = pair
 
     def report(self) -> ClassificationReport:
         return ClassificationReport(
@@ -126,6 +138,7 @@ def _row_chunks(m: int, n: int):
         yield start, min(m, start + rows)
 
 
+@_quiet
 def _pairing_check(g: OperatorGraph, tol: ToleranceConfig, absolute: bool) -> ClassificationReport:
     x = g.primal_matrix
     s = g.dual_matrix
@@ -156,6 +169,7 @@ def bimonotone_check(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE)
     return _pairing_check(g, tol, absolute=True)
 
 
+@_quiet
 def constant_on_domain_check(
     g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE
 ) -> ClassificationReport:
@@ -174,6 +188,7 @@ def constant_on_domain_check(
     return worst.report()
 
 
+@_quiet
 def skew_form_check(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> ClassificationReport:
     """Pairing conditions of a linear skew map, for graphs containing (0, 0).
 
@@ -212,6 +227,7 @@ def skew_form_check(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) 
     return worst.report()
 
 
+@_quiet
 def paramonotone_check(
     g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE
 ) -> ClassificationReport | NotMonotone:
@@ -242,6 +258,9 @@ def paramonotone_check(
     # Normalized distance from every stored point l to each candidate component.
     gap_x = np.linalg.norm(dx, axis=2) / tol.margin(np.maximum(nx[:, None], nx[None, :]))
     gap_s = np.linalg.norm(ds, axis=2) / tol.margin(np.maximum(ns[:, None], ns[None, :]))
+    nan = np.argwhere(np.isnan(gap_x) | np.isnan(gap_s))
+    if nan.size:
+        raise _overflow((int(nan[0, 0]), int(nan[0, 1])))
     worst = 0.0
     witness: tuple[int, int] | None = None
     for i, j in np.argwhere(np.triu(vanishing, k=1)):

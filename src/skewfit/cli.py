@@ -10,7 +10,6 @@ success, 1 for a false verdict, 2 for usage or parse errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -28,9 +27,9 @@ from .graphs import (
     ParseError,
     SkewfitError,
     ToleranceConfig,
-    ValidationError,
     dumps_canonical,
     load_graph,
+    load_json_object,
     save_graph,
 )
 from .recovery import NotBimonotoneError, SkewDecomposition, decompose, verify_reconstruction
@@ -59,16 +58,11 @@ def _read_graph(path: str, explicit_format: str | None) -> OperatorGraph:
 
 def _read_json_file(path: str) -> dict:
     with open(path, "rb") as handle:
-        text = handle.read().decode("utf-8")
+        data = handle.read()
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: top-level JSON value must be an object")
-    return doc
+        return load_json_object(data)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -209,13 +203,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ParseError, ValidationError) as exc:
-        print(f"skewfit: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"skewfit: error: {exc}", file=sys.stderr)
-        return 2
-    except SkewfitError as exc:
+    except (SkewfitError, OSError) as exc:
         print(f"skewfit: error: {exc}", file=sys.stderr)
         return 2
 

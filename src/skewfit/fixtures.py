@@ -13,6 +13,8 @@ identical specs produce bit-identical fixtures.
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -88,10 +90,11 @@ class FixtureSpec:
         if self.seed < 0 or self.seed >= 2**64:
             raise ValidationError("seed must be a 64-bit nonnegative integer")
         for name in ("offset_norm", "noise_in_span", "noise_orthogonal"):
-            value = float(getattr(self, name))
-            if not np.isfinite(value) or value < 0:
-                raise ValidationError(f"{name} must be finite and nonnegative")
-            object.__setattr__(self, name, value)
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and 0 <= value <= sys.float_info.max):
+                raise ValidationError(f"{name} must be a finite nonnegative number")
+            object.__setattr__(self, name, float(value))
         if not isinstance(self.zero_operator, bool):
             raise ValidationError("zero_operator must be a boolean")
 

@@ -27,6 +27,7 @@ __all__ = [
     "dumps_canonical",
     "inverse_graph",
     "load_graph",
+    "load_json_object",
     "save_graph",
     "translate",
     "vectors_close",
@@ -288,15 +289,27 @@ def _number_list(value, where: str) -> np.ndarray:
     return np.array(entries, dtype=np.float64)
 
 
-def _graph_from_json(text: str) -> OperatorGraph:
+def _decode(data: bytes) -> str:
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        return bytes(data).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not valid UTF-8: {exc}") from exc
+
+
+def load_json_object(data: bytes) -> dict:
+    """Parse UTF-8 bytes holding one JSON object whose numbers are finite."""
+    try:
+        doc = json.loads(_decode(data), parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
+    return doc
+
+
+def _graph_from_json(doc: dict) -> OperatorGraph:
     unknown = sorted(set(doc) - _GRAPH_KEYS)
     if unknown:
         raise ParseError(f"unknown key {unknown[0]!r} in graph document")
@@ -387,14 +400,10 @@ def load_graph(source: IO[bytes] | bytes, format: str = "json") -> OperatorGraph
     row is detected by a non-numeric first token and skipped.
     """
     data = source if isinstance(source, (bytes, bytearray)) else source.read()
-    try:
-        text = bytes(data).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"input is not valid UTF-8: {exc}") from exc
     if format == "json":
-        return _graph_from_json(text)
+        return _graph_from_json(load_json_object(data))
     if format == "csv":
-        return _graph_from_csv(text)
+        return _graph_from_csv(_decode(data))
     raise ValidationError(f"unknown format {format!r}; expected 'json' or 'csv'")
 
 

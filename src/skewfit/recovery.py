@@ -3,10 +3,11 @@
 A bimonotone sample, once translated so that one of its pairs sits at
 (0, 0), is single-valued in the coordinates of the span of its primal
 points, and the map from reduced primal to reduced dual coordinates is
-linear and skew-symmetric.  This module extracts that span, performs the
-coordinate reduction, builds the representing matrix from a
-well-conditioned subset of points, and reassembles the affine offset of
-the untranslated sample.
+linear and skew-symmetric.  This module extracts that span from one thin
+SVD, at the smallest rank that holds every primal point within tolerance,
+performs the coordinate reduction, fits the representing matrix over all
+skew matrices by least squares, and reassembles the affine offset of the
+untranslated sample.
 
 Components of the dual points orthogonal to the span are invisible to the
 reduction and do not affect bimonotonicity; they are deliberately
@@ -18,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .classify import ClassificationReport, bimonotone_check, _Worst, _row_chunks
+from .classify import ClassificationReport, bimonotone_check
 from .graphs import (
     DEFAULT_TOLERANCE,
     GraphPoint,
@@ -28,7 +28,6 @@ from .graphs import (
     SkewfitError,
     ToleranceConfig,
     ValidationError,
-    domain,
     translate,
     vectors_close,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "build_skew_operator",
     "decompose",
     "reduce",
-    "single_valued_check",
     "span_basis",
     "verify_reconstruction",
 ]
@@ -84,6 +82,17 @@ def _as_matrix(value, name: str) -> np.ndarray:
         raise ValidationError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
     return arr
+
+
+def _real_array(value, name: str) -> np.ndarray:
+    """A decoded JSON value as a float array; ragged or non-numeric is invalid."""
+    try:
+        arr = np.array(value)
+    except ValueError as exc:
+        raise ValidationError(f"{name} is a ragged array") from exc
+    if arr.dtype.kind not in "iuf":
+        raise ValidationError(f"{name} must hold only numbers")
+    return arr.astype(np.float64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,13 +163,14 @@ def span_basis(
     tol: ToleranceConfig = DEFAULT_TOLERANCE,
     dimension: int | None = None,
 ) -> OrthonormalBasis:
-    """Orthonormal basis of the linear span of the given vectors.
+    """Orthonormal basis of the linear span of the given vectors, at tolerance.
 
-    Rank is decided by singular values: anything at or below
-    max(rows, cols) * eps * sigma_max is treated as zero.  An empty input or
-    all-zero vectors yield a rank-zero basis (pass ``dimension`` to fix the
-    ambient dimension in that case).  ``tol`` is accepted for signature
-    uniformity; the rank cutoff is machine-precision based.
+    One thin SVD orders the directions by singular value.  The rank is the
+    smallest k at which every vector v lies within abs_tol + rel_tol * ||v||
+    of the span of the first k directions, which is the in-span test that
+    ``reduce`` applies, so a direction below tolerance never enters the
+    basis.  An empty input or all-zero vectors yield a rank-zero basis (pass
+    ``dimension`` to fix the ambient dimension in that case).
     """
     vecs = [np.asarray(v, dtype=np.float64) for v in vectors]
     if not vecs:
@@ -174,9 +184,14 @@ def span_basis(
     stacked = np.stack(vecs)
     if not np.any(stacked):
         return OrthonormalBasis(np.zeros((n, 0)))
-    _, sing, vt = np.linalg.svd(stacked, full_matrices=False)
-    cutoff = max(stacked.shape) * _EPS * sing[0]
-    k = int(np.count_nonzero(sing > cutoff))
+    u, sing, vt = np.linalg.svd(stacked, full_matrices=False)
+    # Coordinates along the singular directions in units of sing[0], so the
+    # squares stay finite; tail[:, k] is each vector's distance to the span
+    # of the first k directions.
+    coords = u * (sing / sing[0])
+    tail = np.sqrt(np.cumsum(coords[:, ::-1] ** 2, axis=1))[:, ::-1]
+    allowed = tol.abs_tol / sing[0] + tol.rel_tol * tail[:, :1]
+    k = int(np.argmax(np.append(np.all(tail <= allowed, axis=0), True)))
     return OrthonormalBasis(vt[:k].T.copy())
 
 
@@ -213,39 +228,18 @@ def reduce(
     return ReducedGraph(basis.rank, points)
 
 
-def single_valued_check(
-    rg: ReducedGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE
-) -> ClassificationReport:
-    """Points sharing a reduced primal must agree in their reduced dual."""
-    x = rg.primal_matrix
-    s = rg.dual_matrix
-    m = x.shape[0]
-    nx = np.linalg.norm(x, axis=1)
-    ns = np.linalg.norm(s, axis=1)
-    cols = np.arange(m)
-    worst = _Worst()
-    for i0, i1 in _row_chunks(m, max(1, rg.dimension)):
-        gap_x = np.linalg.norm(x[i0:i1, None, :] - x[None, :, :], axis=2)
-        same = gap_x / tol.margin(np.maximum(nx[i0:i1, None], nx[None, :])) <= 1.0
-        gap_s = np.linalg.norm(s[i0:i1, None, :] - s[None, :, :], axis=2)
-        viol = gap_s / tol.margin(np.maximum(ns[i0:i1, None], ns[None, :]))
-        viol[~same] = -np.inf
-        viol[cols[None, :] <= np.arange(i0, i1)[:, None]] = -np.inf
-        worst.update(viol, i0)
-    return worst.report()
-
-
 def build_skew_operator(
     rg: ReducedGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE
 ) -> np.ndarray:
-    """Representing matrix of a reduced sample, from a pivot subset of points.
+    """Least-squares skew-symmetric representing matrix of a reduced sample.
 
-    Expects a reduced graph that contains (0, 0), is single-valued at
-    tolerance, and whose primal points span the reduced space.  A
-    column-pivoted QR factorization of all reduced primal points selects k
-    well-conditioned ones; solving against their duals gives the matrix,
-    which is then verified against every point and checked for skewness.
-    The returned matrix is the raw solve result; callers wanting an exactly
+    Expects a reduced graph that contains (0, 0) and whose primal points
+    span the reduced space.  With the thin SVD X = U diag(sigma) V^T of the
+    reduced primal points and W = U^T S V for the reduced duals S, the skew
+    matrix minimizing ||S - X A^T|| over all points is A = V C V^T with
+    C_ij = (sigma_j W_ji - sigma_i W_ij) / (sigma_i^2 + sigma_j^2).  Every
+    point is then checked against the fit.  The returned matrix is skew up to
+    the rounding of the change of basis; callers wanting an exactly
     antisymmetric matrix should take its antisymmetric part.
     """
     k = rg.dimension
@@ -259,41 +253,33 @@ def build_skew_operator(
         raise ValidationError(
             "reduced graph does not contain (0, 0); translate by a graph point first"
         )
-    cols_primal = rg.primal_matrix.T  # k x m, columns are reduced primal points
-    cols_dual = rg.dual_matrix.T
-    _, r, piv = scipy.linalg.qr(cols_primal, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    cutoff = max(cols_primal.shape) * _EPS * (float(diag[0]) if diag.size else 0.0)
-    rank = int(np.count_nonzero(diag > cutoff))
+    x = rg.primal_matrix
+    s = rg.dual_matrix
+    u, sing, vt = np.linalg.svd(x, full_matrices=False)
+    rank = int(np.count_nonzero(sing > max(x.shape) * _EPS * sing[0]))
     if rank < k:
         raise InternalInconsistencyError(
             f"reduced primal points span only {rank} of {k} directions; "
             "basis and reduction disagree"
         )
-    sel = piv[:k]
-    pivot_primal = cols_primal[:, sel]
-    pivot_dual = cols_dual[:, sel]
-    fitted = np.linalg.solve(pivot_primal.T, pivot_dual.T).T
-    predicted = rg.primal_matrix @ fitted.T
-    residual = np.linalg.norm(rg.dual_matrix - predicted, axis=1)
-    scale = np.maximum(
-        np.linalg.norm(rg.dual_matrix, axis=1), np.linalg.norm(predicted, axis=1)
+    w = u.T @ s @ vt.T
+    r = sing / sing[0]  # relative singular values keep the squares finite
+    core = (r[None, :] * w.T - r[:, None] * w) / (
+        sing[0] * (r[:, None] ** 2 + r[None, :] ** 2)
     )
+    fitted = vt.T @ core @ vt
+    predicted = x @ fitted.T
+    residual = np.linalg.norm(s - predicted, axis=1)
+    scale = np.maximum(np.linalg.norm(s, axis=1), np.linalg.norm(predicted, axis=1))
     normalized = residual / tol.margin(scale)
     worst = int(np.argmax(normalized))
     if normalized[worst] > 1.0:
         raise NotBimonotoneError(
-            f"reduced pair {worst} is not consistent with a linear map at "
-            f"tolerance (residual {residual[worst]:.6e}); the sample is not "
+            f"reduced pair {worst} is not consistent with a skew-symmetric linear "
+            f"map at tolerance (residual {residual[worst]:.6e}); the sample is not "
             "bimonotone at this tolerance",
             worst_index=worst,
             residual=float(residual[worst]),
-        )
-    defect = _max_abs(fitted + fitted.T)
-    if defect > float(tol.margin(_max_abs(fitted))):
-        raise NotBimonotoneError(
-            f"fitted matrix is not skew-symmetric at tolerance (defect {defect:.6e}); "
-            "the sample is not bimonotone at this tolerance"
         )
     return fitted
 
@@ -337,8 +323,11 @@ class SkewDecomposition:
             raise ValidationError("basepoint must be a GraphPoint")
         if self.basepoint.dimension != self.basis.ambient_dimension:
             raise ValidationError("basepoint dimension does not match the basis")
-        object.__setattr__(self, "max_residual", float(self.max_residual))
-        object.__setattr__(self, "skewness_defect", float(self.skewness_defect))
+        for name in ("max_residual", "skewness_defect"):
+            value = float(getattr(self, name))
+            if not np.isfinite(value):
+                raise ValidationError(f"{name} must be finite")
+            object.__setattr__(self, name, value)
 
     @property
     def rank(self) -> int:
@@ -368,28 +357,26 @@ class SkewDecomposition:
         missing = sorted(keys - set(doc))
         if missing:
             raise ValidationError(f"decomposition document is missing key {missing[0]!r}")
-        basis_raw = np.array(doc["basis"], dtype=np.float64)
+        basis_raw = _real_array(doc["basis"], "basis")
         if basis_raw.ndim != 2:
             raise ValidationError("basis must be a 2-D array")
         basis = OrthonormalBasis(basis_raw)
         k = basis.rank
         try:
-            a_hat = np.array(doc["a_hat"], dtype=np.float64).reshape(k, k)
-            v_hat = np.array(doc["v_hat"], dtype=np.float64).reshape(k)
+            a_hat = _real_array(doc["a_hat"], "a_hat").reshape(k, k)
+            v_hat = _real_array(doc["v_hat"], "v_hat").reshape(k)
         except ValueError as exc:
             raise ValidationError(f"decomposition arrays have wrong shapes: {exc}") from exc
         bp = doc["basepoint"]
         if not isinstance(bp, dict) or set(bp) != {"x", "xstar"}:
             raise ValidationError("basepoint must be an object with keys x and xstar")
-        basepoint = GraphPoint(np.array(bp["x"]), np.array(bp["xstar"]))
-        return cls(
-            basis=basis,
-            a_hat=a_hat,
-            v_hat=v_hat,
-            basepoint=basepoint,
-            max_residual=float(doc["max_residual"]),
-            skewness_defect=float(doc["skewness_defect"]),
+        basepoint = GraphPoint(
+            _real_array(bp["x"], "basepoint.x"), _real_array(bp["xstar"], "basepoint.xstar")
         )
+        scalars = {key: _real_array(doc[key], key) for key in ("max_residual", "skewness_defect")}
+        if any(value.ndim for value in scalars.values()):
+            raise ValidationError("max_residual and skewness_defect must be numbers")
+        return cls(basis=basis, a_hat=a_hat, v_hat=v_hat, basepoint=basepoint, **scalars)
 
 
 def decompose(
@@ -401,14 +388,15 @@ def decompose(
 
     Pipeline: certify bimonotonicity, translate the chosen basepoint (the
     first point by default) to (0, 0), extract the span of the translated
-    domain, reduce to span coordinates, build the representing matrix, and
-    reassemble the offset so that basis^T xstar = a_hat basis^T x + v_hat
-    holds over the original graph.
+    primal points, reduce to span coordinates, fit the skew representing
+    matrix, and reassemble the offset so that
+    basis^T xstar = a_hat basis^T x + v_hat holds over the original graph.
 
-    Raises NotBimonotoneError (with the report attached) when the input
-    fails the bimonotone check, and InternalInconsistencyError when the
-    certified sample still reduces to something multivalued, which signals
-    tolerance miscalibration rather than bad input.
+    Raises NotBimonotoneError when the input fails the bimonotone check
+    (with the report attached) or when some pair misses the skew fit at
+    tolerance, and InternalInconsistencyError when the reduced primal points
+    fail to span the basis, which signals tolerance miscalibration rather
+    than bad input.
     """
     report = bimonotone_check(g, tol)
     if not report.verdict:
@@ -426,15 +414,8 @@ def decompose(
         )
     base = g.points[idx]
     shifted = translate(g, base.x, base.xstar)
-    basis = span_basis(domain(shifted, tol), tol, dimension=g.dimension)
+    basis = span_basis(shifted.primal_matrix, tol, dimension=g.dimension)
     reduced = reduce(shifted, basis, tol)
-    valued = single_valued_check(reduced, tol)
-    if not valued.verdict:
-        raise InternalInconsistencyError(
-            "bimonotone sample reduced to a multivalued map "
-            f"(worst_violation {valued.worst_violation:.6e} at pair {valued.witness}); "
-            "tolerances are inconsistent"
-        )
     raw = build_skew_operator(reduced, tol)
     defect = _max_abs(raw + raw.T)
     a_hat = (raw - raw.T) / 2.0

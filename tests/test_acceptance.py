@@ -108,8 +108,9 @@ def test_skew_synthesis_certified():
 
 
 def test_least_squares_agreement():
-    # the pivot-based fit must land on the same matrix as an independent
-    # least-squares fit over all skew matrices, entry by entry
+    # the production skew least-squares fit, taken in the SVD basis, must
+    # land on the same matrix as an independent least-squares fit over the
+    # free entries of a skew matrix, entry by entry
     with criterion("least-squares-agreement"):
         rng = np.random.Generator(np.random.Philox(3000))
         for i in range(50):

@@ -266,6 +266,28 @@ def test_report_invariant_enforced():
         ClassificationReport(verdict=False, worst_violation=5.0, witness=None)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "check",
+    [monotone_check, bimonotone_check, constant_on_domain_check, paramonotone_check],
+)
+def test_overflow_raises_instead_of_passing(check):
+    # products and norms of 1e300 overflow to inf and then NaN; a NaN
+    # violation must fail loudly, never vanish from the maximum
+    g = OperatorGraph.from_arrays([[1e300], [-1e300]], [[1e300], [0.0]])
+    with pytest.raises(ValidationError, match="overflows"):
+        check(g)
+
+
+@pytest.mark.filterwarnings("error")
+def test_paramonotone_overflowing_gap_raises():
+    # the pairing stays finite, but the primal gap's norm overflows
+    g = OperatorGraph.from_arrays([[1e200], [-1e200]], [[1e-100], [0.0]])
+    assert monotone_check(g).verdict
+    with pytest.raises(ValidationError, match="overflows"):
+        paramonotone_check(g)
+
+
 def test_witness_tie_breaks_to_smallest_pair():
     # pairs (0, 1) and (2, 3) violate with identical normalized size while
     # every cross pair has a positive product; (0, 1) must win the tie

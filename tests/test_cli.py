@@ -232,12 +232,43 @@ def test_missing_file_exits_2(capsys):
     assert "error" in stderr
 
 
-def test_malformed_graph_exits_2(capsys, tmp_path):
-    path = tmp_path / "broken.json"
-    path.write_text('{"dimension": 2, "points": [')
-    code, stdout, stderr = invoke(capsys, "analyze", str(path))
+SMALL_GRAPH = b'{"dimension": 2, "points": [{"x": [0.0, 0.0], "xstar": [1.0, 0.0]}]}'
+DECOMPOSITION = (
+    b'{"basis": %s, "a_hat": [[0.0]], "v_hat": [0.0], '
+    b'"basepoint": {"x": [0.0, 0.0], "xstar": [0.0, 0.0]}, '
+    b'"max_residual": %s, "skewness_defect": 0.0}'
+)
+MALFORMED = {
+    "bad_json": ("analyze", b'{"dimension": 2, "points": ['),
+    "bad_key": ("analyze", b'{"dimension": 1, "points": [{"x": [0.0], "xstar": [1.0], "w": 2}]}'),
+    "bad_csv": ("analyze", b"0.0,1.0,2.0,3.0\n4.0,5.0,6.0\n"),
+    "ragged_basis": ("verify", DECOMPOSITION % (b"[[1.0, 0.0], [0.0]]", b"0.0")),
+    "nan_residual": ("verify", DECOMPOSITION % (b"[[1.0], [0.0]]", b"NaN")),
+    "string_offset": ("generate", b'{"n": 3, "k": 2, "m": 5, "offset_norm": "one"}'),
+    "non_utf8_spec": ("generate", b'{"n": 3, "k": 2, "m": 5, "seed": 1}\xff\xfe'),
+    # the pairings overflow to NaN, which must not pass as a verdict
+    "overflow": ("analyze", b'{"dimension": 1, "points": [{"x": [1e300], "xstar": [1e300]}, '
+                            b'{"x": [-1e300], "xstar": [0]}]}'),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_graph_exits_2(capsys, tmp_path, case):
+    command, content = MALFORMED[case]
+    path = tmp_path / ("broken.csv" if case == "bad_csv" else "broken.json")
+    path.write_bytes(content)
+    if command == "verify":
+        graph = tmp_path / "small.json"
+        graph.write_bytes(SMALL_GRAPH)
+        argv = ["verify", str(path), str(graph)]
+    elif command == "generate":
+        argv = ["generate", str(path), "--out", str(tmp_path / "out.json")]
+    else:
+        argv = ["analyze", str(path)]
+    code, stdout, stderr = invoke(capsys, *argv)
     assert code == 2 and stdout == ""
-    assert "line" in stderr
+    assert stderr.startswith("skewfit: error: ") and stderr.count("\n") == 1
 
 
 def test_usage_errors_exit_2(capsys, tmp_path):
@@ -259,6 +290,15 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["bimonotone"]["verdict"] is True
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import skewfit.cli, sys; assert 'scipy' not in sys.modules"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_analyze_output_is_byte_deterministic(capsys, tmp_path):

@@ -7,6 +7,7 @@ from skewfit import (
     ParseError,
     ValidationError,
     bimonotone_check,
+    build_skew_operator,
     constant_on_domain_check,
     decompose,
     domain,
@@ -15,7 +16,6 @@ from skewfit import (
     perturb,
     random_skew,
     reduce,
-    single_valued_check,
     span_basis,
     translate,
 )
@@ -63,7 +63,8 @@ def test_fixture_with_branches_and_orthogonal_noise():
     base = fix.graph.points[0]
     shifted = translate(fix.graph, base.x, base.xstar)
     basis = span_basis(domain(shifted))
-    assert single_valued_check(reduce(shifted, basis)).verdict
+    fitted = build_skew_operator(reduce(shifted, basis))
+    assert fitted.shape == (spec.k, spec.k)
 
 
 def test_fixture_in_span_noise_breaks_bimonotonicity():
@@ -154,6 +155,12 @@ def test_spec_validation():
         FixtureSpec(n=1.5, k=1, m=1)
     with pytest.raises(ValidationError, match="zero_operator"):
         FixtureSpec(n=1, k=1, m=1, zero_operator=1)
+
+
+@pytest.mark.parametrize("value", ["one", None, [1.0], True, float("nan"), 10**400])
+def test_spec_rejects_non_numeric_float_fields(value):
+    with pytest.raises(ValidationError, match="offset_norm"):
+        FixtureSpec(n=3, k=2, m=5, offset_norm=value)
 
 
 def test_spec_round_trip():

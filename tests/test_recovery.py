@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewfit import (
     ClassificationReport,
@@ -12,7 +14,9 @@ from skewfit import (
     OrthonormalBasis,
     ReducedGraph,
     SkewDecomposition,
+    ToleranceConfig,
     ValidationError,
+    bimonotone_check,
     build_skew_operator,
     decompose,
     dumps_canonical,
@@ -20,7 +24,6 @@ from skewfit import (
     perturb,
     random_skew,
     reduce,
-    single_valued_check,
     span_basis,
     verify_reconstruction,
 )
@@ -82,6 +85,18 @@ def test_span_basis_planted_rank_with_noise():
     np.testing.assert_allclose(p @ q0, q0, atol=1e-12)
 
 
+def test_span_basis_rank_follows_tolerance():
+    # points within 1e-12 of a plane in R^3: the plane at the default
+    # tolerance, all of R^3 once the tolerance is tighter than the offsets
+    rng = np.random.Generator(np.random.Philox(23))
+    vectors = rng.normal(size=(20, 3))
+    vectors[:, 2] = 1e-12 * rng.normal(size=20)
+    assert span_basis(vectors).rank == 2
+    assert span_basis(vectors, ToleranceConfig(1e-15, 1e-15)).rank == 3
+    rg = reduce(OperatorGraph.from_arrays(vectors, vectors), span_basis(vectors))
+    assert rg.dimension == 2
+
+
 def test_span_basis_input_validation():
     with pytest.raises(ValidationError, match=r"vectors\[1\]"):
         span_basis([np.zeros(2), np.zeros(3)])
@@ -126,36 +141,6 @@ def test_reduce_dimension_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# single_valued_check
-# ---------------------------------------------------------------------------
-
-def test_single_valued_distinct_points():
-    rg = rg_from([[0.0], [1.0], [2.0]], [[0.0], [3.0], [6.0]])
-    rep = single_valued_check(rg)
-    assert rep.verdict and rep.worst_violation == 0.0
-
-
-def test_single_valued_conflict():
-    rg = rg_from([[0.0], [0.0]], [[0.0], [1.0]])
-    rep = single_valued_check(rg)
-    assert not rep.verdict
-    assert rep.witness == (0, 1)
-    # dual gap 1 against margin 1e-9 + 1e-9 * max(1, 1)
-    assert rep.worst_violation == pytest.approx(1.0 / 2e-9)
-
-
-def test_single_valued_near_duplicate_primal_still_compared():
-    rg = rg_from([[0.0], [1e-12]], [[0.0], [1.0]])
-    rep = single_valued_check(rg)
-    assert not rep.verdict and rep.witness == (0, 1)
-
-
-def test_single_valued_consistent_duplicates():
-    rg = rg_from([[1.0, 0.0], [1.0, 0.0]], [[2.0, 3.0], [2.0, 3.0]])
-    assert single_valued_check(rg).verdict
-
-
-# ---------------------------------------------------------------------------
 # build_skew_operator
 # ---------------------------------------------------------------------------
 
@@ -193,6 +178,20 @@ def test_build_recovers_random_skew():
     # a least-squares fit over all skew matrices lands on the same answer
     ls = oracles.fit_skew_least_squares(x, s)
     np.testing.assert_allclose(fitted, ls, atol=1e-9)
+
+
+def test_build_is_the_skew_least_squares_fit():
+    # duals off the planted map by noise inside the tolerance: the fit is
+    # still the least-squares optimum over all skew matrices
+    k, m = 4, 15
+    a0 = random_skew(k, seed=24)
+    rng = np.random.Generator(np.random.Philox(25))
+    x = np.vstack([np.zeros(k), rng.normal(size=(m, k))])
+    s = x @ a0.T + 1e-11 * np.vstack([np.zeros(k), rng.normal(size=(m, k))])
+    fitted = build_skew_operator(rg_from(x, s))
+    ls = oracles.fit_skew_least_squares(x, s)
+    np.testing.assert_allclose(fitted, ls, atol=1e-14)
+    np.testing.assert_allclose(fitted, -fitted.T, atol=1e-15)
 
 
 def test_build_requires_zero_pair():
@@ -329,6 +328,45 @@ def test_decompose_antisymmetry_exact():
     np.testing.assert_array_equal(dec.a_hat, -dec.a_hat.T)
 
 
+def hard_family_graph(family, n, k, m, seed):
+    """A planted skew sample bent into one of the families that a rank rule
+    at machine precision or a square pivoted solve gets wrong."""
+    fix = make_fixture(FixtureSpec(n=n, k=k, m=m, offset_norm=1.0, seed=seed))
+    q = fix.truth.basis.q
+    x = fix.graph.primal_matrix
+    rng = np.random.Generator(np.random.Philox(seed + 1))  # not the fixture's stream
+    if family == "near_plane":
+        # every point within 1e-12 of the planted span, off it along one normal
+        raw = rng.normal(size=n)
+        normal = raw - q @ (q.T @ raw)
+        normal /= np.linalg.norm(normal)
+        x = x + 1e-12 * rng.normal(size=(m, 1)) * normal
+    elif family == "near_duplicate":
+        x = np.repeat(x, 2, axis=0)
+        x[1::2] += 1e-12 * rng.normal(size=(m, k)) @ q.T
+    else:  # far_from_origin
+        x = x + 1e6 * q @ rng.normal(size=k)
+    return OperatorGraph.from_arrays(x, x @ fix.truth.operator.T + fix.truth.offset)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["near_plane", "near_duplicate", "far_from_origin"]),
+    n=st.integers(2, 7),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_certified_hard_families_decompose_and_verify(family, n, data, seed):
+    # the paper's equivalence at the working tolerance: a certified sample
+    # decomposes, and the decomposition reproduces the sample
+    k = data.draw(st.integers(1, n - 1 if family == "near_plane" else n), label="k")
+    m = data.draw(st.integers(k + 1, 30), label="m")
+    g = hard_family_graph(family, n, k, m, seed)
+    if bimonotone_check(g).verdict:
+        dec = decompose(g)
+        assert verify_reconstruction(dec, g).verdict
+
+
 # ---------------------------------------------------------------------------
 # verify_reconstruction
 # ---------------------------------------------------------------------------
@@ -403,6 +441,30 @@ def test_decomposition_from_dict_validation():
     bent["a_hat"] = [[0.0]]
     with pytest.raises(ValidationError, match="wrong shapes"):
         SkewDecomposition.from_dict(bent)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("basis", [[1.0, 0.0], [0.0]], "ragged"),
+        ("basis", "eye", "only numbers"),
+        ("v_hat", ["0"], "only numbers"),
+        ("basepoint", {"x": [0.0, None], "xstar": [0.0, 0.0]}, "only numbers"),
+        ("max_residual", "small", "only numbers"),
+        ("max_residual", [0.0], "must be numbers"),
+        ("skewness_defect", 1e400, "finite"),
+    ],
+)
+def test_decomposition_from_dict_rejects_non_numbers(key, value, message):
+    doc = {
+        "basis": [[1.0], [0.0]], "a_hat": [[0.0]], "v_hat": [0.0],
+        "basepoint": {"x": [0.0, 0.0], "xstar": [0.0, 0.0]},
+        "max_residual": 0.0, "skewness_defect": 0.0,
+    }
+    SkewDecomposition.from_dict(doc)
+    doc[key] = value
+    with pytest.raises(ValidationError, match=message):
+        SkewDecomposition.from_dict(doc)
 
 
 def test_orthonormal_basis_validation():
