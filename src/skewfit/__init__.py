@@ -46,7 +46,6 @@ from .recovery import (
     NotBimonotoneError,
     OrthonormalBasis,
     ReconstructionReport,
-    ReducedGraph,
     SkewDecomposition,
     build_skew_operator,
     decompose,
@@ -71,7 +70,6 @@ __all__ = [
     "OrthonormalBasis",
     "ParseError",
     "ReconstructionReport",
-    "ReducedGraph",
     "SkewDecomposition",
     "SkewfitError",
     "ToleranceConfig",

@@ -30,7 +30,7 @@ from .graphs import (
     OperatorGraph,
     ToleranceConfig,
     ValidationError,
-    vectors_close,
+    contains_origin,
 )
 
 __all__ = [
@@ -91,7 +91,8 @@ class NotMonotone:
         return {"status": "not_monotone", "monotone": self.monotone.to_dict()}
 
 
-# Scans silence numpy's overflow warnings; a NaN they produce raises instead.
+# Scans silence numpy's overflow warnings; a non-finite value they produce
+# raises instead.
 _quiet = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -99,74 +100,80 @@ def _overflow(pair: tuple[int, int]) -> ValidationError:
     return ValidationError(f"pair {pair} overflows double precision; rescale the sample")
 
 
-class _Worst:
-    """Deterministic max-reduction over violation blocks.
+def _scan(
+    g: OperatorGraph, tol: ToleranceConfig, terms, out: np.ndarray | None = None
+) -> ClassificationReport:
+    """Largest normalized violation over the pairs (i, j), j >= i, of ``g``.
 
-    Blocks arrive in ascending row order and np.argmax returns the first
-    maximum in row-major order, so ties resolve to the smallest (i, j).
-    np.argmax also returns the first NaN, which raises: a NaN never passes.
+    ``terms(i0, i1)`` returns the residual and the scale of every pair whose
+    first index lies in [i0, i1), as two (i1 - i0, m) arrays; a violation is
+    the residual over ``tol.margin(scale)``.  Rows arrive in blocks of about
+    ``_CHUNK_FLOATS`` floats per (rows, m, n) difference array.  The diagonal
+    holds single-point conditions, which are zero for the pairwise checks.
+    Pairs with j < i read -inf.  A non-finite margin or violation raises, so
+    an overflow never passes.  Blocks arrive in ascending row order and
+    np.argmax returns the first maximum in row-major order, so the witness is
+    the smallest (i, j) among ties.  When ``out`` is given, each block's
+    violations are also stored in its rows.
     """
-
-    def __init__(self) -> None:
-        self.value = 0.0
-        self.pair: tuple[int, int] | None = None
-
-    def update(self, violations: np.ndarray, row_offset: int) -> None:
-        if violations.size == 0:
-            return
-        flat = int(np.argmax(violations))
-        val = float(violations.flat[flat])
-        width = violations.shape[1]
-        pair = (row_offset + flat // width, flat % width)
-        if np.isnan(val):
-            raise _overflow(pair)
-        if val > self.value:
-            self.value = val
-            self.pair = pair
-
-    def report(self) -> ClassificationReport:
-        return ClassificationReport(
-            verdict=self.value <= 1.0,
-            worst_violation=self.value,
-            witness=self.pair,
-        )
-
-
-def _row_chunks(m: int, n: int):
+    m, n = g.primal_matrix.shape
     rows = max(1, _CHUNK_FLOATS // max(1, m * n))
-    for start in range(0, m, rows):
-        yield start, min(m, start + rows)
+    worst, witness = 0.0, None
+    for i0 in range(0, m, rows):
+        i1 = min(m, i0 + rows)
+        residual, scale = terms(i0, i1)
+        margin = tol.margin(scale)
+        viol = residual / margin
+        below = np.arange(m)[None, :] < np.arange(i0, i1)[:, None]
+        broken = ~(np.isfinite(viol) & np.isfinite(margin)) & ~below
+        if broken.any():
+            r, j = divmod(int(np.argmax(broken)), m)
+            raise _overflow((i0 + r, j))
+        viol[below] = -np.inf
+        if out is not None:
+            out[i0:i1] = viol
+        flat = int(np.argmax(viol))
+        if viol.flat[flat] > worst:
+            worst = float(viol.flat[flat])
+            witness = (i0 + flat // m, flat % m)
+    return ClassificationReport(verdict=worst <= 1.0, worst_violation=worst, witness=witness)
 
 
-@_quiet
-def _pairing_check(g: OperatorGraph, tol: ToleranceConfig, absolute: bool) -> ClassificationReport:
-    x = g.primal_matrix
-    s = g.dual_matrix
-    m = x.shape[0]
-    cols = np.arange(m)
-    worst = _Worst()
-    for i0, i1 in _row_chunks(m, g.dimension):
+def _pairing_terms(x: np.ndarray, s: np.ndarray, absolute: bool):
+    """<s_i - s_j, x_i - x_j>, negated unless ``absolute``, against the
+    product of the two difference norms."""
+    def terms(i0, i1):
         dx = x[i0:i1, None, :] - x[None, :, :]
         ds = s[i0:i1, None, :] - s[None, :, :]
         prod = np.einsum("ijk,ijk->ij", ds, dx)
         scale = np.linalg.norm(ds, axis=2) * np.linalg.norm(dx, axis=2)
-        viol = (np.abs(prod) if absolute else -prod) / tol.margin(scale)
-        viol[cols[None, :] <= np.arange(i0, i1)[:, None]] = -np.inf
-        worst.update(viol, i0)
-    return worst.report()
+        return (np.abs(prod) if absolute else -prod), scale
+    return terms
 
 
+def _gap_terms(v: np.ndarray):
+    """||v_i - v_j|| against the larger of the two norms."""
+    norms = np.linalg.norm(v, axis=1)
+
+    def terms(i0, i1):
+        gap = np.linalg.norm(v[i0:i1, None, :] - v[None, :, :], axis=2)
+        return gap, np.maximum(norms[i0:i1, None], norms[None, :])
+    return terms
+
+
+@_quiet
 def monotone_check(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> ClassificationReport:
     """Every pairwise product <xstar - ystar, x - y> is nonnegative within tolerance."""
-    return _pairing_check(g, tol, absolute=False)
+    return _scan(g, tol, _pairing_terms(g.primal_matrix, g.dual_matrix, absolute=False))
 
 
+@_quiet
 def bimonotone_check(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> ClassificationReport:
     """Every pairwise product <xstar - ystar, x - y> vanishes within tolerance.
 
     Equivalent to the sample and its negation both being monotone.
     """
-    return _pairing_check(g, tol, absolute=True)
+    return _scan(g, tol, _pairing_terms(g.primal_matrix, g.dual_matrix, absolute=True))
 
 
 @_quiet
@@ -174,18 +181,7 @@ def constant_on_domain_check(
     g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE
 ) -> ClassificationReport:
     """All dual points of the graph coincide within vector tolerance."""
-    s = g.dual_matrix
-    m = s.shape[0]
-    ns = np.linalg.norm(s, axis=1)
-    cols = np.arange(m)
-    worst = _Worst()
-    for i0, i1 in _row_chunks(m, g.dimension):
-        gap = np.linalg.norm(s[i0:i1, None, :] - s[None, :, :], axis=2)
-        scale = np.maximum(ns[i0:i1, None], ns[None, :])
-        viol = gap / tol.margin(scale)
-        viol[cols[None, :] <= np.arange(i0, i1)[:, None]] = -np.inf
-        worst.update(viol, i0)
-    return worst.report()
+    return _scan(g, tol, _gap_terms(g.dual_matrix))
 
 
 @_quiet
@@ -198,33 +194,25 @@ def skew_form_check(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) 
     Raises ValidationError when the graph does not contain the pair (0, 0);
     translate by a graph point first.
     """
-    zero = np.zeros(g.dimension)
-    if not any(
-        vectors_close(p.x, zero, tol) and vectors_close(p.xstar, zero, tol)
-        for p in g.points
-    ):
+    if not contains_origin(g, tol):
         raise ValidationError(
             "graph does not contain the pair (0, 0); translate by a graph point first"
         )
     x = g.primal_matrix
     s = g.dual_matrix
-    m = x.shape[0]
     nx = np.linalg.norm(x, axis=1)
     ns = np.linalg.norm(s, axis=1)
-    point_viol = np.abs(np.einsum("ij,ij->i", s, x)) / tol.margin(ns * nx)
-    cols = np.arange(m)
-    worst = _Worst()
-    for i0, i1 in _row_chunks(m, g.dimension):
-        rows = np.arange(i0, i1)
-        cross = s[i0:i1] @ x.T  # <xstar_i, x_j>
-        crossed = x[i0:i1] @ s.T  # <xstar_j, x_i>
-        viol = np.abs(cross + crossed) / tol.margin(
-            np.maximum(np.outer(ns[i0:i1], nx), np.outer(nx[i0:i1], ns))
-        )
-        viol[cols[None, :] < rows[:, None]] = -np.inf
-        viol[np.arange(i1 - i0), rows] = point_viol[i0:i1]
-        worst.update(viol, i0)
-    return worst.report()
+    point = np.abs(np.einsum("ij,ij->i", s, x))
+
+    def terms(i0, i1):
+        # <xstar_i, x_j> + <xstar_j, x_i>, with <xstar_i, x_i> on the diagonal
+        residual = np.abs(s[i0:i1] @ x.T + x[i0:i1] @ s.T)
+        scale = np.maximum(np.outer(ns[i0:i1], nx), np.outer(nx[i0:i1], ns))
+        diagonal = (np.arange(i1 - i0), np.arange(i0, i1))
+        residual[diagonal] = point[i0:i1]
+        scale[diagonal] = ns[i0:i1] * nx[i0:i1]
+        return residual, scale
+    return _scan(g, tol, terms)
 
 
 @_quiet
@@ -248,22 +236,18 @@ def paramonotone_check(
         return NotMonotone(monotone=mono)
     x = g.primal_matrix
     s = g.dual_matrix
-    nx = np.linalg.norm(x, axis=1)
-    ns = np.linalg.norm(s, axis=1)
-    dx = x[:, None, :] - x[None, :, :]
-    ds = s[:, None, :] - s[None, :, :]
-    prod = np.einsum("ijk,ijk->ij", ds, dx)
-    scale = np.linalg.norm(ds, axis=2) * np.linalg.norm(dx, axis=2)
-    vanishing = np.abs(prod) <= tol.margin(scale)
-    # Normalized distance from every stored point l to each candidate component.
-    gap_x = np.linalg.norm(dx, axis=2) / tol.margin(np.maximum(nx[:, None], nx[None, :]))
-    gap_s = np.linalg.norm(ds, axis=2) / tol.margin(np.maximum(ns[:, None], ns[None, :]))
-    nan = np.argwhere(np.isnan(gap_x) | np.isnan(gap_s))
-    if nan.size:
-        raise _overflow((int(nan[0, 0]), int(nan[0, 1])))
+    m = x.shape[0]
+    pairing, gap_x, gap_s = (np.empty((m, m)) for _ in range(3))
+    _scan(g, tol, _pairing_terms(x, s, absolute=True), out=pairing)
+    # Normalized distance from every stored point l to each candidate
+    # component; the distances are symmetric, so the upper triangle the
+    # scan fills determines the whole matrix.
+    for gap, v in ((gap_x, x), (gap_s, s)):
+        _scan(g, tol, _gap_terms(v), out=gap)
+        np.maximum(gap, gap.T, out=gap)
     worst = 0.0
     witness: tuple[int, int] | None = None
-    for i, j in np.argwhere(np.triu(vanishing, k=1)):
+    for i, j in np.argwhere(np.triu(pairing <= 1.0, k=1)):
         need_ij = float(np.min(np.maximum(gap_x[:, i], gap_s[:, j])))
         need_ji = float(np.min(np.maximum(gap_x[:, j], gap_s[:, i])))
         v = max(need_ij, need_ji)

@@ -10,6 +10,7 @@ success, 1 for a false verdict, 2 for usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -144,8 +145,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _nonnegative(text: str) -> float:
     value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError("must be finite and nonnegative")
     return value
 
 

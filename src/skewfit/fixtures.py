@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graphs import (
-    GraphPoint,
     OperatorGraph,
     ParseError,
     ValidationError,
@@ -204,7 +203,7 @@ def make_fixture(spec: FixtureSpec) -> Fixture:
                 "domain sample failed to span the planted subspace twice in a row"
             )
     primal = coords @ q0.T
-    points: list[GraphPoint] = []
+    duals: list[np.ndarray] = []
     for i in range(m):
         base = operator @ primal[i] + offset
         for _ in range(spec.branches):
@@ -215,8 +214,8 @@ def make_fixture(spec: FixtureSpec) -> Fixture:
                 dual = dual + spec.noise_orthogonal * _unit(perp)
             if spec.noise_in_span > 0 and k > 0:
                 dual = dual + spec.noise_in_span * (q0 @ _unit(rng.standard_normal(k)))
-            points.append(GraphPoint(primal[i], dual))
-    graph = OperatorGraph(n, tuple(points))
+            duals.append(dual)
+    graph = OperatorGraph.from_arrays(np.repeat(primal, spec.branches, axis=0), duals)
     truth = FixtureTruth(operator=operator, offset=offset, basis=OrthonormalBasis(q0))
     return Fixture(graph=graph, truth=truth)
 
@@ -246,9 +245,8 @@ def perturb(
     amplitude = float(amplitude)
     if not np.isfinite(amplitude) or amplitude < 0:
         raise ValidationError("amplitude must be finite and nonnegative")
-    points = list(g.points)
     if amplitude == 0.0:
-        return OperatorGraph(g.dimension, tuple(points))
+        return OperatorGraph.from_arrays(g.primal_matrix, g.dual_matrix)
     if basis.ambient_dimension != g.dimension:
         raise ValidationError(
             f"basis lives in R^{basis.ambient_dimension}, graph in R^{g.dimension}"
@@ -265,6 +263,6 @@ def perturb(
         if float(np.linalg.norm(perp)) <= 1e-9 * float(np.linalg.norm(raw)):
             raise ValidationError("orthogonal complement of the span is trivial")
         step = amplitude * _unit(perp)
-    target = points[index]
-    points[index] = GraphPoint(target.x, target.xstar + step)
-    return OperatorGraph(g.dimension, tuple(points))
+    dual = np.array(g.dual_matrix)
+    dual[index] += step
+    return OperatorGraph.from_arrays(g.primal_matrix, dual)

@@ -2,14 +2,22 @@
 
 A sampled operator is a finite collection of (primal, dual) pairs.  The same
 primal point may appear with several distinct dual points, so nothing here
-assumes single-valuedness.  Comparisons between nearby vectors go through an
-explicit ToleranceConfig; exact (bit-level) equality is reserved for
-serialization round-trips and for graph inversion, which is an involution.
+assumes single-valuedness.  An OperatorGraph stores the pairs as two
+read-only (m, n) float64 arrays, the primal and the dual rows in sample
+order; every scan and fit works on those arrays directly, and a GraphPoint
+is only a view of one row pair, built when ``points`` is indexed.
+
+Comparisons between nearby vectors go through an explicit ToleranceConfig;
+exact (bit-level) equality is reserved for serialization round-trips and for
+graph inversion, which is an involution.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import IO, Iterable
 
@@ -23,6 +31,7 @@ __all__ = [
     "SkewfitError",
     "ToleranceConfig",
     "ValidationError",
+    "contains_origin",
     "domain",
     "dumps_canonical",
     "inverse_graph",
@@ -73,8 +82,8 @@ class ToleranceConfig:
     rel_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not (self.abs_tol >= 0.0 and self.rel_tol >= 0.0):
-            raise ValidationError("tolerances must be nonnegative")
+        if not all(0.0 <= t < math.inf for t in (self.abs_tol, self.rel_tol)):
+            raise ValidationError("tolerances must be finite and nonnegative")
         if self.abs_tol == 0.0 and self.rel_tol == 0.0:
             raise ValidationError("abs_tol and rel_tol cannot both be zero")
 
@@ -89,13 +98,16 @@ class ToleranceConfig:
 DEFAULT_TOLERANCE = ToleranceConfig()
 
 
+def _close(a: np.ndarray, b: np.ndarray, tol: ToleranceConfig):
+    """``vectors_close`` over the last axis, broadcasting leading axes."""
+    gap = np.linalg.norm(a - b, axis=-1)
+    scale = np.maximum(np.linalg.norm(a, axis=-1), np.linalg.norm(b, axis=-1))
+    return gap <= tol.abs_tol + tol.rel_tol * scale
+
+
 def vectors_close(a, b, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> bool:
     """Whether ``||a - b|| <= abs_tol + rel_tol * max(||a||, ||b||)``."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    gap = float(np.linalg.norm(a - b))
-    scale = max(float(np.linalg.norm(a)), float(np.linalg.norm(b)))
-    return gap <= tol.abs_tol + tol.rel_tol * scale
+    return bool(_close(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64), tol))
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,6 +125,14 @@ class GraphPoint:
                 f"x has dimension {self.x.size} but xstar has dimension {self.xstar.size}"
             )
 
+    @classmethod
+    def _view(cls, x: np.ndarray, xstar: np.ndarray) -> "GraphPoint":
+        """A point over two read-only rows of a graph, without copying them."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "x", x)
+        object.__setattr__(point, "xstar", xstar)
+        return point
+
     @property
     def dimension(self) -> int:
         return self.x.size
@@ -126,84 +146,129 @@ class GraphPoint:
         return f"GraphPoint(x={self.x.tolist()}, xstar={self.xstar.tolist()})"
 
 
-@dataclass(frozen=True, eq=False)
+class _Points(Sequence):
+    """The pairs of a graph as a read-only sequence of GraphPoint views."""
+
+    __slots__ = ("_x", "_s")
+
+    def __init__(self, x: np.ndarray, s: np.ndarray) -> None:
+        self._x = x
+        self._s = s
+
+    def __len__(self) -> int:
+        return self._x.shape[0]
+
+    def __getitem__(self, index) -> GraphPoint:
+        index = operator.index(index)
+        return GraphPoint._view(self._x[index], self._s[index])
+
+    def __iter__(self):
+        return map(GraphPoint._view, self._x, self._s)
+
+
+def _frozen(rows: np.ndarray) -> np.ndarray:
+    rows.setflags(write=False)
+    return rows
+
+
 class OperatorGraph:
-    """A finite, nonempty sample of a multivalued operator on R^dimension."""
+    """A finite, nonempty sample of a multivalued operator on R^dimension.
 
-    dimension: int
-    points: tuple[GraphPoint, ...]
+    The pairs live in two read-only (m, n) arrays, ``primal_matrix`` and
+    ``dual_matrix``.  ``dimension`` may be zero, which is how a sample
+    reduced to the trivial span is represented.
+    """
 
-    def __post_init__(self) -> None:
-        if isinstance(self.dimension, bool) or not isinstance(self.dimension, (int, np.integer)):
+    __slots__ = ("_x", "_s")
+
+    def __init__(self, dimension: int, points: Iterable[GraphPoint]) -> None:
+        if isinstance(dimension, bool) or not isinstance(dimension, (int, np.integer)):
             raise ValidationError("dimension must be an integer")
-        object.__setattr__(self, "dimension", int(self.dimension))
-        if self.dimension < 1:
-            raise ValidationError("dimension must be a positive integer")
-        pts = tuple(self.points)
+        if dimension < 0:
+            raise ValidationError("dimension must be nonnegative")
+        pts = tuple(points)
         if not pts:
             raise ValidationError("a graph must contain at least one point")
         for i, p in enumerate(pts):
             if not isinstance(p, GraphPoint):
                 raise ValidationError(f"points[{i}] is not a GraphPoint")
-            if p.dimension != self.dimension:
+            if p.dimension != dimension:
                 raise ValidationError(
-                    f"points[{i}] has dimension {p.dimension}, expected {self.dimension}"
+                    f"points[{i}] has dimension {p.dimension}, expected {dimension}"
                 )
-        object.__setattr__(self, "points", pts)
+        self._x = _frozen(np.array([p.x for p in pts]).reshape(len(pts), dimension))
+        self._s = _frozen(np.array([p.xstar for p in pts]).reshape(len(pts), dimension))
 
     @classmethod
     def from_arrays(cls, primal, dual) -> "OperatorGraph":
         """Build a graph from two (m, n) arrays whose rows are vectors."""
-        primal = np.atleast_2d(np.asarray(primal, dtype=np.float64))
-        dual = np.atleast_2d(np.asarray(dual, dtype=np.float64))
-        if primal.shape != dual.shape:
-            raise ValidationError(
-                f"primal rows have shape {primal.shape}, dual rows {dual.shape}"
-            )
-        pts = tuple(GraphPoint(primal[i], dual[i]) for i in range(primal.shape[0]))
-        return cls(primal.shape[1], pts)
+        x = np.atleast_2d(np.array(primal, dtype=np.float64))  # always copies
+        s = np.atleast_2d(np.array(dual, dtype=np.float64))
+        if x.ndim != 2 or x.shape != s.shape:
+            raise ValidationError(f"primal rows have shape {x.shape}, dual rows {s.shape}")
+        if x.shape[0] == 0:
+            raise ValidationError("a graph must contain at least one point")
+        for name, rows in (("x", x), ("xstar", s)):
+            bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+            if bad.size:
+                raise ValidationError(f"points[{bad[0]}].{name} contains non-finite entries")
+        g = object.__new__(cls)
+        g._x = _frozen(x)
+        g._s = _frozen(s)
+        return g
+
+    @property
+    def dimension(self) -> int:
+        return self._x.shape[1]
+
+    @property
+    def points(self) -> Sequence[GraphPoint]:
+        """The pairs in graph order; indexing builds a GraphPoint view."""
+        return _Points(self._x, self._s)
 
     @property
     def primal_matrix(self) -> np.ndarray:
-        """(m, n) array whose rows are the primal points, in graph order."""
-        return np.stack([p.x for p in self.points])
+        """Read-only (m, n) array whose rows are the primal points, in graph order."""
+        return self._x
 
     @property
     def dual_matrix(self) -> np.ndarray:
-        """(m, n) array whose rows are the dual points, in graph order."""
-        return np.stack([p.xstar for p in self.points])
+        """Read-only (m, n) array whose rows are the dual points, in graph order."""
+        return self._s
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OperatorGraph):
             return NotImplemented
-        return (
-            self.dimension == other.dimension
-            and len(self.points) == len(other.points)
-            and all(a == b for a, b in zip(self.points, other.points))
-        )
+        return np.array_equal(self._x, other._x) and np.array_equal(self._s, other._s)
 
     def __repr__(self) -> str:
-        return f"OperatorGraph(dimension={self.dimension}, points=<{len(self.points)}>)"
+        return f"OperatorGraph(dimension={self.dimension}, points=<{len(self._x)}>)"
+
+
+def contains_origin(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> bool:
+    """Whether some pair of ``g`` is close to (0, 0) in both components."""
+    zero = np.zeros(g.dimension)
+    return bool(np.any(_close(g.primal_matrix, zero, tol) & _close(g.dual_matrix, zero, tol)))
 
 
 def domain(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> list[np.ndarray]:
     """Distinct primal points of ``g`` in first-appearance order.
 
     Two primal points count as the same element of the domain when
-    ``vectors_close`` holds for them.
+    ``vectors_close`` holds for them.  Closeness is not transitive, so each
+    point is compared with the representatives kept so far, greedily.
     """
-    reps: list[np.ndarray] = []
-    for p in g.points:
-        if not any(vectors_close(p.x, r, tol) for r in reps):
-            reps.append(p.x)
-    return reps
+    x = g.primal_matrix
+    reps = [0]
+    for i in range(1, x.shape[0]):
+        if not np.any(_close(x[reps], x[i], tol)):
+            reps.append(i)
+    return [x[i] for i in reps]
 
 
 def inverse_graph(g: OperatorGraph) -> OperatorGraph:
     """Swap primal and dual in every pair.  Applying it twice is the identity."""
-    return OperatorGraph(
-        g.dimension, tuple(GraphPoint(p.xstar, p.x) for p in g.points)
-    )
+    return OperatorGraph.from_arrays(g.dual_matrix, g.primal_matrix)
 
 
 def translate(g: OperatorGraph, u, ustar) -> OperatorGraph:
@@ -214,79 +279,49 @@ def translate(g: OperatorGraph, u, ustar) -> OperatorGraph:
         raise ValidationError(f"u has dimension {u.size}, expected {g.dimension}")
     if ustar.size != g.dimension:
         raise ValidationError(f"ustar has dimension {ustar.size}, expected {g.dimension}")
-    return OperatorGraph(
-        g.dimension, tuple(GraphPoint(p.x - u, p.xstar - ustar) for p in g.points)
-    )
+    return OperatorGraph.from_arrays(g.primal_matrix - u, g.dual_matrix - ustar)
 
 
 # ---------------------------------------------------------------------------
-# Serialization.  Numbers are written with 17 significant digits, which is
-# enough for IEEE binary64 values to survive a decimal round-trip bit for bit.
+# Serialization.  Floats are written in their shortest form that reads back
+# to the same IEEE binary64 value, so every round-trip is exact.
 # ---------------------------------------------------------------------------
 
-def _format_number(value: float) -> str:
-    if not np.isfinite(value):
-        raise ValidationError("cannot serialize a non-finite number")
-    return format(float(value), ".17g")
+def _plain(value):
+    """A numpy array or scalar as the Python value ``json`` writes for it."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"cannot serialize value of type {type(value).__name__}")
 
 
 def dumps_canonical(value) -> str:
-    """Serialize to JSON with deterministic bytes and 17-significant-digit floats."""
-    out: list[str] = []
-    _write_json(value, out)
-    return "".join(out)
-
-
-def _write_json(value, out: list[str]) -> None:
-    if value is None:
-        out.append("null")
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, (int, np.integer)):
-        out.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        out.append(_format_number(float(value)))
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    elif isinstance(value, dict):
-        out.append("{")
-        for i, (key, item) in enumerate(value.items()):
-            if i:
-                out.append(", ")
-            out.append(json.dumps(str(key)))
-            out.append(": ")
-            _write_json(item, out)
-        out.append("}")
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(value):
-            if i:
-                out.append(", ")
-            _write_json(item, out)
-        out.append("]")
-    elif isinstance(value, np.ndarray):
-        _write_json(value.tolist(), out)
-    else:
-        raise ValidationError(f"cannot serialize value of type {type(value).__name__}")
+    """Serialize to JSON with deterministic bytes and shortest round-trip floats."""
+    try:
+        return json.dumps(value, allow_nan=False, default=_plain)
+    except TypeError as exc:
+        raise ValidationError(str(exc)) from exc
+    except ValueError as exc:
+        raise ValidationError("cannot serialize a non-finite number") from exc
 
 
 _GRAPH_KEYS = {"dimension", "points"}
 _POINT_KEYS = {"x", "xstar"}
+_NUMBER_TYPES = frozenset({int, float})
 
 
 def _reject_constant(token: str):
     raise ParseError(f"non-finite number {token!r} is not allowed")
 
 
-def _number_list(value, where: str) -> np.ndarray:
+def _number_row(value, where: str, dim: int) -> list:
     if not isinstance(value, list):
         raise ParseError(f"{where} must be an array of numbers")
-    entries = []
-    for j, item in enumerate(value):
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ParseError(f"{where}[{j}] is not a number")
-        entries.append(float(item))
-    return np.array(entries, dtype=np.float64)
+    if not _NUMBER_TYPES.issuperset(map(type, value)):
+        j = next(j for j, item in enumerate(value) if type(item) not in _NUMBER_TYPES)
+        raise ParseError(f"{where}[{j}] is not a number")
+    if len(value) != dim:
+        raise ValidationError(f"{where} has length {len(value)}, expected {dim}")
+    return value
 
 
 def _decode(data: bytes) -> str:
@@ -324,7 +359,7 @@ def _graph_from_json(doc: dict) -> OperatorGraph:
     raw_points = doc["points"]
     if not isinstance(raw_points, list):
         raise ParseError("points must be an array")
-    points = []
+    primal, dual = [], []
     for i, entry in enumerate(raw_points):
         if not isinstance(entry, dict):
             raise ParseError(f"points[{i}] must be an object")
@@ -334,22 +369,18 @@ def _graph_from_json(doc: dict) -> OperatorGraph:
         lost = sorted(_POINT_KEYS - set(entry))
         if lost:
             raise ParseError(f"points[{i}] is missing key {lost[0]!r}")
-        x = _number_list(entry["x"], f"points[{i}].x")
-        xstar = _number_list(entry["xstar"], f"points[{i}].xstar")
-        if x.size != dim:
-            raise ValidationError(f"points[{i}].x has length {x.size}, expected {dim}")
-        if xstar.size != dim:
-            raise ValidationError(
-                f"points[{i}].xstar has length {xstar.size}, expected {dim}"
-            )
-        points.append(GraphPoint(x, xstar))
-    if not points:
+        primal.append(_number_row(entry["x"], f"points[{i}].x", dim))
+        dual.append(_number_row(entry["xstar"], f"points[{i}].xstar", dim))
+    if not primal:
         raise ValidationError("a graph must contain at least one point")
-    return OperatorGraph(dim, tuple(points))
+    try:
+        return OperatorGraph.from_arrays(primal, dual)
+    except OverflowError as exc:  # an integer literal beyond the range of a double
+        raise ValidationError(f"a coordinate overflows double precision: {exc}") from exc
 
 
 def _graph_from_csv(text: str) -> OperatorGraph:
-    rows: list[np.ndarray] = []
+    rows: list[list[float]] = []
     expected: int | None = None
     saw_first = False
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -373,31 +404,33 @@ def _graph_from_csv(text: str) -> OperatorGraph:
             raise ParseError(
                 f"line {lineno}: expected {expected} fields, found {len(fields)}"
             )
-        values = np.empty(expected, dtype=np.float64)
+        values = []
         for fi, tok in enumerate(fields):
             try:
-                values[fi] = float(tok)
+                value = float(tok)
             except ValueError:
                 raise ParseError(
                     f"line {lineno}, field {fi + 1}: not a number: {tok.strip()!r}"
                 ) from None
-            if not np.isfinite(values[fi]):
+            if not math.isfinite(value):
                 raise ParseError(f"line {lineno}, field {fi + 1}: non-finite value")
+            values.append(value)
         rows.append(values)
     if not rows:
         raise ValidationError("a graph must contain at least one point")
+    table = np.array(rows)
     n = expected // 2  # type: ignore[operator]
-    points = tuple(GraphPoint(r[:n], r[n:]) for r in rows)
-    return OperatorGraph(n, points)
+    return OperatorGraph.from_arrays(table[:, :n], table[:, n:])
 
 
 def load_graph(source: IO[bytes] | bytes, format: str = "json") -> OperatorGraph:
     """Parse a graph from a byte stream or bytes in ``json`` or ``csv`` format.
 
     JSON documents must match ``{"dimension": n, "points": [{"x": [...],
-    "xstar": [...]}, ...]}`` exactly; unknown keys are rejected.  CSV rows
-    carry 2n numeric columns, the first n being the primal point; a header
-    row is detected by a non-numeric first token and skipped.
+    "xstar": [...]}, ...]}`` exactly, with n >= 1; unknown keys are
+    rejected.  CSV rows carry 2n numeric columns, the first n being the
+    primal point; a header row is detected by a non-numeric first token and
+    skipped.
     """
     data = source if isinstance(source, (bytes, bytearray)) else source.read()
     if format == "json":
@@ -409,17 +442,15 @@ def load_graph(source: IO[bytes] | bytes, format: str = "json") -> OperatorGraph
 
 def save_graph(g: OperatorGraph, format: str = "json") -> bytes:
     """Serialize a graph so that ``load_graph(save_graph(g))`` reproduces it exactly."""
+    primal = g.primal_matrix.tolist()
+    dual = g.dual_matrix.tolist()
     if format == "json":
         doc = {
             "dimension": g.dimension,
-            "points": [
-                {"x": p.x.tolist(), "xstar": p.xstar.tolist()} for p in g.points
-            ],
+            "points": [{"x": x, "xstar": s} for x, s in zip(primal, dual)],
         }
         return (dumps_canonical(doc) + "\n").encode("utf-8")
     if format == "csv":
-        rows = [
-            ",".join(_format_number(v) for v in (*p.x, *p.xstar)) for p in g.points
-        ]
+        rows = [",".join(map(repr, x + s)) for x, s in zip(primal, dual)]
         return ("\n".join(rows) + "\n").encode("utf-8")
     raise ValidationError(f"unknown format {format!r}; expected 'json' or 'csv'")

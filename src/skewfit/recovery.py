@@ -28,8 +28,8 @@ from .graphs import (
     SkewfitError,
     ToleranceConfig,
     ValidationError,
+    contains_origin,
     translate,
-    vectors_close,
 )
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "NotBimonotoneError",
     "OrthonormalBasis",
     "ReconstructionReport",
-    "ReducedGraph",
     "SkewDecomposition",
     "build_skew_operator",
     "decompose",
@@ -124,40 +123,6 @@ class OrthonormalBasis:
         return self.q.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class ReducedGraph:
-    """A sample expressed in span coordinates; dimension may be zero."""
-
-    dimension: int
-    points: tuple[GraphPoint, ...]
-
-    def __post_init__(self) -> None:
-        if isinstance(self.dimension, bool) or not isinstance(self.dimension, (int, np.integer)):
-            raise ValidationError("dimension must be an integer")
-        object.__setattr__(self, "dimension", int(self.dimension))
-        if self.dimension < 0:
-            raise ValidationError("dimension must be nonnegative")
-        pts = tuple(self.points)
-        if not pts:
-            raise ValidationError("a reduced graph must contain at least one point")
-        for i, p in enumerate(pts):
-            if not isinstance(p, GraphPoint):
-                raise ValidationError(f"points[{i}] is not a GraphPoint")
-            if p.dimension != self.dimension:
-                raise ValidationError(
-                    f"points[{i}] has dimension {p.dimension}, expected {self.dimension}"
-                )
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def primal_matrix(self) -> np.ndarray:
-        return np.stack([p.x for p in self.points])
-
-    @property
-    def dual_matrix(self) -> np.ndarray:
-        return np.stack([p.xstar for p in self.points])
-
-
 def span_basis(
     vectors,
     tol: ToleranceConfig = DEFAULT_TOLERANCE,
@@ -199,9 +164,10 @@ def reduce(
     g: OperatorGraph,
     basis: OrthonormalBasis,
     tol: ToleranceConfig = DEFAULT_TOLERANCE,
-) -> ReducedGraph:
+) -> OperatorGraph:
     """Express every pair in the coordinates of ``basis``.
 
+    The result is a graph on R^k, where k = ``basis.rank`` may be zero.
     Primal points must lie in the span of the basis within vector
     tolerance.  Dual points are projected without such a requirement: their
     orthogonal components carry no pairing information and are dropped.
@@ -224,12 +190,11 @@ def reduce(
             f"points[{i}].x lies outside the span of the basis "
             f"(out-of-span residual {residual[i]:.6e})"
         )
-    points = tuple(GraphPoint(x_hat[i], s_hat[i]) for i in range(x_hat.shape[0]))
-    return ReducedGraph(basis.rank, points)
+    return OperatorGraph.from_arrays(x_hat, s_hat)
 
 
 def build_skew_operator(
-    rg: ReducedGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE
+    rg: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE
 ) -> np.ndarray:
     """Least-squares skew-symmetric representing matrix of a reduced sample.
 
@@ -245,11 +210,7 @@ def build_skew_operator(
     k = rg.dimension
     if k == 0:
         return np.zeros((0, 0))
-    zero = np.zeros(k)
-    if not any(
-        vectors_close(p.x, zero, tol) and vectors_close(p.xstar, zero, tol)
-        for p in rg.points
-    ):
+    if not contains_origin(rg, tol):
         raise ValidationError(
             "reduced graph does not contain (0, 0); translate by a graph point first"
         )

@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from skewfit import (
     skew_form_check,
     translate,
 )
+from skewfit import classify
 from skewfit.fixtures import FixtureSpec
 
 import oracles
@@ -281,11 +285,13 @@ def test_overflow_raises_instead_of_passing(check):
 
 @pytest.mark.filterwarnings("error")
 def test_paramonotone_overflowing_gap_raises():
-    # the pairing stays finite, but the primal gap's norm overflows
+    # the pairing stays finite, but the primal gap's norm overflows to inf,
+    # which makes the margin infinite and would normalize a real violation
+    # of 1e9 to 0; every scan must raise instead
     g = OperatorGraph.from_arrays([[1e200], [-1e200]], [[1e-100], [0.0]])
-    assert monotone_check(g).verdict
-    with pytest.raises(ValidationError, match="overflows"):
-        paramonotone_check(g)
+    for check in (monotone_check, bimonotone_check, paramonotone_check):
+        with pytest.raises(ValidationError, match="overflows"):
+            check(g)
 
 
 def test_witness_tie_breaks_to_smallest_pair():
@@ -339,3 +345,45 @@ def test_inverse_symmetry_property(pair):
     b = bimonotone_check(inverse_graph(g))
     assert a.verdict == b.verdict
     assert a.worst_violation == b.worst_violation
+
+
+# Few distinct coordinates make equal violations, duplicate points and
+# vanishing pairs common, so ties straddle block boundaries.
+_grid = st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def tie_prone_graphs(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 8))
+    rows = st.lists(st.lists(_grid, min_size=n, max_size=n), min_size=m, max_size=m)
+    return OperatorGraph.from_arrays(draw(rows), draw(rows))
+
+
+@settings(derandomize=True, max_examples=150)
+@given(tie_prone_graphs())
+def test_one_row_blocks_match_default_blocks(g):
+    shifted = translate(g, g.points[0].x, g.points[0].xstar)
+    cases = [(check, g) for check in (monotone_check, bimonotone_check,
+                                      constant_on_domain_check, paramonotone_check)]
+    cases.append((skew_form_check, shifted))
+    reference = [check(graph) for check, graph in cases]
+    with mock.patch.object(classify, "_CHUNK_FLOATS", 1):
+        blocked = [check(graph) for check, graph in cases]
+    assert blocked == reference
+
+
+def test_paramonotone_memory_is_blocked(monkeypatch):
+    # one m x m x n difference array is 25.6 MB here; the scan holds blocks of
+    # about 100_000 floats and three m x m matrices
+    monkeypatch.setattr(classify, "_CHUNK_FLOATS", 100_000)
+    x = np.random.Generator(np.random.Philox(8)).normal(size=(400, 20))
+    g = OperatorGraph.from_arrays(x, 2.0 * x)
+    tracemalloc.start()
+    try:
+        rep = paramonotone_check(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict
+    assert peak < 16e6

@@ -249,6 +249,11 @@ MALFORMED = {
     # the pairings overflow to NaN, which must not pass as a verdict
     "overflow": ("analyze", b'{"dimension": 1, "points": [{"x": [1e300], "xstar": [1e300]}, '
                             b'{"x": [-1e300], "xstar": [0]}]}'),
+    # the primal gap's norm overflows to inf, which would hide a violation of 1e9
+    "overflow_margin": ("decompose", b'{"dimension":1,"points":[{"x":[1e200],"xstar":[1e-100]},'
+                                     b'{"x":[-1e200],"xstar":[0]}]}'),
+    # an integer literal beyond the range of a double
+    "huge_integer": ("analyze", b'{"dimension": 1, "points": [{"x": [1' + b"0" * 400 + b'], "xstar": [0]}]}'),
 }
 
 
@@ -265,7 +270,7 @@ def test_malformed_graph_exits_2(capsys, tmp_path, case):
     elif command == "generate":
         argv = ["generate", str(path), "--out", str(tmp_path / "out.json")]
     else:
-        argv = ["analyze", str(path)]
+        argv = [command, str(path)]
     code, stdout, stderr = invoke(capsys, *argv)
     assert code == 2 and stdout == ""
     assert stderr.startswith("skewfit: error: ") and stderr.count("\n") == 1
@@ -278,6 +283,10 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     path = tmp_path / "g.json"
     path.write_text("{}")
     assert invoke(capsys, "analyze", str(path), "--tol-abs", "-1")[0] == 2
+    # a non-finite tolerance is refused while parsing, before the file is read
+    for value in ("inf", "nan"):
+        code, _, stderr = invoke(capsys, "analyze", str(path), "--tol-rel", value)
+        assert code == 2 and "argument --tol-rel" in stderr
 
 
 def test_module_entry_point(tmp_path):

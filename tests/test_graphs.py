@@ -13,6 +13,7 @@ from skewfit import (
     ValidationError,
     bimonotone_check,
     domain,
+    dumps_canonical,
     inverse_graph,
     load_graph,
     make_fixture,
@@ -56,8 +57,13 @@ def test_graph_requires_points():
 
 
 def test_graph_dimension_positive():
-    with pytest.raises(ValidationError):
-        OperatorGraph(0, (GraphPoint([], []),))
+    # a graph in memory may live on R^0 (a sample reduced to the trivial
+    # span), but a graph file must name a positive dimension
+    with pytest.raises(ValidationError, match="nonnegative"):
+        OperatorGraph(-1, (GraphPoint([], []),))
+    assert OperatorGraph(0, (GraphPoint([], []),)).dimension == 0
+    with pytest.raises(ValidationError, match="positive"):
+        load_graph(b'{"dimension": 0, "points": [{"x": [], "xstar": []}]}', "json")
 
 
 def test_graph_point_dimension_checked():
@@ -70,6 +76,14 @@ def test_points_are_immutable():
     g = simple_graph()
     with pytest.raises(ValueError):
         g.points[0].x[0] = 99.0
+    assert g.primal_matrix is g.primal_matrix
+    for rows in (g.primal_matrix, g.dual_matrix):
+        with pytest.raises(ValueError):
+            rows[0, 0] = 99.0
+    source = np.zeros((2, 2))
+    copied = OperatorGraph.from_arrays(source, source)
+    source[0, 0] = 99.0
+    assert copied.primal_matrix[0, 0] == 0.0
 
 
 def test_tolerance_rejects_negative():
@@ -80,6 +94,13 @@ def test_tolerance_rejects_negative():
 def test_tolerance_rejects_both_zero():
     with pytest.raises(ValidationError):
         ToleranceConfig(abs_tol=0.0, rel_tol=0.0)
+
+
+@pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_tolerance_rejects_non_finite(field, value):
+    with pytest.raises(ValidationError, match="finite"):
+        ToleranceConfig(**{field: value})
 
 
 def test_tolerance_one_sided_zero_allowed():
@@ -291,6 +312,18 @@ def _random_wide_range_graph(seed, m=1000, n=3):
     mag = 10.0 ** rng.uniform(-12, 12, size=(m, 2 * n))
     vals = rng.normal(size=(m, 2 * n)) * mag
     return OperatorGraph.from_arrays(vals[:, :n], vals[:, n:])
+
+
+def test_saved_bytes_use_shortest_round_trip_floats():
+    g = OperatorGraph.from_arrays([[0.0, 1e-9], [9.9999999999999997e+199, -2.5]],
+                                  [[0.1, 3.0], [-0.0, 1e22]])
+    assert save_graph(g, "json") == (
+        b'{"dimension": 2, "points": [{"x": [0.0, 1e-09], "xstar": [0.1, 3.0]}, '
+        b'{"x": [1e+200, -2.5], "xstar": [-0.0, 1e+22]}]}\n'
+    )
+    assert save_graph(g, "csv") == b"0.0,1e-09,0.1,3.0\n1e+200,-2.5,-0.0,1e+22\n"
+    with pytest.raises(ValidationError, match="non-finite"):
+        dumps_canonical({"max_residual": float("nan")})
 
 
 def test_save_load_json_round_trip_exact():

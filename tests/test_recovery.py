@@ -12,7 +12,6 @@ from skewfit import (
     NotBimonotoneError,
     OperatorGraph,
     OrthonormalBasis,
-    ReducedGraph,
     SkewDecomposition,
     ToleranceConfig,
     ValidationError,
@@ -30,13 +29,6 @@ from skewfit import (
 from skewfit.fixtures import FixtureSpec
 
 import oracles
-
-
-def rg_from(x_rows, s_rows):
-    x = np.atleast_2d(np.asarray(x_rows, dtype=np.float64))
-    s = np.atleast_2d(np.asarray(s_rows, dtype=np.float64))
-    pts = tuple(GraphPoint(x[i], s[i]) for i in range(x.shape[0]))
-    return ReducedGraph(x.shape[1], pts)
 
 
 # ---------------------------------------------------------------------------
@@ -151,18 +143,18 @@ def test_build_exact_two_by_two():
     np.testing.assert_array_equal(
         s, np.array([[0.0, 0.0], [0.0, -1.0], [1.0, 0.0], [1.0, -1.0]])
     )
-    fitted = build_skew_operator(rg_from(x, s))
+    fitted = build_skew_operator(OperatorGraph.from_arrays(x, s))
     np.testing.assert_allclose(fitted, a0, atol=1e-12)
 
 
 def test_build_zero_operator():
     x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    fitted = build_skew_operator(rg_from(x, np.zeros((3, 2))))
+    fitted = build_skew_operator(OperatorGraph.from_arrays(x, np.zeros((3, 2))))
     np.testing.assert_array_equal(fitted, np.zeros((2, 2)))
 
 
 def test_build_rank_zero():
-    rg = ReducedGraph(0, (GraphPoint(np.zeros(0), np.zeros(0)),))
+    rg = OperatorGraph(0, (GraphPoint(np.zeros(0), np.zeros(0)),))
     fitted = build_skew_operator(rg)
     assert fitted.shape == (0, 0)
 
@@ -173,7 +165,7 @@ def test_build_recovers_random_skew():
     rng = np.random.Generator(np.random.Philox(22))
     x = np.vstack([np.zeros(k), rng.normal(size=(m, k))])
     s = x @ a0.T
-    fitted = build_skew_operator(rg_from(x, s))
+    fitted = build_skew_operator(OperatorGraph.from_arrays(x, s))
     np.testing.assert_allclose(fitted, a0, atol=1e-10)
     # a least-squares fit over all skew matrices lands on the same answer
     ls = oracles.fit_skew_least_squares(x, s)
@@ -188,7 +180,7 @@ def test_build_is_the_skew_least_squares_fit():
     rng = np.random.Generator(np.random.Philox(25))
     x = np.vstack([np.zeros(k), rng.normal(size=(m, k))])
     s = x @ a0.T + 1e-11 * np.vstack([np.zeros(k), rng.normal(size=(m, k))])
-    fitted = build_skew_operator(rg_from(x, s))
+    fitted = build_skew_operator(OperatorGraph.from_arrays(x, s))
     ls = oracles.fit_skew_least_squares(x, s)
     np.testing.assert_allclose(fitted, ls, atol=1e-14)
     np.testing.assert_allclose(fitted, -fitted.T, atol=1e-15)
@@ -197,14 +189,14 @@ def test_build_is_the_skew_least_squares_fit():
 def test_build_requires_zero_pair():
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValidationError, match="translate"):
-        build_skew_operator(rg_from(x, np.zeros((2, 2))))
+        build_skew_operator(OperatorGraph.from_arrays(x, np.zeros((2, 2))))
 
 
 def test_build_rank_deficient_reduced_graph():
     # dimension says 2 but every primal point sits on the first axis
     x = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(InternalInconsistencyError, match="span only"):
-        build_skew_operator(rg_from(x, np.zeros((3, 2))))
+        build_skew_operator(OperatorGraph.from_arrays(x, np.zeros((3, 2))))
 
 
 def test_build_rejects_nonlinear_duals():
@@ -213,7 +205,7 @@ def test_build_rejects_nonlinear_duals():
     s = x @ a0.T
     s[4] += np.array([0.5, 0.5])
     with pytest.raises(NotBimonotoneError, match="not bimonotone") as info:
-        build_skew_operator(rg_from(x, s))
+        build_skew_operator(OperatorGraph.from_arrays(x, s))
     assert info.value.worst_index is not None
     assert info.value.residual is not None and info.value.residual > 1e-3
 
@@ -223,7 +215,7 @@ def test_build_rejects_symmetric_duals():
     x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     s = x @ sym.T
     with pytest.raises(NotBimonotoneError, match="skew-symmetric"):
-        build_skew_operator(rg_from(x, s))
+        build_skew_operator(OperatorGraph.from_arrays(x, s))
 
 
 # ---------------------------------------------------------------------------
