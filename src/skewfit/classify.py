@@ -14,9 +14,9 @@ for every check.  The conditions, for pairs (x, xstar) and (y, ystar):
                        <xstar, y> == -<ystar, x> pairwise
 
 All scans are exact double arithmetic over every pair, quadratic in the
-number of points (cubic for paramonotone, which also searches for the
-crossed pairs).  Verdicts are order-independent; witnesses break ties by
-the smallest index pair.
+number of points (paramonotone's crossed-pair search is one min-max product
+in m vector steps, cubic arithmetic).  Verdicts are order-independent;
+witnesses break ties by the smallest index pair.
 """
 
 from __future__ import annotations
@@ -30,7 +30,9 @@ from .graphs import (
     OperatorGraph,
     ToleranceConfig,
     ValidationError,
+    check_overflow,
     contains_origin,
+    quiet_overflow,
 )
 
 __all__ = [
@@ -91,15 +93,6 @@ class NotMonotone:
         return {"status": "not_monotone", "monotone": self.monotone.to_dict()}
 
 
-# Scans silence numpy's overflow warnings; a non-finite value they produce
-# raises instead.
-_quiet = np.errstate(over="ignore", invalid="ignore")
-
-
-def _overflow(pair: tuple[int, int]) -> ValidationError:
-    return ValidationError(f"pair {pair} overflows double precision; rescale the sample")
-
-
 def _scan(
     g: OperatorGraph, tol: ToleranceConfig, terms, out: np.ndarray | None = None
 ) -> ClassificationReport:
@@ -107,13 +100,14 @@ def _scan(
 
     ``terms(i0, i1)`` returns the residual and the scale of every pair whose
     first index lies in [i0, i1), as two (i1 - i0, m) arrays; a violation is
-    the residual over ``tol.margin(scale)``.  Rows arrive in blocks of about
-    ``_CHUNK_FLOATS`` floats per (rows, m, n) difference array.  The diagonal
-    holds single-point conditions, which are zero for the pairwise checks.
-    Pairs with j < i read -inf.  A non-finite margin or violation raises, so
-    an overflow never passes.  Blocks arrive in ascending row order and
-    np.argmax returns the first maximum in row-major order, so the witness is
-    the smallest (i, j) among ties.  When ``out`` is given, each block's
+    the residual over ``tol.margin(scale)``, or the residual itself when the
+    scale is None (an already normalized block).  Rows arrive in blocks of
+    about ``_CHUNK_FLOATS`` floats per (rows, m, n) difference array.  The
+    diagonal holds single-point conditions, which are zero for the pairwise
+    checks.  Pairs with j < i read -inf.  A non-finite margin or violation
+    raises, so an overflow never passes.  Blocks arrive in ascending row order
+    and np.argmax returns the first maximum in row-major order, so the witness
+    is the smallest (i, j) among ties.  When ``out`` is given, each block's
     violations are also stored in its rows.
     """
     m, n = g.primal_matrix.shape
@@ -122,13 +116,11 @@ def _scan(
     for i0 in range(0, m, rows):
         i1 = min(m, i0 + rows)
         residual, scale = terms(i0, i1)
-        margin = tol.margin(scale)
+        margin = 1.0 if scale is None else tol.margin(scale)
         viol = residual / margin
         below = np.arange(m)[None, :] < np.arange(i0, i1)[:, None]
-        broken = ~(np.isfinite(viol) & np.isfinite(margin)) & ~below
-        if broken.any():
-            r, j = divmod(int(np.argmax(broken)), m)
-            raise _overflow((i0 + r, j))
+        check_overflow(~(np.isfinite(viol) & np.isfinite(margin)) & ~below,
+                       lambda f: f"pair {(i0 + f // m, f % m)}")
         viol[below] = -np.inf
         if out is not None:
             out[i0:i1] = viol
@@ -161,13 +153,13 @@ def _gap_terms(v: np.ndarray):
     return terms
 
 
-@_quiet
+@quiet_overflow
 def monotone_check(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> ClassificationReport:
     """Every pairwise product <xstar - ystar, x - y> is nonnegative within tolerance."""
     return _scan(g, tol, _pairing_terms(g.primal_matrix, g.dual_matrix, absolute=False))
 
 
-@_quiet
+@quiet_overflow
 def bimonotone_check(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> ClassificationReport:
     """Every pairwise product <xstar - ystar, x - y> vanishes within tolerance.
 
@@ -176,7 +168,7 @@ def bimonotone_check(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE)
     return _scan(g, tol, _pairing_terms(g.primal_matrix, g.dual_matrix, absolute=True))
 
 
-@_quiet
+@quiet_overflow
 def constant_on_domain_check(
     g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE
 ) -> ClassificationReport:
@@ -184,7 +176,7 @@ def constant_on_domain_check(
     return _scan(g, tol, _gap_terms(g.dual_matrix))
 
 
-@_quiet
+@quiet_overflow
 def skew_form_check(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> ClassificationReport:
     """Pairing conditions of a linear skew map, for graphs containing (0, 0).
 
@@ -215,7 +207,7 @@ def skew_form_check(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) 
     return _scan(g, tol, terms)
 
 
-@_quiet
+@quiet_overflow
 def paramonotone_check(
     g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE
 ) -> ClassificationReport | NotMonotone:
@@ -228,8 +220,8 @@ def paramonotone_check(
 
     This is a statement about the sample only; it neither proves nor
     disproves paramonotonicity of an underlying operator.  Returns
-    NotMonotone instead of a report when the monotone check fails.  Cubic
-    time and quadratic memory in the number of points.
+    NotMonotone instead of a report when the monotone check fails.  Takes m
+    vector steps over V x V (V: the points in vanishing pairs); memory O(m^2).
     """
     mono = monotone_check(g, tol)
     if not mono.verdict:
@@ -239,19 +231,18 @@ def paramonotone_check(
     m = x.shape[0]
     pairing, gap_x, gap_s = (np.empty((m, m)) for _ in range(3))
     _scan(g, tol, _pairing_terms(x, s, absolute=True), out=pairing)
-    # Normalized distance from every stored point l to each candidate
-    # component; the distances are symmetric, so the upper triangle the
-    # scan fills determines the whole matrix.
+    # gap_*[l, i]: normalized distance from stored point l to point i, made
+    # symmetric from the upper triangle the scan fills.  need[a, b] is the
+    # distance from (x_V[a], xstar_V[b]) to the nearest stored pair, V being
+    # the points in some vanishing pair.
     for gap, v in ((gap_x, x), (gap_s, s)):
         _scan(g, tol, _gap_terms(v), out=gap)
         np.maximum(gap, gap.T, out=gap)
-    worst = 0.0
-    witness: tuple[int, int] | None = None
-    for i, j in np.argwhere(np.triu(pairing <= 1.0, k=1)):
-        need_ij = float(np.min(np.maximum(gap_x[:, i], gap_s[:, j])))
-        need_ji = float(np.min(np.maximum(gap_x[:, j], gap_s[:, i])))
-        v = max(need_ij, need_ji)
-        if v > worst:
-            worst = v
-            witness = (int(i), int(j))
-    return ClassificationReport(verdict=worst <= 1.0, worst_violation=worst, witness=witness)
+    vanishing = np.triu(pairing <= 1.0, k=1)
+    pts = np.flatnonzero(vanishing.any(axis=0) | vanishing.any(axis=1))
+    need = np.full((pts.size, pts.size), np.inf)
+    for l in range(m):
+        np.minimum(need, np.maximum.outer(gap_x[l, pts], gap_s[l, pts]), out=need)
+    crossed = np.zeros((m, m))
+    crossed[np.ix_(pts, pts)] = np.maximum(need, need.T)
+    return _scan(g, tol, lambda i0, i1: (np.where(vanishing[i0:i1], crossed[i0:i1], 0.0), None))

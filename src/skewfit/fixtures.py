@@ -86,6 +86,8 @@ class FixtureSpec:
             raise ValidationError("m must be positive")
         if self.branches < 1:
             raise ValidationError("branches must be positive")
+        if self.n * self.m * self.branches > np.iinfo(np.intp).max // 8:
+            raise ValidationError("n * m * branches exceeds the largest float64 array")
         if self.seed < 0 or self.seed >= 2**64:
             raise ValidationError("seed must be a 64-bit nonnegative integer")
         for name in ("offset_norm", "noise_in_span", "noise_orthogonal"):

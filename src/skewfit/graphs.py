@@ -55,6 +55,20 @@ class ParseError(SkewfitError, ValueError):
     """A byte stream could not be parsed into a graph."""
 
 
+# Array code runs with numpy's overflow warnings silenced and hands what it
+# computed to ``check_overflow``, so an overflow raises instead of passing.
+quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+
+
+def check_overflow(broken: np.ndarray, name) -> None:
+    """Raise ValidationError when ``broken`` marks any non-finite entry;
+    ``name(flat_index)`` names the first one."""
+    if broken.any():
+        raise ValidationError(
+            f"{name(int(np.argmax(broken)))} overflows double precision; rescale the sample"
+        )
+
+
 def _as_vector(value, name: str) -> np.ndarray:
     arr = np.array(value, dtype=np.float64)  # always copies
     if arr.ndim != 1:

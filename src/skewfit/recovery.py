@@ -28,7 +28,9 @@ from .graphs import (
     SkewfitError,
     ToleranceConfig,
     ValidationError,
+    check_overflow,
     contains_origin,
+    quiet_overflow,
     translate,
 )
 
@@ -160,6 +162,7 @@ def span_basis(
     return OrthonormalBasis(vt[:k].T.copy())
 
 
+@quiet_overflow
 def reduce(
     g: OperatorGraph,
     basis: OrthonormalBasis,
@@ -171,6 +174,7 @@ def reduce(
     Primal points must lie in the span of the basis within vector
     tolerance.  Dual points are projected without such a requirement: their
     orthogonal components carry no pairing information and are dropped.
+    Raises ValidationError when a point's residual or allowance overflows.
     """
     if basis.ambient_dimension != g.dimension:
         raise ValidationError(
@@ -183,6 +187,7 @@ def reduce(
     s_hat = s @ q
     residual = np.linalg.norm(x - x_hat @ q.T, axis=1)
     allowed = tol.abs_tol + tol.rel_tol * np.linalg.norm(x, axis=1)
+    check_overflow(~(np.isfinite(residual) & np.isfinite(allowed)), lambda i: f"points[{i}].x")
     bad = np.nonzero(residual > allowed)[0]
     if bad.size:
         i = int(bad[0])
@@ -191,6 +196,14 @@ def reduce(
             f"(out-of-span residual {residual[i]:.6e})"
         )
     return OperatorGraph.from_arrays(x_hat, s_hat)
+
+
+def _span_residuals(q, a_hat, v_hat, g: OperatorGraph):
+    """Per-point residuals of ``g`` against the fit, in ``q`` coordinates, and their scales."""
+    projected = g.dual_matrix @ q
+    predicted = (g.primal_matrix @ q) @ a_hat.T + v_hat
+    scale = np.maximum(np.linalg.norm(projected, axis=1), np.linalg.norm(predicted, axis=1))
+    return np.linalg.norm(projected - predicted, axis=1), scale
 
 
 def build_skew_operator(
@@ -382,15 +395,12 @@ def decompose(
     a_hat = (raw - raw.T) / 2.0
     q = basis.q
     v_hat = q.T @ base.xstar - a_hat @ (q.T @ base.x)
-    projected = g.dual_matrix @ q
-    predicted = (g.primal_matrix @ q) @ a_hat.T + v_hat
-    residuals = np.linalg.norm(projected - predicted, axis=1)
     return SkewDecomposition(
         basis=basis,
         a_hat=a_hat,
         v_hat=v_hat,
         basepoint=base,
-        max_residual=float(residuals.max()),
+        max_residual=float(_span_residuals(q, a_hat, v_hat, g)[0].max()),
         skewness_defect=defect,
     )
 
@@ -425,13 +435,7 @@ def verify_reconstruction(
             f"graph lives in R^{g.dimension}, decomposition in "
             f"R^{dec.basis.ambient_dimension}"
         )
-    q = dec.basis.q
-    projected = g.dual_matrix @ q
-    predicted = (g.primal_matrix @ q) @ dec.a_hat.T + dec.v_hat
-    residuals = np.linalg.norm(projected - predicted, axis=1)
-    scale = np.maximum(
-        np.linalg.norm(projected, axis=1), np.linalg.norm(predicted, axis=1)
-    )
+    residuals, scale = _span_residuals(dec.basis.q, dec.a_hat, dec.v_hat, g)
     normalized = residuals / tol.margin(scale)
     worst = int(np.argmax(normalized))
     return ReconstructionReport(

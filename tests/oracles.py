@@ -51,3 +51,48 @@ def fit_skew_least_squares(primal_rows, dual_rows):
         fitted[i, j] = coef[col]
         fitted[j, i] = -coef[col]
     return fitted
+
+
+def _report(worst, witness):
+    return {"verdict": worst <= 1.0, "worst_violation": worst, "witness": witness}
+
+
+def paramonotone(graph, tol):
+    """``paramonotone_check(graph, tol).to_dict()`` by plain loops.
+
+    Every pair i < j is visited in row-major order and every stored point l
+    is tried as the match of the crossed pairs (x_i, xstar_j) and
+    (x_j, xstar_i); the running maximum moves only on a strictly larger
+    violation, so ties go to the smallest (i, j).
+    """
+    x, s = graph.primal_matrix, graph.dual_matrix
+    m = len(x)
+
+    def margin(scale):
+        return tol.abs_tol + tol.rel_tol * max(scale, 1.0)
+
+    def product(i, j):
+        dx, ds = x[i] - x[j], s[i] - s[j]
+        return float(np.dot(ds, dx)), margin(np.linalg.norm(ds) * np.linalg.norm(dx))
+
+    def gap(v, a, b):
+        return np.linalg.norm(v[a] - v[b]) / margin(max(np.linalg.norm(v[a]), np.linalg.norm(v[b])))
+
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    worst, witness = 0.0, None
+    for i, j in pairs:
+        prod, budget = product(i, j)
+        if -prod / budget > worst:
+            worst, witness = -prod / budget, [i, j]
+    if worst > 1.0:
+        return {"status": "not_monotone", "monotone": _report(worst, witness)}
+    worst, witness = 0.0, None
+    for i, j in pairs:
+        prod, budget = product(i, j)
+        if abs(prod) / budget > 1.0:
+            continue
+        need_ij = min(max(gap(x, l, i), gap(s, l, j)) for l in range(m))
+        need_ji = min(max(gap(x, l, j), gap(s, l, i)) for l in range(m))
+        if max(need_ij, need_ji) > worst:
+            worst, witness = max(need_ij, need_ji), [i, j]
+    return _report(worst, witness)

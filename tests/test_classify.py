@@ -10,6 +10,7 @@ from skewfit import (
     ClassificationReport,
     NotMonotone,
     OperatorGraph,
+    ToleranceConfig,
     ValidationError,
     bimonotone_check,
     constant_on_domain_check,
@@ -373,17 +374,30 @@ def test_one_row_blocks_match_default_blocks(g):
     assert blocked == reference
 
 
+# A loose tolerance puts normalized distances between grid points on both
+# sides of 1, so crossed pairs are found, missed and tied.
+@settings(derandomize=True, max_examples=300)
+@given(tie_prone_graphs(), st.sampled_from([ToleranceConfig(), ToleranceConfig(0.25, 0.25)]))
+def test_paramonotone_matches_brute_force_oracle(g, tol):
+    assert paramonotone_check(g, tol).to_dict() == oracles.paramonotone(g, tol)
+
+
 def test_paramonotone_memory_is_blocked(monkeypatch):
     # one m x m x n difference array is 25.6 MB here; the scan holds blocks of
-    # about 100_000 floats and three m x m matrices
+    # about 100_000 floats and a few m x m matrices.  A strictly monotone
+    # sample has no vanishing pair; in a planted bimonotone one every pair
+    # vanishes, so the crossed-pair search runs over all 400 points.
     monkeypatch.setattr(classify, "_CHUNK_FLOATS", 100_000)
     x = np.random.Generator(np.random.Philox(8)).normal(size=(400, 20))
-    g = OperatorGraph.from_arrays(x, 2.0 * x)
-    tracemalloc.start()
-    try:
-        rep = paramonotone_check(g)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert rep.verdict
-    assert peak < 16e6
+    strict = OperatorGraph.from_arrays(x, 2.0 * x)
+    planted = make_fixture(FixtureSpec(n=20, k=8, m=400, offset_norm=1.0, seed=8)).graph
+    assert bimonotone_check(planted).verdict
+    for g, verdict in ((strict, True), (planted, False)):
+        tracemalloc.start()
+        try:
+            rep = paramonotone_check(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.verdict == verdict
+        assert peak < 16e6

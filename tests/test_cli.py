@@ -252,6 +252,9 @@ MALFORMED = {
     # the primal gap's norm overflows to inf, which would hide a violation of 1e9
     "overflow_margin": ("decompose", b'{"dimension":1,"points":[{"x":[1e200],"xstar":[1e-100]},'
                                      b'{"x":[-1e200],"xstar":[0]}]}'),
+    # sizes whose float64 arrays no platform can index
+    "huge_spec_n": ("generate", b'{"n": 1000000000000000000000000000000, "k": 1, "m": 2}'),
+    "huge_spec_m": ("generate", b'{"n": 2, "k": 1, "m": 1000000000000000000000000000000}'),
     # an integer literal beyond the range of a double
     "huge_integer": ("analyze", b'{"dimension": 1, "points": [{"x": [1' + b"0" * 400 + b'], "xstar": [0]}]}'),
 }

@@ -24,6 +24,7 @@ from skewfit import (
     random_skew,
     reduce,
     span_basis,
+    translate,
     verify_reconstruction,
 )
 from skewfit.fixtures import FixtureSpec
@@ -123,6 +124,20 @@ def test_reduce_rejects_out_of_span_primal():
     s = np.zeros((2, 3))
     with pytest.raises(ValidationError, match=r"points\[1\].*residual"):
         reduce(OperatorGraph.from_arrays(x, s), basis)
+
+
+@pytest.mark.filterwarnings("error")
+def test_reduce_overflow_raises_instead_of_passing():
+    # the second point lies wholly outside the basis, but its residual and
+    # its allowance both overflow to inf, and inf > inf is false
+    g = OperatorGraph.from_arrays([[1e200, 0.0], [0.0, 1e200]], np.zeros((2, 2)))
+    with pytest.raises(ValidationError, match="overflows double precision"):
+        reduce(g, OrthonormalBasis([[1.0], [0.0]]))
+    # reduce called on its own, without decompose's bimonotone scan first
+    g = translate(OperatorGraph.from_arrays([[1e200], [-1e200]], [[1e-100], [0.0]]),
+                  [1e200], [1e-100])
+    with pytest.raises(ValidationError, match="overflows double precision"):
+        reduce(g, span_basis(g.primal_matrix))
 
 
 def test_reduce_dimension_mismatch():
