@@ -223,14 +223,14 @@ def paramonotone_check(
     NotMonotone instead of a report when the monotone check fails.  Takes m
     vector steps over V x V (V: the points in vanishing pairs); memory O(m^2).
     """
-    mono = monotone_check(g, tol)
-    if not mono.verdict:
-        return NotMonotone(monotone=mono)
     x = g.primal_matrix
     s = g.dual_matrix
     m = x.shape[0]
-    pairing, gap_x, gap_s = (np.empty((m, m)) for _ in range(3))
-    _scan(g, tol, _pairing_terms(x, s, absolute=True), out=pairing)
+    pairing = np.empty((m, m))
+    mono = _scan(g, tol, _pairing_terms(x, s, absolute=False), out=pairing)
+    if not mono.verdict:
+        return NotMonotone(monotone=mono)
+    gap_x, gap_s = np.empty((m, m)), np.empty((m, m))
     # gap_*[l, i]: normalized distance from stored point l to point i, made
     # symmetric from the upper triangle the scan fills.  need[a, b] is the
     # distance from (x_V[a], xstar_V[b]) to the nearest stored pair, V being
@@ -238,7 +238,7 @@ def paramonotone_check(
     for gap, v in ((gap_x, x), (gap_s, s)):
         _scan(g, tol, _gap_terms(v), out=gap)
         np.maximum(gap, gap.T, out=gap)
-    vanishing = np.triu(pairing <= 1.0, k=1)
+    vanishing = np.triu(np.abs(pairing) <= 1.0, k=1)
     pts = np.flatnonzero(vanishing.any(axis=0) | vanishing.any(axis=1))
     need = np.full((pts.size, pts.size), np.inf)
     for l in range(m):

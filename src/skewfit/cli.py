@@ -204,8 +204,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (SkewfitError, OSError) as exc:
-        print(f"skewfit: error: {exc}", file=sys.stderr)
+    except (SkewfitError, OSError, MemoryError) as exc:
+        print(f"skewfit: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

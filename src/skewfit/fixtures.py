@@ -8,7 +8,9 @@ noise (which destroys it).  The planted operator, offset, and subspace are
 returned alongside the graph so recovery can be checked against the truth.
 
 All randomness flows from a counter-based generator seeded by the spec, so
-identical specs produce bit-identical fixtures.
+identical specs produce bit-identical fixtures.  The noise of every point
+and branch is drawn as one array, and the duals are computed from whole
+arrays.
 """
 
 from __future__ import annotations
@@ -156,8 +158,9 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
+    """``v`` scaled to unit norm along its last axis."""
+    norm = np.linalg.norm(v, axis=-1, keepdims=True)
+    if not np.all(norm):
         raise InternalInconsistencyError("cannot normalize a zero vector")
     return v / norm
 
@@ -181,7 +184,9 @@ def make_fixture(spec: FixtureSpec) -> Fixture:
 
     Draw order (fixed for determinism): subspace basis, operator core,
     offset direction, domain coordinates (with one redraw if they fail to
-    span), then per point and branch the orthogonal and in-span noise.
+    span), then one block of noise with a row per (point, branch), in
+    sample order, holding the n orthogonal normals and then the k in-span
+    ones.
     """
     rng = _rng(spec.seed)
     n, k, m = spec.n, spec.k, spec.m
@@ -205,19 +210,16 @@ def make_fixture(spec: FixtureSpec) -> Fixture:
                 "domain sample failed to span the planted subspace twice in a row"
             )
     primal = coords @ q0.T
-    duals: list[np.ndarray] = []
-    for i in range(m):
-        base = operator @ primal[i] + offset
-        for _ in range(spec.branches):
-            dual = base
-            if spec.noise_orthogonal > 0 and k < n:
-                raw = rng.standard_normal(n)
-                perp = raw - q0 @ (q0.T @ raw)
-                dual = dual + spec.noise_orthogonal * _unit(perp)
-            if spec.noise_in_span > 0 and k > 0:
-                dual = dual + spec.noise_in_span * (q0 @ _unit(rng.standard_normal(k)))
-            duals.append(dual)
-    graph = OperatorGraph.from_arrays(np.repeat(primal, spec.branches, axis=0), duals)
+    orth = n if spec.noise_orthogonal > 0 and k < n else 0
+    span = k if spec.noise_in_span > 0 and k > 0 else 0
+    noise = rng.standard_normal((m * spec.branches, orth + span))
+    dual = np.repeat(primal @ operator.T + offset, spec.branches, axis=0)
+    if orth:
+        raw = noise[:, :orth]
+        dual += spec.noise_orthogonal * _unit(raw - (raw @ q0) @ q0.T)
+    if span:
+        dual += spec.noise_in_span * (_unit(noise[:, orth:]) @ q0.T)
+    graph = OperatorGraph.from_arrays(np.repeat(primal, spec.branches, axis=0), dual)
     truth = FixtureTruth(operator=operator, offset=offset, basis=OrthonormalBasis(q0))
     return Fixture(graph=graph, truth=truth)
 

@@ -4,8 +4,10 @@ A sampled operator is a finite collection of (primal, dual) pairs.  The same
 primal point may appear with several distinct dual points, so nothing here
 assumes single-valuedness.  An OperatorGraph stores the pairs as two
 read-only (m, n) float64 arrays, the primal and the dual rows in sample
-order; every scan and fit works on those arrays directly, and a GraphPoint
-is only a view of one row pair, built when ``points`` is indexed.
+order.  Its one constructor, ``OperatorGraph(primal, dual)`` (also spelled
+``OperatorGraph.from_arrays``), validates the two arrays as a whole; every
+scan and fit works on them directly, and a GraphPoint is only a view of one
+row pair, built when ``points`` is indexed.
 
 Comparisons between nearby vectors go through an explicit ToleranceConfig;
 exact (bit-level) equality is reserved for serialization round-trips and for
@@ -19,7 +21,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
@@ -180,56 +182,43 @@ class _Points(Sequence):
         return map(GraphPoint._view, self._x, self._s)
 
 
-def _frozen(rows: np.ndarray) -> np.ndarray:
-    rows.setflags(write=False)
-    return rows
+def _rows(value, name: str) -> np.ndarray:
+    try:
+        return np.array(value, dtype=np.float64)  # always copies
+    except (OverflowError, TypeError, ValueError) as exc:  # ragged, or not reals
+        raise ValidationError(f"{name} rows are not an array of reals: {exc}") from exc
 
 
 class OperatorGraph:
-    """A finite, nonempty sample of a multivalued operator on R^dimension.
+    """A finite, nonempty sample of a multivalued operator on R^n.
 
-    The pairs live in two read-only (m, n) arrays, ``primal_matrix`` and
-    ``dual_matrix``.  ``dimension`` may be zero, which is how a sample
-    reduced to the trivial span is represented.
+    ``OperatorGraph(primal, dual)`` copies two (m, n) array-likes, m >= 1,
+    whose rows are the primal and the dual points in sample order, into the
+    read-only ``primal_matrix`` and ``dual_matrix``.  n may be zero, which is
+    how a sample reduced to the trivial span is represented.
     """
 
     __slots__ = ("_x", "_s")
 
-    def __init__(self, dimension: int, points: Iterable[GraphPoint]) -> None:
-        if isinstance(dimension, bool) or not isinstance(dimension, (int, np.integer)):
-            raise ValidationError("dimension must be an integer")
-        if dimension < 0:
-            raise ValidationError("dimension must be nonnegative")
-        pts = tuple(points)
-        if not pts:
+    def __init__(self, primal, dual) -> None:
+        x, s = _rows(primal, "primal"), _rows(dual, "dual")
+        if x.shape[:1] == (0,):
             raise ValidationError("a graph must contain at least one point")
-        for i, p in enumerate(pts):
-            if not isinstance(p, GraphPoint):
-                raise ValidationError(f"points[{i}] is not a GraphPoint")
-            if p.dimension != dimension:
-                raise ValidationError(
-                    f"points[{i}] has dimension {p.dimension}, expected {dimension}"
-                )
-        self._x = _frozen(np.array([p.x for p in pts]).reshape(len(pts), dimension))
-        self._s = _frozen(np.array([p.xstar for p in pts]).reshape(len(pts), dimension))
-
-    @classmethod
-    def from_arrays(cls, primal, dual) -> "OperatorGraph":
-        """Build a graph from two (m, n) arrays whose rows are vectors."""
-        x = np.atleast_2d(np.array(primal, dtype=np.float64))  # always copies
-        s = np.atleast_2d(np.array(dual, dtype=np.float64))
         if x.ndim != 2 or x.shape != s.shape:
             raise ValidationError(f"primal rows have shape {x.shape}, dual rows {s.shape}")
-        if x.shape[0] == 0:
-            raise ValidationError("a graph must contain at least one point")
         for name, rows in (("x", x), ("xstar", s)):
             bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
             if bad.size:
                 raise ValidationError(f"points[{bad[0]}].{name} contains non-finite entries")
-        g = object.__new__(cls)
-        g._x = _frozen(x)
-        g._s = _frozen(s)
-        return g
+        x.setflags(write=False)
+        s.setflags(write=False)
+        self._x, self._s = x, s
+
+    @classmethod
+    def from_arrays(cls, primal, dual) -> "OperatorGraph":
+        """Build a graph from two (m, n) arrays whose rows are vectors; the
+        same as ``OperatorGraph(primal, dual)``."""
+        return cls(primal, dual)
 
     @property
     def dimension(self) -> int:
@@ -327,11 +316,19 @@ def _reject_constant(token: str):
     raise ParseError(f"non-finite number {token!r} is not allowed")
 
 
+def first_non_number(items: list) -> int | None:
+    """Index of the first item that is not a JSON number, or None.  This is
+    every reader's number rule: an int or a float, and never true or false."""
+    if _NUMBER_TYPES.issuperset(map(type, items)):
+        return None
+    return next(j for j, item in enumerate(items) if type(item) not in _NUMBER_TYPES)
+
+
 def _number_row(value, where: str, dim: int) -> list:
     if not isinstance(value, list):
         raise ParseError(f"{where} must be an array of numbers")
-    if not _NUMBER_TYPES.issuperset(map(type, value)):
-        j = next(j for j, item in enumerate(value) if type(item) not in _NUMBER_TYPES)
+    j = first_non_number(value)
+    if j is not None:
         raise ParseError(f"{where}[{j}] is not a number")
     if len(value) != dim:
         raise ValidationError(f"{where} has length {len(value)}, expected {dim}")
@@ -385,12 +382,7 @@ def _graph_from_json(doc: dict) -> OperatorGraph:
             raise ParseError(f"points[{i}] is missing key {lost[0]!r}")
         primal.append(_number_row(entry["x"], f"points[{i}].x", dim))
         dual.append(_number_row(entry["xstar"], f"points[{i}].xstar", dim))
-    if not primal:
-        raise ValidationError("a graph must contain at least one point")
-    try:
-        return OperatorGraph.from_arrays(primal, dual)
-    except OverflowError as exc:  # an integer literal beyond the range of a double
-        raise ValidationError(f"a coordinate overflows double precision: {exc}") from exc
+    return OperatorGraph.from_arrays(primal, dual)
 
 
 def _graph_from_csv(text: str) -> OperatorGraph:

@@ -4,10 +4,10 @@ A bimonotone sample, once translated so that one of its pairs sits at
 (0, 0), is single-valued in the coordinates of the span of its primal
 points, and the map from reduced primal to reduced dual coordinates is
 linear and skew-symmetric.  This module extracts that span from one thin
-SVD, at the smallest rank that holds every primal point within tolerance,
-performs the coordinate reduction, fits the representing matrix over all
-skew matrices by least squares, and reassembles the affine offset of the
-untranslated sample.
+SVD of the (m, n) array of translated primal points, at the smallest rank
+that holds every primal point within tolerance, performs the coordinate
+reduction, fits the representing matrix over all skew matrices by least
+squares, and reassembles the affine offset of the untranslated sample.
 
 Components of the dual points orthogonal to the span are invisible to the
 reduction and do not affect bimonotonicity; they are deliberately
@@ -30,6 +30,7 @@ from .graphs import (
     ValidationError,
     check_overflow,
     contains_origin,
+    first_non_number,
     quiet_overflow,
     translate,
 )
@@ -87,13 +88,16 @@ def _as_matrix(value, name: str) -> np.ndarray:
 
 def _real_array(value, name: str) -> np.ndarray:
     """A decoded JSON value as a float array; ragged or non-numeric is invalid."""
-    try:
-        arr = np.array(value)
-    except ValueError as exc:
-        raise ValidationError(f"{name} is a ragged array") from exc
-    if arr.dtype.kind not in "iuf":
+    leaves = np.array(value, dtype=object)
+    flat = leaves.ravel().tolist()
+    if list in map(type, flat):
+        raise ValidationError(f"{name} is a ragged array")
+    if first_non_number(flat) is not None:
         raise ValidationError(f"{name} must hold only numbers")
-    return arr.astype(np.float64)
+    try:
+        return leaves.astype(np.float64)
+    except OverflowError as exc:  # an integer beyond the range of a double
+        raise ValidationError(f"{name} overflows double precision") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,32 +129,27 @@ class OrthonormalBasis:
         return self.q.shape[1]
 
 
-def span_basis(
-    vectors,
-    tol: ToleranceConfig = DEFAULT_TOLERANCE,
-    dimension: int | None = None,
-) -> OrthonormalBasis:
-    """Orthonormal basis of the linear span of the given vectors, at tolerance.
+def span_basis(vectors, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrthonormalBasis:
+    """Orthonormal basis of the linear span of the rows of an (m, n) array.
 
-    One thin SVD orders the directions by singular value.  The rank is the
-    smallest k at which every vector v lies within abs_tol + rel_tol * ||v||
-    of the span of the first k directions, which is the in-span test that
-    ``reduce`` applies, so a direction below tolerance never enters the
-    basis.  An empty input or all-zero vectors yield a rank-zero basis (pass
-    ``dimension`` to fix the ambient dimension in that case).
+    ``vectors`` is anything numpy reads as an (m, n) array, such as a list of
+    m vectors of length n.  One thin SVD orders the directions by singular
+    value.  The rank is the smallest k at which every vector v lies within
+    abs_tol + rel_tol * ||v|| of the span of the first k directions, which is
+    the in-span test that ``reduce`` applies, so a direction below tolerance
+    never enters the basis.  No rows (m = 0) or all-zero rows yield a
+    rank-zero basis of R^n.
     """
-    vecs = [np.asarray(v, dtype=np.float64) for v in vectors]
-    if not vecs:
-        return OrthonormalBasis(np.zeros((dimension or 0, 0)))
-    n = vecs[0].size
-    for i, v in enumerate(vecs):
-        if v.ndim != 1 or v.size != n:
-            raise ValidationError(f"vectors[{i}] has shape {v.shape}, expected ({n},)")
-    if dimension is not None and dimension != n:
-        raise ValidationError(f"vectors live in R^{n}, expected R^{dimension}")
-    stacked = np.stack(vecs)
+    try:
+        stacked = np.asarray(vectors, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"vectors do not form an (m, n) array: {exc}") from exc
+    if stacked.ndim != 2:
+        raise ValidationError(f"vectors must form an (m, n) array, got shape {stacked.shape}")
+    if not np.all(np.isfinite(stacked)):
+        raise ValidationError("vectors contain non-finite entries")
     if not np.any(stacked):
-        return OrthonormalBasis(np.zeros((n, 0)))
+        return OrthonormalBasis(np.zeros((stacked.shape[1], 0)))
     u, sing, vt = np.linalg.svd(stacked, full_matrices=False)
     # Coordinates along the singular directions in units of sing[0], so the
     # squares stay finite; tail[:, k] is each vector's distance to the span
@@ -388,7 +387,7 @@ def decompose(
         )
     base = g.points[idx]
     shifted = translate(g, base.x, base.xstar)
-    basis = span_basis(shifted.primal_matrix, tol, dimension=g.dimension)
+    basis = span_basis(shifted.primal_matrix, tol)
     reduced = reduce(shifted, basis, tol)
     raw = build_skew_operator(reduced, tol)
     defect = _max_abs(raw + raw.T)

@@ -1,11 +1,14 @@
+import copy
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from skewfit import make_fixture, perturb, save_graph
+from skewfit import decompose, make_fixture, perturb, save_graph
 from skewfit.cli import run
 from skewfit.fixtures import FixtureSpec
 
@@ -255,6 +258,8 @@ MALFORMED = {
     # sizes whose float64 arrays no platform can index
     "huge_spec_n": ("generate", b'{"n": 1000000000000000000000000000000, "k": 1, "m": 2}'),
     "huge_spec_m": ("generate", b'{"n": 2, "k": 1, "m": 1000000000000000000000000000000}'),
+    # within the index range, but no machine has the 711 PiB its arrays need
+    "huge_spec_branches": ("generate", b'{"n": 1, "k": 1, "m": 1, "branches": 100000000000000000}'),
     # an integer literal beyond the range of a double
     "huge_integer": ("analyze", b'{"dimension": 1, "points": [{"x": [1' + b"0" * 400 + b'], "xstar": [0]}]}'),
 }
@@ -274,6 +279,55 @@ def test_malformed_graph_exits_2(capsys, tmp_path, case):
         argv = ["generate", str(path), "--out", str(tmp_path / "out.json")]
     else:
         argv = [command, str(path)]
+    code, stdout, stderr = invoke(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("skewfit: error: ") and stderr.count("\n") == 1
+
+
+FUZZ_SPEC = {"n": 3, "k": 2, "m": 4, "branches": 2, "offset_norm": 1.0,
+             "noise_in_span": 0.0, "noise_orthogonal": 0.5, "seed": 9}
+
+
+def numeric_leaves(doc, path=()):
+    """Paths to every number, booleans excluded, in a decoded JSON document."""
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        return [leaf for key, value in items for leaf in numeric_leaves(value, path + (key,))]
+    return [path] if type(doc) in (int, float) else []
+
+
+def _valid_documents():
+    """A spec, the graph it generates and that graph's decomposition, by the
+    subcommand that reads each."""
+    fix = make_fixture(FixtureSpec(**FUZZ_SPEC))
+    graph = json.loads(save_graph(fix.graph, "json"))
+    return {"generate": FUZZ_SPEC, "analyze": graph, "verify": decompose(fix.graph).to_dict()}
+
+
+VALID_DOCUMENTS = _valid_documents()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(sorted(VALID_DOCUMENTS)), data=st.data(),
+       junk=st.sampled_from([True, None, "1", [], {}]))
+def test_mutated_documents_exit_2(capsys, tmp_path, command, data, junk):
+    # one number of a valid document replaced by a value that is not a number
+    doc = copy.deepcopy(VALID_DOCUMENTS[command])
+    *parents, last = data.draw(st.sampled_from(numeric_leaves(doc)), label="leaf")
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = junk
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc))
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps(VALID_DOCUMENTS["analyze"]))
+    argv = {
+        "analyze": ["analyze", str(path)],
+        "generate": ["generate", str(path), "--out", str(tmp_path / "out.json")],
+        "verify": ["verify", str(path), str(graph)],
+    }[command]
     code, stdout, stderr = invoke(capsys, *argv)
     assert code == 2 and stdout == ""
     assert stderr.startswith("skewfit: error: ") and stderr.count("\n") == 1

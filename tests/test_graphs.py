@@ -52,24 +52,29 @@ def test_point_dimension_mismatch():
 
 
 def test_graph_requires_points():
-    with pytest.raises(ValidationError, match="at least one point"):
-        OperatorGraph(2, ())
+    for empty in ([], np.zeros((0, 2))):
+        with pytest.raises(ValidationError, match="at least one point"):
+            OperatorGraph.from_arrays(empty, empty)
 
 
 def test_graph_dimension_positive():
     # a graph in memory may live on R^0 (a sample reduced to the trivial
     # span), but a graph file must name a positive dimension
-    with pytest.raises(ValidationError, match="nonnegative"):
-        OperatorGraph(-1, (GraphPoint([], []),))
-    assert OperatorGraph(0, (GraphPoint([], []),)).dimension == 0
+    assert OperatorGraph.from_arrays(np.zeros((1, 0)), np.zeros((1, 0))).dimension == 0
     with pytest.raises(ValidationError, match="positive"):
         load_graph(b'{"dimension": 0, "points": [{"x": [], "xstar": []}]}', "json")
 
 
 def test_graph_point_dimension_checked():
-    p = GraphPoint([1.0], [2.0])
-    with pytest.raises(ValidationError, match=r"points\[0\]"):
-        OperatorGraph(2, (p,))
+    # rows of the wrong length, whole or in part, never make a graph
+    with pytest.raises(ValidationError, match="shape"):
+        OperatorGraph.from_arrays([[1.0]], [[2.0, 0.0]])
+    with pytest.raises(ValidationError, match="shape"):
+        OperatorGraph.from_arrays([1.0, 2.0], [3.0, 4.0])
+    with pytest.raises(ValidationError, match="array of reals"):
+        OperatorGraph.from_arrays([[1.0, 2.0], [1.0]], [[0.0, 0.0], [0.0, 0.0]])
+    # the one constructor, under both of its names
+    assert OperatorGraph(np.eye(2), np.eye(2)) == OperatorGraph.from_arrays(np.eye(2), np.eye(2))
 
 
 def test_points_are_immutable():
@@ -345,12 +350,8 @@ _coords = st.floats(
 def small_graphs(draw):
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, 5))
-    pts = []
-    for _ in range(m):
-        x = draw(st.lists(_coords, min_size=n, max_size=n))
-        s = draw(st.lists(_coords, min_size=n, max_size=n))
-        pts.append(GraphPoint(np.array(x), np.array(s)))
-    return OperatorGraph(n, tuple(pts))
+    rows = st.lists(st.lists(_coords, min_size=n, max_size=n), min_size=m, max_size=m)
+    return OperatorGraph.from_arrays(draw(rows), draw(rows))
 
 
 @settings(derandomize=True, max_examples=60)
