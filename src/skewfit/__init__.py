@@ -11,11 +11,11 @@ coordinates, and an affine offset.
 from .classify import (
     ClassificationReport,
     NotMonotone,
+    analyze,
     bimonotone_check,
     constant_on_domain_check,
     monotone_check,
     paramonotone_check,
-    skew_form_check,
 )
 from .fixtures import (
     Fixture,
@@ -39,7 +39,6 @@ from .graphs import (
     load_graph,
     save_graph,
     translate,
-    vectors_close,
 )
 from .recovery import (
     InternalInconsistencyError,
@@ -74,6 +73,7 @@ __all__ = [
     "SkewfitError",
     "ToleranceConfig",
     "ValidationError",
+    "analyze",
     "bimonotone_check",
     "build_skew_operator",
     "constant_on_domain_check",
@@ -89,9 +89,7 @@ __all__ = [
     "random_skew",
     "reduce",
     "save_graph",
-    "skew_form_check",
     "span_basis",
     "translate",
-    "vectors_close",
     "verify_reconstruction",
 ]

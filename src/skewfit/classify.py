@@ -9,14 +9,13 @@ for every check.  The conditions, for pairs (x, xstar) and (y, ystar):
 * paramonotone:        whenever that product vanishes, the crossed pairs
                        (x, ystar) and (y, xstar) must already be in the graph
 * constant on domain:  all dual points coincide
-* skew pairing form:   for a graph translated to contain (0, 0),
-                       <xstar, x> == 0 pointwise and
-                       <xstar, y> == -<ystar, x> pairwise
 
 All scans are exact double arithmetic over every pair, quadratic in the
 number of points (paramonotone's crossed-pair search is one min-max product
-in m vector steps, cubic arithmetic).  Verdicts are order-independent;
-witnesses break ties by the smallest index pair.
+in m vector steps, cubic arithmetic).  ``analyze`` returns all four reports
+from one pairing scan and two gap scans (primal and dual), the primal one
+only for a monotone sample.  Verdicts are order-independent; witnesses break
+ties by the smallest index pair.
 """
 
 from __future__ import annotations
@@ -31,18 +30,17 @@ from .graphs import (
     ToleranceConfig,
     ValidationError,
     check_overflow,
-    contains_origin,
     quiet_overflow,
 )
 
 __all__ = [
     "ClassificationReport",
     "NotMonotone",
+    "analyze",
     "bimonotone_check",
     "constant_on_domain_check",
     "monotone_check",
     "paramonotone_check",
-    "skew_form_check",
 ]
 
 # Upper bound on floats materialized per difference block when scanning pairs.
@@ -131,15 +129,14 @@ def _scan(
     return ClassificationReport(verdict=worst <= 1.0, worst_violation=worst, witness=witness)
 
 
-def _pairing_terms(x: np.ndarray, s: np.ndarray, absolute: bool):
-    """<s_i - s_j, x_i - x_j>, negated unless ``absolute``, against the
-    product of the two difference norms."""
+def _pairing_terms(x: np.ndarray, s: np.ndarray):
+    """-<s_i - s_j, x_i - x_j> against the product of the two difference norms."""
     def terms(i0, i1):
         dx = x[i0:i1, None, :] - x[None, :, :]
         ds = s[i0:i1, None, :] - s[None, :, :]
         prod = np.einsum("ijk,ijk->ij", ds, dx)
         scale = np.linalg.norm(ds, axis=2) * np.linalg.norm(dx, axis=2)
-        return (np.abs(prod) if absolute else -prod), scale
+        return -prod, scale
     return terms
 
 
@@ -156,7 +153,7 @@ def _gap_terms(v: np.ndarray):
 @quiet_overflow
 def monotone_check(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> ClassificationReport:
     """Every pairwise product <xstar - ystar, x - y> is nonnegative within tolerance."""
-    return _scan(g, tol, _pairing_terms(g.primal_matrix, g.dual_matrix, absolute=False))
+    return _scan(g, tol, _pairing_terms(g.primal_matrix, g.dual_matrix))
 
 
 @quiet_overflow
@@ -165,7 +162,12 @@ def bimonotone_check(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE)
 
     Equivalent to the sample and its negation both being monotone.
     """
-    return _scan(g, tol, _pairing_terms(g.primal_matrix, g.dual_matrix, absolute=True))
+    pairing = _pairing_terms(g.primal_matrix, g.dual_matrix)
+
+    def terms(i0, i1):
+        residual, scale = pairing(i0, i1)
+        return np.abs(residual), scale
+    return _scan(g, tol, terms)
 
 
 @quiet_overflow
@@ -177,37 +179,51 @@ def constant_on_domain_check(
 
 
 @quiet_overflow
-def skew_form_check(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> ClassificationReport:
-    """Pairing conditions of a linear skew map, for graphs containing (0, 0).
+def analyze(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> dict:
+    """The four membership reports, keyed ``monotone``, ``bimonotone``,
+    ``paramonotone`` (a report, or NotMonotone) and ``constant_on_domain``.
 
-    Verdict is true when <xstar, x> vanishes for every point (witness (i, i))
-    and <xstar_i, x_j> + <xstar_j, x_i> vanishes for every pair (witness
-    (i, j)).  Margins scale with the product of the participating norms.
-    Raises ValidationError when the graph does not contain the pair (0, 0);
-    translate by a graph point first.
+    Each report equals the one its ``*_check`` function returns.  One signed
+    pairing scan gives the monotone report, and its absolute values the
+    bimonotone one.  One dual gap scan gives the constant report.  For a
+    monotone sample, a primal gap scan (run before the dual one) and the
+    dual gap matrix then feed the crossed-pair search.  Memory O(m^2).
     """
-    if not contains_origin(g, tol):
-        raise ValidationError(
-            "graph does not contain the pair (0, 0); translate by a graph point first"
-        )
     x = g.primal_matrix
     s = g.dual_matrix
-    nx = np.linalg.norm(x, axis=1)
-    ns = np.linalg.norm(s, axis=1)
-    point = np.abs(np.einsum("ij,ij->i", s, x))
+    m = x.shape[0]
+    pairing, gap_x, gap_s = np.empty((m, m)), np.empty((m, m)), np.empty((m, m))
+    mono = _scan(g, tol, _pairing_terms(x, s), out=pairing)
+    bimonotone = _scan(g, tol, lambda i0, i1: (np.abs(pairing[i0:i1]), None))
+    if mono.verdict:
+        _scan(g, tol, _gap_terms(x), out=gap_x)
+    constant = _scan(g, tol, _gap_terms(s), out=gap_s)
+    paramonotone = NotMonotone(monotone=mono)
+    if mono.verdict:
+        # gap_*[l, i]: normalized distance from stored point l to point i,
+        # made symmetric from the upper triangle the scan fills.  need[a, b]
+        # is the distance from (x_V[a], xstar_V[b]) to the nearest stored
+        # pair, V being the points in some vanishing pair.
+        for gap in (gap_x, gap_s):
+            np.maximum(gap, gap.T, out=gap)
+        vanishing = np.triu(np.abs(pairing) <= 1.0, k=1)
+        pts = np.flatnonzero(vanishing.any(axis=0) | vanishing.any(axis=1))
+        need = np.full((pts.size, pts.size), np.inf)
+        for l in range(m):
+            np.minimum(need, np.maximum.outer(gap_x[l, pts], gap_s[l, pts]), out=need)
+        crossed = np.zeros((m, m))
+        crossed[np.ix_(pts, pts)] = np.maximum(need, need.T)
+        paramonotone = _scan(
+            g, tol, lambda i0, i1: (np.where(vanishing[i0:i1], crossed[i0:i1], 0.0), None)
+        )
+    return {
+        "monotone": mono,
+        "bimonotone": bimonotone,
+        "paramonotone": paramonotone,
+        "constant_on_domain": constant,
+    }
 
-    def terms(i0, i1):
-        # <xstar_i, x_j> + <xstar_j, x_i>, with <xstar_i, x_i> on the diagonal
-        residual = np.abs(s[i0:i1] @ x.T + x[i0:i1] @ s.T)
-        scale = np.maximum(np.outer(ns[i0:i1], nx), np.outer(nx[i0:i1], ns))
-        diagonal = (np.arange(i1 - i0), np.arange(i0, i1))
-        residual[diagonal] = point[i0:i1]
-        scale[diagonal] = ns[i0:i1] * nx[i0:i1]
-        return residual, scale
-    return _scan(g, tol, terms)
 
-
-@quiet_overflow
 def paramonotone_check(
     g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE
 ) -> ClassificationReport | NotMonotone:
@@ -222,27 +238,6 @@ def paramonotone_check(
     disproves paramonotonicity of an underlying operator.  Returns
     NotMonotone instead of a report when the monotone check fails.  Takes m
     vector steps over V x V (V: the points in vanishing pairs); memory O(m^2).
+    The search runs inside ``analyze``.
     """
-    x = g.primal_matrix
-    s = g.dual_matrix
-    m = x.shape[0]
-    pairing = np.empty((m, m))
-    mono = _scan(g, tol, _pairing_terms(x, s, absolute=False), out=pairing)
-    if not mono.verdict:
-        return NotMonotone(monotone=mono)
-    gap_x, gap_s = np.empty((m, m)), np.empty((m, m))
-    # gap_*[l, i]: normalized distance from stored point l to point i, made
-    # symmetric from the upper triangle the scan fills.  need[a, b] is the
-    # distance from (x_V[a], xstar_V[b]) to the nearest stored pair, V being
-    # the points in some vanishing pair.
-    for gap, v in ((gap_x, x), (gap_s, s)):
-        _scan(g, tol, _gap_terms(v), out=gap)
-        np.maximum(gap, gap.T, out=gap)
-    vanishing = np.triu(np.abs(pairing) <= 1.0, k=1)
-    pts = np.flatnonzero(vanishing.any(axis=0) | vanishing.any(axis=1))
-    need = np.full((pts.size, pts.size), np.inf)
-    for l in range(m):
-        np.minimum(need, np.maximum.outer(gap_x[l, pts], gap_s[l, pts]), out=need)
-    crossed = np.zeros((m, m))
-    crossed[np.ix_(pts, pts)] = np.maximum(need, need.T)
-    return _scan(g, tol, lambda i0, i1: (np.where(vanishing[i0:i1], crossed[i0:i1], 0.0), None))
+    return analyze(g, tol)["paramonotone"]

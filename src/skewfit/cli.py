@@ -15,13 +15,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .classify import (
-    NotMonotone,
-    bimonotone_check,
-    constant_on_domain_check,
-    monotone_check,
-    paramonotone_check,
-)
+from .classify import analyze
 from .fixtures import FixtureSpec, make_fixture
 from .graphs import (
     OperatorGraph,
@@ -69,24 +63,11 @@ def _read_json_file(path: str) -> dict:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph, args.format)
     tol = _tolerance(args)
-    monotone = monotone_check(g, tol)
-    bimonotone = bimonotone_check(g, tol)
-    paramonotone = paramonotone_check(g, tol)
-    constant = constant_on_domain_check(g, tol)
-    para_doc = paramonotone.to_dict()
-    para_doc["scope"] = "sampled-graph"
-    _emit(
-        {
-            "dimension": g.dimension,
-            "num_points": len(g.points),
-            "tolerance": tol.to_dict(),
-            "monotone": monotone.to_dict(),
-            "bimonotone": bimonotone.to_dict(),
-            "paramonotone": para_doc,
-            "constant_on_domain": constant.to_dict(),
-        }
-    )
-    return 0 if bimonotone.verdict else 1
+    reports = analyze(g, tol)
+    docs = {name: report.to_dict() for name, report in reports.items()}
+    docs["paramonotone"]["scope"] = "sampled-graph"
+    _emit({"dimension": g.dimension, "num_points": len(g.points), "tolerance": tol.to_dict(), **docs})
+    return 0 if reports["bimonotone"].verdict else 1
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:

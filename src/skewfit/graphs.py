@@ -41,7 +41,6 @@ __all__ = [
     "load_json_object",
     "save_graph",
     "translate",
-    "vectors_close",
 ]
 
 
@@ -115,15 +114,11 @@ DEFAULT_TOLERANCE = ToleranceConfig()
 
 
 def _close(a: np.ndarray, b: np.ndarray, tol: ToleranceConfig):
-    """``vectors_close`` over the last axis, broadcasting leading axes."""
+    """Whether ``||a - b|| <= abs_tol + rel_tol * max(||a||, ||b||)`` over the
+    last axis, broadcasting leading axes."""
     gap = np.linalg.norm(a - b, axis=-1)
     scale = np.maximum(np.linalg.norm(a, axis=-1), np.linalg.norm(b, axis=-1))
     return gap <= tol.abs_tol + tol.rel_tol * scale
-
-
-def vectors_close(a, b, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> bool:
-    """Whether ``||a - b|| <= abs_tol + rel_tol * max(||a||, ||b||)``."""
-    return bool(_close(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64), tol))
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,9 +252,9 @@ def contains_origin(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) 
 def domain(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> list[np.ndarray]:
     """Distinct primal points of ``g`` in first-appearance order.
 
-    Two primal points count as the same element of the domain when
-    ``vectors_close`` holds for them.  Closeness is not transitive, so each
-    point is compared with the representatives kept so far, greedily.
+    Two primal points count as the same element of the domain when ``_close``
+    holds for them.  Closeness is not transitive, so each point is compared
+    with the representatives kept so far, greedily.
     """
     x = g.primal_matrix
     reps = [0]

@@ -109,12 +109,15 @@ class OrthonormalBasis:
 
     q: np.ndarray
 
+    @quiet_overflow
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", _as_matrix(self.q, "q"))
         n, k = self.q.shape
         if k > n:
             raise ValidationError(f"basis has {k} columns but only {n} rows")
-        gram_defect = _max_abs(self.q.T @ self.q - np.eye(k))
+        gram = self.q.T @ self.q - np.eye(k)
+        check_overflow(~np.isfinite(gram), lambda f: f"basis column {f // k}")
+        gram_defect = _max_abs(gram)
         if gram_defect > 1e-12:
             raise ValidationError(
                 f"basis columns are not orthonormal (defect {gram_defect:.3e})"
@@ -197,12 +200,16 @@ def reduce(
     return OperatorGraph.from_arrays(x_hat, s_hat)
 
 
+@quiet_overflow
 def _span_residuals(q, a_hat, v_hat, g: OperatorGraph):
-    """Per-point residuals of ``g`` against the fit, in ``q`` coordinates, and their scales."""
+    """Per-point residuals of ``g`` against the fit, in ``q`` coordinates, and
+    their scales.  Raises ValidationError when either overflows."""
     projected = g.dual_matrix @ q
     predicted = (g.primal_matrix @ q) @ a_hat.T + v_hat
     scale = np.maximum(np.linalg.norm(projected, axis=1), np.linalg.norm(predicted, axis=1))
-    return np.linalg.norm(projected - predicted, axis=1), scale
+    residual = np.linalg.norm(projected - predicted, axis=1)
+    check_overflow(~(np.isfinite(residual) & np.isfinite(scale)), lambda i: f"points[{i}]")
+    return residual, scale
 
 
 def build_skew_operator(

@@ -18,8 +18,6 @@ from skewfit import (
     make_fixture,
     monotone_check,
     paramonotone_check,
-    skew_form_check,
-    translate,
 )
 from skewfit import classify
 from skewfit.fixtures import FixtureSpec
@@ -211,56 +209,6 @@ def test_constant_implies_bimonotone_and_paramonotone():
 
 
 # ---------------------------------------------------------------------------
-# skew pairing form
-# ---------------------------------------------------------------------------
-
-def _translated(g):
-    return translate(g, g.points[0].x, g.points[0].xstar)
-
-
-def test_skew_form_translated_zero_duals():
-    rng = np.random.Generator(np.random.Philox(10))
-    x = np.vstack([np.zeros(2), rng.normal(size=(5, 2))])
-    g = OperatorGraph.from_arrays(x, np.zeros((6, 2)))
-    rep = skew_form_check(g)
-    assert rep.verdict
-
-
-def test_skew_form_translated_skew_graph_true():
-    g = _translated(skew_graph_2d(seed=11))
-    assert skew_form_check(g).verdict
-
-
-def test_skew_form_radial_perturbation_false():
-    g = _translated(skew_graph_2d(seed=12))
-    pts = [(p.x.copy(), p.xstar.copy()) for p in g.points]
-    x4, s4 = pts[4]
-    assert np.linalg.norm(x4) > 0.1
-    pts[4] = (x4, s4 + 1e-2 * x4 / np.linalg.norm(x4))
-    bad = OperatorGraph.from_arrays([p[0] for p in pts], [p[1] for p in pts])
-    # the point condition <xstar, x> = 0 now fails by about 1e-2 * ||x||
-    assert abs(np.dot(pts[4][1], x4)) == pytest.approx(
-        1e-2 * np.linalg.norm(x4), rel=1e-9
-    )
-    rep = skew_form_check(bad)
-    assert not rep.verdict
-
-
-def test_skew_form_requires_zero_pair():
-    g = OperatorGraph.from_arrays([[1.0, 0.0]], [[0.0, 1.0]])
-    with pytest.raises(ValidationError, match="translate"):
-        skew_form_check(g)
-
-
-def test_skew_form_matches_bimonotone_on_translated():
-    for seed in range(6):
-        noise = 1e-3 if seed % 2 else 0.0
-        fix = make_fixture(FixtureSpec(n=3, k=2, m=6, noise_in_span=noise, seed=seed))
-        g = _translated(fix.graph)
-        assert skew_form_check(g).verdict == bimonotone_check(g).verdict
-
-
-# ---------------------------------------------------------------------------
 # report mechanics
 # ---------------------------------------------------------------------------
 
@@ -364,14 +312,13 @@ def tie_prone_graphs(draw):
 @settings(derandomize=True, max_examples=150)
 @given(tie_prone_graphs())
 def test_one_row_blocks_match_default_blocks(g):
-    shifted = translate(g, g.points[0].x, g.points[0].xstar)
-    cases = [(check, g) for check in (monotone_check, bimonotone_check,
-                                      constant_on_domain_check, paramonotone_check)]
-    cases.append((skew_form_check, shifted))
-    reference = [check(graph) for check, graph in cases]
+    checks = {"monotone": monotone_check, "bimonotone": bimonotone_check,
+              "paramonotone": paramonotone_check, "constant_on_domain": constant_on_domain_check}
+    reference = [(name, check(g)) for name, check in checks.items()]
+    assert list(classify.analyze(g).items()) == reference
     with mock.patch.object(classify, "_CHUNK_FLOATS", 1):
-        blocked = [check(graph) for check, graph in cases]
-    assert blocked == reference
+        assert [(name, check(g)) for name, check in checks.items()] == reference
+        assert list(classify.analyze(g).items()) == reference
 
 
 # A loose tolerance puts normalized distances between grid points on both

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from skewfit import decompose, make_fixture, perturb, save_graph
+from skewfit import OperatorGraph, classify, decompose, make_fixture, perturb, save_graph
 from skewfit.cli import run
 from skewfit.fixtures import FixtureSpec
 
@@ -262,18 +262,34 @@ MALFORMED = {
     "huge_spec_branches": ("generate", b'{"n": 1, "k": 1, "m": 1, "branches": 100000000000000000}'),
     # an integer literal beyond the range of a double
     "huge_integer": ("analyze", b'{"dimension": 1, "points": [{"x": [1' + b"0" * 400 + b'], "xstar": [0]}]}'),
+    # the basis's Gram matrix overflows, which must not leak a numpy warning
+    "basis_overflow": ("verify", DECOMPOSITION % (b"[[1e200], [0.0]]", b"0.0")),
+    # the norms of duals near 1e160 overflow to inf, which would make the
+    # margin inf and pass a relative error of 1e-7
+    "residual_overflow": (
+        "verify",
+        b'{"basis": [[1.0]], "a_hat": [[0.0]], "v_hat": [1e160], '
+        b'"basepoint": {"x": [0.0], "xstar": [1e160]}, '
+        b'"max_residual": 0.0, "skewness_defect": 0.0}',
+        b'{"dimension": 1, "points": [{"x": [0.0], "xstar": [1.0000001e160]}]}',
+    ),
+    # a bimonotone sample whose duals sit near 1e160: the fit's residual scales overflow
+    "decompose_overflow": ("decompose", b'{"dimension": 2, "points": ['
+                                        b'{"x": [0.0, 1.0], "xstar": [1e160, 0.0]}, '
+                                        b'{"x": [1.0, 0.0], "xstar": [1e160, 0.0]}, '
+                                        b'{"x": [2.0, 3.0], "xstar": [1e160, 0.0]}]}'),
 }
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", list(MALFORMED))
 def test_malformed_graph_exits_2(capsys, tmp_path, case):
-    command, content = MALFORMED[case]
+    command, content, *graph_content = MALFORMED[case]
     path = tmp_path / ("broken.csv" if case == "bad_csv" else "broken.json")
     path.write_bytes(content)
     if command == "verify":
         graph = tmp_path / "small.json"
-        graph.write_bytes(SMALL_GRAPH)
+        graph.write_bytes(graph_content[0] if graph_content else SMALL_GRAPH)
         argv = ["verify", str(path), str(graph)]
     elif command == "generate":
         argv = ["generate", str(path), "--out", str(tmp_path / "out.json")]
@@ -365,6 +381,24 @@ def test_cli_import_leaves_scipy_unloaded():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_analyze_runs_one_pairing_scan_and_two_gap_scans(capsys, tmp_path, monkeypatch):
+    # every pair scan builds its terms with one of these two functions
+    scans = {"_pairing_terms": 0, "_gap_terms": 0}
+    for name in scans:
+        def counted(*args, _name=name, _terms=getattr(classify, name)):
+            scans[_name] += 1
+            return _terms(*args)
+        monkeypatch.setattr(classify, name, counted)
+    planted, _ = generate(capsys, tmp_path)
+    falling = tmp_path / "falling.json"
+    falling.write_bytes(save_graph(OperatorGraph([[0.0], [1.0]], [[1.0], [0.0]]), "json"))
+    # a sample that is not monotone skips the primal gap scan
+    for path, code, counts in ((planted, 0, [1, 2]), (str(falling), 1, [1, 1])):
+        scans.update(dict.fromkeys(scans, 0))
+        assert invoke(capsys, "analyze", path)[0] == code
+        assert list(scans.values()) == counts
 
 
 def test_analyze_output_is_byte_deterministic(capsys, tmp_path):
