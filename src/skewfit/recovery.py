@@ -3,11 +3,13 @@
 A bimonotone sample, once translated so that one of its pairs sits at
 (0, 0), is single-valued in the coordinates of the span of its primal
 points, and the map from reduced primal to reduced dual coordinates is
-linear and skew-symmetric.  This module extracts that span from one thin
-SVD of the (m, n) array of translated primal points, at the smallest rank
-that holds every primal point within tolerance, performs the coordinate
-reduction, fits the representing matrix over all skew matrices by least
-squares, and reassembles the affine offset of the untranslated sample.
+linear and skew-symmetric.  ``decompose`` takes one thin SVD of the (m, n)
+array of translated primal points, cut at the smallest rank that holds
+every primal point within tolerance.  Its factors give both the span and
+the skew least-squares fit in closed form, and the residual rule of
+``verify_reconstruction`` accepts that fit, with its affine offset, on the
+untranslated sample.  ``reduce`` and ``build_skew_operator`` remain as
+standalone stages.
 
 Components of the dual points orthogonal to the span are invisible to the
 reduction and do not affect bimonotonicity; they are deliberately
@@ -72,10 +74,6 @@ class InternalInconsistencyError(SkewfitError, RuntimeError):
     miscalibration rather than a property of the input."""
 
 
-def _max_abs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
-
-
 def _as_matrix(value, name: str) -> np.ndarray:
     arr = np.array(value, dtype=np.float64)
     if arr.ndim != 2:
@@ -117,7 +115,7 @@ class OrthonormalBasis:
             raise ValidationError(f"basis has {k} columns but only {n} rows")
         gram = self.q.T @ self.q - np.eye(k)
         check_overflow(~np.isfinite(gram), lambda f: f"basis column {f // k}")
-        gram_defect = _max_abs(gram)
+        gram_defect = float(np.max(np.abs(gram))) if k else 0.0
         if gram_defect > 1e-12:
             raise ValidationError(
                 f"basis columns are not orthonormal (defect {gram_defect:.3e})"
@@ -132,6 +130,32 @@ class OrthonormalBasis:
         return self.q.shape[1]
 
 
+def _span_svd(vectors, tol: ToleranceConfig):
+    """The thin SVD of an (m, n) array cut at ``span_basis``'s rank k, as
+    ``(u_k, sigma_k, q)``: the rows are, within tolerance, the rows of
+    ``u_k diag(sigma_k) q^T``, and ``q`` is the (n, k) basis."""
+    try:
+        stacked = np.asarray(vectors, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"vectors do not form an (m, n) array: {exc}") from exc
+    if stacked.ndim != 2:
+        raise ValidationError(f"vectors must form an (m, n) array, got shape {stacked.shape}")
+    if not np.all(np.isfinite(stacked)):
+        raise ValidationError("vectors contain non-finite entries")
+    m, n = stacked.shape
+    if not np.any(stacked):
+        return np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0))
+    u, sing, vt = np.linalg.svd(stacked, full_matrices=False)
+    # Coordinates along the singular directions in units of sing[0], so the
+    # squares stay finite; tail[:, k] is each vector's distance to the span
+    # of the first k directions.
+    coords = u * (sing / sing[0])
+    tail = np.sqrt(np.cumsum(coords[:, ::-1] ** 2, axis=1))[:, ::-1]
+    allowed = tol.abs_tol / sing[0] + tol.rel_tol * tail[:, :1]
+    k = int(np.argmax(np.append(np.all(tail <= allowed, axis=0), True)))
+    return u[:, :k], sing[:k], vt[:k].T.copy()
+
+
 def span_basis(vectors, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OrthonormalBasis:
     """Orthonormal basis of the linear span of the rows of an (m, n) array.
 
@@ -143,25 +167,7 @@ def span_basis(vectors, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Orthonormal
     never enters the basis.  No rows (m = 0) or all-zero rows yield a
     rank-zero basis of R^n.
     """
-    try:
-        stacked = np.asarray(vectors, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"vectors do not form an (m, n) array: {exc}") from exc
-    if stacked.ndim != 2:
-        raise ValidationError(f"vectors must form an (m, n) array, got shape {stacked.shape}")
-    if not np.all(np.isfinite(stacked)):
-        raise ValidationError("vectors contain non-finite entries")
-    if not np.any(stacked):
-        return OrthonormalBasis(np.zeros((stacked.shape[1], 0)))
-    u, sing, vt = np.linalg.svd(stacked, full_matrices=False)
-    # Coordinates along the singular directions in units of sing[0], so the
-    # squares stay finite; tail[:, k] is each vector's distance to the span
-    # of the first k directions.
-    coords = u * (sing / sing[0])
-    tail = np.sqrt(np.cumsum(coords[:, ::-1] ** 2, axis=1))[:, ::-1]
-    allowed = tol.abs_tol / sing[0] + tol.rel_tol * tail[:, :1]
-    k = int(np.argmax(np.append(np.all(tail <= allowed, axis=0), True)))
-    return OrthonormalBasis(vt[:k].T.copy())
+    return OrthonormalBasis(_span_svd(vectors, tol)[2])
 
 
 @quiet_overflow
@@ -200,16 +206,64 @@ def reduce(
     return OperatorGraph.from_arrays(x_hat, s_hat)
 
 
+@dataclass(frozen=True)
+class ReconstructionReport:
+    """Per-point residuals of a decomposition against a graph, measured in
+    span coordinates.  Components orthogonal to the basis never contribute."""
+
+    verdict: bool
+    max_residual: float
+    worst_index: int
+    residuals: tuple[float, ...]
+
+    def to_dict(self) -> dict:
+        return {
+            "verdict": self.verdict,
+            "max_residual": self.max_residual,
+            "worst_index": self.worst_index,
+            "residuals": list(self.residuals),
+        }
+
+
 @quiet_overflow
-def _span_residuals(q, a_hat, v_hat, g: OperatorGraph):
-    """Per-point residuals of ``g`` against the fit, in ``q`` coordinates, and
-    their scales.  Raises ValidationError when either overflows."""
+def _reconstruction(q, a_hat, v_hat, g: OperatorGraph, tol: ToleranceConfig, strict=False):
+    """The residual rule: each pair of ``g`` against q^T xstar = a_hat q^T x
+    + v_hat, normalized by the tolerance margin at the larger side's norm.
+    Raises ValidationError when a residual or its scale overflows, and, if
+    ``strict``, NotBimonotoneError when some pair misses the fit."""
     projected = g.dual_matrix @ q
     predicted = (g.primal_matrix @ q) @ a_hat.T + v_hat
     scale = np.maximum(np.linalg.norm(projected, axis=1), np.linalg.norm(predicted, axis=1))
     residual = np.linalg.norm(projected - predicted, axis=1)
     check_overflow(~(np.isfinite(residual) & np.isfinite(scale)), lambda i: f"points[{i}]")
-    return residual, scale
+    normalized = residual / tol.margin(scale)
+    worst = int(np.argmax(normalized))
+    if strict and normalized[worst] > 1.0:
+        raise NotBimonotoneError(
+            f"reduced pair {worst} is not consistent with a skew-symmetric linear "
+            f"map at tolerance (residual {residual[worst]:.6e}); the sample is not "
+            "bimonotone at this tolerance",
+            worst_index=worst,
+            residual=float(residual[worst]),
+        )
+    return ReconstructionReport(
+        verdict=bool(normalized[worst] <= 1.0),
+        max_residual=float(residual.max()),
+        worst_index=worst,
+        residuals=tuple(float(r) for r in residual),
+    )
+
+
+@quiet_overflow
+def _skew_fit(w: np.ndarray, sing: np.ndarray) -> np.ndarray:
+    """The skew C minimizing ||S V - U diag(sing) C^T|| given W = U^T S V:
+    C_ij = (sing_j W_ji - sing_i W_ij) / (sing_i^2 + sing_j^2), exactly
+    antisymmetric since C_ij and C_ji negate one numerator over one
+    denominator.  An overflow leaves non-finite entries."""
+    # each pair in units of its larger singular value: the denominator is in [1, 2]
+    top = np.maximum(sing[:, None], sing[None, :])
+    ri, rj = sing[:, None] / top, sing[None, :] / top
+    return (rj * w.T - ri * w) / (ri**2 + rj**2) / top
 
 
 def build_skew_operator(
@@ -222,9 +276,9 @@ def build_skew_operator(
     reduced primal points and W = U^T S V for the reduced duals S, the skew
     matrix minimizing ||S - X A^T|| over all points is A = V C V^T with
     C_ij = (sigma_j W_ji - sigma_i W_ij) / (sigma_i^2 + sigma_j^2).  Every
-    point is then checked against the fit.  The returned matrix is skew up to
-    the rounding of the change of basis; callers wanting an exactly
-    antisymmetric matrix should take its antisymmetric part.
+    point is then checked against the fit by ``verify_reconstruction``'s rule.
+    The returned matrix is skew up to the rounding of the change of basis;
+    callers wanting an exactly antisymmetric matrix take its antisymmetric part.
     """
     k = rg.dimension
     if k == 0:
@@ -234,7 +288,6 @@ def build_skew_operator(
             "reduced graph does not contain (0, 0); translate by a graph point first"
         )
     x = rg.primal_matrix
-    s = rg.dual_matrix
     u, sing, vt = np.linalg.svd(x, full_matrices=False)
     rank = int(np.count_nonzero(sing > max(x.shape) * _EPS * sing[0]))
     if rank < k:
@@ -242,25 +295,8 @@ def build_skew_operator(
             f"reduced primal points span only {rank} of {k} directions; "
             "basis and reduction disagree"
         )
-    w = u.T @ s @ vt.T
-    r = sing / sing[0]  # relative singular values keep the squares finite
-    core = (r[None, :] * w.T - r[:, None] * w) / (
-        sing[0] * (r[:, None] ** 2 + r[None, :] ** 2)
-    )
-    fitted = vt.T @ core @ vt
-    predicted = x @ fitted.T
-    residual = np.linalg.norm(s - predicted, axis=1)
-    scale = np.maximum(np.linalg.norm(s, axis=1), np.linalg.norm(predicted, axis=1))
-    normalized = residual / tol.margin(scale)
-    worst = int(np.argmax(normalized))
-    if normalized[worst] > 1.0:
-        raise NotBimonotoneError(
-            f"reduced pair {worst} is not consistent with a skew-symmetric linear "
-            f"map at tolerance (residual {residual[worst]:.6e}); the sample is not "
-            "bimonotone at this tolerance",
-            worst_index=worst,
-            residual=float(residual[worst]),
-        )
+    fitted = vt.T @ _skew_fit(u.T @ rg.dual_matrix @ vt.T, sing) @ vt
+    _reconstruction(np.eye(k), fitted, np.zeros(k), rg, tol, strict=True)
     return fitted
 
 
@@ -270,8 +306,8 @@ class SkewDecomposition:
     dual = basis (a_hat (basis^T x) + v_hat) up to components orthogonal to
     the span.
 
-    ``a_hat`` is exactly antisymmetric (the antisymmetric part of the raw
-    fit); ``skewness_defect`` records how far the raw fit was from skew.
+    ``a_hat`` is exactly antisymmetric, and ``decompose`` writes 0.0 for
+    ``skewness_defect``, a field kept so that older documents still load.
     ``max_residual`` is the largest reconstruction residual over the source
     graph, measured after projection onto the span.
     """
@@ -359,6 +395,7 @@ class SkewDecomposition:
         return cls(basis=basis, a_hat=a_hat, v_hat=v_hat, basepoint=basepoint, **scalars)
 
 
+@quiet_overflow
 def decompose(
     g: OperatorGraph,
     basepoint: int | None = None,
@@ -367,16 +404,16 @@ def decompose(
     """Recover the affine skew representation of a bimonotone sample.
 
     Pipeline: certify bimonotonicity, translate the chosen basepoint (the
-    first point by default) to (0, 0), extract the span of the translated
-    primal points, reduce to span coordinates, fit the skew representing
-    matrix, and reassemble the offset so that
-    basis^T xstar = a_hat basis^T x + v_hat holds over the original graph.
+    first point by default) to (0, 0), and take one thin SVD of the
+    translated primal points cut at the tolerance rank: the basis is its
+    right factor, and the skew least-squares fit comes from its other
+    factors.  With the offset reassembled, the rule of
+    ``verify_reconstruction`` accepts basis^T xstar = a_hat basis^T x +
+    v_hat over the original graph, so the result verifies on ``g`` at ``tol``.
 
     Raises NotBimonotoneError when the input fails the bimonotone check
     (with the report attached) or when some pair misses the skew fit at
-    tolerance, and InternalInconsistencyError when the reduced primal points
-    fail to span the basis, which signals tolerance miscalibration rather
-    than bad input.
+    tolerance, and ValidationError when the fit or a residual overflows.
     """
     report = bimonotone_check(g, tol)
     if not report.verdict:
@@ -394,40 +431,15 @@ def decompose(
         )
     base = g.points[idx]
     shifted = translate(g, base.x, base.xstar)
-    basis = span_basis(shifted.primal_matrix, tol)
-    reduced = reduce(shifted, basis, tol)
-    raw = build_skew_operator(reduced, tol)
-    defect = _max_abs(raw + raw.T)
-    a_hat = (raw - raw.T) / 2.0
-    q = basis.q
+    u, sing, q = _span_svd(shifted.primal_matrix, tol)
+    basis = OrthonormalBasis(q)
+    # the reduced primal points are u diag(sing), so W needs no second SVD
+    a_hat = _skew_fit(u.T @ (shifted.dual_matrix @ q), sing)
+    check_overflow(~np.isfinite(a_hat), lambda f: "the skew fit")
     v_hat = q.T @ base.xstar - a_hat @ (q.T @ base.x)
-    return SkewDecomposition(
-        basis=basis,
-        a_hat=a_hat,
-        v_hat=v_hat,
-        basepoint=base,
-        max_residual=float(_span_residuals(q, a_hat, v_hat, g)[0].max()),
-        skewness_defect=defect,
-    )
-
-
-@dataclass(frozen=True)
-class ReconstructionReport:
-    """Per-point residuals of a decomposition against a graph, measured in
-    span coordinates.  Components orthogonal to the basis never contribute."""
-
-    verdict: bool
-    max_residual: float
-    worst_index: int
-    residuals: tuple[float, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "max_residual": self.max_residual,
-            "worst_index": self.worst_index,
-            "residuals": list(self.residuals),
-        }
+    fit = _reconstruction(q, a_hat, v_hat, g, tol, strict=True)
+    return SkewDecomposition(basis=basis, a_hat=a_hat, v_hat=v_hat, basepoint=base,
+                             max_residual=fit.max_residual, skewness_defect=0.0)
 
 
 def verify_reconstruction(
@@ -441,12 +453,4 @@ def verify_reconstruction(
             f"graph lives in R^{g.dimension}, decomposition in "
             f"R^{dec.basis.ambient_dimension}"
         )
-    residuals, scale = _span_residuals(dec.basis.q, dec.a_hat, dec.v_hat, g)
-    normalized = residuals / tol.margin(scale)
-    worst = int(np.argmax(normalized))
-    return ReconstructionReport(
-        verdict=bool(normalized[worst] <= 1.0),
-        max_residual=float(residuals.max()),
-        worst_index=worst,
-        residuals=tuple(float(r) for r in residuals),
-    )
+    return _reconstruction(dec.basis.q, dec.a_hat, dec.v_hat, g, tol)

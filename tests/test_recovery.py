@@ -217,6 +217,15 @@ def test_build_rank_deficient_reduced_graph():
         build_skew_operator(OperatorGraph.from_arrays(x, np.zeros((3, 2))))
 
 
+def test_build_keeps_sub_tolerance_direction():
+    # the second direction is 1e-12 long, below the default tolerance but far
+    # above the machine-precision rank test, so the fit still spans it
+    a0 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    x = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1e-12]])
+    fitted = build_skew_operator(OperatorGraph.from_arrays(x, x @ a0.T))
+    np.testing.assert_allclose(fitted, a0, atol=1e-12)
+
+
 def test_build_rejects_nonlinear_duals():
     a0 = np.array([[0.0, 1.0], [-1.0, 0.0]])
     x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])
@@ -336,6 +345,76 @@ def test_decompose_antisymmetry_exact():
     fix = planted_fixture(seed=37)
     dec = decompose(fix.graph)
     np.testing.assert_array_equal(dec.a_hat, -dec.a_hat.T)
+
+
+@pytest.mark.parametrize("sample", ["one_branch", "two_branches", "rank_zero"])
+def test_decompose_runs_one_svd(monkeypatch, sample):
+    # the span and the fit come from one factorization; a sample whose
+    # primal points are all equal spans nothing and needs none
+    if sample == "rank_zero":
+        rng = np.random.Generator(np.random.Philox(47))
+        g = OperatorGraph.from_arrays(np.ones((4, 3)), rng.normal(size=(4, 3)))
+    else:
+        g = planted_fixture(seed=46, branches=1 if sample == "one_branch" else 2).graph
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(a) or svd(*a, **kw))
+    dec = decompose(g)
+    assert (dec.rank, len(calls)) == ((0, 0) if sample == "rank_zero" else (3, 1))
+    assert dec.a_hat.shape == (dec.rank, dec.rank)
+    assert np.array_equal(dec.a_hat, -dec.a_hat.T)
+    assert dec.skewness_defect == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_decompose_tiny_directions_fit_or_overflow():
+    # with abs_tol 0, two directions 1e-160 long enter the basis; their
+    # squares are subnormal, yet the fit is exact, and an operator beyond
+    # double range raises instead of warning
+    x = np.zeros((4, 3))
+    x[1, 0], x[2, 1], x[3, 2] = 1.0, 1e-160, 1e-160
+    s = np.zeros((4, 3))
+    s[2, 2], s[3, 1] = 1e140, -1e140
+    tol = ToleranceConfig(0.0, 1e-9)
+    dec = decompose(OperatorGraph.from_arrays(x, s), tol=tol)
+    q = dec.basis.q
+    planted = np.zeros((3, 3))
+    planted[2, 1], planted[1, 2] = 1e300, -1e300
+    assert dec.rank == 3
+    np.testing.assert_allclose(q @ dec.a_hat @ q.T, planted, atol=1e288)
+    assert verify_reconstruction(dec, OperatorGraph.from_arrays(x, s), tol).verdict
+    s[2, 2], s[3, 1] = 1e149, -1e149
+    with pytest.raises(ValidationError, match="overflows double precision"):
+        decompose(OperatorGraph.from_arrays(x, s), tol=tol)
+
+
+def boundary_family(count):
+    """Planted affine skew samples in R^2..R^5 with noise 10^U(-11, -7) at
+    primal scales 10^U(-2, 3), so the noise straddles the default tolerance."""
+    rng = np.random.default_rng(0)
+    for _ in range(count):
+        n, m = int(rng.integers(2, 6)), int(rng.integers(3, 31))
+        b = rng.normal(size=(n, n))
+        x = rng.normal(size=(m, n)) * 10 ** rng.uniform(-2, 3)
+        v = rng.normal(size=n)
+        eps = 10 ** rng.uniform(-11, -7)
+        s = x @ ((b - b.T) / 2).T + v + eps * rng.normal(size=(m, n))
+        yield OperatorGraph.from_arrays(x, s)
+
+
+def test_boundary_family_decomposition_verifies_on_its_sample():
+    # decompose accepts its fit by verify's rule, so no sample decomposes and
+    # then fails verify on its own written output
+    raised = 0
+    for i, g in enumerate(boundary_family(500)):
+        try:
+            dec = decompose(g)
+        except NotBimonotoneError:
+            raised += 1
+            continue
+        back = SkewDecomposition.from_dict(json.loads(dumps_canonical(dec.to_dict())))
+        assert verify_reconstruction(back, g).verdict, f"sample {i}"
+    assert raised > 0  # the family reaches past the tolerance
 
 
 def hard_family_graph(family, n, k, m, seed):
