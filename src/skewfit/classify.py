@@ -11,11 +11,12 @@ for every check.  The conditions, for pairs (x, xstar) and (y, ystar):
 * constant on domain:  all dual points coincide
 
 All scans are exact double arithmetic over every pair, quadratic in the
-number of points (paramonotone's crossed-pair search is one min-max product
-in m vector steps, cubic arithmetic).  ``analyze`` returns all four reports
-from one pairing scan and two gap scans (primal and dual), the primal one
-only for a monotone sample.  Verdicts are order-independent; witnesses break
-ties by the smallest index pair.
+number of points.  Paramonotone's crossed-pair search is exact too: it
+bisects over the gap values with about log2(2 |V| m) 0/1 matrix products of
+|V| x m x |V| (V: the points in vanishing pairs), as float32 BLAS products.
+``analyze`` returns all four reports from one pairing scan and two gap scans
+(primal and dual), the primal one only for a monotone sample.  Verdicts are
+order-independent; witnesses break ties by the smallest index pair.
 """
 
 from __future__ import annotations
@@ -178,6 +179,96 @@ def constant_on_domain_check(
     return _scan(g, tol, _gap_terms(g.dual_matrix))
 
 
+def _rows(gap: np.ndarray, pts: np.ndarray, a0: int, a1: int) -> np.ndarray:
+    """Rows pts[a0:a1] of a gap matrix; a view when pts is every point."""
+    return gap[a0:a1] if pts.size == gap.shape[0] else gap[pts[a0:a1]]
+
+
+def _median_gap(gaps, pts: np.ndarray, lo: float, hi: float) -> float | None:
+    """Median of the values strictly between ``lo`` and ``hi`` in rows ``pts``
+    of the gap matrices, or None when there is none.  When those rows hold
+    more than ``_CHUNK_FLOATS`` values, it is the median of an evenly strided
+    sample, so memory stays O(_CHUNK_FLOATS)."""
+    m = gaps[0].shape[0]
+    rows = max(1, _CHUNK_FLOATS // m)
+    stride = -(-len(gaps) * pts.size * m // _CHUNK_FLOATS)
+    sample = []
+    for gap in gaps:
+        for a0 in range(0, pts.size, rows):
+            block = _rows(gap, pts, a0, min(pts.size, a0 + rows))
+            # copied, so that the strided view does not keep the block alive
+            sample.append(block[(block > lo) & (block < hi)][::stride].copy())
+    sample = np.concatenate(sample)
+    if not sample.size:
+        return None
+    return float(np.partition(sample, sample.size // 2)[sample.size // 2])
+
+
+def _unmatched(gap_x: np.ndarray, gap_s: np.ndarray, pts: np.ndarray, t: float) -> np.ndarray:
+    """u[a, b]: no stored point l has gap_x[pts[a], l] <= t and
+    gap_s[pts[b], l] <= t, i.e. (x_pts[a], xstar_pts[b]) is farther than t
+    from the graph.  One float32 0/1 product per tile of about
+    ``_CHUNK_FLOATS`` floats; its counts sum nonnegative terms, so a count is
+    zero exactly when no l matches, at any m."""
+    m, n = gap_x.shape[0], pts.size
+    rows = max(1, _CHUNK_FLOATS // m)
+    u = np.empty((n, n), dtype=bool)
+    mx = np.empty((min(rows, n), m), dtype=np.float32)
+    ms = np.empty_like(mx)
+    for a0 in range(0, n, rows):
+        a1 = min(n, a0 + rows)
+        np.less_equal(_rows(gap_x, pts, a0, a1), t, out=mx[: a1 - a0])
+        for b0 in range(0, n, rows):
+            b1 = min(n, b0 + rows)
+            np.less_equal(_rows(gap_s, pts, b0, b1), t, out=ms[: b1 - b0])
+            np.equal(mx[: a1 - a0] @ ms[: b1 - b0].T, 0.0, out=u[a0:a1, b0:b1])
+    return u
+
+
+def _crossed_pairs(
+    pairing: np.ndarray, gap_x: np.ndarray, gap_s: np.ndarray
+) -> ClassificationReport:
+    """Paramonotone report of a monotone sample from the normalized pairing
+    and gap matrices that ``_scan`` stores.  The scan fills upper triangles;
+    the gap matrices are mirrored in place, a row at a time.
+
+    need(i, j) = min_l max(gap_x[l, i], gap_s[l, j]) is the distance from
+    (x_i, xstar_j) to the nearest stored pair, and a vanishing pair i < j
+    violates by max(need(i, j), need(j, i)).  Every need value is a gap
+    entry, so the worst violation W is the smallest gap value t at which no
+    vanishing pair is ``_unmatched`` either way.  Bisection finds it, each
+    step testing the ``_median_gap`` of the values still bracketed.  A pair
+    that matches at a failed t < W cannot attain W and leaves the search,
+    with its points, so the pairs left at the end are exactly those
+    attaining W, and the witness is the smallest of them in row-major order.
+    About log2(2 |V| m) products of |V| x m x |V| (V: the points in
+    vanishing pairs), shrinking as pairs leave.
+    """
+    for gap in (gap_x, gap_s):
+        for i in range(1, gap.shape[0]):
+            gap[i, :i] = gap[:i, i]
+    # below the diagonal the scan stores -inf, which never vanishes
+    active = (pairing >= -1.0) & (pairing <= 1.0)
+    np.fill_diagonal(active, False)
+    keep = active.any(axis=0) | active.any(axis=1)
+    pts, active = np.flatnonzero(keep), active[np.ix_(keep, keep)]
+    lo, hi = -np.inf, np.inf
+    while pts.size and (t := _median_gap((gap_x, gap_s), pts, lo, hi)) is not None:
+        u = _unmatched(gap_x, gap_s, pts, t)
+        failing = active & (u | u.T)
+        if not failing.any():
+            hi = t
+            continue
+        lo = t
+        keep = failing.any(axis=0) | failing.any(axis=1)
+        pts, active = pts[keep], failing[np.ix_(keep, keep)]
+    if lo == -np.inf:
+        # no threshold failed: every crossed pair is stored (or none is needed)
+        return ClassificationReport(verdict=True, worst_violation=0.0)
+    a, b = divmod(int(np.argmax(active)), pts.size)
+    return ClassificationReport(verdict=hi <= 1.0, worst_violation=hi, witness=(pts[a], pts[b]))
+
+
 @quiet_overflow
 def analyze(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> dict:
     """The four membership reports, keyed ``monotone``, ``bimonotone``,
@@ -187,7 +278,9 @@ def analyze(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> dict:
     pairing scan gives the monotone report, and its absolute values the
     bimonotone one.  One dual gap scan gives the constant report.  For a
     monotone sample, a primal gap scan (run before the dual one) and the
-    dual gap matrix then feed the crossed-pair search.  Memory O(m^2).
+    dual gap matrix then feed the crossed-pair search, about log2(2 |V| m)
+    0/1 matrix products of |V| x m x |V| (V: the points in vanishing pairs).
+    Memory O(m^2).
     """
     x = g.primal_matrix
     s = g.dual_matrix
@@ -200,22 +293,7 @@ def analyze(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> dict:
     constant = _scan(g, tol, _gap_terms(s), out=gap_s)
     paramonotone = NotMonotone(monotone=mono)
     if mono.verdict:
-        # gap_*[l, i]: normalized distance from stored point l to point i,
-        # made symmetric from the upper triangle the scan fills.  need[a, b]
-        # is the distance from (x_V[a], xstar_V[b]) to the nearest stored
-        # pair, V being the points in some vanishing pair.
-        for gap in (gap_x, gap_s):
-            np.maximum(gap, gap.T, out=gap)
-        vanishing = np.triu(np.abs(pairing) <= 1.0, k=1)
-        pts = np.flatnonzero(vanishing.any(axis=0) | vanishing.any(axis=1))
-        need = np.full((pts.size, pts.size), np.inf)
-        for l in range(m):
-            np.minimum(need, np.maximum.outer(gap_x[l, pts], gap_s[l, pts]), out=need)
-        crossed = np.zeros((m, m))
-        crossed[np.ix_(pts, pts)] = np.maximum(need, need.T)
-        paramonotone = _scan(
-            g, tol, lambda i0, i1: (np.where(vanishing[i0:i1], crossed[i0:i1], 0.0), None)
-        )
+        paramonotone = _crossed_pairs(pairing, gap_x, gap_s)
     return {
         "monotone": mono,
         "bimonotone": bimonotone,
@@ -224,6 +302,7 @@ def analyze(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> dict:
     }
 
 
+@quiet_overflow
 def paramonotone_check(
     g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE
 ) -> ClassificationReport | NotMonotone:
@@ -236,8 +315,19 @@ def paramonotone_check(
 
     This is a statement about the sample only; it neither proves nor
     disproves paramonotonicity of an underlying operator.  Returns
-    NotMonotone instead of a report when the monotone check fails.  Takes m
-    vector steps over V x V (V: the points in vanishing pairs); memory O(m^2).
-    The search runs inside ``analyze``.
+    NotMonotone, after the one pairing scan, when the monotone check fails.
+    Otherwise two gap scans feed the crossed-pair search that ``analyze``
+    runs: about log2(2 |V| m) 0/1 matrix products of |V| x m x |V| (V: the
+    points in vanishing pairs); memory O(m^2).
     """
-    return analyze(g, tol)["paramonotone"]
+    x = g.primal_matrix
+    s = g.dual_matrix
+    m = x.shape[0]
+    pairing = np.empty((m, m))
+    mono = _scan(g, tol, _pairing_terms(x, s), out=pairing)
+    if not mono.verdict:
+        return NotMonotone(monotone=mono)
+    gap_x, gap_s = np.empty((m, m)), np.empty((m, m))
+    _scan(g, tol, _gap_terms(x), out=gap_x)
+    _scan(g, tol, _gap_terms(s), out=gap_s)
+    return _crossed_pairs(pairing, gap_x, gap_s)

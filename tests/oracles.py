@@ -57,42 +57,68 @@ def _report(worst, witness):
     return {"verdict": worst <= 1.0, "worst_violation": worst, "witness": witness}
 
 
-def paramonotone(graph, tol):
-    """``paramonotone_check(graph, tol).to_dict()`` by plain loops.
+def _margin(tol, scale):
+    return tol.abs_tol + tol.rel_tol * max(scale, 1.0)
 
-    Every pair i < j is visited in row-major order and every stored point l
-    is tried as the match of the crossed pairs (x_i, xstar_j) and
-    (x_j, xstar_i); the running maximum moves only on a strictly larger
-    violation, so ties go to the smallest (i, j).
+
+def _norm(d):
+    # a plain sum of squares rounds like the library's row norms; the dot
+    # product inside np.linalg.norm(d) can differ in the last bit
+    return np.sqrt(np.sum(d * d))
+
+
+def _pairings(graph, tol):
+    """{(i, j): (<xstar_i - xstar_j, x_i - x_j>, its margin)}, i < j, in
+    row-major order."""
+    x, s = graph.primal_matrix, graph.dual_matrix
+    out = {}
+    for i in range(len(x)):
+        for j in range(i + 1, len(x)):
+            dx, ds = x[i] - x[j], s[i] - s[j]
+            out[(i, j)] = float(np.dot(ds, dx)), _margin(tol, _norm(ds) * _norm(dx))
+    return out
+
+
+def crossed_violations(graph, tol):
+    """{(i, j): violation} of every pair i < j whose product vanishes, in
+    row-major order, by plain loops.
+
+    Every stored point l is tried as the match of the crossed pairs
+    (x_i, xstar_j) and (x_j, xstar_i); the violation is the larger of their
+    smallest normalized distances to the graph.
     """
     x, s = graph.primal_matrix, graph.dual_matrix
     m = len(x)
 
-    def margin(scale):
-        return tol.abs_tol + tol.rel_tol * max(scale, 1.0)
+    def gaps(v):
+        # gaps(v)[l][i]: normalized distance from v_l to v_i
+        return [[_norm(v[l] - v[i]) / _margin(tol, max(_norm(v[l]), _norm(v[i])))
+                 for i in range(m)] for l in range(m)]
 
-    def product(i, j):
-        dx, ds = x[i] - x[j], s[i] - s[j]
-        return float(np.dot(ds, dx)), margin(np.linalg.norm(ds) * np.linalg.norm(dx))
+    gx, gs = gaps(x), gaps(s)
+    out = {}
+    for (i, j), (prod, budget) in _pairings(graph, tol).items():
+        if abs(prod) / budget <= 1.0:
+            need_ij = min(max(gx[l][i], gs[l][j]) for l in range(m))
+            need_ji = min(max(gx[l][j], gs[l][i]) for l in range(m))
+            out[(i, j)] = max(need_ij, need_ji)
+    return out
 
-    def gap(v, a, b):
-        return np.linalg.norm(v[a] - v[b]) / margin(max(np.linalg.norm(v[a]), np.linalg.norm(v[b])))
 
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+def paramonotone(graph, tol):
+    """``paramonotone_check(graph, tol).to_dict()`` by plain loops.
+
+    Pairs are visited in row-major order and the running maximum moves only
+    on a strictly larger violation, so ties go to the smallest (i, j).
+    """
     worst, witness = 0.0, None
-    for i, j in pairs:
-        prod, budget = product(i, j)
+    for (i, j), (prod, budget) in _pairings(graph, tol).items():
         if -prod / budget > worst:
             worst, witness = -prod / budget, [i, j]
     if worst > 1.0:
         return {"status": "not_monotone", "monotone": _report(worst, witness)}
     worst, witness = 0.0, None
-    for i, j in pairs:
-        prod, budget = product(i, j)
-        if abs(prod) / budget > 1.0:
-            continue
-        need_ij = min(max(gap(x, l, i), gap(s, l, j)) for l in range(m))
-        need_ji = min(max(gap(x, l, j), gap(s, l, i)) for l in range(m))
-        if max(need_ij, need_ji) > worst:
-            worst, witness = max(need_ij, need_ji), [i, j]
+    for (i, j), violation in crossed_violations(graph, tol).items():
+        if violation > worst:
+            worst, witness = violation, [i, j]
     return _report(worst, witness)

@@ -167,12 +167,20 @@ def test_paramonotone_strictly_monotone_map_true():
     assert isinstance(rep, ClassificationReport) and rep.verdict
 
 
-def test_paramonotone_not_monotone_outcome():
+def test_paramonotone_not_monotone_outcome(monkeypatch):
+    # the one pairing scan decides the outcome; no gap scan runs
+    scans = {"_pairing_terms": 0, "_gap_terms": 0}
+    for name in scans:
+        def counted(*args, _name=name, _terms=getattr(classify, name)):
+            scans[_name] += 1
+            return _terms(*args)
+        monkeypatch.setattr(classify, name, counted)
     g = OperatorGraph.from_arrays([[0.0], [1.0]], [[1.0], [0.0]])
     out = paramonotone_check(g)
     assert isinstance(out, NotMonotone)
     assert not out.monotone.verdict
     assert out.to_dict()["status"] == "not_monotone"
+    assert scans == {"_pairing_terms": 1, "_gap_terms": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +334,30 @@ def test_one_row_blocks_match_default_blocks(g):
 @settings(derandomize=True, max_examples=300)
 @given(tie_prone_graphs(), st.sampled_from([ToleranceConfig(), ToleranceConfig(0.25, 0.25)]))
 def test_paramonotone_matches_brute_force_oracle(g, tol):
-    assert paramonotone_check(g, tol).to_dict() == oracles.paramonotone(g, tol)
+    expected = oracles.paramonotone(g, tol)
+    assert paramonotone_check(g, tol).to_dict() == expected
+    with mock.patch.object(classify, "_CHUNK_FLOATS", 1):
+        assert paramonotone_check(g, tol).to_dict() == expected
+
+
+# Two branches per domain point give duplicate primal points, whose vanishing
+# pairs share crossed distances, so several pairs attain the worst one.  The
+# constant sample stores every crossed pair: its worst violation is 0.
+@pytest.mark.parametrize("tol", [ToleranceConfig(), ToleranceConfig(0.25, 0.25)])
+@pytest.mark.parametrize("spec, matched", [
+    (FixtureSpec(n=4, k=2, m=16, branches=2, offset_norm=1.0, noise_orthogonal=1.0, seed=3), False),
+    (FixtureSpec(n=3, k=3, m=18, branches=2, offset_norm=1.0, seed=2), False),
+    (FixtureSpec(n=3, k=2, m=17, branches=2, offset_norm=1.0, zero_operator=True), True),
+])
+def test_paramonotone_matches_oracle_on_tied_two_branch_fixtures(spec, matched, tol):
+    g = make_fixture(spec).graph
+    expected = oracles.paramonotone(g, tol)
+    violations = oracles.crossed_violations(g, tol).values()
+    assert sum(v == expected["worst_violation"] for v in violations) > 1
+    assert (expected["worst_violation"] == 0.0) == (expected["witness"] is None) == matched
+    assert paramonotone_check(g, tol).to_dict() == expected
+    with mock.patch.object(classify, "_CHUNK_FLOATS", 1):
+        assert paramonotone_check(g, tol).to_dict() == expected
 
 
 def test_paramonotone_memory_is_blocked(monkeypatch):
@@ -339,7 +370,13 @@ def test_paramonotone_memory_is_blocked(monkeypatch):
     strict = OperatorGraph.from_arrays(x, 2.0 * x)
     planted = make_fixture(FixtureSpec(n=20, k=8, m=400, offset_norm=1.0, seed=8)).graph
     assert bimonotone_check(planted).verdict
-    for g, verdict in ((strict, True), (planted, False)):
+    # At m = 1200 the scans store three m x m float64 matrices, 24 m^2 bytes,
+    # and the search adds m x m bool matrices and blocks.  A float32 mask pair
+    # over every point with its count matrix (12 m^2 bytes), or an array of
+    # every candidate gap (16 m^2), would not fit under 32 m^2.
+    m = 1200
+    large = make_fixture(FixtureSpec(n=20, k=8, m=m, offset_norm=1.0, seed=8)).graph
+    for g, verdict, bound in ((strict, True, 16e6), (planted, False, 16e6), (large, False, 32 * m * m)):
         tracemalloc.start()
         try:
             rep = paramonotone_check(g)
@@ -347,4 +384,4 @@ def test_paramonotone_memory_is_blocked(monkeypatch):
         finally:
             tracemalloc.stop()
         assert rep.verdict == verdict
-        assert peak < 16e6
+        assert peak < bound
