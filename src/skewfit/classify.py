@@ -55,8 +55,7 @@ class ClassificationReport:
     ``worst_violation`` is the largest residual found, divided by the
     tolerance margin at its scale, so the verdict is exactly
     ``worst_violation <= 1``.  ``witness`` names the index pair realizing
-    it; a pair (i, i) marks a single-point condition.  A failing report
-    always carries a witness.
+    it.  A failing report always carries a witness.
     """
 
     verdict: bool
@@ -101,12 +100,11 @@ def _scan(
     first index lies in [i0, i1), as two (i1 - i0, m) arrays; a violation is
     the residual over ``tol.margin(scale)``, or the residual itself when the
     scale is None (an already normalized block).  Rows arrive in blocks of
-    about ``_CHUNK_FLOATS`` floats per (rows, m, n) difference array.  The
-    diagonal holds single-point conditions, which are zero for the pairwise
-    checks.  Pairs with j < i read -inf.  A non-finite margin or violation
-    raises, so an overflow never passes.  Blocks arrive in ascending row order
-    and np.argmax returns the first maximum in row-major order, so the witness
-    is the smallest (i, j) among ties.  When ``out`` is given, each block's
+    about ``_CHUNK_FLOATS`` floats per (rows, m, n) difference array.  Pairs
+    with j < i read -inf.  A non-finite margin or violation raises, so an
+    overflow never passes.  Blocks arrive in ascending row order and
+    np.argmax returns the first maximum in row-major order, so the witness is
+    the smallest (i, j) among ties.  When ``out`` is given, each block's
     violations are also stored in its rows.
     """
     m, n = g.primal_matrix.shape

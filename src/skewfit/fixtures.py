@@ -21,11 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphs import (
-    OperatorGraph,
-    ParseError,
-    ValidationError,
-)
+from .graphs import OperatorGraph, ParseError, ValidationError, check_keys, point_index
 from .recovery import InternalInconsistencyError, OrthonormalBasis
 
 __all__ = [
@@ -37,17 +33,9 @@ __all__ = [
     "random_skew",
 ]
 
-_SPEC_KEYS = {
-    "n",
-    "k",
-    "m",
-    "branches",
-    "offset_norm",
-    "noise_in_span",
-    "noise_orthogonal",
-    "seed",
-    "zero_operator",
-}
+# n, k and m come first: they are the required keys
+_SPEC_KEYS = ("n", "k", "m", "branches", "offset_norm", "noise_in_span", "noise_orthogonal",
+              "seed", "zero_operator")
 
 
 @dataclass(frozen=True)
@@ -116,14 +104,7 @@ class FixtureSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FixtureSpec":
-        if not isinstance(doc, dict):
-            raise ParseError("fixture spec must be an object")
-        unknown = sorted(set(doc) - _SPEC_KEYS)
-        if unknown:
-            raise ParseError(f"unknown key {unknown[0]!r} in fixture spec")
-        for required in ("n", "k", "m"):
-            if required not in doc:
-                raise ParseError(f"fixture spec is missing key {required!r}")
+        check_keys(doc, "fixture spec", _SPEC_KEYS, _SPEC_KEYS[:3], ParseError)
         return cls(**doc)
 
     def with_seed(self, seed: int) -> "FixtureSpec":
@@ -240,8 +221,7 @@ def perturb(
     orthogonal complement (this never affects it).  Amplitude zero returns
     an unchanged copy.
     """
-    if not 0 <= index < len(g.points):
-        raise ValidationError(f"index {index} out of range for {len(g.points)} points")
+    index = point_index(g, index, "perturbed point")
     if direction not in ("in_span", "orthogonal"):
         raise ValidationError(
             f"direction must be 'in_span' or 'orthogonal', got {direction!r}"

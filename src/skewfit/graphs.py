@@ -70,16 +70,52 @@ def check_overflow(broken: np.ndarray, name) -> None:
         )
 
 
-def _as_vector(value, name: str) -> np.ndarray:
-    arr = np.array(value, dtype=np.float64)  # always copies
-    if arr.ndim != 1:
-        raise ValidationError(
-            f"{name} must be a 1-D sequence of reals, got shape {arr.shape}"
-        )
-    if not np.all(np.isfinite(arr)):
+# ---------------------------------------------------------------------------
+# Input rules shared by every module's readers and constructors: document
+# keys, finite arrays and point indices, each written once with its messages.
+# ---------------------------------------------------------------------------
+
+def check_keys(doc, where: str, allowed, required, error: type[SkewfitError]) -> None:
+    """Raise ``error`` unless ``doc`` is a dict with no key outside
+    ``allowed`` and every key of ``required``; the first unknown key in
+    sorted order, or the first missing one in ``required``'s order, is named."""
+    if not isinstance(doc, dict):
+        raise error(f"{where} must be an object")
+    unknown = doc.keys() - allowed
+    if unknown:
+        raise error(f"unknown key {min(unknown)!r} in {where}")
+    for key in required:
+        if key not in doc:
+            raise error(f"{where} is missing key {key!r}")
+
+
+def _reals(value, name: str) -> np.ndarray:
+    try:
+        return np.array(value, dtype=np.float64)  # always copies
+    except (OverflowError, TypeError, ValueError) as exc:  # ragged, or not reals
+        raise ValidationError(f"{name} is not an array of reals: {exc}") from exc
+
+
+def finite_array(value, name: str, axes: int) -> np.ndarray:
+    """A read-only float64 copy of ``value`` with ``axes`` axes and only
+    finite entries, or ValidationError naming ``name``."""
+    arr = _reals(value, name)
+    if arr.ndim != axes:
+        raise ValidationError(f"{name} must be a {axes}-D array, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
     return arr
+
+
+def point_index(g: OperatorGraph, idx, name: str) -> int:
+    """``idx`` as the index of a point of ``g``: an integer, not a bool, in range."""
+    if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)):
+        raise ValidationError(f"{name} must be a point index")
+    m = g.primal_matrix.shape[0]
+    if not 0 <= idx < m:
+        raise ValidationError(f"{name} index {idx} out of range for {m} points")
+    return int(idx)
 
 
 @dataclass(frozen=True)
@@ -129,8 +165,8 @@ class GraphPoint:
     xstar: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", _as_vector(self.x, "x"))
-        object.__setattr__(self, "xstar", _as_vector(self.xstar, "xstar"))
+        object.__setattr__(self, "x", finite_array(self.x, "x", 1))
+        object.__setattr__(self, "xstar", finite_array(self.xstar, "xstar", 1))
         if self.x.size != self.xstar.size:
             raise ValidationError(
                 f"x has dimension {self.x.size} but xstar has dimension {self.xstar.size}"
@@ -177,13 +213,6 @@ class _Points(Sequence):
         return map(GraphPoint._view, self._x, self._s)
 
 
-def _rows(value, name: str) -> np.ndarray:
-    try:
-        return np.array(value, dtype=np.float64)  # always copies
-    except (OverflowError, TypeError, ValueError) as exc:  # ragged, or not reals
-        raise ValidationError(f"{name} rows are not an array of reals: {exc}") from exc
-
-
 class OperatorGraph:
     """A finite, nonempty sample of a multivalued operator on R^n.
 
@@ -196,7 +225,7 @@ class OperatorGraph:
     __slots__ = ("_x", "_s")
 
     def __init__(self, primal, dual) -> None:
-        x, s = _rows(primal, "primal"), _rows(dual, "dual")
+        x, s = _reals(primal, "primal"), _reals(dual, "dual")
         if x.shape[:1] == (0,):
             raise ValidationError("a graph must contain at least one point")
         if x.ndim != 2 or x.shape != s.shape:
@@ -271,8 +300,8 @@ def inverse_graph(g: OperatorGraph) -> OperatorGraph:
 
 def translate(g: OperatorGraph, u, ustar) -> OperatorGraph:
     """Shift every pair by (-u, -ustar), moving the basepoint (u, ustar) to (0, 0)."""
-    u = _as_vector(u, "u")
-    ustar = _as_vector(ustar, "ustar")
+    u = finite_array(u, "u", 1)
+    ustar = finite_array(ustar, "ustar", 1)
     if u.size != g.dimension:
         raise ValidationError(f"u has dimension {u.size}, expected {g.dimension}")
     if ustar.size != g.dimension:
@@ -285,25 +314,19 @@ def translate(g: OperatorGraph, u, ustar) -> OperatorGraph:
 # to the same IEEE binary64 value, so every round-trip is exact.
 # ---------------------------------------------------------------------------
 
-def _plain(value):
-    """A numpy array or scalar as the Python value ``json`` writes for it."""
-    if isinstance(value, (np.ndarray, np.generic)):
-        return value.tolist()
-    raise TypeError(f"cannot serialize value of type {type(value).__name__}")
-
-
 def dumps_canonical(value) -> str:
-    """Serialize to JSON with deterministic bytes and shortest round-trip floats."""
+    """Serialize plain Python values (dicts, lists, str, int, float, bool,
+    None) to JSON with deterministic bytes and shortest round-trip floats."""
     try:
-        return json.dumps(value, allow_nan=False, default=_plain)
+        return json.dumps(value, allow_nan=False)
     except TypeError as exc:
         raise ValidationError(str(exc)) from exc
     except ValueError as exc:
         raise ValidationError("cannot serialize a non-finite number") from exc
 
 
-_GRAPH_KEYS = {"dimension", "points"}
-_POINT_KEYS = {"x", "xstar"}
+_GRAPH_KEYS = ("dimension", "points")
+_POINT_KEYS = ("x", "xstar")
 _NUMBER_TYPES = frozenset({int, float})
 
 
@@ -311,7 +334,7 @@ def _reject_constant(token: str):
     raise ParseError(f"non-finite number {token!r} is not allowed")
 
 
-def first_non_number(items: list) -> int | None:
+def _first_non_number(items: list) -> int | None:
     """Index of the first item that is not a JSON number, or None.  This is
     every reader's number rule: an int or a float, and never true or false."""
     if _NUMBER_TYPES.issuperset(map(type, items)):
@@ -322,12 +345,26 @@ def first_non_number(items: list) -> int | None:
 def _number_row(value, where: str, dim: int) -> list:
     if not isinstance(value, list):
         raise ParseError(f"{where} must be an array of numbers")
-    j = first_non_number(value)
+    j = _first_non_number(value)
     if j is not None:
         raise ParseError(f"{where}[{j}] is not a number")
     if len(value) != dim:
         raise ValidationError(f"{where} has length {len(value)}, expected {dim}")
     return value
+
+
+def json_array(value, name: str) -> np.ndarray:
+    """A decoded JSON value as a float array; ragged or non-numeric is invalid."""
+    leaves = np.array(value, dtype=object)
+    flat = leaves.ravel().tolist()
+    if list in map(type, flat):
+        raise ValidationError(f"{name} is a ragged array")
+    if _first_non_number(flat) is not None:
+        raise ValidationError(f"{name} must hold only numbers")
+    try:
+        return leaves.astype(np.float64)
+    except OverflowError as exc:  # an integer beyond the range of a double
+        raise ValidationError(f"{name} overflows double precision") from exc
 
 
 def _decode(data: bytes) -> str:
@@ -351,12 +388,7 @@ def load_json_object(data: bytes) -> dict:
 
 
 def _graph_from_json(doc: dict) -> OperatorGraph:
-    unknown = sorted(set(doc) - _GRAPH_KEYS)
-    if unknown:
-        raise ParseError(f"unknown key {unknown[0]!r} in graph document")
-    missing = sorted(_GRAPH_KEYS - set(doc))
-    if missing:
-        raise ParseError(f"graph document is missing key {missing[0]!r}")
+    check_keys(doc, "graph document", _GRAPH_KEYS, _GRAPH_KEYS, ParseError)
     dim = doc["dimension"]
     if isinstance(dim, bool) or not isinstance(dim, int):
         raise ValidationError("dimension must be an integer")
@@ -367,14 +399,7 @@ def _graph_from_json(doc: dict) -> OperatorGraph:
         raise ParseError("points must be an array")
     primal, dual = [], []
     for i, entry in enumerate(raw_points):
-        if not isinstance(entry, dict):
-            raise ParseError(f"points[{i}] must be an object")
-        bad = sorted(set(entry) - _POINT_KEYS)
-        if bad:
-            raise ParseError(f"unknown key {bad[0]!r} in points[{i}]")
-        lost = sorted(_POINT_KEYS - set(entry))
-        if lost:
-            raise ParseError(f"points[{i}] is missing key {lost[0]!r}")
+        check_keys(entry, f"points[{i}]", _POINT_KEYS, _POINT_KEYS, ParseError)
         primal.append(_number_row(entry["x"], f"points[{i}].x", dim))
         dual.append(_number_row(entry["xstar"], f"points[{i}].xstar", dim))
     return OperatorGraph.from_arrays(primal, dual)

@@ -30,9 +30,12 @@ from .graphs import (
     SkewfitError,
     ToleranceConfig,
     ValidationError,
+    check_keys,
     check_overflow,
     contains_origin,
-    first_non_number,
+    finite_array,
+    json_array,
+    point_index,
     quiet_overflow,
     translate,
 )
@@ -74,28 +77,7 @@ class InternalInconsistencyError(SkewfitError, RuntimeError):
     miscalibration rather than a property of the input."""
 
 
-def _as_matrix(value, name: str) -> np.ndarray:
-    arr = np.array(value, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValidationError(f"{name} must be a 2-D array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} contains non-finite entries")
-    arr.setflags(write=False)
-    return arr
-
-
-def _real_array(value, name: str) -> np.ndarray:
-    """A decoded JSON value as a float array; ragged or non-numeric is invalid."""
-    leaves = np.array(value, dtype=object)
-    flat = leaves.ravel().tolist()
-    if list in map(type, flat):
-        raise ValidationError(f"{name} is a ragged array")
-    if first_non_number(flat) is not None:
-        raise ValidationError(f"{name} must hold only numbers")
-    try:
-        return leaves.astype(np.float64)
-    except OverflowError as exc:  # an integer beyond the range of a double
-        raise ValidationError(f"{name} overflows double precision") from exc
+_DECOMPOSITION_KEYS = ("a_hat", "basepoint", "basis", "max_residual", "skewness_defect", "v_hat")
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +91,7 @@ class OrthonormalBasis:
 
     @quiet_overflow
     def __post_init__(self) -> None:
-        object.__setattr__(self, "q", _as_matrix(self.q, "q"))
+        object.__setattr__(self, "q", finite_array(self.q, "q", 2))
         n, k = self.q.shape
         if k > n:
             raise ValidationError(f"basis has {k} columns but only {n} rows")
@@ -134,14 +116,7 @@ def _span_svd(vectors, tol: ToleranceConfig):
     """The thin SVD of an (m, n) array cut at ``span_basis``'s rank k, as
     ``(u_k, sigma_k, q)``: the rows are, within tolerance, the rows of
     ``u_k diag(sigma_k) q^T``, and ``q`` is the (n, k) basis."""
-    try:
-        stacked = np.asarray(vectors, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"vectors do not form an (m, n) array: {exc}") from exc
-    if stacked.ndim != 2:
-        raise ValidationError(f"vectors must form an (m, n) array, got shape {stacked.shape}")
-    if not np.all(np.isfinite(stacked)):
-        raise ValidationError("vectors contain non-finite entries")
+    stacked = finite_array(vectors, "the (m, n) array of vectors", 2)
     m, n = stacked.shape
     if not np.any(stacked):
         return np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0))
@@ -306,7 +281,9 @@ class SkewDecomposition:
     dual = basis (a_hat (basis^T x) + v_hat) up to components orthogonal to
     the span.
 
-    ``a_hat`` is exactly antisymmetric, and ``decompose`` writes 0.0 for
+    ``a_hat`` must be exactly antisymmetric, and ``max_residual`` and
+    ``skewness_defect`` finite and nonnegative; anything else certifies no
+    skew form and raises ValidationError.  ``decompose`` writes 0.0 for
     ``skewness_defect``, a field kept so that older documents still load.
     ``max_residual`` is the largest reconstruction residual over the source
     graph, measured after projection onto the span.
@@ -322,27 +299,25 @@ class SkewDecomposition:
     def __post_init__(self) -> None:
         if not isinstance(self.basis, OrthonormalBasis):
             raise ValidationError("basis must be an OrthonormalBasis")
-        object.__setattr__(self, "a_hat", _as_matrix(self.a_hat, "a_hat"))
+        object.__setattr__(self, "a_hat", finite_array(self.a_hat, "a_hat", 2))
+        object.__setattr__(self, "v_hat", finite_array(self.v_hat, "v_hat", 1))
         k = self.basis.rank
         if self.a_hat.shape != (k, k):
             raise ValidationError(
                 f"a_hat has shape {self.a_hat.shape}, expected ({k}, {k})"
             )
-        v = np.array(self.v_hat, dtype=np.float64)
-        if v.shape != (k,):
-            raise ValidationError(f"v_hat has shape {v.shape}, expected ({k},)")
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("v_hat contains non-finite entries")
-        v.setflags(write=False)
-        object.__setattr__(self, "v_hat", v)
+        if self.v_hat.shape != (k,):
+            raise ValidationError(f"v_hat has shape {self.v_hat.shape}, expected ({k},)")
+        if not np.array_equal(self.a_hat, -self.a_hat.T):
+            raise ValidationError("a_hat must be exactly antisymmetric")
         if not isinstance(self.basepoint, GraphPoint):
             raise ValidationError("basepoint must be a GraphPoint")
         if self.basepoint.dimension != self.basis.ambient_dimension:
             raise ValidationError("basepoint dimension does not match the basis")
         for name in ("max_residual", "skewness_defect"):
             value = float(getattr(self, name))
-            if not np.isfinite(value):
-                raise ValidationError(f"{name} must be finite")
+            if not 0.0 <= value < np.inf:
+                raise ValidationError(f"{name} must be finite and nonnegative")
             object.__setattr__(self, name, value)
 
     @property
@@ -364,32 +339,25 @@ class SkewDecomposition:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SkewDecomposition":
-        if not isinstance(doc, dict):
-            raise ValidationError("decomposition document must be an object")
-        keys = {"basis", "a_hat", "v_hat", "basepoint", "max_residual", "skewness_defect"}
-        unknown = sorted(set(doc) - keys)
-        if unknown:
-            raise ValidationError(f"unknown key {unknown[0]!r} in decomposition document")
-        missing = sorted(keys - set(doc))
-        if missing:
-            raise ValidationError(f"decomposition document is missing key {missing[0]!r}")
-        basis_raw = _real_array(doc["basis"], "basis")
+        check_keys(doc, "decomposition document", _DECOMPOSITION_KEYS, _DECOMPOSITION_KEYS,
+                   ValidationError)
+        basis_raw = json_array(doc["basis"], "basis")
         if basis_raw.ndim != 2:
             raise ValidationError("basis must be a 2-D array")
         basis = OrthonormalBasis(basis_raw)
         k = basis.rank
         try:
-            a_hat = _real_array(doc["a_hat"], "a_hat").reshape(k, k)
-            v_hat = _real_array(doc["v_hat"], "v_hat").reshape(k)
+            a_hat = json_array(doc["a_hat"], "a_hat").reshape(k, k)
+            v_hat = json_array(doc["v_hat"], "v_hat").reshape(k)
         except ValueError as exc:
             raise ValidationError(f"decomposition arrays have wrong shapes: {exc}") from exc
         bp = doc["basepoint"]
         if not isinstance(bp, dict) or set(bp) != {"x", "xstar"}:
             raise ValidationError("basepoint must be an object with keys x and xstar")
         basepoint = GraphPoint(
-            _real_array(bp["x"], "basepoint.x"), _real_array(bp["xstar"], "basepoint.xstar")
+            json_array(bp["x"], "basepoint.x"), json_array(bp["xstar"], "basepoint.xstar")
         )
-        scalars = {key: _real_array(doc[key], key) for key in ("max_residual", "skewness_defect")}
+        scalars = {key: json_array(doc[key], key) for key in ("max_residual", "skewness_defect")}
         if any(value.ndim for value in scalars.values()):
             raise ValidationError("max_residual and skewness_defect must be numbers")
         return cls(basis=basis, a_hat=a_hat, v_hat=v_hat, basepoint=basepoint, **scalars)
@@ -422,14 +390,7 @@ def decompose(
             f"(worst_violation {report.worst_violation:.6e} at pair {report.witness})",
             report=report,
         )
-    idx = 0 if basepoint is None else basepoint
-    if not isinstance(idx, (int, np.integer)) or isinstance(idx, bool):
-        raise ValidationError("basepoint must be a point index")
-    if not 0 <= idx < len(g.points):
-        raise ValidationError(
-            f"basepoint index {idx} out of range for {len(g.points)} points"
-        )
-    base = g.points[idx]
+    base = g.points[point_index(g, 0 if basepoint is None else basepoint, "basepoint")]
     shifted = translate(g, base.x, base.xstar)
     u, sing, q = _span_svd(shifted.primal_matrix, tol)
     basis = OrthonormalBasis(q)

@@ -406,3 +406,31 @@ def test_analyze_output_is_byte_deterministic(capsys, tmp_path):
     first = invoke(capsys, "analyze", out)
     second = invoke(capsys, "analyze", out)
     assert first == second
+
+
+# y = A x with A symmetric: monotone, but not bimonotone
+NON_SKEW_GRAPH = (b'{"dimension": 2, "points": [{"x": [0.0, 0.0], "xstar": [0.0, 0.0]}, '
+                  b'{"x": [1.0, 0.0], "xstar": [2.0, 1.0]}, {"x": [0.0, 1.0], "xstar": [1.0, 3.0]}]}')
+CERTIFICATE = (b'{"basis": [[1.0, 0.0], [0.0, 1.0]], "a_hat": %s, "v_hat": [0.0, 0.0], '
+               b'"basepoint": {"x": [0.0, 0.0], "xstar": [0.0, 0.0]}, '
+               b'"max_residual": %s, "skewness_defect": %s}')
+
+
+@pytest.mark.parametrize(
+    "a_hat, max_residual, defect, message",
+    [
+        (b"[[2.0, 1.0], [1.0, 3.0]]", b"-1", b"0.0", "a_hat must be exactly antisymmetric"),
+        (b"[[0.0, 1.0], [-1.0, 0.0]]", b"-1", b"0.0", "max_residual must be finite and nonnegative"),
+        (b"[[0.0, 1.0], [-1.0, 0.0]]", b"0.0", b"-0.5", "skewness_defect must be finite and nonnegative"),
+    ],
+)
+def test_verify_rejects_a_certificate_that_is_not_skew(capsys, tmp_path, a_hat, max_residual,
+                                                      defect, message):
+    graph = tmp_path / "graph.json"
+    graph.write_bytes(NON_SKEW_GRAPH)
+    code, stdout, _ = invoke(capsys, "analyze", str(graph))
+    assert code == 1 and json.loads(stdout)["bimonotone"]["verdict"] is False
+    dec = tmp_path / "dec.json"
+    dec.write_bytes(CERTIFICATE % (a_hat, max_residual, defect))
+    code, stdout, stderr = invoke(capsys, "verify", str(dec), str(graph))
+    assert (code, stdout, stderr) == (2, "", f"skewfit: error: {message}\n")

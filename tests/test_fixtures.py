@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -262,3 +264,41 @@ def test_recovery_grid_on_fixtures():
         q = dec.basis.q
         err = np.max(np.abs(dec.a_hat - q.T @ fix.truth.operator @ q))
         assert err <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([1, 2, 3], "fixture spec must be an object"),
+        ({"n": 3, "k": 1, "m": 2, "sigma": 1.0, "alpha": 0}, "unknown key 'alpha' in fixture spec"),
+        # the required keys are named in the order n, k, m
+        ({"k": 1}, "fixture spec is missing key 'n'"),
+        ({"n": 3, "m": 2}, "fixture spec is missing key 'k'"),
+        ({"n": 3, "k": 1}, "fixture spec is missing key 'm'"),
+    ],
+)
+def test_spec_from_dict_error_messages(doc, message):
+    with pytest.raises(ParseError, match="^" + re.escape(message) + "$"):
+        FixtureSpec.from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "index, message",
+    [
+        (True, "perturbed point must be a point index"),
+        (1.0, "perturbed point must be a point index"),
+        ("1", "perturbed point must be a point index"),
+        (-1, "perturbed point index -1 out of range for 6 points"),
+        (6, "perturbed point index 6 out of range for 6 points"),
+    ],
+)
+def test_perturb_rejects_what_is_not_a_point_index(index, message):
+    fix = planted(seed=28)
+    assert len(fix.graph.points) == 6
+    with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+        perturb(fix.graph, index=index, direction="in_span", amplitude=1.0,
+                basis=fix.truth.basis, seed=29)
+    # a numpy integer is an index like any other
+    out = perturb(fix.graph, index=np.int64(3), direction="in_span", amplitude=1.0,
+                  basis=fix.truth.basis, seed=29)
+    assert np.flatnonzero((out.dual_matrix != fix.graph.dual_matrix).any(axis=1)).tolist() == [3]

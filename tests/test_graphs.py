@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -370,3 +371,55 @@ def test_round_trip_property_csv(g):
 @given(small_graphs())
 def test_involution_property(g):
     assert inverse_graph(inverse_graph(g)) == g
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        (b"[1, 2]", ParseError, "top-level JSON value must be an object"),
+        (b'{"dimension": 1, "points": [], "zeta": 1, "alpha": 2}', ParseError,
+         "unknown key 'alpha' in graph document"),
+        (b"{}", ParseError, "graph document is missing key 'dimension'"),
+        (b'{"dimension": 1}', ParseError, "graph document is missing key 'points'"),
+        (b'{"dimension": 1, "points": {}}', ParseError, "points must be an array"),
+        (b'{"dimension": 1, "points": [[1, 2]]}', ParseError, "points[0] must be an object"),
+        (b'{"dimension": 1, "points": [{"x": [0], "xstar": [0]}, {}]}', ParseError,
+         "points[1] is missing key 'x'"),
+        (b'{"dimension": 1, "points": [{"x": [0]}]}', ParseError,
+         "points[0] is missing key 'xstar'"),
+        (b'{"dimension": 1, "points": [{"x": [0], "xstar": [0], "w": 1, "v": 2}]}', ParseError,
+         "unknown key 'v' in points[0]"),
+        (b'{"dimension": 1, "points": [{"x": 1, "xstar": [0]}]}', ParseError,
+         "points[0].x must be an array of numbers"),
+        (b'{"dimension": 1, "points": [{"x": [0], "xstar": [true]}]}', ParseError,
+         "points[0].xstar[0] is not a number"),
+        (b'{"dimension": 1, "points": [{"x": [1e400], "xstar": [0]}]}', ValidationError,
+         "points[0].x contains non-finite entries"),
+        (b'{"dimension": 1, "points": [{"x": [0], "xstar": [0]}, {"x": [0], "xstar": [-1e400]}]}',
+         ValidationError, "points[1].xstar contains non-finite entries"),
+    ],
+)
+def test_load_json_error_messages(text, error, message):
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
+        load_graph(text, "json")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: GraphPoint(["a"], [1.0]),
+        lambda: GraphPoint([[0.0], [1.0, 2.0]], [1.0]),
+        lambda: translate(simple_graph(), "x", np.zeros(2)),
+        lambda: translate(simple_graph(), np.zeros(2), [{}, 1.0]),
+    ],
+)
+def test_vectors_that_are_not_reals_raise_validation_error(build):
+    with pytest.raises(ValidationError, match="not an array of reals"):
+        build()
+
+
+def test_dumps_canonical_rejects_numpy_values():
+    # every writer hands plain Python values to the serializer
+    for value in (np.zeros(2), np.int64(3)):
+        with pytest.raises(ValidationError, match="not JSON serializable"):
+            dumps_canonical({"value": value})

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from skewfit import (
     ClassificationReport,
+    GraphPoint,
     InternalInconsistencyError,
     NotBimonotoneError,
     OperatorGraph,
@@ -566,3 +568,88 @@ def test_orthonormal_basis_validation():
         OrthonormalBasis(np.array([[1.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValidationError, match="columns"):
         OrthonormalBasis(np.ones((1, 2)))
+
+
+def _plane_document(**changes):
+    doc = {
+        "basis": [[1.0, 0.0], [0.0, 1.0]], "a_hat": [[0.0, 1.0], [-1.0, 0.0]], "v_hat": [0.0, 0.0],
+        "basepoint": {"x": [0.0, 0.0], "xstar": [0.0, 0.0]},
+        "max_residual": 0.0, "skewness_defect": 0.0,
+    }
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([1, 2], "decomposition document must be an object"),
+        ({**_plane_document(), "note": 1, "comment": 2}, "unknown key 'comment' in decomposition document"),
+        ({k: v for k, v in _plane_document().items() if k not in ("v_hat", "basis")},
+         "decomposition document is missing key 'basis'"),
+        (_plane_document(basis=[1.0, 0.0]), "basis must be a 2-D array"),
+        (_plane_document(basepoint=[0.0, 0.0]), "basepoint must be an object with keys x and xstar"),
+        (_plane_document(basepoint={"x": [0.0, 0.0]}), "basepoint must be an object with keys x and xstar"),
+        (_plane_document(basepoint={"x": [0.0, 0.0], "xstar": [0.0, 0.0], "y": [0.0, 0.0]}),
+         "basepoint must be an object with keys x and xstar"),
+        (_plane_document(v_hat=[1e400, 0.0]), "v_hat contains non-finite entries"),
+        (_plane_document(a_hat=[[0.0, 1e400], [-1e400, 0.0]]), "a_hat contains non-finite entries"),
+    ],
+)
+def test_decomposition_document_error_messages(doc, message):
+    with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+        SkewDecomposition.from_dict(doc)
+
+
+def _direct_construction(**changes):
+    fields = {
+        "basis": OrthonormalBasis(np.eye(2)), "a_hat": np.array([[0.0, 1.0], [-1.0, 0.0]]),
+        "v_hat": np.zeros(2), "basepoint": GraphPoint(np.zeros(2), np.zeros(2)),
+        "max_residual": 0.0, "skewness_defect": 0.0,
+    }
+    fields.update(changes)
+    return SkewDecomposition(**fields)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"basis": np.eye(2)}, "basis must be an OrthonormalBasis"),
+        ({"a_hat": np.zeros(2)}, "a_hat must be a 2-D array, got shape (2,)"),
+        ({"a_hat": np.zeros((1, 1))}, "a_hat has shape (1, 1), expected (2, 2)"),
+        ({"a_hat": [[0.0, np.nan], [0.0, 0.0]]}, "a_hat contains non-finite entries"),
+        ({"v_hat": np.zeros(3)}, "v_hat has shape (3,), expected (2,)"),
+        ({"v_hat": [np.inf, 0.0]}, "v_hat contains non-finite entries"),
+        ({"basepoint": (np.zeros(2), np.zeros(2))}, "basepoint must be a GraphPoint"),
+        ({"basepoint": GraphPoint(np.zeros(3), np.zeros(3))},
+         "basepoint dimension does not match the basis"),
+    ],
+)
+def test_decomposition_construction_error_messages(changes, message):
+    _direct_construction()
+    with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+        _direct_construction(**changes)
+
+
+@pytest.mark.parametrize("name", ["max_residual", "skewness_defect"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0, -1e-300])
+def test_decomposition_rejects_negative_or_non_finite_figures(name, value):
+    with pytest.raises(ValidationError, match=f"^{name} must be finite"):
+        _direct_construction(**{name: value})
+    with pytest.raises(ValidationError, match=f"^{name} must be finite"):
+        SkewDecomposition.from_dict(_plane_document(**{name: value}))
+
+
+@pytest.mark.parametrize(
+    "a_hat",
+    [
+        [[2.0, 1.0], [1.0, 3.0]],  # symmetric
+        [[0.0, 1.0], [-1.0, 1e-300]],  # a nonzero diagonal entry
+        [[0.0, 1.0], [-1.0000000000000002, 0.0]],  # skew up to rounding only
+    ],
+)
+def test_decomposition_requires_exactly_antisymmetric_a_hat(a_hat):
+    with pytest.raises(ValidationError, match="^a_hat must be exactly antisymmetric$"):
+        SkewDecomposition.from_dict(_plane_document(a_hat=a_hat))
+    # -0.0 equals 0.0, so a signed zero is still antisymmetric
+    SkewDecomposition.from_dict(_plane_document(a_hat=[[-0.0, 1.0], [-1.0, 0.0]]))
