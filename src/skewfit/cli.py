@@ -131,11 +131,12 @@ def _nonnegative(text: str) -> float:
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol-abs", type=_nonnegative, default=1e-9,
-                        help="absolute tolerance (default 1e-9)")
-    parser.add_argument("--tol-rel", type=_nonnegative, default=1e-9,
-                        help="relative tolerance (default 1e-9)")
+def _add_common(parser: argparse.ArgumentParser, tolerances: bool = True) -> None:
+    if tolerances:
+        parser.add_argument("--tol-abs", type=_nonnegative, default=1e-9,
+                            help="absolute tolerance (default 1e-9)")
+        parser.add_argument("--tol-rel", type=_nonnegative, default=1e-9,
+                            help="relative tolerance (default 1e-9)")
     parser.add_argument("--format", choices=("json", "csv"), default=None,
                         help="graph file format; inferred from a .csv suffix when omitted")
 
@@ -165,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("spec", help="path to a fixture spec (JSON)")
     gen.add_argument("--out", required=True, help="path for the generated graph")
     gen.add_argument("--seed", type=int, default=None, help="override the spec seed")
-    _add_common(gen)
+    _add_common(gen, tolerances=False)
     gen.set_defaults(func=_cmd_generate)
 
     ver = sub.add_parser("verify", help="check a decomposition against a graph")

@@ -15,13 +15,11 @@ arrays.
 
 from __future__ import annotations
 
-import numbers
-import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .graphs import OperatorGraph, ParseError, ValidationError, check_keys, point_index
+from .graphs import OperatorGraph, ParseError, ValidationError, check_keys, nonnegative, point_index
 from .recovery import InternalInconsistencyError, OrthonormalBasis
 
 __all__ = [
@@ -32,10 +30,6 @@ __all__ = [
     "perturb",
     "random_skew",
 ]
-
-# n, k and m come first: they are the required keys
-_SPEC_KEYS = ("n", "k", "m", "branches", "offset_norm", "noise_in_span", "noise_orthogonal",
-              "seed", "zero_operator")
 
 
 @dataclass(frozen=True)
@@ -50,6 +44,7 @@ class FixtureSpec:
     component added per branch (harmless to bimonotonicity, ignored when
     k = n since the complement is trivial); zero_operator: plant the zero
     matrix instead of a random skew one, making the sample constant.
+    The fields are the keys of the spec document, n, k and m (required) first.
     """
 
     n: int
@@ -81,30 +76,17 @@ class FixtureSpec:
         if self.seed < 0 or self.seed >= 2**64:
             raise ValidationError("seed must be a 64-bit nonnegative integer")
         for name in ("offset_norm", "noise_in_span", "noise_orthogonal"):
-            value = getattr(self, name)
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not (real and 0 <= value <= sys.float_info.max):
-                raise ValidationError(f"{name} must be a finite nonnegative number")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, nonnegative(getattr(self, name), name))
         if not isinstance(self.zero_operator, bool):
             raise ValidationError("zero_operator must be a boolean")
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "m": self.m,
-            "branches": self.branches,
-            "offset_norm": self.offset_norm,
-            "noise_in_span": self.noise_in_span,
-            "noise_orthogonal": self.noise_orthogonal,
-            "seed": self.seed,
-            "zero_operator": self.zero_operator,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FixtureSpec":
-        check_keys(doc, "fixture spec", _SPEC_KEYS, _SPEC_KEYS[:3], ParseError)
+        keys = [f.name for f in fields(cls)]
+        check_keys(doc, "fixture spec", keys, keys[:3], ParseError)
         return cls(**doc)
 
     def with_seed(self, seed: int) -> "FixtureSpec":
@@ -226,9 +208,7 @@ def perturb(
         raise ValidationError(
             f"direction must be 'in_span' or 'orthogonal', got {direction!r}"
         )
-    amplitude = float(amplitude)
-    if not np.isfinite(amplitude) or amplitude < 0:
-        raise ValidationError("amplitude must be finite and nonnegative")
+    amplitude = nonnegative(amplitude, "amplitude")
     if amplitude == 0.0:
         return OperatorGraph.from_arrays(g.primal_matrix, g.dual_matrix)
     if basis.ambient_dimension != g.dimension:

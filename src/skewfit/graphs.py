@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import IO
 
 import numpy as np
@@ -71,8 +72,8 @@ def check_overflow(broken: np.ndarray, name) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Input rules shared by every module's readers and constructors: document
-# keys, finite arrays and point indices, each written once with its messages.
+# Input rules shared by every module's readers and constructors: keys, finite
+# arrays, nonnegative numbers and point indices, each written once.
 # ---------------------------------------------------------------------------
 
 def check_keys(doc, where: str, allowed, required, error: type[SkewfitError]) -> None:
@@ -108,6 +109,19 @@ def finite_array(value, name: str, axes: int) -> np.ndarray:
     return arr
 
 
+def nonnegative(value, name: str) -> float:
+    """``value`` as a Python float when it is a real number, not a bool,
+    finite and >= 0, or ValidationError naming ``name``."""
+    try:
+        if isinstance(value, numbers.Real) and not isinstance(value, bool):
+            real = float(value)  # first: comparing a float32 with a bound casts the bound
+            if 0.0 <= real < math.inf:
+                return real
+    except OverflowError:  # an integer beyond the range of a double
+        pass
+    raise ValidationError(f"{name} must be finite and nonnegative")
+
+
 def point_index(g: OperatorGraph, idx, name: str) -> int:
     """``idx`` as the index of a point of ``g``: an integer, not a bool, in range."""
     if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)):
@@ -133,8 +147,8 @@ class ToleranceConfig:
     rel_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not all(0.0 <= t < math.inf for t in (self.abs_tol, self.rel_tol)):
-            raise ValidationError("tolerances must be finite and nonnegative")
+        object.__setattr__(self, "abs_tol", nonnegative(self.abs_tol, "abs_tol"))
+        object.__setattr__(self, "rel_tol", nonnegative(self.rel_tol, "rel_tol"))
         if self.abs_tol == 0.0 and self.rel_tol == 0.0:
             raise ValidationError("abs_tol and rel_tol cannot both be zero")
 
@@ -143,7 +157,7 @@ class ToleranceConfig:
         return self.abs_tol + self.rel_tol * np.maximum(scale, 1.0)
 
     def to_dict(self) -> dict:
-        return {"abs_tol": self.abs_tol, "rel_tol": self.rel_tol}
+        return asdict(self)
 
 
 DEFAULT_TOLERANCE = ToleranceConfig()
@@ -405,19 +419,25 @@ def _graph_from_json(doc: dict) -> OperatorGraph:
     return OperatorGraph.from_arrays(primal, dual)
 
 
+def _reads_as_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def _graph_from_csv(text: str) -> OperatorGraph:
     rows: list[list[float]] = []
     expected: int | None = None
     saw_first = False
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         if not line.strip():
             continue
         fields = line.split(",")
         if not saw_first:
             saw_first = True
-            try:
-                float(fields[0])
-            except ValueError:
+            if not any(map(_reads_as_number, fields)):
                 continue  # header row
         if expected is None:
             expected = len(fields)
@@ -455,8 +475,9 @@ def load_graph(source: IO[bytes] | bytes, format: str = "json") -> OperatorGraph
     JSON documents must match ``{"dimension": n, "points": [{"x": [...],
     "xstar": [...]}, ...]}`` exactly, with n >= 1; unknown keys are
     rejected.  CSV rows carry 2n numeric columns, the first n being the
-    primal point; a header row is detected by a non-numeric first token and
-    skipped.
+    primal point; a leading byte order mark is dropped, and the first
+    non-blank row is skipped as a header when none of its fields reads as a
+    number.
     """
     data = source if isinstance(source, (bytes, bytearray)) else source.read()
     if format == "json":

@@ -18,7 +18,7 @@ discarded, and all residuals are measured after projection onto the span.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .graphs import (
     contains_origin,
     finite_array,
     json_array,
+    nonnegative,
     point_index,
     quiet_overflow,
     translate,
@@ -77,9 +78,6 @@ class InternalInconsistencyError(SkewfitError, RuntimeError):
     miscalibration rather than a property of the input."""
 
 
-_DECOMPOSITION_KEYS = ("a_hat", "basepoint", "basis", "max_residual", "skewness_defect", "v_hat")
-
-
 @dataclass(frozen=True, eq=False)
 class OrthonormalBasis:
     """Column-orthonormal matrix whose columns span a subspace of R^n.
@@ -91,7 +89,7 @@ class OrthonormalBasis:
 
     @quiet_overflow
     def __post_init__(self) -> None:
-        object.__setattr__(self, "q", finite_array(self.q, "q", 2))
+        object.__setattr__(self, "q", finite_array(self.q, "basis", 2))
         n, k = self.q.shape
         if k > n:
             raise ValidationError(f"basis has {k} columns but only {n} rows")
@@ -192,12 +190,7 @@ class ReconstructionReport:
     residuals: tuple[float, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "max_residual": self.max_residual,
-            "worst_index": self.worst_index,
-            "residuals": list(self.residuals),
-        }
+        return {**vars(self), "residuals": list(self.residuals)}
 
 
 @quiet_overflow
@@ -315,10 +308,7 @@ class SkewDecomposition:
         if self.basepoint.dimension != self.basis.ambient_dimension:
             raise ValidationError("basepoint dimension does not match the basis")
         for name in ("max_residual", "skewness_defect"):
-            value = float(getattr(self, name))
-            if not 0.0 <= value < np.inf:
-                raise ValidationError(f"{name} must be finite and nonnegative")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, nonnegative(getattr(self, name), name))
 
     @property
     def rank(self) -> int:
@@ -339,28 +329,20 @@ class SkewDecomposition:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SkewDecomposition":
-        check_keys(doc, "decomposition document", _DECOMPOSITION_KEYS, _DECOMPOSITION_KEYS,
-                   ValidationError)
-        basis_raw = json_array(doc["basis"], "basis")
-        if basis_raw.ndim != 2:
-            raise ValidationError("basis must be a 2-D array")
-        basis = OrthonormalBasis(basis_raw)
-        k = basis.rank
-        try:
-            a_hat = json_array(doc["a_hat"], "a_hat").reshape(k, k)
-            v_hat = json_array(doc["v_hat"], "v_hat").reshape(k)
-        except ValueError as exc:
-            raise ValidationError(f"decomposition arrays have wrong shapes: {exc}") from exc
-        bp = doc["basepoint"]
-        if not isinstance(bp, dict) or set(bp) != {"x", "xstar"}:
-            raise ValidationError("basepoint must be an object with keys x and xstar")
+        keys = [f.name for f in fields(cls)]
+        check_keys(doc, "decomposition document", keys, keys, ValidationError)
+        bp, bp_keys = doc["basepoint"], [f.name for f in fields(GraphPoint)]
+        check_keys(bp, "basepoint", bp_keys, bp_keys, ValidationError)
+        basis = OrthonormalBasis(json_array(doc["basis"], "basis"))
+        a_hat = json_array(doc["a_hat"], "a_hat")
+        if basis.rank == 0 and a_hat.shape == (0,):  # JSON writes a 0 x 0 array as []
+            a_hat = a_hat.reshape(0, 0)
         basepoint = GraphPoint(
             json_array(bp["x"], "basepoint.x"), json_array(bp["xstar"], "basepoint.xstar")
         )
-        scalars = {key: json_array(doc[key], key) for key in ("max_residual", "skewness_defect")}
-        if any(value.ndim for value in scalars.values()):
-            raise ValidationError("max_residual and skewness_defect must be numbers")
-        return cls(basis=basis, a_hat=a_hat, v_hat=v_hat, basepoint=basepoint, **scalars)
+        return cls(basis=basis, a_hat=a_hat, v_hat=json_array(doc["v_hat"], "v_hat"),
+                   basepoint=basepoint, max_residual=doc["max_residual"],
+                   skewness_defect=doc["skewness_defect"])
 
 
 @quiet_overflow

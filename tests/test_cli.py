@@ -213,6 +213,19 @@ def test_verify_round_trip(capsys, tmp_path):
     assert len(doc["residuals"]) == 6
 
 
+def test_verify_round_trip_at_rank_zero(capsys, tmp_path):
+    # one point spans nothing: basis [[], []], a_hat [] and v_hat []
+    graph = tmp_path / "one.json"
+    graph.write_bytes(b'{"dimension": 2, "points": [{"x": [1.0, 2.0], "xstar": [3.0, 4.0]}]}')
+    dec_out = str(tmp_path / "dec.json")
+    assert invoke(capsys, "decompose", str(graph), "--out", dec_out)[0] == 0
+    assert json.loads((tmp_path / "dec.json").read_text())["a_hat"] == []
+    code, stdout, _ = invoke(capsys, "verify", dec_out, str(graph))
+    assert code == 0
+    doc = json.loads(stdout)
+    assert doc["verdict"] is True and doc["residuals"] == [0.0]
+
+
 def test_verify_flags_tampered_graph(capsys, tmp_path):
     out, _ = generate(capsys, tmp_path)
     dec_out = str(tmp_path / "dec.json")
@@ -360,6 +373,12 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     for value in ("inf", "nan"):
         code, _, stderr = invoke(capsys, "analyze", str(path), "--tol-rel", value)
         assert code == 2 and "argument --tol-rel" in stderr
+    # generate takes no tolerance
+    spec_path = write_spec(tmp_path, SPEC)
+    for flag in ("--tol-abs", "--tol-rel"):
+        code, _, stderr = invoke(capsys, "generate", spec_path, "--out", str(tmp_path / "o.json"), flag, "5")
+        assert code == 2 and f"unrecognized arguments: {flag} 5" in stderr
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_module_entry_point(tmp_path):
@@ -422,6 +441,7 @@ CERTIFICATE = (b'{"basis": [[1.0, 0.0], [0.0, 1.0]], "a_hat": %s, "v_hat": [0.0,
         (b"[[2.0, 1.0], [1.0, 3.0]]", b"-1", b"0.0", "a_hat must be exactly antisymmetric"),
         (b"[[0.0, 1.0], [-1.0, 0.0]]", b"-1", b"0.0", "max_residual must be finite and nonnegative"),
         (b"[[0.0, 1.0], [-1.0, 0.0]]", b"0.0", b"-0.5", "skewness_defect must be finite and nonnegative"),
+        (b"[0.0, 1.0, -1.0, 0.0]", b"0.0", b"0.0", "a_hat must be a 2-D array, got shape (4,)"),
     ],
 )
 def test_verify_rejects_a_certificate_that_is_not_skew(capsys, tmp_path, a_hat, max_residual,
@@ -434,3 +454,14 @@ def test_verify_rejects_a_certificate_that_is_not_skew(capsys, tmp_path, a_hat, 
     dec.write_bytes(CERTIFICATE % (a_hat, max_residual, defect))
     code, stdout, stderr = invoke(capsys, "verify", str(dec), str(graph))
     assert (code, stdout, stderr) == (2, "", f"skewfit: error: {message}\n")
+
+
+def test_graph_files_with_a_byte_order_mark(capsys, tmp_path):
+    csv = tmp_path / "g.csv"
+    csv.write_bytes(b"\xef\xbb\xbf1,0,0,1\n2,0,0,2\n")
+    code, stdout, _ = invoke(capsys, "analyze", str(csv))
+    assert json.loads(stdout)["num_points"] == 2
+    doc = tmp_path / "g.json"
+    doc.write_bytes(b'\xef\xbb\xbf{"dimension": 1, "points": [{"x": [0.0], "xstar": [0.0]}]}')
+    code, stdout, stderr = invoke(capsys, "analyze", str(doc))
+    assert code == 2 and stdout == "" and stderr.count("\n") == 1

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -165,6 +166,16 @@ def test_spec_rejects_non_numeric_float_fields(value):
         FixtureSpec(n=3, k=2, m=5, offset_norm=value)
 
 
+def test_spec_stores_numpy_scalars_as_floats():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = FixtureSpec(n=3, k=2, m=5, offset_norm=np.float32(0.5), noise_in_span=np.int64(0))
+    assert type(spec.offset_norm) is float and spec.offset_norm == 0.5
+    assert type(spec.noise_in_span) is float and spec.noise_in_span == 0.0
+    assert list(spec.to_dict()) == ["n", "k", "m", "branches", "offset_norm", "noise_in_span",
+                                    "noise_orthogonal", "seed", "zero_operator"]
+
+
 def test_spec_round_trip():
     spec = FixtureSpec(n=4, k=2, m=5, branches=2, offset_norm=0.25,
                        noise_in_span=0.0, noise_orthogonal=1.5, seed=99,
@@ -302,3 +313,11 @@ def test_perturb_rejects_what_is_not_a_point_index(index, message):
     out = perturb(fix.graph, index=np.int64(3), direction="in_span", amplitude=1.0,
                   basis=fix.truth.basis, seed=29)
     assert np.flatnonzero((out.dual_matrix != fix.graph.dual_matrix).any(axis=1)).tolist() == [3]
+
+
+@pytest.mark.parametrize("amplitude", [None, "0.5", True, -1.0, float("nan"), 10**400])
+def test_perturb_rejects_what_is_not_a_finite_nonnegative_amplitude(amplitude):
+    fix = planted(seed=30)
+    with pytest.raises(ValidationError, match="^amplitude must be finite and nonnegative$"):
+        perturb(fix.graph, index=0, direction="in_span", amplitude=amplitude,
+                basis=fix.truth.basis, seed=31)

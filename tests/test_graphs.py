@@ -103,7 +103,7 @@ def test_tolerance_rejects_both_zero():
 
 
 @pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
-@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), True, "1e-9", None, 10**400])
 def test_tolerance_rejects_non_finite(field, value):
     with pytest.raises(ValidationError, match="finite"):
         ToleranceConfig(**{field: value})
@@ -112,6 +112,13 @@ def test_tolerance_rejects_non_finite(field, value):
 def test_tolerance_one_sided_zero_allowed():
     ToleranceConfig(abs_tol=0.0, rel_tol=1e-12)
     ToleranceConfig(abs_tol=1e-12, rel_tol=0.0)
+
+
+def test_tolerance_stores_numpy_scalars_as_floats():
+    tol = ToleranceConfig(abs_tol=np.float32(1e-9), rel_tol=np.int64(0))
+    assert type(tol.abs_tol) is float and type(tol.rel_tol) is float
+    assert tol.abs_tol == float(np.float32(1e-9)) and tol.rel_tol == 0.0
+    assert dumps_canonical(tol.to_dict()) == f'{{"abs_tol": {float(np.float32(1e-9))!r}, "rel_tol": 0.0}}'
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +313,25 @@ def test_load_csv_odd_columns():
 def test_load_csv_rejects_nan_token():
     with pytest.raises(ParseError, match="non-finite"):
         load_graph(b"nan,0,0,1\n", "csv")
+
+
+@pytest.mark.parametrize("data", [b"\xef\xbb\xbf1,0,0,1\n2,0,0,2\n", b"\xef\xbb\xbfx1,x2,s1,s2\n1,0,0,1\n2,0,0,2\n"])
+def test_load_csv_drops_a_byte_order_mark(data):
+    g = load_graph(data, "csv")
+    np.testing.assert_array_equal(g.primal_matrix, [[1.0, 0.0], [2.0, 0.0]])
+
+
+def test_load_csv_first_row_with_a_number_is_data():
+    # only a row in which no field reads as a number is a header
+    with pytest.raises(ParseError, match=re.escape("line 1, field 1: not a number: '1.0.0'")):
+        load_graph(b"1.0.0,0,0,1\n2,0,0,2\n", "csv")
+    with pytest.raises(ParseError, match=re.escape("line 3, field 1: not a number: 'x1'")):
+        load_graph(b"\n1,0,0,1\nx1,x2,s1,s2\n", "csv")
+
+
+def test_load_json_with_a_byte_order_mark_is_a_parse_error():
+    with pytest.raises(ParseError, match="^invalid JSON at line 1, column 1"):
+        load_graph(b'\xef\xbb\xbf{"dimension": 1, "points": [{"x": [0.0], "xstar": [0.0]}]}', "json")
 
 
 def test_load_unknown_format():

@@ -530,7 +530,7 @@ def test_decomposition_from_dict_validation():
         SkewDecomposition.from_dict(missing)
     bent = dict(doc)
     bent["a_hat"] = [[0.0]]
-    with pytest.raises(ValidationError, match="wrong shapes"):
+    with pytest.raises(ValidationError, match=re.escape("a_hat has shape (1, 1), expected (3, 3)")):
         SkewDecomposition.from_dict(bent)
 
 
@@ -541,14 +541,14 @@ def test_decomposition_from_dict_validation():
         ("basis", "eye", "only numbers"),
         ("v_hat", ["0"], "only numbers"),
         ("basepoint", {"x": [0.0, None], "xstar": [0.0, 0.0]}, "only numbers"),
-        ("max_residual", "small", "only numbers"),
-        ("max_residual", [0.0], "must be numbers"),
+        ("max_residual", "small", "max_residual must be finite and nonnegative"),
+        ("max_residual", [0.0], "max_residual must be finite and nonnegative"),
         ("skewness_defect", 1e400, "finite"),
         # true is not a number, not even among numbers that make an array of floats
         ("v_hat", [True, 0.0], "only numbers"),
         ("a_hat", [[0.0, True], [-1.0, 0.0]], "only numbers"),
         ("basepoint", {"x": [True, 0.0], "xstar": [0.0, 0.0]}, "only numbers"),
-        ("max_residual", 10**400, "overflows double precision"),
+        ("max_residual", 10**400, "max_residual must be finite and nonnegative"),
     ],
 )
 def test_decomposition_from_dict_rejects_non_numbers(key, value, message):
@@ -587,13 +587,18 @@ def _plane_document(**changes):
         ({**_plane_document(), "note": 1, "comment": 2}, "unknown key 'comment' in decomposition document"),
         ({k: v for k, v in _plane_document().items() if k not in ("v_hat", "basis")},
          "decomposition document is missing key 'basis'"),
-        (_plane_document(basis=[1.0, 0.0]), "basis must be a 2-D array"),
-        (_plane_document(basepoint=[0.0, 0.0]), "basepoint must be an object with keys x and xstar"),
-        (_plane_document(basepoint={"x": [0.0, 0.0]}), "basepoint must be an object with keys x and xstar"),
+        (_plane_document(basis=[1.0, 0.0]), "basis must be a 2-D array, got shape (2,)"),
+        (_plane_document(basepoint=[0.0, 0.0]), "basepoint must be an object"),
+        (_plane_document(basepoint={"x": [0.0, 0.0]}), "basepoint is missing key 'xstar'"),
         (_plane_document(basepoint={"x": [0.0, 0.0], "xstar": [0.0, 0.0], "y": [0.0, 0.0]}),
-         "basepoint must be an object with keys x and xstar"),
+         "unknown key 'y' in basepoint"),
         (_plane_document(v_hat=[1e400, 0.0]), "v_hat contains non-finite entries"),
         (_plane_document(a_hat=[[0.0, 1e400], [-1e400, 0.0]]), "a_hat contains non-finite entries"),
+        # each array has exactly its shape; only a rank-0 a_hat may be written []
+        (_plane_document(a_hat=[0.0, 1.0, -1.0, 0.0]), "a_hat must be a 2-D array, got shape (4,)"),
+        (_plane_document(v_hat=[[0.0], [0.0]]), "v_hat must be a 1-D array, got shape (2, 1)"),
+        (_plane_document(a_hat=[]), "a_hat must be a 2-D array, got shape (0,)"),
+        (_plane_document(basis=[[], []], a_hat=[[0.0]], v_hat=[]), "a_hat has shape (1, 1), expected (0, 0)"),
     ],
 )
 def test_decomposition_document_error_messages(doc, message):
@@ -632,12 +637,23 @@ def test_decomposition_construction_error_messages(changes, message):
 
 
 @pytest.mark.parametrize("name", ["max_residual", "skewness_defect"])
-@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0, -1e-300])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0, -1e-300, "0.25", True, None])
 def test_decomposition_rejects_negative_or_non_finite_figures(name, value):
     with pytest.raises(ValidationError, match=f"^{name} must be finite"):
         _direct_construction(**{name: value})
     with pytest.raises(ValidationError, match=f"^{name} must be finite"):
         SkewDecomposition.from_dict(_plane_document(**{name: value}))
+
+
+def test_rank_zero_decomposition_round_trip():
+    g = OperatorGraph.from_arrays([[1.0, 2.0]], [[3.0, 4.0]])
+    dec = decompose(g)
+    assert dec.rank == 0
+    doc = json.loads(dumps_canonical(dec.to_dict()))
+    assert doc["basis"] == [[], []] and doc["a_hat"] == [] and doc["v_hat"] == []
+    back = SkewDecomposition.from_dict(doc)
+    assert back.a_hat.shape == (0, 0) and back.v_hat.shape == (0,)
+    assert verify_reconstruction(back, g).residuals == (0.0,)
 
 
 @pytest.mark.parametrize(
