@@ -10,13 +10,15 @@ for every check.  The conditions, for pairs (x, xstar) and (y, ystar):
                        (x, ystar) and (y, xstar) must already be in the graph
 * constant on domain:  all dual points coincide
 
-All scans are exact double arithmetic over every pair, quadratic in the
-number of points.  Paramonotone's crossed-pair search is exact too: it
-bisects over the gap values with about log2(2 |V| m) 0/1 matrix products of
+Every check is one pass over the upper triangle of point pairs, exact
+double arithmetic quadratic in the number of points: each pair's differences
+are formed once, and their product and two norms give the pairing and both
+gap violations.  Paramonotone's crossed-pair search is exact too: it bisects
+over the gap values with about log2(2 |V| m) 0/1 matrix products of
 |V| x m x |V| (V: the points in vanishing pairs), as float32 BLAS products.
-``analyze`` returns all four reports from one pairing scan and two gap scans
-(primal and dual), the primal one only for a monotone sample.  Verdicts are
-order-independent; witnesses break ties by the smallest index pair.
+``analyze`` returns all four reports from that one pass and the search.
+Verdicts are order-independent; witnesses break ties by the smallest index
+pair.
 """
 
 from __future__ import annotations
@@ -91,68 +93,91 @@ class NotMonotone:
         return {"status": "not_monotone", "monotone": self.monotone.to_dict()}
 
 
-def _scan(
-    g: OperatorGraph, tol: ToleranceConfig, terms, out: np.ndarray | None = None
-) -> ClassificationReport:
-    """Largest normalized violation over the pairs (i, j), j >= i, of ``g``.
+def _pair_pass(g: OperatorGraph, tol: ToleranceConfig, reports, out=None) -> dict:
+    """The named ``reports`` (any of ``monotone``, ``bimonotone`` and
+    ``constant``) of ``g``, from one pass over its pairs (i, j), j >= i.
 
-    ``terms(i0, i1)`` returns the residual and the scale of every pair whose
-    first index lies in [i0, i1), as two (i1 - i0, m) arrays; a violation is
-    the residual over ``tol.margin(scale)``, or the residual itself when the
-    scale is None (an already normalized block).  Rows arrive in blocks of
-    about ``_CHUNK_FLOATS`` floats per (rows, m, n) difference array.  Pairs
-    with j < i read -inf.  A non-finite margin or violation raises, so an
-    overflow never passes.  Blocks arrive in ascending row order and
-    np.argmax returns the first maximum in row-major order, so the witness is
-    the smallest (i, j) among ties.  When ``out`` is given, each block's
-    violations are also stored in its rows.
+    Row blocks are sized for about ``_CHUNK_FLOATS`` floats per (rows, m, n)
+    array, and block [i0, i1) takes its differences dx, ds against the
+    columns [i0, m) only.  It computes <ds, dx> and both difference norms
+    once, and derives from them each normalized violation, a residual over
+    ``tol.margin`` of its scale:
+
+    * pairing:    -<ds, dx> against |ds| |dx|.  Its maximum is the monotone
+                  report, the maximum of its absolute value the bimonotone one.
+    * primal gap: |dx| against max(|x_i|, |x_j|).
+    * dual gap:   |ds| against max(|xstar_i|, |xstar_j|); the constant report.
+
+    When ``out`` = (pairing, gap_x, gap_s) is given, all three are computed
+    and stored into the upper triangles of those m x m arrays, and the
+    monotone report is returned too.  Otherwise only what ``reports`` need is
+    computed: the constant report alone never forms dx.
+
+    A non-finite margin or violation overflows.  A pairing overflow raises
+    as it is met.  A gap overflow raises after the pass, where its values are
+    used: a stored gap by a monotone sample's crossed-pair search (primal
+    first), the dual gap by the constant report.  Blocks arrive in ascending
+    row order and np.argmax returns the first maximum in row-major order, so
+    each witness is the smallest (i, j) among ties.
     """
-    m, n = g.primal_matrix.shape
+    x, s = g.primal_matrix, g.dual_matrix
+    m, n = x.shape
     rows = max(1, _CHUNK_FLOATS // max(1, m * n))
-    worst, witness = 0.0, None
+    stored = out is not None
+    pairing = stored or reports != ("constant",)
+    gaps = ("primal_gap", "constant") if stored else ("constant",) if "constant" in reports else ()
+    norms = {"primal_gap": np.linalg.norm(x, axis=1), "constant": np.linalg.norm(s, axis=1)}
+    best = dict.fromkeys(("monotone",) * pairing + tuple(reports), (0.0, None))
+    overflow = {}  # gap: (the overflow mask of its first broken block, its namer)
     for i0 in range(0, m, rows):
-        i1 = min(m, i0 + rows)
-        residual, scale = terms(i0, i1)
-        margin = 1.0 if scale is None else tol.margin(scale)
-        viol = residual / margin
-        below = np.arange(m)[None, :] < np.arange(i0, i1)[:, None]
-        check_overflow(~(np.isfinite(viol) & np.isfinite(margin)) & ~below,
-                       lambda f: f"pair {(i0 + f // m, f % m)}")
-        viol[below] = -np.inf
-        if out is not None:
-            out[i0:i1] = viol
-        flat = int(np.argmax(viol))
-        if viol.flat[flat] > worst:
-            worst = float(viol.flat[flat])
-            witness = (i0 + flat // m, flat % m)
-    return ClassificationReport(verdict=worst <= 1.0, worst_violation=worst, witness=witness)
+        i1, w = min(m, i0 + rows), m - i0
+        below = np.arange(i0, m)[None, :] < np.arange(i0, i1)[:, None]
 
+        def pair(f, i0=i0, w=w):  # bound now: a gap overflow is named after the pass
+            return f"pair {(i0 + f // w, i0 + f % w)}"
 
-def _pairing_terms(x: np.ndarray, s: np.ndarray):
-    """-<s_i - s_j, x_i - x_j> against the product of the two difference norms."""
-    def terms(i0, i1):
-        dx = x[i0:i1, None, :] - x[None, :, :]
-        ds = s[i0:i1, None, :] - s[None, :, :]
-        prod = np.einsum("ijk,ijk->ij", ds, dx)
-        scale = np.linalg.norm(ds, axis=2) * np.linalg.norm(dx, axis=2)
-        return -prod, scale
-    return terms
+        def overflows(v, margin):
+            return ~(np.isfinite(v) & np.isfinite(margin)) & ~below
 
-
-def _gap_terms(v: np.ndarray):
-    """||v_i - v_j|| against the larger of the two norms."""
-    norms = np.linalg.norm(v, axis=1)
-
-    def terms(i0, i1):
-        gap = np.linalg.norm(v[i0:i1, None, :] - v[None, :, :], axis=2)
-        return gap, np.maximum(norms[i0:i1, None], norms[None, :])
-    return terms
+        ds = s[i0:i1, None, :] - s[None, i0:, :]
+        ns = np.linalg.norm(ds, axis=2)
+        viol = {}
+        if pairing:
+            dx = x[i0:i1, None, :] - x[None, i0:, :]
+            nx = np.linalg.norm(dx, axis=2)
+            margin = tol.margin(ns * nx)
+            viol["monotone"] = -np.einsum("ijk,ijk->ij", ds, dx) / margin
+            check_overflow(overflows(viol["monotone"], margin), pair)
+            if "bimonotone" in reports:
+                viol["bimonotone"] = np.abs(viol["monotone"])
+        for gap in gaps:
+            margin = tol.margin(np.maximum(norms[gap][i0:i1, None], norms[gap][None, i0:]))
+            viol[gap] = (nx if gap == "primal_gap" else ns) / margin
+            broken = overflows(viol[gap], margin)
+            if broken.any():
+                overflow.setdefault(gap, (broken, pair))
+        for v in viol.values():
+            v[below] = -np.inf
+        for name, (worst, _) in best.items():
+            flat = int(np.argmax(viol[name]))
+            if viol[name].flat[flat] > worst:
+                best[name] = (float(viol[name].flat[flat]), (i0 + flat // w, i0 + flat % w))
+        if stored:
+            for matrix, name in zip(out, ("monotone", "primal_gap", "constant")):
+                matrix[i0:i1, i0:] = viol[name]
+    found = {name: ClassificationReport(verdict=worst <= 1.0, worst_violation=worst, witness=witness)
+             for name, (worst, witness) in best.items()}
+    used = gaps if stored and found["monotone"].verdict else ("constant",) if "constant" in reports else ()
+    for gap in used:
+        if gap in overflow:
+            check_overflow(*overflow[gap])
+    return found
 
 
 @quiet_overflow
 def monotone_check(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> ClassificationReport:
     """Every pairwise product <xstar - ystar, x - y> is nonnegative within tolerance."""
-    return _scan(g, tol, _pairing_terms(g.primal_matrix, g.dual_matrix))
+    return _pair_pass(g, tol, ("monotone",))["monotone"]
 
 
 @quiet_overflow
@@ -161,12 +186,7 @@ def bimonotone_check(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE)
 
     Equivalent to the sample and its negation both being monotone.
     """
-    pairing = _pairing_terms(g.primal_matrix, g.dual_matrix)
-
-    def terms(i0, i1):
-        residual, scale = pairing(i0, i1)
-        return np.abs(residual), scale
-    return _scan(g, tol, terms)
+    return _pair_pass(g, tol, ("bimonotone",))["bimonotone"]
 
 
 @quiet_overflow
@@ -174,7 +194,7 @@ def constant_on_domain_check(
     g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE
 ) -> ClassificationReport:
     """All dual points of the graph coincide within vector tolerance."""
-    return _scan(g, tol, _gap_terms(g.dual_matrix))
+    return _pair_pass(g, tol, ("constant",))["constant"]
 
 
 def _rows(gap: np.ndarray, pts: np.ndarray, a0: int, a1: int) -> np.ndarray:
@@ -227,8 +247,8 @@ def _crossed_pairs(
     pairing: np.ndarray, gap_x: np.ndarray, gap_s: np.ndarray
 ) -> ClassificationReport:
     """Paramonotone report of a monotone sample from the normalized pairing
-    and gap matrices that ``_scan`` stores.  The scan fills upper triangles;
-    the gap matrices are mirrored in place, a row at a time.
+    and gap matrices whose upper triangles ``_pair_pass`` stores; the gap
+    matrices are mirrored in place, a row at a time.
 
     need(i, j) = min_l max(gap_x[l, i], gap_s[l, j]) is the distance from
     (x_i, xstar_j) to the nearest stored pair, and a vanishing pair i < j
@@ -245,9 +265,8 @@ def _crossed_pairs(
     for gap in (gap_x, gap_s):
         for i in range(1, gap.shape[0]):
             gap[i, :i] = gap[:i, i]
-    # below the diagonal the scan stores -inf, which never vanishes
-    active = (pairing >= -1.0) & (pairing <= 1.0)
-    np.fill_diagonal(active, False)
+    # only the pairs i < j above the diagonal are read
+    active = np.triu((pairing >= -1.0) & (pairing <= 1.0), 1)
     keep = active.any(axis=0) | active.any(axis=1)
     pts, active = np.flatnonzero(keep), active[np.ix_(keep, keep)]
     lo, hi = -np.inf, np.inf
@@ -272,31 +291,22 @@ def analyze(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> dict:
     """The four membership reports, keyed ``monotone``, ``bimonotone``,
     ``paramonotone`` (a report, or NotMonotone) and ``constant_on_domain``.
 
-    Each report equals the one its ``*_check`` function returns.  One signed
-    pairing scan gives the monotone report, and its absolute values the
-    bimonotone one.  One dual gap scan gives the constant report.  For a
-    monotone sample, a primal gap scan (run before the dual one) and the
-    dual gap matrix then feed the crossed-pair search, about log2(2 |V| m)
-    0/1 matrix products of |V| x m x |V| (V: the points in vanishing pairs).
-    Memory O(m^2).
+    Each report equals the one its ``*_check`` function returns.  One pass
+    over the upper triangle of pairs gives the monotone, bimonotone and
+    constant reports and stores the pairing and both gap matrices.  For a
+    monotone sample these feed the crossed-pair search, about
+    log2(2 |V| m) 0/1 matrix products of |V| x m x |V| (V: the points in
+    vanishing pairs).  Memory O(m^2).
     """
-    x = g.primal_matrix
-    s = g.dual_matrix
-    m = x.shape[0]
-    pairing, gap_x, gap_s = np.empty((m, m)), np.empty((m, m)), np.empty((m, m))
-    mono = _scan(g, tol, _pairing_terms(x, s), out=pairing)
-    bimonotone = _scan(g, tol, lambda i0, i1: (np.abs(pairing[i0:i1]), None))
-    if mono.verdict:
-        _scan(g, tol, _gap_terms(x), out=gap_x)
-    constant = _scan(g, tol, _gap_terms(s), out=gap_s)
-    paramonotone = NotMonotone(monotone=mono)
-    if mono.verdict:
-        paramonotone = _crossed_pairs(pairing, gap_x, gap_s)
+    m = g.primal_matrix.shape[0]
+    matrices = np.empty((3, m, m))
+    found = _pair_pass(g, tol, ("bimonotone", "constant"), out=matrices)
+    mono = found["monotone"]
     return {
         "monotone": mono,
-        "bimonotone": bimonotone,
-        "paramonotone": paramonotone,
-        "constant_on_domain": constant,
+        "bimonotone": found["bimonotone"],
+        "paramonotone": _crossed_pairs(*matrices) if mono.verdict else NotMonotone(monotone=mono),
+        "constant_on_domain": found["constant"],
     }
 
 
@@ -312,20 +322,15 @@ def paramonotone_check(
     a missing crossed pair is its smallest normalized distance to the graph.
 
     This is a statement about the sample only; it neither proves nor
-    disproves paramonotonicity of an underlying operator.  Returns
-    NotMonotone, after the one pairing scan, when the monotone check fails.
-    Otherwise two gap scans feed the crossed-pair search that ``analyze``
-    runs: about log2(2 |V| m) 0/1 matrix products of |V| x m x |V| (V: the
-    points in vanishing pairs); memory O(m^2).
+    disproves paramonotonicity of an underlying operator.  The one pair pass
+    that ``analyze`` makes stores the pairing and both gap matrices; it
+    returns NotMonotone when the monotone check fails, and otherwise feeds
+    the same crossed-pair search: about log2(2 |V| m) 0/1 matrix products of
+    |V| x m x |V| (V: the points in vanishing pairs); memory O(m^2).
     """
-    x = g.primal_matrix
-    s = g.dual_matrix
-    m = x.shape[0]
-    pairing = np.empty((m, m))
-    mono = _scan(g, tol, _pairing_terms(x, s), out=pairing)
+    m = g.primal_matrix.shape[0]
+    matrices = np.empty((3, m, m))
+    mono = _pair_pass(g, tol, ("monotone",), out=matrices)["monotone"]
     if not mono.verdict:
         return NotMonotone(monotone=mono)
-    gap_x, gap_s = np.empty((m, m)), np.empty((m, m))
-    _scan(g, tol, _gap_terms(x), out=gap_x)
-    _scan(g, tol, _gap_terms(s), out=gap_s)
-    return _crossed_pairs(pairing, gap_x, gap_s)
+    return _crossed_pairs(*matrices)

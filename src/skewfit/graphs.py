@@ -20,6 +20,7 @@ import json
 import math
 import numbers
 import operator
+import re
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from typing import IO
@@ -92,9 +93,13 @@ def check_keys(doc, where: str, allowed, required, error: type[SkewfitError]) ->
 
 def _reals(value, name: str) -> np.ndarray:
     try:
-        return np.array(value, dtype=np.float64)  # always copies
+        arr = np.array(value, dtype=np.float64)  # always copies
     except (OverflowError, TypeError, ValueError) as exc:  # ragged, or not reals
         raise ValidationError(f"{name} is not an array of reals: {exc}") from exc
+    # numpy reads None as NaN
+    if np.isnan(arr).any() and any(v is None for v in np.array(value, dtype=object).flat):
+        raise ValidationError(f"{name} is not an array of reals: it holds None")
+    return arr
 
 
 def finite_array(value, name: str, axes: int) -> np.ndarray:
@@ -419,12 +424,17 @@ def _graph_from_json(doc: dict) -> OperatorGraph:
     return OperatorGraph.from_arrays(primal, dual)
 
 
-def _reads_as_number(token: str) -> bool:
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return True
+# A CSV field is a number when it is spelled as a JSON number, or as one of
+# the non-finite values that ``float`` reads, which are then rejected as such.
+_JSON_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
+_NON_FINITE = re.compile(r"[-+]?(?:nan|inf|infinity)", re.IGNORECASE)
+
+
+def _csv_number(field: str) -> float | None:
+    """A stripped CSV field as a float, or None when it is not a number."""
+    if _JSON_NUMBER.fullmatch(field) or _NON_FINITE.fullmatch(field):
+        return float(field)
+    return None
 
 
 def _graph_from_csv(text: str) -> OperatorGraph:
@@ -434,10 +444,11 @@ def _graph_from_csv(text: str) -> OperatorGraph:
     for lineno, line in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         if not line.strip():
             continue
-        fields = line.split(",")
+        fields = [field.strip() for field in line.split(",")]
+        values = list(map(_csv_number, fields))
         if not saw_first:
             saw_first = True
-            if not any(map(_reads_as_number, fields)):
+            if all(value is None for value in values):
                 continue  # header row
         if expected is None:
             expected = len(fields)
@@ -450,17 +461,11 @@ def _graph_from_csv(text: str) -> OperatorGraph:
             raise ParseError(
                 f"line {lineno}: expected {expected} fields, found {len(fields)}"
             )
-        values = []
-        for fi, tok in enumerate(fields):
-            try:
-                value = float(tok)
-            except ValueError:
-                raise ParseError(
-                    f"line {lineno}, field {fi + 1}: not a number: {tok.strip()!r}"
-                ) from None
+        for fi, value in enumerate(values):
+            if value is None:
+                raise ParseError(f"line {lineno}, field {fi + 1}: not a number: {fields[fi]!r}")
             if not math.isfinite(value):
                 raise ParseError(f"line {lineno}, field {fi + 1}: non-finite value")
-            values.append(value)
         rows.append(values)
     if not rows:
         raise ValidationError("a graph must contain at least one point")
@@ -475,9 +480,9 @@ def load_graph(source: IO[bytes] | bytes, format: str = "json") -> OperatorGraph
     JSON documents must match ``{"dimension": n, "points": [{"x": [...],
     "xstar": [...]}, ...]}`` exactly, with n >= 1; unknown keys are
     rejected.  CSV rows carry 2n numeric columns, the first n being the
-    primal point; a leading byte order mark is dropped, and the first
-    non-blank row is skipped as a header when none of its fields reads as a
-    number.
+    primal point, each field a number spelled as JSON spells it; a leading
+    byte order mark is dropped, and the first non-blank row is skipped as a
+    header when none of its fields reads as a number.
     """
     data = source if isinstance(source, (bytes, bytearray)) else source.read()
     if format == "json":

@@ -2,10 +2,16 @@
 
 These deliberately avoid the library's own vectorized code paths: plain
 double loops and a least-squares fit over the free parameters of an
-antisymmetric matrix, solved through the normal equations.
+antisymmetric matrix, solved through the normal equations.  The one
+exception is the former full-square pair scan at the end, the bit-for-bit
+reference for the library's upper-triangle pass.
 """
 
 import numpy as np
+
+from skewfit import classify
+from skewfit.classify import ClassificationReport, NotMonotone
+from skewfit.graphs import check_overflow, quiet_overflow
 
 
 def pairwise_products(graph):
@@ -122,3 +128,112 @@ def paramonotone(graph, tol):
         if violation > worst:
             worst, witness = violation, [i, j]
     return _report(worst, witness)
+
+
+# ---------------------------------------------------------------------------
+# The former full-square pair scan, kept as the bit-for-bit reference for
+# classify's upper-triangle pass.  Each row block is differenced against all
+# m columns, and the pairs below the diagonal are then overwritten with -inf.
+# ``analyze`` ran one pairing scan, one scan of its absolute values and two
+# gap scans (the primal one only for a monotone sample).
+# ---------------------------------------------------------------------------
+
+def _scan(g, tol, terms, out=None):
+    m, n = g.primal_matrix.shape
+    rows = max(1, classify._CHUNK_FLOATS // max(1, m * n))
+    worst, witness = 0.0, None
+    for i0 in range(0, m, rows):
+        i1 = min(m, i0 + rows)
+        residual, scale = terms(i0, i1)
+        margin = 1.0 if scale is None else tol.margin(scale)
+        viol = residual / margin
+        below = np.arange(m)[None, :] < np.arange(i0, i1)[:, None]
+        check_overflow(~(np.isfinite(viol) & np.isfinite(margin)) & ~below,
+                       lambda f: f"pair {(i0 + f // m, f % m)}")
+        viol[below] = -np.inf
+        if out is not None:
+            out[i0:i1] = viol
+        flat = int(np.argmax(viol))
+        if viol.flat[flat] > worst:
+            worst = float(viol.flat[flat])
+            witness = (i0 + flat // m, flat % m)
+    return ClassificationReport(verdict=worst <= 1.0, worst_violation=worst, witness=witness)
+
+
+def _pairing_terms(g):
+    x, s = g.primal_matrix, g.dual_matrix
+
+    def terms(i0, i1):
+        dx = x[i0:i1, None, :] - x[None, :, :]
+        ds = s[i0:i1, None, :] - s[None, :, :]
+        prod = np.einsum("ijk,ijk->ij", ds, dx)
+        scale = np.linalg.norm(ds, axis=2) * np.linalg.norm(dx, axis=2)
+        return -prod, scale
+    return terms
+
+
+def _gap_terms(v):
+    norms = np.linalg.norm(v, axis=1)
+
+    def terms(i0, i1):
+        gap = np.linalg.norm(v[i0:i1, None, :] - v[None, :, :], axis=2)
+        return gap, np.maximum(norms[i0:i1, None], norms[None, :])
+    return terms
+
+
+@quiet_overflow
+def scan_monotone(g, tol):
+    return _scan(g, tol, _pairing_terms(g))
+
+
+@quiet_overflow
+def scan_bimonotone(g, tol):
+    pairing = _pairing_terms(g)
+
+    def terms(i0, i1):
+        residual, scale = pairing(i0, i1)
+        return np.abs(residual), scale
+    return _scan(g, tol, terms)
+
+
+@quiet_overflow
+def scan_constant(g, tol):
+    return _scan(g, tol, _gap_terms(g.dual_matrix))
+
+
+@quiet_overflow
+def scan_paramonotone(g, tol):
+    m = g.primal_matrix.shape[0]
+    pairing, gap_x, gap_s = np.empty((m, m)), np.empty((m, m)), np.empty((m, m))
+    mono = _scan(g, tol, _pairing_terms(g), out=pairing)
+    if not mono.verdict:
+        return NotMonotone(monotone=mono)
+    _scan(g, tol, _gap_terms(g.primal_matrix), out=gap_x)
+    _scan(g, tol, _gap_terms(g.dual_matrix), out=gap_s)
+    return classify._crossed_pairs(pairing, gap_x, gap_s)
+
+
+@quiet_overflow
+def scan_analyze(g, tol):
+    m = g.primal_matrix.shape[0]
+    pairing, gap_x, gap_s = np.empty((m, m)), np.empty((m, m)), np.empty((m, m))
+    mono = _scan(g, tol, _pairing_terms(g), out=pairing)
+    bimonotone = _scan(g, tol, lambda i0, i1: (np.abs(pairing[i0:i1]), None))
+    if mono.verdict:
+        _scan(g, tol, _gap_terms(g.primal_matrix), out=gap_x)
+    constant = _scan(g, tol, _gap_terms(g.dual_matrix), out=gap_s)
+    paramonotone = NotMonotone(monotone=mono)
+    if mono.verdict:
+        paramonotone = classify._crossed_pairs(pairing, gap_x, gap_s)
+    return {"monotone": mono, "bimonotone": bimonotone,
+            "paramonotone": paramonotone, "constant_on_domain": constant}
+
+
+# each public entry point of classify and its full-square reference
+FULL_SQUARE = {
+    "analyze": scan_analyze,
+    "monotone_check": scan_monotone,
+    "bimonotone_check": scan_bimonotone,
+    "paramonotone_check": scan_paramonotone,
+    "constant_on_domain_check": scan_constant,
+}

@@ -168,19 +168,23 @@ def test_paramonotone_strictly_monotone_map_true():
 
 
 def test_paramonotone_not_monotone_outcome(monkeypatch):
-    # the one pairing scan decides the outcome; no gap scan runs
-    scans = {"_pairing_terms": 0, "_gap_terms": 0}
-    for name in scans:
-        def counted(*args, _name=name, _terms=getattr(classify, name)):
-            scans[_name] += 1
-            return _terms(*args)
+    # the one pair pass decides the outcome; the crossed-pair search never runs
+    calls = {"_pair_pass": 0, "_crossed_pairs": 0}
+    for name in calls:
+        def counted(*args, _name=name, _call=getattr(classify, name), **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
         monkeypatch.setattr(classify, name, counted)
     g = OperatorGraph.from_arrays([[0.0], [1.0]], [[1.0], [0.0]])
     out = paramonotone_check(g)
     assert isinstance(out, NotMonotone)
     assert not out.monotone.verdict
     assert out.to_dict()["status"] == "not_monotone"
-    assert scans == {"_pairing_terms": 1, "_gap_terms": 0}
+    assert calls == {"_pair_pass": 1, "_crossed_pairs": 0}
+    # a monotone sample makes the same one pass before the search
+    calls.update(dict.fromkeys(calls, 0))
+    assert paramonotone_check(OperatorGraph.from_arrays([[0.0], [1.0]], [[0.0], [1.0]])).verdict
+    assert calls == {"_pair_pass": 1, "_crossed_pairs": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +328,72 @@ def test_one_row_blocks_match_default_blocks(g):
               "paramonotone": paramonotone_check, "constant_on_domain": constant_on_domain_check}
     reference = [(name, check(g)) for name, check in checks.items()]
     assert list(classify.analyze(g).items()) == reference
+    _assert_matches_full_square_scan(g)
     with mock.patch.object(classify, "_CHUNK_FLOATS", 1):
         assert [(name, check(g)) for name, check in checks.items()] == reference
         assert list(classify.analyze(g).items()) == reference
+        _assert_matches_full_square_scan(g)
+
+
+def _outcome(call, g):
+    """``repr`` of what ``call(g)`` returns, as plain dicts, or its error."""
+    try:
+        out = call(g, ToleranceConfig())
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+    if isinstance(out, dict):
+        return repr({name: report.to_dict() for name, report in out.items()})
+    return repr(out.to_dict())
+
+
+def _assert_matches_full_square_scan(g):
+    for name, reference in oracles.FULL_SQUARE.items():
+        assert _outcome(getattr(classify, name), g) == _outcome(reference, g), name
+
+
+def _seeded_samples():
+    rng = np.random.Generator(np.random.Philox(11))
+    x = rng.normal(size=(700, 20))
+    skew = rng.normal(size=(20, 20))
+    return {
+        "planted": make_fixture(FixtureSpec(n=20, k=8, m=700, offset_norm=1.0, seed=11)).graph,
+        "strictly monotone": OperatorGraph.from_arrays(x, x @ (np.eye(20) + skew - skew.T).T),
+        "random": OperatorGraph.from_arrays(x, rng.normal(size=(700, 20))),
+    }
+
+
+@pytest.mark.parametrize("name", ["planted", "strictly monotone", "random"])
+def test_pair_pass_matches_full_square_scan(name):
+    # 700 points in R^20 take three row blocks at the default _CHUNK_FLOATS
+    g = _seeded_samples()[name]
+    assert len(range(0, 700, classify._CHUNK_FLOATS // (700 * 20))) == 3
+    _assert_matches_full_square_scan(g)
+
+
+# Whichever of the pairing, the primal gap and the dual gap overflows, the
+# error names the pair the full-square scans met first: the pairing's first
+# overflow, then a monotone sample's primal gap, then the dual gap.  A norm
+# above about 1.34e154 overflows while a difference of such points need not.
+_BIG = 1.5e154
+OVERFLOWS = {
+    # the dual gap overflows at (0, 0), before the pairing at (0, 1)
+    "pairing": ([[0.0, 0.0], [1e300, 0.0]], [[0.0, _BIG], [0.0, _BIG]], "pair (0, 1)"),
+    # monotone: the dual gap overflows at (0, 0), the primal gap at (0, 1)
+    "primal gap": ([[1e154, 0.0], [_BIG, 0.0]], [[_BIG, 0.0], [_BIG, 0.0]], "pair (0, 1)"),
+    # not monotone: the primal gap's overflow at (0, 1) is never used
+    "dual gap": ([[1e154, 0.0], [_BIG, 0.0]], [[1.0, _BIG], [0.0, _BIG]], "pair (0, 0)"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("chunk", [1, None])
+@pytest.mark.parametrize("first", sorted(OVERFLOWS))
+def test_overflow_order_matches_full_square_scan(first, chunk):
+    x, s, pair = OVERFLOWS[first]
+    g = OperatorGraph.from_arrays(x, s)
+    assert _outcome(classify.analyze, g) == f"ValidationError: {pair} overflows double precision; rescale the sample"
+    with mock.patch.object(classify, "_CHUNK_FLOATS", chunk or classify._CHUNK_FLOATS):
+        _assert_matches_full_square_scan(g)
 
 
 # A loose tolerance puts normalized distances between grid points on both

@@ -402,22 +402,22 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_analyze_runs_one_pairing_scan_and_two_gap_scans(capsys, tmp_path, monkeypatch):
-    # every pair scan builds its terms with one of these two functions
-    scans = {"_pairing_terms": 0, "_gap_terms": 0}
-    for name in scans:
-        def counted(*args, _name=name, _terms=getattr(classify, name)):
-            scans[_name] += 1
-            return _terms(*args)
+def test_analyze_makes_one_pair_pass(capsys, tmp_path, monkeypatch):
+    # one pass over the pairs gives every report; only a monotone sample
+    # goes on to the crossed-pair search
+    calls = {"_pair_pass": 0, "_crossed_pairs": 0}
+    for name in calls:
+        def counted(*args, _name=name, _call=getattr(classify, name), **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
         monkeypatch.setattr(classify, name, counted)
     planted, _ = generate(capsys, tmp_path)
     falling = tmp_path / "falling.json"
     falling.write_bytes(save_graph(OperatorGraph([[0.0], [1.0]], [[1.0], [0.0]]), "json"))
-    # a sample that is not monotone skips the primal gap scan
-    for path, code, counts in ((planted, 0, [1, 2]), (str(falling), 1, [1, 1])):
-        scans.update(dict.fromkeys(scans, 0))
+    for path, code, counts in ((planted, 0, [1, 1]), (str(falling), 1, [1, 0])):
+        calls.update(dict.fromkeys(calls, 0))
         assert invoke(capsys, "analyze", path)[0] == code
-        assert list(scans.values()) == counts
+        assert list(calls.values()) == counts
 
 
 def test_analyze_output_is_byte_deterministic(capsys, tmp_path):

@@ -310,6 +310,21 @@ def test_load_csv_odd_columns():
         load_graph(b"1,0,0\n", "csv")
 
 
+@pytest.mark.parametrize("field", ["1_0", "+1", ".5", "1.", "01", "0x10", "1e", "\u0661"])
+def test_load_csv_fields_follow_the_json_number_rule(field):
+    # a spelling that a JSON graph rejects is not a number in a CSV graph
+    with pytest.raises(ParseError):
+        load_graph(b'{"dimension": 1, "points": [{"x": [%s], "xstar": [0]}]}' % field.encode(), "json")
+    with pytest.raises(ParseError, match=re.escape(f"line 1, field 1: not a number: {field!r}")):
+        load_graph(f"{field},0,0,1\n".encode(), "csv")
+
+
+def test_load_csv_reads_json_numbers():
+    g = load_graph(b" -0 ,1E+2,2.5e-1\t,-12.75e0\n", "csv")
+    np.testing.assert_array_equal(g.primal_matrix, [[-0.0, 100.0]])
+    np.testing.assert_array_equal(g.dual_matrix, [[0.25, -12.75]])
+
+
 def test_load_csv_rejects_nan_token():
     with pytest.raises(ParseError, match="non-finite"):
         load_graph(b"nan,0,0,1\n", "csv")
@@ -441,6 +456,21 @@ def test_load_json_error_messages(text, error, message):
 )
 def test_vectors_that_are_not_reals_raise_validation_error(build):
     with pytest.raises(ValidationError, match="not an array of reals"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: OperatorGraph([[None]], [[1.0]]), "primal is not an array of reals"),
+        (lambda: OperatorGraph([[1.0]], [[None]]), "dual is not an array of reals"),
+        (lambda: translate(simple_graph(), np.zeros(2), [None, 1.0]), "ustar is not an array of reals"),
+        (lambda: GraphPoint([0.0, None], [1.0, 1.0]), "x is not an array of reals"),
+    ],
+)
+def test_none_is_not_a_real(build, message):
+    # numpy reads None as NaN, which must not pass for a non-finite real
+    with pytest.raises(ValidationError, match="^" + re.escape(message)):
         build()
 
 
