@@ -13,9 +13,13 @@ for every check.  The conditions, for pairs (x, xstar) and (y, ystar):
 Every check is one pass over the upper triangle of point pairs, exact
 double arithmetic quadratic in the number of points: each pair's differences
 are formed once, and their product and two norms give the pairing and both
-gap violations.  Paramonotone's crossed-pair search is exact too: it bisects
-over the gap values with about log2(2 |V| m) 0/1 matrix products of
-|V| x m x |V| (V: the points in vanishing pairs), as float32 BLAS products.
+gap violations.  The pass works in row blocks of about ``_CHUNK_FLOATS``
+floats (8 MB of float64) per difference array.  Paramonotone's crossed-pair
+search is exact too: it bisects over the gap values with about
+log2(2 |V| m) 0/1 matrix products of |V| x m x |V| (V: the points in
+vanishing pairs), as float32 BLAS products in tiles of the same size.  For
+it the pass stores a bool mask of the vanishing pairs and two float64 gap
+matrices, 17 m^2 bytes for a monotone sample and none otherwise.
 ``analyze`` returns all four reports from that one pass and the search.
 Verdicts are order-independent; witnesses break ties by the smallest index
 pair.
@@ -46,8 +50,9 @@ __all__ = [
     "paramonotone_check",
 ]
 
-# Upper bound on floats materialized per difference block when scanning pairs.
-_CHUNK_FLOATS = 4_000_000
+# Upper bound on floats materialized per difference block when scanning
+# pairs, and per float32 tile of the crossed-pair search: 8 MB of float64.
+_CHUNK_FLOATS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -93,25 +98,33 @@ class NotMonotone:
         return {"status": "not_monotone", "monotone": self.monotone.to_dict()}
 
 
-def _pair_pass(g: OperatorGraph, tol: ToleranceConfig, reports, out=None) -> dict:
+def _pair_pass(
+    g: OperatorGraph, tol: ToleranceConfig, reports, store: bool = False
+) -> tuple[dict, tuple | None]:
     """The named ``reports`` (any of ``monotone``, ``bimonotone`` and
-    ``constant``) of ``g``, from one pass over its pairs (i, j), j >= i.
+    ``constant``) of ``g`` from one pass over its pairs (i, j), j >= i, and,
+    with ``store``, the matrices that ``_crossed_pairs`` reads.
 
-    Row blocks are sized for about ``_CHUNK_FLOATS`` floats per (rows, m, n)
-    array, and block [i0, i1) takes its differences dx, ds against the
-    columns [i0, m) only.  It computes <ds, dx> and both difference norms
-    once, and derives from them each normalized violation, a residual over
-    ``tol.margin`` of its scale:
+    Row blocks are sized for about ``_CHUNK_FLOATS`` floats (8 MB of float64)
+    per (rows, m, n) array, and block [i0, i1) takes its differences dx, ds
+    against the columns [i0, m) only.  It computes <ds, dx> and both
+    difference norms once, and derives from them each normalized violation,
+    a residual over ``tol.margin`` of its scale:
 
     * pairing:    -<ds, dx> against |ds| |dx|.  Its maximum is the monotone
                   report, the maximum of its absolute value the bimonotone one.
     * primal gap: |dx| against max(|x_i|, |x_j|).
     * dual gap:   |ds| against max(|xstar_i|, |xstar_j|); the constant report.
 
-    When ``out`` = (pairing, gap_x, gap_s) is given, all three are computed
-    and stored into the upper triangles of those m x m arrays, and the
-    monotone report is returned too.  Otherwise only what ``reports`` need is
-    computed: the constant report alone never forms dx.
+    Returns the reports, keyed by name, and ``stored``.  With ``store`` the
+    monotone report is included, and ``stored`` = (vanishing, gap_x, gap_s):
+    the bool mask of the pairs i < j with |pairing| <= 1 and the upper
+    triangles of both float64 gap matrices, 17 m^2 bytes.  They are
+    allocated with the first block and dropped, with the primal gap's
+    computation, at the first block that shows a monotone violation, so
+    ``stored`` is None for a sample that is not monotone.  Otherwise only
+    what ``reports`` need is computed: the constant report alone never
+    forms dx.
 
     A non-finite margin or violation overflows.  A pairing overflow raises
     as it is met.  A gap overflow raises after the pass, where its values are
@@ -123,11 +136,10 @@ def _pair_pass(g: OperatorGraph, tol: ToleranceConfig, reports, out=None) -> dic
     x, s = g.primal_matrix, g.dual_matrix
     m, n = x.shape
     rows = max(1, _CHUNK_FLOATS // max(1, m * n))
-    stored = out is not None
-    pairing = stored or reports != ("constant",)
-    gaps = ("primal_gap", "constant") if stored else ("constant",) if "constant" in reports else ()
+    pairing = store or reports != ("constant",)
     norms = {"primal_gap": np.linalg.norm(x, axis=1), "constant": np.linalg.norm(s, axis=1)}
     best = dict.fromkeys(("monotone",) * pairing + tuple(reports), (0.0, None))
+    stored = None
     overflow = {}  # gap: (the overflow mask of its first broken block, its namer)
     for i0 in range(0, m, rows):
         i1, w = min(m, i0 + rows), m - i0
@@ -150,6 +162,7 @@ def _pair_pass(g: OperatorGraph, tol: ToleranceConfig, reports, out=None) -> dic
             check_overflow(overflows(viol["monotone"], margin), pair)
             if "bimonotone" in reports:
                 viol["bimonotone"] = np.abs(viol["monotone"])
+        gaps = ("primal_gap", "constant") if store else ("constant",) if "constant" in reports else ()
         for gap in gaps:
             margin = tol.margin(np.maximum(norms[gap][i0:i1, None], norms[gap][None, i0:]))
             viol[gap] = (nx if gap == "primal_gap" else ns) / margin
@@ -162,22 +175,29 @@ def _pair_pass(g: OperatorGraph, tol: ToleranceConfig, reports, out=None) -> dic
             flat = int(np.argmax(viol[name]))
             if viol[name].flat[flat] > worst:
                 best[name] = (float(viol[name].flat[flat]), (i0 + flat // w, i0 + flat % w))
-        if stored:
-            for matrix, name in zip(out, ("monotone", "primal_gap", "constant")):
-                matrix[i0:i1, i0:] = viol[name]
+        if store and best["monotone"][0] > 1.0:
+            store, stored = False, None  # not monotone: nothing stored is read
+        if store:
+            if stored is None:
+                stored = (np.zeros((m, m), dtype=bool), np.empty((m, m)), np.empty((m, m)))
+            np.less_equal(np.abs(viol["monotone"]), 1.0, out=stored[0][i0:i1, i0:])
+            stored[1][i0:i1, i0:] = viol["primal_gap"]
+            stored[2][i0:i1, i0:] = viol["constant"]
+    if stored is not None:
+        np.fill_diagonal(stored[0], False)
     found = {name: ClassificationReport(verdict=worst <= 1.0, worst_violation=worst, witness=witness)
              for name, (worst, witness) in best.items()}
-    used = gaps if stored and found["monotone"].verdict else ("constant",) if "constant" in reports else ()
+    used = ("primal_gap", "constant") if store else ("constant",) if "constant" in reports else ()
     for gap in used:
         if gap in overflow:
             check_overflow(*overflow[gap])
-    return found
+    return found, stored
 
 
 @quiet_overflow
 def monotone_check(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> ClassificationReport:
     """Every pairwise product <xstar - ystar, x - y> is nonnegative within tolerance."""
-    return _pair_pass(g, tol, ("monotone",))["monotone"]
+    return _pair_pass(g, tol, ("monotone",))[0]["monotone"]
 
 
 @quiet_overflow
@@ -186,7 +206,7 @@ def bimonotone_check(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE)
 
     Equivalent to the sample and its negation both being monotone.
     """
-    return _pair_pass(g, tol, ("bimonotone",))["bimonotone"]
+    return _pair_pass(g, tol, ("bimonotone",))[0]["bimonotone"]
 
 
 @quiet_overflow
@@ -194,7 +214,7 @@ def constant_on_domain_check(
     g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE
 ) -> ClassificationReport:
     """All dual points of the graph coincide within vector tolerance."""
-    return _pair_pass(g, tol, ("constant",))["constant"]
+    return _pair_pass(g, tol, ("constant",))[0]["constant"]
 
 
 def _rows(gap: np.ndarray, pts: np.ndarray, a0: int, a1: int) -> np.ndarray:
@@ -244,11 +264,13 @@ def _unmatched(gap_x: np.ndarray, gap_s: np.ndarray, pts: np.ndarray, t: float) 
 
 
 def _crossed_pairs(
-    pairing: np.ndarray, gap_x: np.ndarray, gap_s: np.ndarray
+    vanishing: np.ndarray, gap_x: np.ndarray, gap_s: np.ndarray
 ) -> ClassificationReport:
-    """Paramonotone report of a monotone sample from the normalized pairing
-    and gap matrices whose upper triangles ``_pair_pass`` stores; the gap
-    matrices are mirrored in place, a row at a time.
+    """Paramonotone report of a monotone sample from what ``_pair_pass``
+    stores: the bool mask of the vanishing pairs i < j (an m x m upper
+    triangle, m^2 bytes) and the upper triangles of the two normalized gap
+    matrices (float64, 16 m^2 bytes), which are mirrored in place, a row at
+    a time.
 
     need(i, j) = min_l max(gap_x[l, i], gap_s[l, j]) is the distance from
     (x_i, xstar_j) to the nearest stored pair, and a vanishing pair i < j
@@ -260,15 +282,14 @@ def _crossed_pairs(
     with its points, so the pairs left at the end are exactly those
     attaining W, and the witness is the smallest of them in row-major order.
     About log2(2 |V| m) products of |V| x m x |V| (V: the points in
-    vanishing pairs), shrinking as pairs leave.
+    vanishing pairs), shrinking as pairs leave, in float32 tiles of about
+    ``_CHUNK_FLOATS`` floats.
     """
     for gap in (gap_x, gap_s):
         for i in range(1, gap.shape[0]):
             gap[i, :i] = gap[:i, i]
-    # only the pairs i < j above the diagonal are read
-    active = np.triu((pairing >= -1.0) & (pairing <= 1.0), 1)
-    keep = active.any(axis=0) | active.any(axis=1)
-    pts, active = np.flatnonzero(keep), active[np.ix_(keep, keep)]
+    keep = vanishing.any(axis=0) | vanishing.any(axis=1)
+    pts, active = np.flatnonzero(keep), vanishing[np.ix_(keep, keep)]
     lo, hi = -np.inf, np.inf
     while pts.size and (t := _median_gap((gap_x, gap_s), pts, lo, hi)) is not None:
         u = _unmatched(gap_x, gap_s, pts, t)
@@ -292,20 +313,20 @@ def analyze(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> dict:
     ``paramonotone`` (a report, or NotMonotone) and ``constant_on_domain``.
 
     Each report equals the one its ``*_check`` function returns.  One pass
-    over the upper triangle of pairs gives the monotone, bimonotone and
-    constant reports and stores the pairing and both gap matrices.  For a
-    monotone sample these feed the crossed-pair search, about
-    log2(2 |V| m) 0/1 matrix products of |V| x m x |V| (V: the points in
-    vanishing pairs).  Memory O(m^2).
+    over the upper triangle of pairs, in row blocks of about
+    ``_CHUNK_FLOATS`` floats (8 MB), gives the monotone, bimonotone and
+    constant reports.  For a monotone sample it stores a bool mask of the
+    vanishing pairs and both float64 gap matrices, 17 m^2 bytes, which feed
+    the crossed-pair search: about log2(2 |V| m) 0/1 matrix products of
+    |V| x m x |V| (V: the points in vanishing pairs).  For a sample that is
+    not monotone it keeps none of them.
     """
-    m = g.primal_matrix.shape[0]
-    matrices = np.empty((3, m, m))
-    found = _pair_pass(g, tol, ("bimonotone", "constant"), out=matrices)
+    found, stored = _pair_pass(g, tol, ("bimonotone", "constant"), store=True)
     mono = found["monotone"]
     return {
         "monotone": mono,
         "bimonotone": found["bimonotone"],
-        "paramonotone": _crossed_pairs(*matrices) if mono.verdict else NotMonotone(monotone=mono),
+        "paramonotone": _crossed_pairs(*stored) if stored else NotMonotone(monotone=mono),
         "constant_on_domain": found["constant"],
     }
 
@@ -322,15 +343,14 @@ def paramonotone_check(
     a missing crossed pair is its smallest normalized distance to the graph.
 
     This is a statement about the sample only; it neither proves nor
-    disproves paramonotonicity of an underlying operator.  The one pair pass
-    that ``analyze`` makes stores the pairing and both gap matrices; it
-    returns NotMonotone when the monotone check fails, and otherwise feeds
-    the same crossed-pair search: about log2(2 |V| m) 0/1 matrix products of
-    |V| x m x |V| (V: the points in vanishing pairs); memory O(m^2).
+    disproves paramonotonicity of an underlying operator.  It makes the one
+    pair pass that ``analyze`` makes, in row blocks of about
+    ``_CHUNK_FLOATS`` floats (8 MB).  For a monotone sample the pass stores
+    a bool mask of the vanishing pairs and both float64 gap matrices,
+    17 m^2 bytes, and the same crossed-pair search follows: about
+    log2(2 |V| m) 0/1 matrix products of |V| x m x |V| (V: the points in
+    vanishing pairs).  Otherwise it returns NotMonotone, and the pass drops
+    those matrices with the first block that shows a monotone violation.
     """
-    m = g.primal_matrix.shape[0]
-    matrices = np.empty((3, m, m))
-    mono = _pair_pass(g, tol, ("monotone",), out=matrices)["monotone"]
-    if not mono.verdict:
-        return NotMonotone(monotone=mono)
-    return _crossed_pairs(*matrices)
+    found, stored = _pair_pass(g, tol, (), store=True)
+    return _crossed_pairs(*stored) if stored else NotMonotone(monotone=found["monotone"])

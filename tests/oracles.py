@@ -201,6 +201,11 @@ def scan_constant(g, tol):
     return _scan(g, tol, _gap_terms(g.dual_matrix))
 
 
+def _vanishing(pairing):
+    """The mask of vanishing pairs i < j that ``_crossed_pairs`` reads."""
+    return np.triu(np.abs(pairing) <= 1.0, 1)
+
+
 @quiet_overflow
 def scan_paramonotone(g, tol):
     m = g.primal_matrix.shape[0]
@@ -210,7 +215,7 @@ def scan_paramonotone(g, tol):
         return NotMonotone(monotone=mono)
     _scan(g, tol, _gap_terms(g.primal_matrix), out=gap_x)
     _scan(g, tol, _gap_terms(g.dual_matrix), out=gap_s)
-    return classify._crossed_pairs(pairing, gap_x, gap_s)
+    return classify._crossed_pairs(_vanishing(pairing), gap_x, gap_s)
 
 
 @quiet_overflow
@@ -224,7 +229,7 @@ def scan_analyze(g, tol):
     constant = _scan(g, tol, _gap_terms(g.dual_matrix), out=gap_s)
     paramonotone = NotMonotone(monotone=mono)
     if mono.verdict:
-        paramonotone = classify._crossed_pairs(pairing, gap_x, gap_s)
+        paramonotone = classify._crossed_pairs(_vanishing(pairing), gap_x, gap_s)
     return {"monotone": mono, "bimonotone": bimonotone,
             "paramonotone": paramonotone, "constant_on_domain": constant}
 

@@ -364,10 +364,13 @@ def _seeded_samples():
 
 @pytest.mark.parametrize("name", ["planted", "strictly monotone", "random"])
 def test_pair_pass_matches_full_square_scan(name):
-    # 700 points in R^20 take three row blocks at the default _CHUNK_FLOATS
+    # 700 points in R^20 take ten row blocks at the default _CHUNK_FLOATS and
+    # three at 4_000_000, the former default: the block size changes no byte
     g = _seeded_samples()[name]
-    assert len(range(0, 700, classify._CHUNK_FLOATS // (700 * 20))) == 3
-    _assert_matches_full_square_scan(g)
+    for chunk, blocks in ((classify._CHUNK_FLOATS, 10), (4_000_000, 3)):
+        with mock.patch.object(classify, "_CHUNK_FLOATS", chunk):
+            assert len(range(0, 700, classify._CHUNK_FLOATS // (700 * 20))) == blocks
+            _assert_matches_full_square_scan(g)
 
 
 # Whichever of the pairing, the primal gap and the dual gap overflows, the
@@ -437,10 +440,11 @@ def test_paramonotone_memory_is_blocked(monkeypatch):
     strict = OperatorGraph.from_arrays(x, 2.0 * x)
     planted = make_fixture(FixtureSpec(n=20, k=8, m=400, offset_norm=1.0, seed=8)).graph
     assert bimonotone_check(planted).verdict
-    # At m = 1200 the scans store three m x m float64 matrices, 24 m^2 bytes,
-    # and the search adds m x m bool matrices and blocks.  A float32 mask pair
-    # over every point with its count matrix (12 m^2 bytes), or an array of
-    # every candidate gap (16 m^2), would not fit under 32 m^2.
+    # At m = 1200 the pass stores an m x m bool mask and two float64 gap
+    # matrices, 17 m^2 bytes, and the search adds m x m bool matrices and
+    # blocks.  A float32 mask pair over every point with its count matrix
+    # (12 m^2 bytes), or an array of every candidate gap (16 m^2), would not
+    # fit under 32 m^2.
     m = 1200
     large = make_fixture(FixtureSpec(n=20, k=8, m=m, offset_norm=1.0, seed=8)).graph
     for g, verdict, bound in ((strict, True, 16e6), (planted, False, 16e6), (large, False, 32 * m * m)):
@@ -452,3 +456,40 @@ def test_paramonotone_memory_is_blocked(monkeypatch):
             tracemalloc.stop()
         assert rep.verdict == verdict
         assert peak < bound
+
+
+def _traced_peak(call, g):
+    tracemalloc.start()
+    try:
+        out = call(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_pair_pass_peak_memory():
+    # m = 1000 in R^20 at the default _CHUNK_FLOATS: a pass holds a few 8 MB
+    # difference blocks, and analyze adds the 17 m^2 bytes it stores for the
+    # crossed-pair search.  A float64 pairing matrix and 32 MB blocks peaked
+    # at 125 MB and 101 MB.
+    planted = make_fixture(FixtureSpec(n=20, k=8, m=1000, offset_norm=1.0, seed=3)).graph
+    report, peak = _traced_peak(classify.analyze, planted)
+    assert report["bimonotone"].verdict and peak < 64e6
+    report, peak = _traced_peak(bimonotone_check, planted)
+    assert report.verdict and peak < 40e6
+
+
+def test_paramonotone_stores_nothing_for_a_sample_that_is_not_monotone():
+    # the first block of a random sample shows a monotone violation, so the
+    # pass never allocates the mask and gap matrices that analyze keeps for a
+    # monotone sample of the same shape
+    m = 1000
+    planted = make_fixture(FixtureSpec(n=20, k=8, m=m, offset_norm=1.0, seed=3)).graph
+    rng = np.random.Generator(np.random.Philox(5))
+    random = OperatorGraph.from_arrays(rng.normal(size=(m, 20)), rng.normal(size=(m, 20)))
+    report, monotone_peak = _traced_peak(classify.analyze, planted)
+    assert report["monotone"].verdict
+    report, peak = _traced_peak(paramonotone_check, random)
+    assert isinstance(report, NotMonotone)
+    assert peak <= monotone_peak - 12 * m * m
