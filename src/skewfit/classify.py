@@ -120,11 +120,11 @@ def _pair_pass(
     monotone report is included, and ``stored`` = (vanishing, gap_x, gap_s):
     the bool mask of the pairs i < j with |pairing| <= 1 and the upper
     triangles of both float64 gap matrices, 17 m^2 bytes.  They are
-    allocated with the first block and dropped, with the primal gap's
-    computation, at the first block that shows a monotone violation, so
-    ``stored`` is None for a sample that is not monotone.  Otherwise only
-    what ``reports`` need is computed: the constant report alone never
-    forms dx.
+    allocated with the first block, unless it shows a monotone violation,
+    and dropped, with the primal gap's computation, at the first block that
+    does, so ``stored`` is None for a sample that is not monotone.
+    Otherwise only what ``reports`` need is computed: the constant report
+    alone never forms dx.
 
     A non-finite margin or violation overflows.  A pairing overflow raises
     as it is met.  A gap overflow raises after the pass, where its values are
