@@ -13,16 +13,11 @@ for every check.  The conditions, for pairs (x, xstar) and (y, ystar):
 Every check is one pass over the upper triangle of point pairs, exact
 double arithmetic quadratic in the number of points: each pair's differences
 are formed once, and their product and two norms give the pairing and both
-gap violations.  The pass works in row blocks of about ``_CHUNK_FLOATS``
-floats (8 MB of float64) per difference array.  Paramonotone's crossed-pair
-search is exact too: it bisects over the gap values with about
-log2(2 |V| m) 0/1 matrix products of |V| x m x |V| (V: the points in
-vanishing pairs), as float32 BLAS products in tiles of the same size.  For
-it the pass stores a bool mask of the vanishing pairs and two float64 gap
-matrices, 17 m^2 bytes for a monotone sample and none otherwise.
-``analyze`` returns all four reports from that one pass and the search.
-Verdicts are order-independent; witnesses break ties by the smallest index
-pair.
+gap violations.  Paramonotone's crossed-pair search is exact too: it bisects
+over the gap values.  ``_pair_pass`` and ``_crossed_pairs`` state what each
+costs.  ``analyze`` returns all four reports from that one pass and the
+search.  Verdicts are order-independent; witnesses break ties by the
+smallest index pair.
 """
 
 from __future__ import annotations
@@ -99,11 +94,11 @@ class NotMonotone:
 
 
 def _pair_pass(
-    g: OperatorGraph, tol: ToleranceConfig, reports, store: bool = False
-) -> tuple[dict, tuple | None]:
-    """The named ``reports`` (any of ``monotone``, ``bimonotone`` and
-    ``constant``) of ``g`` from one pass over its pairs (i, j), j >= i, and,
-    with ``store``, the matrices that ``_crossed_pairs`` reads.
+    g: OperatorGraph, tol: ToleranceConfig, store: bool = False
+) -> tuple[dict, tuple | ValidationError | None]:
+    """The monotone, bimonotone and constant reports of ``g`` from one pass
+    over its pairs (i, j), j >= i, and, with ``store``, the matrices that
+    ``_crossed_pairs`` reads.
 
     Row blocks are sized for about ``_CHUNK_FLOATS`` floats (8 MB of float64)
     per (rows, m, n) array, and block [i0, i1) takes its differences dx, ds
@@ -113,62 +108,54 @@ def _pair_pass(
 
     * pairing:    -<ds, dx> against |ds| |dx|.  Its maximum is the monotone
                   report, the maximum of its absolute value the bimonotone one.
-    * primal gap: |dx| against max(|x_i|, |x_j|).
     * dual gap:   |ds| against max(|xstar_i|, |xstar_j|); the constant report.
+    * primal gap: |dx| against max(|x_i|, |x_j|), with ``store`` only.
 
-    Returns the reports, keyed by name, and ``stored``.  With ``store`` the
-    monotone report is included, and ``stored`` = (vanishing, gap_x, gap_s):
-    the bool mask of the pairs i < j with |pairing| <= 1 and the upper
-    triangles of both float64 gap matrices, 17 m^2 bytes.  They are
-    allocated with the first block, unless it shows a monotone violation,
-    and dropped, with the primal gap's computation, at the first block that
-    does, so ``stored`` is None for a sample that is not monotone.
-    Otherwise only what ``reports`` need is computed: the constant report
-    alone never forms dx.
+    Returns the reports, keyed by name, and ``stored``.  With ``store``,
+    ``stored`` = (vanishing, gap_x, gap_s): the bool mask of the pairs i < j
+    with |pairing| <= 1 and the upper triangles of both float64 gap
+    matrices, 17 m^2 bytes.  They are allocated with the first block, unless
+    it shows a monotone violation, and dropped, with the primal gap's
+    computation, at the first block that does, so ``stored`` is None for a
+    sample that is not monotone.
 
-    A non-finite margin or violation overflows.  A pairing overflow raises
-    as it is met.  A gap overflow raises after the pass, where its values are
-    used: a stored gap by a monotone sample's crossed-pair search (primal
-    first), the dual gap by the constant report.  Blocks arrive in ascending
-    row order and np.argmax returns the first maximum in row-major order, so
-    each witness is the smallest (i, j) among ties.
+    A non-finite margin or violation overflows.  The pass keeps each
+    quantity's first overflow error in place of what reads it: the pairing's
+    in place of the monotone and bimonotone reports, the primal gap's, or
+    else the dual gap's, in place of ``stored``, and the dual gap's in place
+    of the constant report.  ``_read`` raises it.  Blocks arrive in
+    ascending row order and np.argmax returns the first maximum in row-major
+    order, so each witness, and each named pair, is the smallest (i, j)
+    among ties.
     """
     x, s = g.primal_matrix, g.dual_matrix
     m, n = x.shape
     rows = max(1, _CHUNK_FLOATS // max(1, m * n))
-    pairing = store or reports != ("constant",)
-    norms = {"primal_gap": np.linalg.norm(x, axis=1), "constant": np.linalg.norm(s, axis=1)}
-    best = dict.fromkeys(("monotone",) * pairing + tuple(reports), (0.0, None))
+    norm_x, norm_s = np.linalg.norm(x, axis=1), np.linalg.norm(s, axis=1)
+    best = dict.fromkeys(("monotone", "bimonotone", "constant"), (0.0, None))
+    errors = {}  # first overflow errors of the pairing (monotone), dual gap (constant), primal gap
     stored = None
-    overflow = {}  # gap: (the overflow mask of its first broken block, its namer)
     for i0 in range(0, m, rows):
         i1, w = min(m, i0 + rows), m - i0
         below = np.arange(i0, m)[None, :] < np.arange(i0, i1)[:, None]
-
-        def pair(f, i0=i0, w=w):  # bound now: a gap overflow is named after the pass
-            return f"pair {(i0 + f // w, i0 + f % w)}"
-
-        def overflows(v, margin):
-            return ~(np.isfinite(v) & np.isfinite(margin)) & ~below
-
+        dx = x[i0:i1, None, :] - x[None, i0:, :]
         ds = s[i0:i1, None, :] - s[None, i0:, :]
-        ns = np.linalg.norm(ds, axis=2)
+        nx, ns = np.linalg.norm(dx, axis=2), np.linalg.norm(ds, axis=2)
+        terms = {"monotone": (-np.einsum("ijk,ijk->ij", ds, dx), ns * nx),
+                 "constant": (ns, np.maximum(norm_s[i0:i1, None], norm_s[None, i0:]))}
+        if store:
+            terms["primal_gap"] = (nx, np.maximum(norm_x[i0:i1, None], norm_x[None, i0:]))
         viol = {}
-        if pairing:
-            dx = x[i0:i1, None, :] - x[None, i0:, :]
-            nx = np.linalg.norm(dx, axis=2)
-            margin = tol.margin(ns * nx)
-            viol["monotone"] = -np.einsum("ijk,ijk->ij", ds, dx) / margin
-            check_overflow(overflows(viol["monotone"], margin), pair)
-            if "bimonotone" in reports:
-                viol["bimonotone"] = np.abs(viol["monotone"])
-        gaps = ("primal_gap", "constant") if store else ("constant",) if "constant" in reports else ()
-        for gap in gaps:
-            margin = tol.margin(np.maximum(norms[gap][i0:i1, None], norms[gap][None, i0:]))
-            viol[gap] = (nx if gap == "primal_gap" else ns) / margin
-            broken = overflows(viol[gap], margin)
-            if broken.any():
-                overflow.setdefault(gap, (broken, pair))
+        for name, (residual, scale) in terms.items():
+            margin = tol.margin(scale)
+            viol[name] = residual / margin
+            if name not in errors:
+                try:
+                    check_overflow(~(np.isfinite(viol[name]) & np.isfinite(margin)) & ~below,
+                                   lambda f: f"pair {(i0 + f // w, i0 + f % w)}")
+                except ValidationError as exc:
+                    errors[name] = exc
+        viol["bimonotone"] = np.abs(viol["monotone"])
         for v in viol.values():
             v[below] = -np.inf
         for name, (worst, _) in best.items():
@@ -185,19 +172,25 @@ def _pair_pass(
             stored[2][i0:i1, i0:] = viol["constant"]
     if stored is not None:
         np.fill_diagonal(stored[0], False)
-    found = {name: ClassificationReport(verdict=worst <= 1.0, worst_violation=worst, witness=witness)
+        stored = errors.get("primal_gap") or errors.get("constant") or stored
+    errors["bimonotone"] = errors.get("monotone")
+    found = {name: errors.get(name) or ClassificationReport(worst <= 1.0, worst, witness)
              for name, (worst, witness) in best.items()}
-    used = ("primal_gap", "constant") if store else ("constant",) if "constant" in reports else ()
-    for gap in used:
-        if gap in overflow:
-            check_overflow(*overflow[gap])
     return found, stored
+
+
+def _read(value):
+    """``value`` from what ``_pair_pass`` returns, or the overflow error it
+    kept in its place, raised."""
+    if isinstance(value, ValidationError):
+        raise value
+    return value
 
 
 @quiet_overflow
 def monotone_check(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> ClassificationReport:
     """Every pairwise product <xstar - ystar, x - y> is nonnegative within tolerance."""
-    return _pair_pass(g, tol, ("monotone",))[0]["monotone"]
+    return _read(_pair_pass(g, tol)[0]["monotone"])
 
 
 @quiet_overflow
@@ -206,7 +199,7 @@ def bimonotone_check(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE)
 
     Equivalent to the sample and its negation both being monotone.
     """
-    return _pair_pass(g, tol, ("bimonotone",))[0]["bimonotone"]
+    return _read(_pair_pass(g, tol)[0]["bimonotone"])
 
 
 @quiet_overflow
@@ -214,7 +207,7 @@ def constant_on_domain_check(
     g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE
 ) -> ClassificationReport:
     """All dual points of the graph coincide within vector tolerance."""
-    return _pair_pass(g, tol, ("constant",))[0]["constant"]
+    return _read(_pair_pass(g, tol)[0]["constant"])
 
 
 def _rows(gap: np.ndarray, pts: np.ndarray, a0: int, a1: int) -> np.ndarray:
@@ -312,22 +305,18 @@ def analyze(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> dict:
     """The four membership reports, keyed ``monotone``, ``bimonotone``,
     ``paramonotone`` (a report, or NotMonotone) and ``constant_on_domain``.
 
-    Each report equals the one its ``*_check`` function returns.  One pass
-    over the upper triangle of pairs, in row blocks of about
-    ``_CHUNK_FLOATS`` floats (8 MB), gives the monotone, bimonotone and
-    constant reports.  For a monotone sample it stores a bool mask of the
-    vanishing pairs and both float64 gap matrices, 17 m^2 bytes, which feed
-    the crossed-pair search: about log2(2 |V| m) 0/1 matrix products of
-    |V| x m x |V| (V: the points in vanishing pairs).  For a sample that is
-    not monotone it keeps none of them.
+    Each report equals the one its ``*_check`` function returns.  One
+    ``_pair_pass`` gives the monotone, bimonotone and constant reports and,
+    for a monotone sample, the matrices that the crossed-pair search
+    ``_crossed_pairs`` reads; their docstrings give the cost of each.
     """
-    found, stored = _pair_pass(g, tol, ("bimonotone", "constant"), store=True)
-    mono = found["monotone"]
+    found, stored = _pair_pass(g, tol, store=True)
+    mono = _read(found["monotone"])
     return {
         "monotone": mono,
-        "bimonotone": found["bimonotone"],
-        "paramonotone": _crossed_pairs(*stored) if stored else NotMonotone(monotone=mono),
-        "constant_on_domain": found["constant"],
+        "bimonotone": _read(found["bimonotone"]),
+        "paramonotone": NotMonotone(monotone=mono) if stored is None else _crossed_pairs(*_read(stored)),
+        "constant_on_domain": _read(found["constant"]),
     }
 
 
@@ -343,14 +332,10 @@ def paramonotone_check(
     a missing crossed pair is its smallest normalized distance to the graph.
 
     This is a statement about the sample only; it neither proves nor
-    disproves paramonotonicity of an underlying operator.  It makes the one
-    pair pass that ``analyze`` makes, in row blocks of about
-    ``_CHUNK_FLOATS`` floats (8 MB).  For a monotone sample the pass stores
-    a bool mask of the vanishing pairs and both float64 gap matrices,
-    17 m^2 bytes, and the same crossed-pair search follows: about
-    log2(2 |V| m) 0/1 matrix products of |V| x m x |V| (V: the points in
-    vanishing pairs).  Otherwise it returns NotMonotone, and the pass drops
-    those matrices with the first block that shows a monotone violation.
+    disproves paramonotonicity of an underlying operator.  It makes the pair
+    pass and the crossed-pair search of ``analyze``, and returns NotMonotone
+    for a sample that is not monotone.
     """
-    found, stored = _pair_pass(g, tol, (), store=True)
-    return _crossed_pairs(*stored) if stored else NotMonotone(monotone=found["monotone"])
+    found, stored = _pair_pass(g, tol, store=True)
+    mono = _read(found["monotone"])
+    return NotMonotone(monotone=mono) if stored is None else _crossed_pairs(*_read(stored))

@@ -35,7 +35,6 @@ __all__ = [
     "SkewfitError",
     "ToleranceConfig",
     "ValidationError",
-    "contains_origin",
     "domain",
     "dumps_canonical",
     "inverse_graph",
@@ -168,12 +167,16 @@ class ToleranceConfig:
 DEFAULT_TOLERANCE = ToleranceConfig()
 
 
-def _close(a: np.ndarray, b: np.ndarray, tol: ToleranceConfig):
+@quiet_overflow
+def _close(a: np.ndarray, b: np.ndarray, tol: ToleranceConfig, name):
     """Whether ``||a - b|| <= abs_tol + rel_tol * max(||a||, ||b||)`` over the
-    last axis, broadcasting leading axes."""
+    last axis, broadcasting leading axes.  Raises ValidationError when a
+    distance or an allowance overflows; ``name(flat_index)`` names the first."""
     gap = np.linalg.norm(a - b, axis=-1)
     scale = np.maximum(np.linalg.norm(a, axis=-1), np.linalg.norm(b, axis=-1))
-    return gap <= tol.abs_tol + tol.rel_tol * scale
+    allowed = tol.abs_tol + tol.rel_tol * scale
+    check_overflow(~(np.isfinite(gap) & np.isfinite(allowed)), name)
+    return gap <= allowed
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,7 +297,8 @@ class OperatorGraph:
 def contains_origin(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> bool:
     """Whether some pair of ``g`` is close to (0, 0) in both components."""
     zero = np.zeros(g.dimension)
-    return bool(np.any(_close(g.primal_matrix, zero, tol) & _close(g.dual_matrix, zero, tol)))
+    return bool(np.any(_close(g.primal_matrix, zero, tol, lambda i: f"points[{i}].x")
+                       & _close(g.dual_matrix, zero, tol, lambda i: f"points[{i}].xstar")))
 
 
 def domain(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> list[np.ndarray]:
@@ -307,7 +311,9 @@ def domain(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> list[n
     x = g.primal_matrix
     reps = [0]
     for i in range(1, x.shape[0]):
-        if not np.any(_close(x[reps], x[i], tol)):
+        close = _close(x[reps], x[i], tol,
+                       lambda r: f"the distance from points[{i}].x to points[{reps[r]}].x")
+        if not np.any(close):
             reps.append(i)
     return [x[i] for i in reps]
 
@@ -317,6 +323,7 @@ def inverse_graph(g: OperatorGraph) -> OperatorGraph:
     return OperatorGraph.from_arrays(g.dual_matrix, g.primal_matrix)
 
 
+@quiet_overflow
 def translate(g: OperatorGraph, u, ustar) -> OperatorGraph:
     """Shift every pair by (-u, -ustar), moving the basepoint (u, ustar) to (0, 0)."""
     u = finite_array(u, "u", 1)

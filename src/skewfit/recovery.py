@@ -3,13 +3,11 @@
 A bimonotone sample, once translated so that one of its pairs sits at
 (0, 0), is single-valued in the coordinates of the span of its primal
 points, and the map from reduced primal to reduced dual coordinates is
-linear and skew-symmetric.  ``decompose`` takes one thin SVD of the (m, n)
-array of translated primal points, cut at the smallest rank that holds
-every primal point within tolerance.  Its factors give both the span and
-the skew least-squares fit in closed form, and the residual rule of
-``verify_reconstruction`` accepts that fit, with its affine offset, on the
-untranslated sample.  ``reduce`` and ``build_skew_operator`` remain as
-standalone stages.
+linear and skew-symmetric.  ``decompose`` and ``build_skew_operator`` share
+one fit: one thin SVD of the translated primal points, cut at the rank of
+``span_basis``, whose factors give both the span and the skew least-squares
+fit in closed form.  The residual rule of ``verify_reconstruction`` accepts
+that fit, with its affine offset, on the untranslated sample.
 
 Components of the dual points orthogonal to the span are invisible to the
 reduction and do not affect bimonotonicity; they are deliberately
@@ -53,9 +51,6 @@ __all__ = [
     "span_basis",
     "verify_reconstruction",
 ]
-
-_EPS = float(np.finfo(np.float64).eps)
-
 
 class NotBimonotoneError(SkewfitError):
     """The input sample is not bimonotone at the working tolerance."""
@@ -110,6 +105,7 @@ class OrthonormalBasis:
         return self.q.shape[1]
 
 
+@quiet_overflow
 def _span_svd(vectors, tol: ToleranceConfig):
     """The thin SVD of an (m, n) array cut at ``span_basis``'s rank k, as
     ``(u_k, sigma_k, q)``: the rows are, within tolerance, the rows of
@@ -234,36 +230,43 @@ def _skew_fit(w: np.ndarray, sing: np.ndarray) -> np.ndarray:
     return (rj * w.T - ri * w) / (ri**2 + rj**2) / top
 
 
+def _fit(shifted: OperatorGraph, tol: ToleranceConfig):
+    """``(q, a_hat)`` for a graph with a pair at (0, 0): the ``span_basis``
+    of its primal points X = u diag(sing) q^T, and the skew least-squares
+    fit in its coordinates from W = u^T S q.  Raises ValidationError when
+    the fit overflows."""
+    u, sing, q = _span_svd(shifted.primal_matrix, tol)
+    a_hat = _skew_fit(u.T @ (shifted.dual_matrix @ q), sing)
+    check_overflow(~np.isfinite(a_hat), lambda f: "the skew fit")
+    return q, a_hat
+
+
+@quiet_overflow
 def build_skew_operator(
     rg: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE
 ) -> np.ndarray:
     """Least-squares skew-symmetric representing matrix of a reduced sample.
 
     Expects a reduced graph that contains (0, 0) and whose primal points
-    span the reduced space.  With the thin SVD X = U diag(sigma) V^T of the
-    reduced primal points and W = U^T S V for the reduced duals S, the skew
-    matrix minimizing ||S - X A^T|| over all points is A = V C V^T with
-    C_ij = (sigma_j W_ji - sigma_i W_ij) / (sigma_i^2 + sigma_j^2).  Every
-    point is then checked against the fit by ``verify_reconstruction``'s rule.
+    span the reduced space at the rank of ``span_basis``; a smaller rank
+    raises InternalInconsistencyError.  The fit is ``decompose``'s: the skew
+    A minimizing ||S - X A^T|| over the primal points X and duals S.  Every
+    point is then checked against it by ``verify_reconstruction``'s rule.
     The returned matrix is skew up to the rounding of the change of basis;
     callers wanting an exactly antisymmetric matrix take its antisymmetric part.
     """
-    k = rg.dimension
-    if k == 0:
-        return np.zeros((0, 0))
     if not contains_origin(rg, tol):
         raise ValidationError(
             "reduced graph does not contain (0, 0); translate by a graph point first"
         )
-    x = rg.primal_matrix
-    u, sing, vt = np.linalg.svd(x, full_matrices=False)
-    rank = int(np.count_nonzero(sing > max(x.shape) * _EPS * sing[0]))
-    if rank < k:
+    q, c = _fit(rg, tol)
+    k = rg.dimension
+    if q.shape[1] < k:
         raise InternalInconsistencyError(
-            f"reduced primal points span only {rank} of {k} directions; "
+            f"reduced primal points span only {q.shape[1]} of {k} directions; "
             "basis and reduction disagree"
         )
-    fitted = vt.T @ _skew_fit(u.T @ rg.dual_matrix @ vt.T, sing) @ vt
+    fitted = q @ c @ q.T
     _reconstruction(np.eye(k), fitted, np.zeros(k), rg, tol, strict=True)
     return fitted
 
@@ -374,11 +377,8 @@ def decompose(
         )
     base = g.points[point_index(g, 0 if basepoint is None else basepoint, "basepoint")]
     shifted = translate(g, base.x, base.xstar)
-    u, sing, q = _span_svd(shifted.primal_matrix, tol)
+    q, a_hat = _fit(shifted, tol)
     basis = OrthonormalBasis(q)
-    # the reduced primal points are u diag(sing), so W needs no second SVD
-    a_hat = _skew_fit(u.T @ (shifted.dual_matrix @ q), sing)
-    check_overflow(~np.isfinite(a_hat), lambda f: "the skew fit")
     v_hat = q.T @ base.xstar - a_hat @ (q.T @ base.x)
     fit = _reconstruction(q, a_hat, v_hat, g, tol, strict=True)
     return SkewDecomposition(basis=basis, a_hat=a_hat, v_hat=v_hat, basepoint=base,

@@ -381,6 +381,8 @@ _BIG = 1.5e154
 OVERFLOWS = {
     # the dual gap overflows at (0, 0), before the pairing at (0, 1)
     "pairing": ([[0.0, 0.0], [1e300, 0.0]], [[0.0, _BIG], [0.0, _BIG]], "pair (0, 1)"),
+    # only the pairing overflows: the constant report never reads its error
+    "pairing only": ([[0.0, 0.0], [1e300, 0.0]], [[0.0, 1.0], [0.0, 1.0]], "pair (0, 1)"),
     # monotone: the dual gap overflows at (0, 0), the primal gap at (0, 1)
     "primal gap": ([[1e154, 0.0], [_BIG, 0.0]], [[_BIG, 0.0], [_BIG, 0.0]], "pair (0, 1)"),
     # not monotone: the primal gap's overflow at (0, 1) is never used

@@ -22,6 +22,7 @@ from skewfit import (
     translate,
 )
 from skewfit.fixtures import FixtureSpec
+from skewfit.graphs import contains_origin
 
 import oracles
 
@@ -152,6 +153,20 @@ def test_domain_three_distinct_of_five():
     np.testing.assert_array_equal(reps[0], a)
     np.testing.assert_array_equal(reps[1], b)
     np.testing.assert_array_equal(reps[2], c)
+
+
+@pytest.mark.filterwarnings("error")
+def test_closeness_overflow_raises():
+    # a norm of a 1e200 point overflows to inf, and an infinite distance
+    # within an infinite allowance must not read as close
+    far = OperatorGraph.from_arrays([[1e200, 0.0], [0.0, 1e200], [3e200, 1e200]], np.zeros((3, 2)))
+    with pytest.raises(ValidationError, match=r"^the distance from points\[1\]\.x to points\[0\]\.x "
+                                              "overflows double precision"):
+        domain(far)
+    # no pair is near (0, 0)
+    g = OperatorGraph.from_arrays([[1e200, 0.0], [1.0, 1.0]], [[1e200, 0.0], [1.0, 0.0]])
+    with pytest.raises(ValidationError, match=r"^points\[0\]\.x overflows double precision"):
+        contains_origin(g)
 
 
 def test_domain_first_appearance_order():

@@ -152,6 +152,15 @@ def test_reduce_dimension_mismatch():
         reduce(g, basis)
 
 
+@pytest.mark.filterwarnings("error")
+def test_standalone_stages_raise_without_warning():
+    # 1e-9 / 1e-320 overflows inside the rank rule; the row is within
+    # abs_tol of 0, so the span is trivial
+    assert span_basis([[1e-320, 0.0]]).rank == 0
+    with pytest.raises(ValidationError, match=r"^points\[0\]\.x contains non-finite entries"):
+        translate(OperatorGraph.from_arrays([[1e308]], [[0.0]]), [-1e308], [0.0])
+
+
 # ---------------------------------------------------------------------------
 # build_skew_operator
 # ---------------------------------------------------------------------------
@@ -219,13 +228,19 @@ def test_build_rank_deficient_reduced_graph():
         build_skew_operator(OperatorGraph.from_arrays(x, np.zeros((3, 2))))
 
 
-def test_build_keeps_sub_tolerance_direction():
-    # the second direction is 1e-12 long, below the default tolerance but far
-    # above the machine-precision rank test, so the fit still spans it
+def test_build_ranks_by_the_span_basis_rule():
+    # the second direction is 1e-12 long: below the default tolerance,
+    # span_basis drops it, and so does the fit, which then spans too little;
+    # at a tolerance below it, the fit spans it and recovers a0
     a0 = np.array([[0.0, 1.0], [-1.0, 0.0]])
     x = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1e-12]])
-    fitted = build_skew_operator(OperatorGraph.from_arrays(x, x @ a0.T))
-    np.testing.assert_allclose(fitted, a0, atol=1e-12)
+    rg = OperatorGraph.from_arrays(x, x @ a0.T)
+    assert span_basis(x).rank == 1
+    with pytest.raises(InternalInconsistencyError, match="span only 1 of 2"):
+        build_skew_operator(rg)
+    fine = ToleranceConfig(1e-14, 1e-14)
+    assert span_basis(x, fine).rank == 2
+    np.testing.assert_allclose(build_skew_operator(rg, fine), a0, rtol=0, atol=1e-12)
 
 
 def test_build_rejects_nonlinear_duals():
