@@ -41,9 +41,7 @@ def _tolerance(args: argparse.Namespace) -> ToleranceConfig:
 
 
 def _graph_format(path: str, explicit: str | None) -> str:
-    if explicit:
-        return explicit
-    return "csv" if path.endswith(".csv") else "json"
+    return explicit or ("csv" if path.endswith(".csv") else "json")
 
 
 def _read_graph(path: str, explicit_format: str | None) -> OperatorGraph:
@@ -52,8 +50,7 @@ def _read_graph(path: str, explicit_format: str | None) -> OperatorGraph:
 
 
 def _read_json_file(path: str) -> dict:
-    with open(path, "rb") as handle:
-        data = handle.read()
+    data = Path(path).read_bytes()
     try:
         return load_json_object(data)
     except ParseError as exc:
@@ -89,30 +86,18 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     return 0
 
 
-def _truth_path(out: str) -> Path:
-    p = Path(out)
-    return p.with_name(p.stem + ".truth.json")
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
     spec = FixtureSpec.from_dict(_read_json_file(args.spec))
     if args.seed is not None:
         spec = spec.with_seed(args.seed)
     fixture = make_fixture(spec)
-    graph_format = _graph_format(args.out, args.format)
-    Path(args.out).write_bytes(save_graph(fixture.graph, graph_format))
-    truth_path = _truth_path(args.out)
+    out = Path(args.out)
+    out.write_bytes(save_graph(fixture.graph, _graph_format(args.out, args.format)))
+    truth_path = out.with_name(out.stem + ".truth.json")
     truth_doc = {"spec": spec.to_dict(), **fixture.truth.to_dict()}
     truth_path.write_bytes((dumps_canonical(truth_doc) + "\n").encode("utf-8"))
-    _emit(
-        {
-            "spec": spec.to_dict(),
-            "graph_path": args.out,
-            "truth_path": str(truth_path),
-            "dimension": fixture.graph.dimension,
-            "num_points": len(fixture.graph.points),
-        }
-    )
+    _emit({"spec": spec.to_dict(), "graph_path": args.out, "truth_path": str(truth_path),
+           "dimension": fixture.graph.dimension, "num_points": len(fixture.graph.points)})
     return 0
 
 
@@ -141,8 +126,15 @@ def _add_common(parser: argparse.ArgumentParser, tolerances: bool = True) -> Non
                         help="graph file format; inferred from a .csv suffix when omitted")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise, so that ``run`` reports them on one line."""
+
+    def error(self, message: str):
+        raise SkewfitError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="skewfit",
         description="Classify sampled multivalued operators and recover their "
         "linear skew representation.",
@@ -179,13 +171,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except (SkewfitError, OSError, MemoryError) as exc:
         print(f"skewfit: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

@@ -19,7 +19,8 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .graphs import OperatorGraph, ParseError, ValidationError, check_keys, nonnegative, point_index
+from .graphs import (OperatorGraph, ParseError, ValidationError, check_keys, integer,
+                     nonnegative, point_index)
 from .recovery import InternalInconsistencyError, OrthonormalBasis
 
 __all__ = [
@@ -59,10 +60,7 @@ class FixtureSpec:
 
     def __post_init__(self) -> None:
         for name in ("n", "k", "m", "branches", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValidationError(f"{name} must be an integer")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, integer(getattr(self, name), name))
         if self.n < 1:
             raise ValidationError("n must be positive")
         if not 0 <= self.k <= self.n:
@@ -73,8 +71,7 @@ class FixtureSpec:
             raise ValidationError("branches must be positive")
         if self.n * self.m * self.branches > np.iinfo(np.intp).max // 8:
             raise ValidationError("n * m * branches exceeds the largest float64 array")
-        if self.seed < 0 or self.seed >= 2**64:
-            raise ValidationError("seed must be a 64-bit nonnegative integer")
+        _rng(self.seed)  # raises unless the seed is in range
         for name in ("offset_norm", "noise_in_span", "noise_orthogonal"):
             object.__setattr__(self, name, nonnegative(getattr(self, name), name))
         if not isinstance(self.zero_operator, bool):
@@ -116,8 +113,11 @@ class Fixture:
     truth: FixtureTruth
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed))
+def _rng(seed) -> np.random.Generator:
+    """The generator of ``seed``, an ``integer`` in [0, 2**64)."""
+    if not 0 <= integer(seed, "seed") < 2**64:
+        raise ValidationError("seed must be a 64-bit nonnegative integer")
+    return np.random.Generator(np.random.Philox(int(seed)))
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -134,11 +134,13 @@ def random_skew(k: int, seed: int) -> np.ndarray:
     k = 0 gives the empty matrix and k = 1 the zero matrix, since a 1 x 1
     skew matrix is zero.
     """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
+    k = integer(k, "k")
+    if k < 0:
         raise ValidationError("k must be a nonnegative integer")
+    rng = _rng(seed)
     if k == 0:
         return np.zeros((0, 0))
-    b = _rng(seed).standard_normal((k, k))
+    b = rng.standard_normal((k, k))
     return (b - b.T) / 2.0
 
 
@@ -204,6 +206,7 @@ def perturb(
     an unchanged copy.
     """
     index = point_index(g, index, "perturbed point")
+    rng = _rng(seed)
     if direction not in ("in_span", "orthogonal"):
         raise ValidationError(
             f"direction must be 'in_span' or 'orthogonal', got {direction!r}"
@@ -215,7 +218,6 @@ def perturb(
         raise ValidationError(
             f"basis lives in R^{basis.ambient_dimension}, graph in R^{g.dimension}"
         )
-    rng = _rng(seed)
     q = basis.q
     if direction == "in_span":
         if basis.rank == 0:

@@ -72,8 +72,10 @@ def check_overflow(broken: np.ndarray, name) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Input rules shared by every module's readers and constructors: keys, finite
-# arrays, nonnegative numbers and point indices, each written once.
+# Input rules, each written once; readers decode and constructors apply them.
+# One rule per kind of number: a real is a numbers.Real that is not a bool (so
+# never a str, bytes or None), an array of reals has only reals as leaves, and
+# an integer is an int or a numpy integer, never a bool.
 # ---------------------------------------------------------------------------
 
 def check_keys(doc, where: str, allowed, required, error: type[SkewfitError]) -> None:
@@ -90,15 +92,36 @@ def check_keys(doc, where: str, allowed, required, error: type[SkewfitError]) ->
             raise error(f"{where} is missing key {key!r}")
 
 
-def _reals(value, name: str) -> np.ndarray:
+def _is_real(kind: type) -> bool:
+    return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
+
+
+def _index(index) -> str:
+    return "".join(f"[{i}]" for i in index)
+
+
+def _reals(value, name: str, entry=None) -> np.ndarray:
+    """A float64 copy of ``value`` when every leaf is a real, or
+    ValidationError naming ``name`` and the first other leaf, as
+    ``entry(index)`` or ``name[i][j]``.  Only the set of leaf types is checked."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "fiu":
+        return np.array(value, dtype=np.float64)
     try:
-        arr = np.array(value, dtype=np.float64)  # always copies
-    except (OverflowError, TypeError, ValueError) as exc:  # ragged, or not reals
+        leaves = np.array(value, dtype=object)
+        if all(map(_is_real, set(map(type, leaves.flat)))):
+            return leaves.astype(np.float64)
+    except ValueError as exc:  # ragged beyond what an object array holds
         raise ValidationError(f"{name} is not an array of reals: {exc}") from exc
-    # numpy reads None as NaN
-    if np.isnan(arr).any() and any(v is None for v in np.array(value, dtype=object).flat):
-        raise ValidationError(f"{name} is not an array of reals: it holds None")
-    return arr
+    except OverflowError as exc:  # an integer beyond the range of a double
+        raise ValidationError(f"{name} overflows double precision") from exc
+    index, leaf = next((i, leaf) for i, leaf in np.ndenumerate(leaves) if not _is_real(type(leaf)))
+    where = entry(index) if entry else name + _index(index)
+    if isinstance(leaf, (list, tuple, np.ndarray)):
+        raise ValidationError(f"{name} is not an array of reals: it is ragged at {where}")
+    what = "None" if leaf is None else f"a {type(leaf).__name__}"
+    raise ValidationError(
+        f"{name} is not an array of reals: {where} is {what}; only numbers are allowed"
+    )
 
 
 def finite_array(value, name: str, axes: int) -> np.ndarray:
@@ -114,10 +137,9 @@ def finite_array(value, name: str, axes: int) -> np.ndarray:
 
 
 def nonnegative(value, name: str) -> float:
-    """``value`` as a Python float when it is a real number, not a bool,
-    finite and >= 0, or ValidationError naming ``name``."""
+    """``value`` as a float if it is a finite real >= 0, or ValidationError naming ``name``."""
     try:
-        if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if _is_real(type(value)):
             real = float(value)  # first: comparing a float32 with a bound casts the bound
             if 0.0 <= real < math.inf:
                 return real
@@ -126,14 +148,20 @@ def nonnegative(value, name: str) -> float:
     raise ValidationError(f"{name} must be finite and nonnegative")
 
 
+def integer(value, name: str) -> int:
+    """``value`` as an int if it is an integer, or ValidationError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer")
+    return int(value)
+
+
 def point_index(g: OperatorGraph, idx, name: str) -> int:
-    """``idx`` as the index of a point of ``g``: an integer, not a bool, in range."""
-    if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)):
-        raise ValidationError(f"{name} must be a point index")
+    """``idx`` as the index of a point of ``g``: an ``integer`` in range."""
+    idx = integer(idx, name)
     m = g.primal_matrix.shape[0]
     if not 0 <= idx < m:
         raise ValidationError(f"{name} index {idx} out of range for {m} points")
-    return int(idx)
+    return idx
 
 
 @dataclass(frozen=True)
@@ -155,6 +183,8 @@ class ToleranceConfig:
         object.__setattr__(self, "rel_tol", nonnegative(self.rel_tol, "rel_tol"))
         if self.abs_tol == 0.0 and self.rel_tol == 0.0:
             raise ValidationError("abs_tol and rel_tol cannot both be zero")
+        if not math.isfinite(self.abs_tol + self.rel_tol):  # the margin at scale 1
+            raise ValidationError("abs_tol + rel_tol overflows double precision")
 
     def margin(self, scale):
         """Tolerance budget at ``scale`` (scalar or array), scale floored at 1."""
@@ -247,7 +277,8 @@ class OperatorGraph:
     __slots__ = ("_x", "_s")
 
     def __init__(self, primal, dual) -> None:
-        x, s = _reals(primal, "primal"), _reals(dual, "dual")
+        x = _reals(primal, "primal", lambda i: f"points{_index(i[:1])}.x{_index(i[1:])}")
+        s = _reals(dual, "dual", lambda i: f"points{_index(i[:1])}.xstar{_index(i[1:])}")
         if x.shape[:1] == (0,):
             raise ValidationError("a graph must contain at least one point")
         if x.ndim != 2 or x.shape != s.shape:
@@ -353,44 +384,18 @@ def dumps_canonical(value) -> str:
 
 _GRAPH_KEYS = ("dimension", "points")
 _POINT_KEYS = ("x", "xstar")
-_NUMBER_TYPES = frozenset({int, float})
 
 
 def _reject_constant(token: str):
     raise ParseError(f"non-finite number {token!r} is not allowed")
 
 
-def _first_non_number(items: list) -> int | None:
-    """Index of the first item that is not a JSON number, or None.  This is
-    every reader's number rule: an int or a float, and never true or false."""
-    if _NUMBER_TYPES.issuperset(map(type, items)):
-        return None
-    return next(j for j, item in enumerate(items) if type(item) not in _NUMBER_TYPES)
-
-
-def _number_row(value, where: str, dim: int) -> list:
+def _row(value, where: str, dim: int) -> list:
     if not isinstance(value, list):
         raise ParseError(f"{where} must be an array of numbers")
-    j = _first_non_number(value)
-    if j is not None:
-        raise ParseError(f"{where}[{j}] is not a number")
     if len(value) != dim:
         raise ValidationError(f"{where} has length {len(value)}, expected {dim}")
     return value
-
-
-def json_array(value, name: str) -> np.ndarray:
-    """A decoded JSON value as a float array; ragged or non-numeric is invalid."""
-    leaves = np.array(value, dtype=object)
-    flat = leaves.ravel().tolist()
-    if list in map(type, flat):
-        raise ValidationError(f"{name} is a ragged array")
-    if _first_non_number(flat) is not None:
-        raise ValidationError(f"{name} must hold only numbers")
-    try:
-        return leaves.astype(np.float64)
-    except OverflowError as exc:  # an integer beyond the range of a double
-        raise ValidationError(f"{name} overflows double precision") from exc
 
 
 def _decode(data: bytes) -> str:
@@ -415,9 +420,7 @@ def load_json_object(data: bytes) -> dict:
 
 def _graph_from_json(doc: dict) -> OperatorGraph:
     check_keys(doc, "graph document", _GRAPH_KEYS, _GRAPH_KEYS, ParseError)
-    dim = doc["dimension"]
-    if isinstance(dim, bool) or not isinstance(dim, int):
-        raise ValidationError("dimension must be an integer")
+    dim = integer(doc["dimension"], "dimension")
     if dim < 1:
         raise ValidationError("dimension must be a positive integer")
     raw_points = doc["points"]
@@ -426,8 +429,8 @@ def _graph_from_json(doc: dict) -> OperatorGraph:
     primal, dual = [], []
     for i, entry in enumerate(raw_points):
         check_keys(entry, f"points[{i}]", _POINT_KEYS, _POINT_KEYS, ParseError)
-        primal.append(_number_row(entry["x"], f"points[{i}].x", dim))
-        dual.append(_number_row(entry["xstar"], f"points[{i}].xstar", dim))
+        primal.append(_row(entry["x"], f"points[{i}].x", dim))
+        dual.append(_row(entry["xstar"], f"points[{i}].xstar", dim))
     return OperatorGraph.from_arrays(primal, dual)
 
 
@@ -500,7 +503,10 @@ def load_graph(source: IO[bytes] | bytes, format: str = "json") -> OperatorGraph
 
 
 def save_graph(g: OperatorGraph, format: str = "json") -> bytes:
-    """Serialize a graph so that ``load_graph(save_graph(g))`` reproduces it exactly."""
+    """Serialize a graph so that ``load_graph(save_graph(g))`` reproduces it
+    exactly; a graph of dimension 0, which no document holds, raises."""
+    if g.dimension == 0:
+        raise ValidationError("a graph of dimension 0 cannot be saved")
     primal = g.primal_matrix.tolist()
     dual = g.dual_matrix.tolist()
     if format == "json":

@@ -32,7 +32,6 @@ from .graphs import (
     check_overflow,
     contains_origin,
     finite_array,
-    json_array,
     nonnegative,
     point_index,
     quiet_overflow,
@@ -110,7 +109,7 @@ def _span_svd(vectors, tol: ToleranceConfig):
     """The thin SVD of an (m, n) array cut at ``span_basis``'s rank k, as
     ``(u_k, sigma_k, q)``: the rows are, within tolerance, the rows of
     ``u_k diag(sigma_k) q^T``, and ``q`` is the (n, k) basis."""
-    stacked = finite_array(vectors, "the (m, n) array of vectors", 2)
+    stacked = finite_array(vectors, "vectors", 2)
     m, n = stacked.shape
     if not np.any(stacked):
         return np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0))
@@ -336,16 +335,15 @@ class SkewDecomposition:
         check_keys(doc, "decomposition document", keys, keys, ValidationError)
         bp, bp_keys = doc["basepoint"], [f.name for f in fields(GraphPoint)]
         check_keys(bp, "basepoint", bp_keys, bp_keys, ValidationError)
-        basis = OrthonormalBasis(json_array(doc["basis"], "basis"))
-        a_hat = json_array(doc["a_hat"], "a_hat")
-        if basis.rank == 0 and a_hat.shape == (0,):  # JSON writes a 0 x 0 array as []
-            a_hat = a_hat.reshape(0, 0)
-        basepoint = GraphPoint(
-            json_array(bp["x"], "basepoint.x"), json_array(bp["xstar"], "basepoint.xstar")
-        )
-        return cls(basis=basis, a_hat=a_hat, v_hat=json_array(doc["v_hat"], "v_hat"),
-                   basepoint=basepoint, max_residual=doc["max_residual"],
-                   skewness_defect=doc["skewness_defect"])
+        basis = OrthonormalBasis(doc["basis"])
+        a_hat = doc["a_hat"]
+        if basis.rank == 0 and isinstance(a_hat, list) and not a_hat:
+            a_hat = np.zeros((0, 0))  # JSON writes a 0 x 0 array as []
+        try:
+            basepoint = GraphPoint(bp["x"], bp["xstar"])
+        except ValidationError as exc:
+            raise ValidationError(f"basepoint.{exc}") from exc
+        return cls(**{**doc, "basis": basis, "a_hat": a_hat, "basepoint": basepoint})
 
 
 @quiet_overflow

@@ -363,22 +363,38 @@ def test_mutated_documents_exit_2(capsys, tmp_path, command, data, junk):
 
 
 def test_usage_errors_exit_2(capsys, tmp_path):
-    assert invoke(capsys, )[0] == 2
-    assert invoke(capsys, "frobnicate")[0] == 2
-    assert invoke(capsys, "analyze")[0] == 2
+    def usage_error(*argv):
+        # one line, with no usage block, for the parser and every subparser
+        code, stdout, stderr = invoke(capsys, *argv)
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("skewfit: error: ") and stderr.count("\n") == 1
+        return stderr
+
+    usage_error()
+    assert "invalid choice: 'frobnicate'" in usage_error("frobnicate")
+    assert "required: graph" in usage_error("analyze")
     path = tmp_path / "g.json"
     path.write_text("{}")
-    assert invoke(capsys, "analyze", str(path), "--tol-abs", "-1")[0] == 2
+    assert "argument --tol-abs" in usage_error("analyze", str(path), "--tol-abs", "-1")
+    assert "argument --basepoint" in usage_error("decompose", str(path), "--basepoint", "x")
     # a non-finite tolerance is refused while parsing, before the file is read
     for value in ("inf", "nan"):
-        code, _, stderr = invoke(capsys, "analyze", str(path), "--tol-rel", value)
-        assert code == 2 and "argument --tol-rel" in stderr
+        assert "argument --tol-rel" in usage_error("analyze", str(path), "--tol-rel", value)
     # generate takes no tolerance
     spec_path = write_spec(tmp_path, SPEC)
     for flag in ("--tol-abs", "--tol-rel"):
-        code, _, stderr = invoke(capsys, "generate", spec_path, "--out", str(tmp_path / "o.json"), flag, "5")
-        assert code == 2 and f"unrecognized arguments: {flag} 5" in stderr
+        stderr = usage_error("generate", spec_path, "--out", str(tmp_path / "o.json"), flag, "1")
+        assert f"unrecognized arguments: {flag} 1" in stderr
     assert not (tmp_path / "o.json").exists()
+    code, stdout, stderr = invoke(capsys, "analyze", "--help")
+    assert code == 0 and stdout.startswith("usage: skewfit analyze") and stderr == ""
+
+
+def test_tolerance_whose_margin_overflows_exit_2(capsys, tmp_path):
+    graph, _ = generate(capsys, tmp_path)
+    code, stdout, stderr = invoke(capsys, "analyze", graph, "--tol-abs", "1e308", "--tol-rel", "1e308")
+    assert (code, stdout) == (2, "")
+    assert stderr == "skewfit: error: abs_tol + rel_tol overflows double precision\n"
 
 
 def test_module_entry_point(tmp_path):

@@ -45,6 +45,33 @@ def test_random_skew_seeded():
     assert not np.array_equal(random_skew(4, seed=7), random_skew(4, seed=8))
 
 
+@pytest.mark.parametrize(
+    "k, message",
+    [(True, "k must be an integer"), (2.0, "k must be an integer"), ("2", "k must be an integer"),
+     (-1, "k must be a nonnegative integer")],
+)
+def test_random_skew_rejects_what_is_not_a_nonnegative_integer(k, message):
+    with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+        random_skew(k, seed=0)
+    assert random_skew(np.int64(2), seed=0).shape == (2, 2)
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [(True, "seed must be an integer"), (1.5, "seed must be an integer"), ("1", "seed must be an integer"),
+     (-1, "seed must be a 64-bit nonnegative integer"), (2**64, "seed must be a 64-bit nonnegative integer")],
+)
+def test_seeds_follow_the_integer_rule(seed, message):
+    # every seed, not only a spec's, is checked before anything is drawn
+    fix = planted(seed=28)
+    for call in (lambda: random_skew(0, seed=seed), lambda: FixtureSpec(n=1, k=1, m=1, seed=seed),
+                 lambda: perturb(fix.graph, index=0, direction="in_span", amplitude=0.0,
+                                 basis=fix.truth.basis, seed=seed)):
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            call()
+    np.testing.assert_array_equal(random_skew(3, seed=np.uint64(7)), random_skew(3, seed=7))
+
+
 # ---------------------------------------------------------------------------
 # make_fixture
 # ---------------------------------------------------------------------------
@@ -154,8 +181,9 @@ def test_spec_validation():
         FixtureSpec(n=1, k=1, m=1, seed=-1)
     with pytest.raises(ValidationError, match="noise_in_span"):
         FixtureSpec(n=1, k=1, m=1, noise_in_span=-0.5)
-    with pytest.raises(ValidationError, match="integer"):
-        FixtureSpec(n=1.5, k=1, m=1)
+    for value in (1.5, True, "1"):
+        with pytest.raises(ValidationError, match="^n must be an integer$"):
+            FixtureSpec(n=value, k=1, m=1)
     with pytest.raises(ValidationError, match="zero_operator"):
         FixtureSpec(n=1, k=1, m=1, zero_operator=1)
 
@@ -296,9 +324,9 @@ def test_spec_from_dict_error_messages(doc, message):
 @pytest.mark.parametrize(
     "index, message",
     [
-        (True, "perturbed point must be a point index"),
-        (1.0, "perturbed point must be a point index"),
-        ("1", "perturbed point must be a point index"),
+        (True, "perturbed point must be an integer"),
+        (1.0, "perturbed point must be an integer"),
+        ("1", "perturbed point must be an integer"),
         (-1, "perturbed point index -1 out of range for 6 points"),
         (6, "perturbed point index 6 out of range for 6 points"),
     ],

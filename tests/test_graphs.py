@@ -18,7 +18,9 @@ from skewfit import (
     inverse_graph,
     load_graph,
     make_fixture,
+    reduce,
     save_graph,
+    span_basis,
     translate,
 )
 from skewfit.fixtures import FixtureSpec
@@ -101,6 +103,13 @@ def test_tolerance_rejects_negative():
 def test_tolerance_rejects_both_zero():
     with pytest.raises(ValidationError):
         ToleranceConfig(abs_tol=0.0, rel_tol=0.0)
+
+
+def test_tolerance_rejects_a_margin_that_overflows():
+    # the margin at the floored scale 1 is abs_tol + rel_tol
+    with pytest.raises(ValidationError, match=r"^abs_tol \+ rel_tol overflows double precision$"):
+        ToleranceConfig(abs_tol=1e308, rel_tol=1e308)
+    assert ToleranceConfig(abs_tol=1e308, rel_tol=0.0).margin(1.0) == 1e308
 
 
 @pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
@@ -398,6 +407,17 @@ def test_save_load_csv_round_trip_exact():
     assert load_graph(save_graph(g, "csv"), "csv") == g
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_save_refuses_a_graph_that_load_refuses(fmt):
+    # a sample reduced to a rank-0 basis has dimension 0, and no document of it loads
+    g = reduce(OperatorGraph([[0.0, 0.0]], [[1.0, 2.0]]), span_basis(np.zeros((1, 2))))
+    assert g.dimension == 0
+    with pytest.raises(ValidationError, match="^a graph of dimension 0 cannot be saved$"):
+        save_graph(g, fmt)
+    with pytest.raises(ValidationError, match="^dimension must be a positive integer$"):
+        load_graph(b'{"dimension": 0, "points": [{"x": [], "xstar": []}]}')
+
+
 _coords = st.floats(
     min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False, width=64
 )
@@ -447,8 +467,19 @@ def test_involution_property(g):
          "unknown key 'v' in points[0]"),
         (b'{"dimension": 1, "points": [{"x": 1, "xstar": [0]}]}', ParseError,
          "points[0].x must be an array of numbers"),
-        (b'{"dimension": 1, "points": [{"x": [0], "xstar": [true]}]}', ParseError,
-         "points[0].xstar[0] is not a number"),
+        # readers decode and the constructor checks the numbers
+        (b'{"dimension": 1, "points": [{"x": [0], "xstar": [true]}]}', ValidationError,
+         "dual is not an array of reals: points[0].xstar[0] is a bool; only numbers are allowed"),
+        (b'{"dimension": 2, "points": [{"x": [0, "1"], "xstar": [0, 0]}]}', ValidationError,
+         "primal is not an array of reals: points[0].x[1] is a str; only numbers are allowed"),
+        (b'{"dimension": 1, "points": [{"x": [0], "xstar": [0]}, {"x": [null], "xstar": [0]}]}',
+         ValidationError,
+         "primal is not an array of reals: points[1].x[0] is None; only numbers are allowed"),
+        (b'{"dimension": 1, "points": [{"x": [[0]], "xstar": [0]}]}', ValidationError,
+         "primal rows have shape (1, 1, 1), dual rows (1, 1)"),
+        (b'{"dimension": true, "points": []}', ValidationError, "dimension must be an integer"),
+        (b'{"dimension": 1.0, "points": []}', ValidationError, "dimension must be an integer"),
+        (b'{"dimension": "1", "points": []}', ValidationError, "dimension must be an integer"),
         (b'{"dimension": 1, "points": [{"x": [1e400], "xstar": [0]}]}', ValidationError,
          "points[0].x contains non-finite entries"),
         (b'{"dimension": 1, "points": [{"x": [0], "xstar": [0]}, {"x": [0], "xstar": [-1e400]}]}',
@@ -467,10 +498,51 @@ def test_load_json_error_messages(text, error, message):
         lambda: GraphPoint([[0.0], [1.0, 2.0]], [1.0]),
         lambda: translate(simple_graph(), "x", np.zeros(2)),
         lambda: translate(simple_graph(), np.zeros(2), [{}, 1.0]),
+        # str, bytes and bool are not reals, even where numpy would convert them
+        lambda: OperatorGraph([["1.5", True]], [[0.0, 0.0]]),
+        lambda: GraphPoint([True], [1.0]),
+        lambda: GraphPoint([b"1"], [1.0]),
+        lambda: GraphPoint(np.array([True]), [1.0]),
+        lambda: span_basis([["1", "0"]]),
+        lambda: translate(simple_graph(), ["1", "0"], np.zeros(2)),
     ],
 )
 def test_vectors_that_are_not_reals_raise_validation_error(build):
     with pytest.raises(ValidationError, match="not an array of reals"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "primal",
+    [
+        np.array([[1.5, -2.0]], dtype=np.float32),
+        np.array([[3, -2]], dtype=np.int64),
+        np.array([[3, 2]], dtype=np.uint8),
+        [[np.float32(1.5), np.int64(-2)]],
+        [np.array([1.5, -2.0], dtype=np.float32)],
+    ],
+)
+def test_real_arrays_and_numpy_scalars_are_accepted(primal):
+    g = OperatorGraph(primal, [[0, 0.5]])
+    assert g.primal_matrix.dtype == np.float64 and g.dual_matrix.dtype == np.float64
+    np.testing.assert_array_equal(g.primal_matrix, np.array(primal, dtype=np.float64))
+    np.testing.assert_array_equal(GraphPoint(primal[0], [0, 0.5]).x, g.primal_matrix[0])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: OperatorGraph([[0.0, 1.0], [1.0, "2"]], [[0.0, 0.0], [0.0, 0.0]]),
+         "primal is not an array of reals: points[1].x[1] is a str; only numbers are allowed"),
+        (lambda: OperatorGraph([[0.0, 1.0]], [[0.0, [1.0]]]),
+         "dual is not an array of reals: it is ragged at points[0].xstar[1]"),
+        (lambda: GraphPoint([0.0, 10**400], [0.0, 0.0]), "x overflows double precision"),
+        (lambda: translate(simple_graph(), np.zeros(2), [1.0, 1 + 2j]),
+         "ustar is not an array of reals: ustar[1] is a complex; only numbers are allowed"),
+    ],
+)
+def test_array_rule_names_the_first_entry_that_is_not_a_real(build, message):
+    with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
         build()
 
 
