@@ -14,10 +14,14 @@ Every check is one pass over the upper triangle of point pairs, exact
 double arithmetic quadratic in the number of points: each pair's differences
 are formed once, and their product and two norms give the pairing and both
 gap violations.  Paramonotone's crossed-pair search is exact too: it bisects
-over the gap values.  ``_pair_pass`` and ``_crossed_pairs`` state what each
-costs.  ``analyze`` returns all four reports from that one pass and the
-search.  Verdicts are order-independent; witnesses break ties by the
-smallest index pair.
+over the gap values.  ``analyze`` returns all four reports from that one
+pass and the search.  Verdicts are order-independent; witnesses break ties
+by the smallest index pair.
+
+Beyond what the search stores (``_pair_pass`` and ``_crossed_pairs`` state
+what each stores and costs), the working set is one 2 MB budget: the pass's
+difference blocks, the search's gap sample, and its float32 tiles, which
+take at least an eighth of the points each.
 """
 
 from __future__ import annotations
@@ -45,9 +49,9 @@ __all__ = [
     "paramonotone_check",
 ]
 
-# Upper bound on floats materialized per difference block when scanning
-# pairs, and per float32 tile of the crossed-pair search: 8 MB of float64.
-_CHUNK_FLOATS = 1 << 20
+# Floats per difference block of the pair pass, per gap sample and per
+# float32 tile of the search (at least ceil(m / 8) rows): 2 MB of float64.
+_CHUNK_FLOATS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -100,7 +104,7 @@ def _pair_pass(
     over its pairs (i, j), j >= i, and, with ``store``, the matrices that
     ``_crossed_pairs`` reads.
 
-    Row blocks are sized for about ``_CHUNK_FLOATS`` floats (8 MB of float64)
+    Row blocks are sized for about ``_CHUNK_FLOATS`` floats (2 MB of float64)
     per (rows, m, n) array, and block [i0, i1) takes its differences dx, ds
     against the columns [i0, m) only.  It computes <ds, dx> and both
     difference norms once, and derives from them each normalized violation,
@@ -219,7 +223,8 @@ def _median_gap(gaps, pts: np.ndarray, lo: float, hi: float) -> float | None:
     """Median of the values strictly between ``lo`` and ``hi`` in rows ``pts``
     of the gap matrices, or None when there is none.  When those rows hold
     more than ``_CHUNK_FLOATS`` values, it is the median of an evenly strided
-    sample, so memory stays O(_CHUNK_FLOATS)."""
+    sample of at most about that many, read in blocks of about as many floats
+    and partitioned in place."""
     m = gaps[0].shape[0]
     rows = max(1, _CHUNK_FLOATS // m)
     stride = -(-len(gaps) * pts.size * m // _CHUNK_FLOATS)
@@ -232,17 +237,22 @@ def _median_gap(gaps, pts: np.ndarray, lo: float, hi: float) -> float | None:
     sample = np.concatenate(sample)
     if not sample.size:
         return None
-    return float(np.partition(sample, sample.size // 2)[sample.size // 2])
+    sample.partition(sample.size // 2)
+    return float(sample[sample.size // 2])
 
 
 def _unmatched(gap_x: np.ndarray, gap_s: np.ndarray, pts: np.ndarray, t: float) -> np.ndarray:
     """u[a, b]: no stored point l has gap_x[pts[a], l] <= t and
     gap_s[pts[b], l] <= t, i.e. (x_pts[a], xstar_pts[b]) is farther than t
-    from the graph.  One float32 0/1 product per tile of about
-    ``_CHUNK_FLOATS`` floats; its counts sum nonnegative terms, so a count is
-    zero exactly when no l matches, at any m."""
+    from the graph.  One float32 0/1 product per pair of tiles; its counts
+    sum nonnegative terms, so a count is zero exactly when no l matches, at
+    any m.
+
+    A tile is ``_CHUNK_FLOATS // m`` rows, but at least ceil(m / 8), since
+    each gap_s tile is thresholded again for every gap_x tile (at m = 3000:
+    375 rows, 4.5 MB)."""
     m, n = gap_x.shape[0], pts.size
-    rows = max(1, _CHUNK_FLOATS // m)
+    rows = max(_CHUNK_FLOATS // m, -(-m // 8))
     u = np.empty((n, n), dtype=bool)
     mx = np.empty((min(rows, n), m), dtype=np.float32)
     ms = np.empty_like(mx)
@@ -275,8 +285,9 @@ def _crossed_pairs(
     with its points, so the pairs left at the end are exactly those
     attaining W, and the witness is the smallest of them in row-major order.
     About log2(2 |V| m) products of |V| x m x |V| (V: the points in
-    vanishing pairs), shrinking as pairs leave, in float32 tiles of about
-    ``_CHUNK_FLOATS`` floats.
+    vanishing pairs), shrinking as pairs leave, in float32 tiles of
+    ``_unmatched``'s rule: about ``_CHUNK_FLOATS`` floats, and at least an
+    eighth of the points.
     """
     for gap in (gap_x, gap_s):
         for i in range(1, gap.shape[0]):
@@ -285,8 +296,9 @@ def _crossed_pairs(
     pts, active = np.flatnonzero(keep), vanishing[np.ix_(keep, keep)]
     lo, hi = -np.inf, np.inf
     while pts.size and (t := _median_gap((gap_x, gap_s), pts, lo, hi)) is not None:
-        u = _unmatched(gap_x, gap_s, pts, t)
-        failing = active & (u | u.T)
+        failing = _unmatched(gap_x, gap_s, pts, t)
+        failing |= failing.T  # in place: numpy buffers the overlapping transpose
+        failing &= active
         if not failing.any():
             hi = t
             continue

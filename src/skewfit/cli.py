@@ -26,6 +26,8 @@ from .graphs import (
     load_graph,
     load_json_object,
     save_graph,
+    spelled_integer,
+    spelled_real,
 )
 from .recovery import NotBimonotoneError, SkewDecomposition, decompose, verify_reconstruction
 
@@ -109,18 +111,29 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.verdict else 1
 
 
-def _nonnegative(text: str) -> float:
-    value = float(text)
+def _tolerance_flag(text: str) -> float:
+    """A tolerance: a finite nonnegative number, spelled as JSON spells it."""
+    value = spelled_real(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
     if not 0 <= value < math.inf:
         raise argparse.ArgumentTypeError("must be finite and nonnegative")
     return value
 
 
+def _integer_flag(text: str) -> int:
+    """An index or a seed, spelled as a JSON integer; its range is checked where it is used."""
+    value = spelled_integer(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, tolerances: bool = True) -> None:
     if tolerances:
-        parser.add_argument("--tol-abs", type=_nonnegative, default=1e-9,
+        parser.add_argument("--tol-abs", type=_tolerance_flag, default=1e-9,
                             help="absolute tolerance (default 1e-9)")
-        parser.add_argument("--tol-rel", type=_nonnegative, default=1e-9,
+        parser.add_argument("--tol-rel", type=_tolerance_flag, default=1e-9,
                             help="relative tolerance (default 1e-9)")
     parser.add_argument("--format", choices=("json", "csv"), default=None,
                         help="graph file format; inferred from a .csv suffix when omitted")
@@ -148,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dec = sub.add_parser("decompose", help="recover basis, skew matrix, and offset")
     dec.add_argument("graph", help="path to a graph file")
-    dec.add_argument("--basepoint", type=int, default=None,
+    dec.add_argument("--basepoint", type=_integer_flag, default=None,
                      help="index of the pair translated to (0, 0); default 0")
     dec.add_argument("--out", default=None, help="also write the result to this path")
     _add_common(dec)
@@ -157,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="synthesize a fixture from a spec file")
     gen.add_argument("spec", help="path to a fixture spec (JSON)")
     gen.add_argument("--out", required=True, help="path for the generated graph")
-    gen.add_argument("--seed", type=int, default=None, help="override the spec seed")
+    gen.add_argument("--seed", type=_integer_flag, default=None, help="override the spec seed")
     _add_common(gen, tolerances=False)
     gen.set_defaults(func=_cmd_generate)
 

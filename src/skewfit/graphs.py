@@ -434,17 +434,24 @@ def _graph_from_json(doc: dict) -> OperatorGraph:
     return OperatorGraph.from_arrays(primal, dual)
 
 
-# A CSV field is a number when it is spelled as a JSON number, or as one of
-# the non-finite values that ``float`` reads, which are then rejected as such.
-_JSON_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
+# A number in text, a CSV field or a command-line flag, is spelled as JSON
+# spells it.  A real may also be one of the non-finite values that ``float``
+# reads, which are then rejected as such.
+_JSON_INTEGER = re.compile(r"-?(?:0|[1-9][0-9]*)")
+_JSON_NUMBER = re.compile(_JSON_INTEGER.pattern + r"(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
 _NON_FINITE = re.compile(r"[-+]?(?:nan|inf|infinity)", re.IGNORECASE)
 
 
-def _csv_number(field: str) -> float | None:
-    """A stripped CSV field as a float, or None when it is not a number."""
-    if _JSON_NUMBER.fullmatch(field) or _NON_FINITE.fullmatch(field):
-        return float(field)
+def spelled_real(text: str) -> float | None:
+    """``text`` as a float, or None when it is not spelled as a number."""
+    if _JSON_NUMBER.fullmatch(text) or _NON_FINITE.fullmatch(text):
+        return float(text)
     return None
+
+
+def spelled_integer(text: str) -> int | None:
+    """``text`` as an int, or None when it is not spelled as a JSON integer."""
+    return int(text) if _JSON_INTEGER.fullmatch(text) else None
 
 
 def _graph_from_csv(text: str) -> OperatorGraph:
@@ -455,7 +462,7 @@ def _graph_from_csv(text: str) -> OperatorGraph:
         if not line.strip():
             continue
         fields = [field.strip() for field in line.split(",")]
-        values = list(map(_csv_number, fields))
+        values = list(map(spelled_real, fields))
         if not saw_first:
             saw_first = True
             if all(value is None for value in values):

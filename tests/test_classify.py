@@ -364,10 +364,10 @@ def _seeded_samples():
 
 @pytest.mark.parametrize("name", ["planted", "strictly monotone", "random"])
 def test_pair_pass_matches_full_square_scan(name):
-    # 700 points in R^20 take ten row blocks at the default _CHUNK_FLOATS and
-    # three at 4_000_000, the former default: the block size changes no byte
+    # 700 points in R^20 take 39 row blocks at the default _CHUNK_FLOATS and
+    # three at 4_000_000, an earlier default: the block size changes no byte
     g = _seeded_samples()[name]
-    for chunk, blocks in ((classify._CHUNK_FLOATS, 10), (4_000_000, 3)):
+    for chunk, blocks in ((classify._CHUNK_FLOATS, 39), (4_000_000, 3)):
         with mock.patch.object(classify, "_CHUNK_FLOATS", chunk):
             assert len(range(0, 700, classify._CHUNK_FLOATS // (700 * 20))) == blocks
             _assert_matches_full_square_scan(g)
@@ -432,6 +432,22 @@ def test_paramonotone_matches_oracle_on_tied_two_branch_fixtures(spec, matched, 
         assert paramonotone_check(g, tol).to_dict() == expected
 
 
+# 80 points (40 domain points, two branches each): a budget of 4 m floats
+# would give _unmatched tiles of 4 rows, so its floor of ceil(m / 8) = 10 rows
+# binds, and the search's shrinking point sets (80, 24, 3 here) end in
+# partial tiles.
+@pytest.mark.parametrize("tol", [ToleranceConfig(), ToleranceConfig(0.25, 0.25)])
+def test_paramonotone_matches_oracle_where_the_tile_row_floor_binds(tol):
+    spec = FixtureSpec(n=4, k=2, m=40, branches=2, offset_norm=1.0, noise_orthogonal=1.0, seed=3)
+    g = make_fixture(spec).graph
+    m = g.primal_matrix.shape[0]
+    expected = oracles.paramonotone(g, tol)
+    assert expected["witness"] is not None
+    with mock.patch.object(classify, "_CHUNK_FLOATS", 4 * m):
+        assert classify._CHUNK_FLOATS // m < -(-m // 8) < m
+        assert paramonotone_check(g, tol).to_dict() == expected
+
+
 def test_paramonotone_memory_is_blocked(monkeypatch):
     # one m x m x n difference array is 25.6 MB here; the scan holds blocks of
     # about 100_000 floats and a few m x m matrices.  A strictly monotone
@@ -471,15 +487,16 @@ def _traced_peak(call, g):
 
 
 def test_pair_pass_peak_memory():
-    # m = 1000 in R^20 at the default _CHUNK_FLOATS: a pass holds a few 8 MB
-    # difference blocks, and analyze adds the 17 m^2 bytes it stores for the
-    # crossed-pair search.  A float64 pairing matrix and 32 MB blocks peaked
-    # at 125 MB and 101 MB.
+    # m = 1000 in R^20 at the default _CHUNK_FLOATS: a pass holds a few 2 MB
+    # difference blocks (7.4 MB traced), and analyze adds the 17 m^2 bytes it
+    # stores for the crossed-pair search and the search's m x m bool
+    # matrices (24.6 MB).  8 MB blocks peaked at 46.5 MB and 28.7 MB, a
+    # float64 pairing matrix and 32 MB blocks at 125 MB and 101 MB.
     planted = make_fixture(FixtureSpec(n=20, k=8, m=1000, offset_norm=1.0, seed=3)).graph
     report, peak = _traced_peak(classify.analyze, planted)
-    assert report["bimonotone"].verdict and peak < 64e6
+    assert report["bimonotone"].verdict and peak < 30e6
     report, peak = _traced_peak(bimonotone_check, planted)
-    assert report.verdict and peak < 40e6
+    assert report.verdict and peak < 10e6
 
 
 def test_paramonotone_stores_nothing_for_a_sample_that_is_not_monotone():

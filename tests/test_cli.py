@@ -380,8 +380,19 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     # a non-finite tolerance is refused while parsing, before the file is read
     for value in ("inf", "nan"):
         assert "argument --tol-rel" in usage_error("analyze", str(path), "--tol-rel", value)
-    # generate takes no tolerance
     spec_path = write_spec(tmp_path, SPEC)
+    # flags follow the number rule of every file: a tolerance is spelled as a
+    # JSON number, an index or a seed as a JSON integer (ASCII digits only)
+    for flag in ("--tol-abs", "--tol-rel"):
+        for value in ("1_0", " 1e-9 ", ".5", "+1", "1.", "0x1", "1e-9\n"):
+            stderr = usage_error("analyze", str(path), flag, value)
+            assert stderr == f"skewfit: error: argument {flag}: not a number: {value!r}\n"
+    for value in ("0_1", "٠", "01", "1.0", "+1", " 1", "1e0"):
+        stderr = usage_error("decompose", str(path), "--basepoint", value)
+        assert stderr == f"skewfit: error: argument --basepoint: not an integer: {value!r}\n"
+        stderr = usage_error("generate", spec_path, "--out", str(tmp_path / "o.json"), "--seed", value)
+        assert stderr == f"skewfit: error: argument --seed: not an integer: {value!r}\n"
+    # generate takes no tolerance
     for flag in ("--tol-abs", "--tol-rel"):
         stderr = usage_error("generate", spec_path, "--out", str(tmp_path / "o.json"), flag, "1")
         assert f"unrecognized arguments: {flag} 1" in stderr
