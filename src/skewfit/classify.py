@@ -14,14 +14,18 @@ Every check is one pass over the upper triangle of point pairs, exact
 double arithmetic quadratic in the number of points: each pair's differences
 are formed once, and their product and two norms give the pairing and both
 gap violations.  Paramonotone's crossed-pair search is exact too: it bisects
-over the gap values.  ``analyze`` returns all four reports from that one
-pass and the search.  Verdicts are order-independent; witnesses break ties
-by the smallest index pair.
+over the gap values, stored as float32 rounded up, and finishes in float64
+on the gap rows of the few points it leaves.  ``analyze`` returns all four
+reports from that one pass and the search.  Verdicts are order-independent;
+witnesses break ties by the smallest index pair.
 
-Beyond what the search stores (``_pair_pass`` and ``_crossed_pairs`` state
-what each stores and costs), the working set is one 2 MB budget: the pass's
-difference blocks, the search's gap sample, and its float32 tiles, which
-take at least an eighth of the points each.
+The search stores 9 m^2 bytes for m points: a bool mask and two float32 gap
+matrices.  A float32 tie over every point makes its float64 finish take
+16 m^2 bytes, after the float32 matrices are released (``_pair_pass`` and
+``_crossed_pairs`` state what each stores and costs).  Beyond that, the
+working set is one 2 MB budget: the pass's difference blocks, the search's
+gap sample, and its float32 tiles, which take at least an eighth of the
+points each.
 """
 
 from __future__ import annotations
@@ -99,7 +103,7 @@ class NotMonotone:
 
 def _pair_pass(
     g: OperatorGraph, tol: ToleranceConfig, store: bool = False
-) -> tuple[dict, tuple | ValidationError | None]:
+) -> tuple[dict, list | ValidationError | None]:
     """The monotone, bimonotone and constant reports of ``g`` from one pass
     over its pairs (i, j), j >= i, and, with ``store``, the matrices that
     ``_crossed_pairs`` reads.
@@ -116,10 +120,11 @@ def _pair_pass(
     * primal gap: |dx| against max(|x_i|, |x_j|), with ``store`` only.
 
     Returns the reports, keyed by name, and ``stored``.  With ``store``,
-    ``stored`` = (vanishing, gap_x, gap_s): the bool mask of the pairs i < j
-    with |pairing| <= 1 and the upper triangles of both float64 gap
-    matrices, 17 m^2 bytes.  They are allocated with the first block, unless
-    it shows a monotone violation, and dropped, with the primal gap's
+    ``stored`` = [vanishing, gap_x, gap_s], a list that ``_crossed_pairs``
+    empties: the bool mask of the pairs i < j with |pairing| <= 1 and the
+    upper triangles of both gap matrices in float32, each value rounded up
+    (``_round_up``), 9 m^2 bytes.  They are allocated with the first block,
+    unless it shows a monotone violation, and dropped, with the primal gap's
     computation, at the first block that does, so ``stored`` is None for a
     sample that is not monotone.
 
@@ -170,10 +175,11 @@ def _pair_pass(
             store, stored = False, None  # not monotone: nothing stored is read
         if store:
             if stored is None:
-                stored = (np.zeros((m, m), dtype=bool), np.empty((m, m)), np.empty((m, m)))
+                stored = [np.zeros((m, m), dtype=bool), np.empty((m, m), dtype=np.float32),
+                          np.empty((m, m), dtype=np.float32)]
             np.less_equal(np.abs(viol["monotone"]), 1.0, out=stored[0][i0:i1, i0:])
-            stored[1][i0:i1, i0:] = viol["primal_gap"]
-            stored[2][i0:i1, i0:] = viol["constant"]
+            _round_up(viol["primal_gap"], stored[1][i0:i1, i0:])
+            _round_up(viol["constant"], stored[2][i0:i1, i0:])
     if stored is not None:
         np.fill_diagonal(stored[0], False)
         stored = errors.get("primal_gap") or errors.get("constant") or stored
@@ -214,18 +220,45 @@ def constant_on_domain_check(
     return _read(_pair_pass(g, tol)[0]["constant"])
 
 
+def _round_up(v: np.ndarray, out: np.ndarray) -> None:
+    """Write float64 ``v`` into float32 ``out`` rounded toward +inf: the
+    nearest float32, moved up one step where it fell below.  For the
+    nonnegative gaps that step, np.nextafter toward +inf, is one more in the
+    int32 bit pattern (the largest float32 steps to inf), which vectorizes.
+    The rounding is monotone and sends only 0 to 0, so it commutes with the
+    search's min and max, and a vanishing gap stays exactly 0."""
+    out[...] = v
+    bits = out.view(np.int32)
+    bits += out < v
+
+
+def _gap_rows(v: np.ndarray, pts: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Rows ``pts`` of the normalized gap matrix of the points ``v``, a
+    |pts| x m float64 array, by ``_pair_pass``'s arithmetic and so equal bit
+    for bit to its values, in blocks of about ``_CHUNK_FLOATS`` floats."""
+    m, n = v.shape
+    rows = max(1, _CHUNK_FLOATS // max(1, m * n))
+    norms = np.linalg.norm(v, axis=1)
+    out = np.empty((pts.size, m))
+    for a0 in range(0, pts.size, rows):
+        p = pts[a0:a0 + rows]
+        dist = np.linalg.norm(v[p, None, :] - v[None, :, :], axis=2)
+        out[a0:a0 + rows] = dist / tol.margin(np.maximum(norms[p, None], norms[None, :]))
+    return out
+
+
 def _rows(gap: np.ndarray, pts: np.ndarray, a0: int, a1: int) -> np.ndarray:
-    """Rows pts[a0:a1] of a gap matrix; a view when pts is every point."""
+    """Rows pts[a0:a1] of a gap matrix; a view when pts is every row."""
     return gap[a0:a1] if pts.size == gap.shape[0] else gap[pts[a0:a1]]
 
 
 def _median_gap(gaps, pts: np.ndarray, lo: float, hi: float) -> float | None:
     """Median of the values strictly between ``lo`` and ``hi`` in rows ``pts``
-    of the gap matrices, or None when there is none.  When those rows hold
-    more than ``_CHUNK_FLOATS`` values, it is the median of an evenly strided
-    sample of at most about that many, read in blocks of about as many floats
-    and partitioned in place."""
-    m = gaps[0].shape[0]
+    of the gap matrices (m columns each, float32 or float64), or None when
+    there is none.  When those rows hold more than ``_CHUNK_FLOATS`` values,
+    it is the median of an evenly strided sample of at most about that many,
+    read in blocks of about as many floats and partitioned in place."""
+    m = gaps[0].shape[1]
     rows = max(1, _CHUNK_FLOATS // m)
     stride = -(-len(gaps) * pts.size * m // _CHUNK_FLOATS)
     sample = []
@@ -242,16 +275,16 @@ def _median_gap(gaps, pts: np.ndarray, lo: float, hi: float) -> float | None:
 
 
 def _unmatched(gap_x: np.ndarray, gap_s: np.ndarray, pts: np.ndarray, t: float) -> np.ndarray:
-    """u[a, b]: no stored point l has gap_x[pts[a], l] <= t and
-    gap_s[pts[b], l] <= t, i.e. (x_pts[a], xstar_pts[b]) is farther than t
-    from the graph.  One float32 0/1 product per pair of tiles; its counts
-    sum nonnegative terms, so a count is zero exactly when no l matches, at
-    any m.
+    """u[a, b]: no point l has gap_x[pts[a], l] <= t and gap_s[pts[b], l] <= t,
+    i.e. (x_pts[a], xstar_pts[b]) is farther than t from the graph, for gap
+    rows of m columns (float32 or float64).  One float32 0/1 product per pair
+    of tiles; its counts sum nonnegative terms, so a count is zero exactly
+    when no l matches, at any m.
 
     A tile is ``_CHUNK_FLOATS // m`` rows, but at least ceil(m / 8), since
     each gap_s tile is thresholded again for every gap_x tile (at m = 3000:
     375 rows, 4.5 MB)."""
-    m, n = gap_x.shape[0], pts.size
+    m, n = gap_x.shape[1], pts.size
     rows = max(_CHUNK_FLOATS // m, -(-m // 8))
     u = np.empty((n, n), dtype=bool)
     mx = np.empty((min(rows, n), m), dtype=np.float32)
@@ -266,35 +299,15 @@ def _unmatched(gap_x: np.ndarray, gap_s: np.ndarray, pts: np.ndarray, t: float) 
     return u
 
 
-def _crossed_pairs(
-    vanishing: np.ndarray, gap_x: np.ndarray, gap_s: np.ndarray
-) -> ClassificationReport:
-    """Paramonotone report of a monotone sample from what ``_pair_pass``
-    stores: the bool mask of the vanishing pairs i < j (an m x m upper
-    triangle, m^2 bytes) and the upper triangles of the two normalized gap
-    matrices (float64, 16 m^2 bytes), which are mirrored in place, a row at
-    a time.
-
-    need(i, j) = min_l max(gap_x[l, i], gap_s[l, j]) is the distance from
-    (x_i, xstar_j) to the nearest stored pair, and a vanishing pair i < j
-    violates by max(need(i, j), need(j, i)).  Every need value is a gap
-    entry, so the worst violation W is the smallest gap value t at which no
-    vanishing pair is ``_unmatched`` either way.  Bisection finds it, each
-    step testing the ``_median_gap`` of the values still bracketed.  A pair
-    that matches at a failed t < W cannot attain W and leaves the search,
-    with its points, so the pairs left at the end are exactly those
-    attaining W, and the witness is the smallest of them in row-major order.
-    About log2(2 |V| m) products of |V| x m x |V| (V: the points in
-    vanishing pairs), shrinking as pairs leave, in float32 tiles of
-    ``_unmatched``'s rule: about ``_CHUNK_FLOATS`` floats, and at least an
-    eighth of the points.
-    """
-    for gap in (gap_x, gap_s):
-        for i in range(1, gap.shape[0]):
-            gap[i, :i] = gap[:i, i]
-    keep = vanishing.any(axis=0) | vanishing.any(axis=1)
-    pts, active = np.flatnonzero(keep), vanishing[np.ix_(keep, keep)]
-    lo, hi = -np.inf, np.inf
+def _bisect(gap_x, gap_s, pts: np.ndarray, active: np.ndarray, lo: float, hi: float):
+    """Narrow (lo, hi] to the worst violation W of the pairs ``active`` among
+    the rows ``pts``, given that every such pair matches at ``hi`` and each
+    fails at ``lo``.  Each step tests t, the ``_median_gap`` of the values
+    still bracketed: if every pair matches, hi = t; otherwise lo = t and only
+    the failing pairs, with their points, stay, since a pair that matches at
+    t < W cannot attain W.  Returns (pts, active, lo, hi) once no value lies
+    strictly between lo and hi: then hi = W, and the pairs left are exactly
+    those attaining it, unless lo is still -inf (no step failed)."""
     while pts.size and (t := _median_gap((gap_x, gap_s), pts, lo, hi)) is not None:
         failing = _unmatched(gap_x, gap_s, pts, t)
         failing |= failing.T  # in place: numpy buffers the overlapping transpose
@@ -305,11 +318,58 @@ def _crossed_pairs(
         lo = t
         keep = failing.any(axis=0) | failing.any(axis=1)
         pts, active = pts[keep], failing[np.ix_(keep, keep)]
+    return pts, active, lo, hi
+
+
+def _crossed_pairs(g: OperatorGraph, tol: ToleranceConfig, stored: list) -> ClassificationReport:
+    """Paramonotone report of a monotone sample ``g`` from what ``_pair_pass``
+    stores, [vanishing, gap_x, gap_s], which it takes out of ``stored``: the
+    bool mask of the vanishing pairs i < j (an m x m upper triangle, m^2
+    bytes) and the upper triangles of the two normalized gap matrices
+    (float32 or float64), which are mirrored in place, a row at a time.
+
+    need(i, j) = min_l max(gap_x[l, i], gap_s[l, j]) is the distance from
+    (x_i, xstar_j) to the nearest stored pair, and a vanishing pair i < j
+    violates by max(need(i, j), need(j, i)).  Every need value is a gap
+    entry, so the worst violation W is the smallest gap value t at which no
+    vanishing pair is ``_unmatched`` either way, which ``_bisect`` finds.
+
+    Stored in float32 rounded up, the gaps give each pair's violation
+    rounded up, since the rounding commutes with min and max: the bisection
+    on them finds W32, W rounded up, and leaves the pairs attaining it, among
+    them every pair that attains W.  W32 is 0 exactly when W is, and no step
+    failed.  Otherwise the float32 matrices and the mask are released, and
+    ``_bisect`` runs again, on the float64 gap rows of the points left
+    (``_gap_rows``) and within the float32 bracket, so W, and the witness,
+    the smallest pair attaining it in row-major order, are exact.
+
+    About log2(2 |V| m) products of |V| x m x |V| (V: the points in
+    vanishing pairs), shrinking as pairs leave, in float32 tiles of
+    ``_unmatched``'s rule: about ``_CHUNK_FLOATS`` floats, and at least an
+    eighth of the points.  The float32 search holds the 9 m^2 bytes stored
+    and bool matrices over V; the finish holds 16 |P| m bytes of rows (P: the
+    points left) and bool matrices over P.  So a float32 tie over every point
+    peaks below the 17 m^2 bytes of storing float64 gaps, and bisects twice
+    over all of them.
+    """
+    vanishing, gap_x, gap_s = stored
+    stored.clear()
+    for gap in (gap_x, gap_s):
+        for i in range(1, gap.shape[0]):
+            gap[i, :i] = gap[:i, i]
+    keep = vanishing.any(axis=0) | vanishing.any(axis=1)
+    pts, active = np.flatnonzero(keep), vanishing[np.ix_(keep, keep)]
+    del vanishing
+    pts, active, lo, hi = _bisect(gap_x, gap_s, pts, active, -np.inf, np.inf)
+    del gap, gap_x, gap_s  # the float32 matrices, released before the float64 rows
     if lo == -np.inf:
         # no threshold failed: every crossed pair is stored (or none is needed)
         return ClassificationReport(verdict=True, worst_violation=0.0)
-    a, b = divmod(int(np.argmax(active)), pts.size)
-    return ClassificationReport(verdict=hi <= 1.0, worst_violation=hi, witness=(pts[a], pts[b]))
+    rows = [_gap_rows(v, pts, tol) for v in (g.primal_matrix, g.dual_matrix)]
+    left, active, _, hi = _bisect(*rows, np.arange(pts.size), active, lo, hi)
+    a, b = divmod(int(np.argmax(active)), left.size)
+    return ClassificationReport(verdict=hi <= 1.0, worst_violation=hi,
+                                witness=(pts[left[a]], pts[left[b]]))
 
 
 @quiet_overflow
@@ -327,7 +387,8 @@ def analyze(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> dict:
     return {
         "monotone": mono,
         "bimonotone": _read(found["bimonotone"]),
-        "paramonotone": NotMonotone(monotone=mono) if stored is None else _crossed_pairs(*_read(stored)),
+        "paramonotone": (NotMonotone(monotone=mono) if stored is None
+                         else _crossed_pairs(g, tol, _read(stored))),
         "constant_on_domain": _read(found["constant"]),
     }
 
@@ -350,4 +411,4 @@ def paramonotone_check(
     """
     found, stored = _pair_pass(g, tol, store=True)
     mono = _read(found["monotone"])
-    return NotMonotone(monotone=mono) if stored is None else _crossed_pairs(*_read(stored))
+    return NotMonotone(monotone=mono) if stored is None else _crossed_pairs(g, tol, _read(stored))

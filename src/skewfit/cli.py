@@ -123,7 +123,10 @@ def _tolerance_flag(text: str) -> float:
 
 def _integer_flag(text: str) -> int:
     """An index or a seed, spelled as a JSON integer; its range is checked where it is used."""
-    value = spelled_integer(text)
+    try:
+        value = spelled_integer(text)
+    except ValueError:  # Python's limit on the digits of an int
+        raise argparse.ArgumentTypeError("integer with too many digits") from None
     if value is None:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     return value

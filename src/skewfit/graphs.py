@@ -142,7 +142,7 @@ def nonnegative(value, name: str) -> float:
         if _is_real(type(value)):
             real = float(value)  # first: comparing a float32 with a bound casts the bound
             if 0.0 <= real < math.inf:
-                return real
+                return abs(real)  # -0.0 reads as 0.0
     except OverflowError:  # an integer beyond the range of a double
         pass
     raise ValidationError(f"{name} must be finite and nonnegative")
@@ -390,6 +390,13 @@ def _reject_constant(token: str):
     raise ParseError(f"non-finite number {token!r} is not allowed")
 
 
+def _integer_token(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError as exc:  # Python's limit on the digits of an int
+        raise ParseError("JSON integer with too many digits") from exc
+
+
 def _row(value, where: str, dim: int) -> list:
     if not isinstance(value, list):
         raise ParseError(f"{where} must be an array of numbers")
@@ -408,11 +415,13 @@ def _decode(data: bytes) -> str:
 def load_json_object(data: bytes) -> dict:
     """Parse UTF-8 bytes holding one JSON object whose numbers are finite."""
     try:
-        doc = json.loads(_decode(data), parse_constant=_reject_constant)
+        doc = json.loads(_decode(data), parse_constant=_reject_constant, parse_int=_integer_token)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
     return doc

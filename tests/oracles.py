@@ -215,7 +215,7 @@ def scan_paramonotone(g, tol):
         return NotMonotone(monotone=mono)
     _scan(g, tol, _gap_terms(g.primal_matrix), out=gap_x)
     _scan(g, tol, _gap_terms(g.dual_matrix), out=gap_s)
-    return classify._crossed_pairs(_vanishing(pairing), gap_x, gap_s)
+    return classify._crossed_pairs(g, tol, [_vanishing(pairing), gap_x, gap_s])
 
 
 @quiet_overflow
@@ -229,7 +229,7 @@ def scan_analyze(g, tol):
     constant = _scan(g, tol, _gap_terms(g.dual_matrix), out=gap_s)
     paramonotone = NotMonotone(monotone=mono)
     if mono.verdict:
-        paramonotone = classify._crossed_pairs(_vanishing(pairing), gap_x, gap_s)
+        paramonotone = classify._crossed_pairs(g, tol, [_vanishing(pairing), gap_x, gap_s])
     return {"monotone": mono, "bimonotone": bimonotone,
             "paramonotone": paramonotone, "constant_on_domain": constant}
 

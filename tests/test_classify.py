@@ -448,6 +448,103 @@ def test_paramonotone_matches_oracle_where_the_tile_row_floor_binds(tol):
         assert paramonotone_check(g, tol).to_dict() == expected
 
 
+# The crossed-pair search bisects on float32 gaps rounded up and finishes on
+# the float64 gap rows of the points it leaves.  These cases sit at float32's
+# edges; each is checked against the plain-loop oracle.
+
+def _violations_rounded_up(g, tol):
+    """The oracle's crossed-pair violations, rounded up to float32 as the
+    search stores the gaps."""
+    violations = np.array(list(oracles.crossed_violations(g, tol).values()))
+    up = np.empty(violations.shape, dtype=np.float32)
+    with np.errstate(over="ignore"):  # as in the search: a gap past float32's maximum is inf
+        classify._round_up(violations, up)
+    return up
+
+
+def test_round_up_is_nextafter_toward_inf():
+    tiny, top = np.finfo(np.float32).smallest_subnormal, np.finfo(np.float32).max
+    v = np.array([0.0, 1e-60, float(tiny), 1.0, 1.0 + 2.0**-40, float(top), 3.5e38, 1e300])
+    up = np.empty(v.shape, dtype=np.float32)
+    with np.errstate(over="ignore"):
+        classify._round_up(v, up)
+    assert up.tolist() == [0.0, tiny, tiny, 1.0, 1.0 + 2.0**-23, top, np.inf, np.inf]
+
+
+def test_paramonotone_crossed_distances_below_float32_subnormals():
+    # points about 1e-60 apart: every nonzero normalized gap, about 1e-51, is
+    # below float32's smallest subnormal and rounds up to it, not to 0, so
+    # every vanishing pair ties in float32 and the float64 finish runs over
+    # all the points
+    g = skew_graph_2d(m=40, seed=4)
+    g = OperatorGraph.from_arrays(g.primal_matrix * 1e-60, g.dual_matrix * 1e-60)
+    tol = ToleranceConfig()
+    expected = oracles.paramonotone(g, tol)
+    assert 0.0 < expected["worst_violation"] < np.finfo(np.float32).smallest_subnormal
+    assert set(_violations_rounded_up(g, tol).tolist()) == {np.finfo(np.float32).smallest_subnormal}
+    assert paramonotone_check(g, tol).to_dict() == expected
+    with mock.patch.object(classify, "_CHUNK_FLOATS", 1):
+        assert paramonotone_check(g, tol).to_dict() == expected
+
+
+def test_paramonotone_crossed_distances_above_float32_max():
+    # primal points on the first axis and dual points on the second, so every
+    # product is exactly 0 and every pair vanishes.  With an absolute
+    # tolerance of 1 a gap is a distance: 1e38 fits float32, the others
+    # exceed its maximum and round up to inf, and so does the worst violation
+    rng = np.random.Generator(np.random.Philox(12))
+    m = 16
+    a = rng.choice([0.0, 1e38, 1e39, 3e39], size=m)
+    b = rng.choice([0.0, 1e38, 2e39, 5e39], size=m)
+    g = OperatorGraph.from_arrays(np.column_stack([a, np.zeros(m)]), np.column_stack([np.zeros(m), b]))
+    tol = ToleranceConfig(abs_tol=1.0, rel_tol=0.0)
+    expected = oracles.paramonotone(g, tol)
+    assert np.finfo(np.float32).max < expected["worst_violation"] < np.inf
+    assert np.isinf(_violations_rounded_up(g, tol).max())
+    assert paramonotone_check(g, tol).to_dict() == expected
+    with mock.patch.object(classify, "_CHUNK_FLOATS", 1):
+        assert paramonotone_check(g, tol).to_dict() == expected
+
+
+def test_paramonotone_float32_tie_is_finished_in_float64():
+    # Blocks of two points, (c, c) and (c + (d, 0), c + (0, d)), along the
+    # diagonal: each block's pair vanishes exactly, pairs of different blocks
+    # do not, and a block's crossed pairs are d from the graph.  The seeded d
+    # lie within one float32 step above 1, so every block ties in float32 and
+    # only the float64 finish finds the worst one, which is not block 0.
+    blocks = 8
+    d = 1.0 + np.random.Generator(np.random.Philox(16)).integers(1, 2**17, size=blocks) * 2.0**-40
+    x = np.repeat(64.0 * np.arange(blocks), 2)[:, None] * np.ones(2)
+    s = x.copy()
+    x[1::2, 0] += d
+    s[1::2, 1] += d
+    g = OperatorGraph.from_arrays(x, s)
+    tol = ToleranceConfig(abs_tol=1.0, rel_tol=0.0)
+    expected = oracles.paramonotone(g, tol)
+    up = _violations_rounded_up(g, tol)
+    assert up.size == blocks and (up == up.max()).all()
+    assert expected["worst_violation"] == d.max() and expected["witness"] != [0, 1]
+    assert paramonotone_check(g, tol).to_dict() == expected
+    with mock.patch.object(classify, "_CHUNK_FLOATS", 1):
+        assert paramonotone_check(g, tol).to_dict() == expected
+
+
+@pytest.mark.parametrize("chunk", [1, None])
+def test_gap_rows_equal_the_full_square_gaps_bit_for_bit(chunk):
+    # the finish recomputes float64 gap rows, below the diagonal too, which
+    # the pass stores only above it: both are the full-square scan's values
+    rng = np.random.Generator(np.random.Philox(13))
+    g = OperatorGraph.from_arrays(rng.normal(size=(120, 5)) * 3.0 + 2.0, rng.normal(size=(120, 5)))
+    tol = ToleranceConfig()
+    pts = np.sort(rng.choice(120, size=37, replace=False))
+    for v in (g.primal_matrix, g.dual_matrix):
+        full = np.empty((120, 120))
+        oracles._scan(g, tol, oracles._gap_terms(v), out=full)
+        full = np.where(np.triu(np.ones((120, 120), dtype=bool)), full, full.T)
+        with mock.patch.object(classify, "_CHUNK_FLOATS", chunk or classify._CHUNK_FLOATS):
+            assert np.array_equal(classify._gap_rows(v, pts, tol), full[pts])
+
+
 def test_paramonotone_memory_is_blocked(monkeypatch):
     # one m x m x n difference array is 25.6 MB here; the scan holds blocks of
     # about 100_000 floats and a few m x m matrices.  A strictly monotone
@@ -458,11 +555,9 @@ def test_paramonotone_memory_is_blocked(monkeypatch):
     strict = OperatorGraph.from_arrays(x, 2.0 * x)
     planted = make_fixture(FixtureSpec(n=20, k=8, m=400, offset_norm=1.0, seed=8)).graph
     assert bimonotone_check(planted).verdict
-    # At m = 1200 the pass stores an m x m bool mask and two float64 gap
-    # matrices, 17 m^2 bytes, and the search adds m x m bool matrices and
-    # blocks.  A float32 mask pair over every point with its count matrix
-    # (12 m^2 bytes), or an array of every candidate gap (16 m^2), would not
-    # fit under 32 m^2.
+    # At m = 1200 the pass stores an m x m bool mask and two float32 gap
+    # matrices, 9 m^2 bytes, and the search adds m x m bool matrices and
+    # blocks: 12.4 m^2 traced in all.
     m = 1200
     large = make_fixture(FixtureSpec(n=20, k=8, m=m, offset_norm=1.0, seed=8)).graph
     for g, verdict, bound in ((strict, True, 16e6), (planted, False, 16e6), (large, False, 32 * m * m)):
@@ -488,21 +583,23 @@ def _traced_peak(call, g):
 
 def test_pair_pass_peak_memory():
     # m = 1000 in R^20 at the default _CHUNK_FLOATS: a pass holds a few 2 MB
-    # difference blocks (7.4 MB traced), and analyze adds the 17 m^2 bytes it
+    # difference blocks (7.4 MB traced), and analyze adds the 9 m^2 bytes it
     # stores for the crossed-pair search and the search's m x m bool
-    # matrices (24.6 MB).  8 MB blocks peaked at 46.5 MB and 28.7 MB, a
-    # float64 pairing matrix and 32 MB blocks at 125 MB and 101 MB.
+    # matrices (16.6 MB).  Float64 gaps, 17 m^2 bytes, peaked at 24.6 MB; 8 MB
+    # blocks at 46.5 MB and 28.7 MB, a float64 pairing matrix and 32 MB
+    # blocks at 125 MB and 101 MB.
     planted = make_fixture(FixtureSpec(n=20, k=8, m=1000, offset_norm=1.0, seed=3)).graph
     report, peak = _traced_peak(classify.analyze, planted)
-    assert report["bimonotone"].verdict and peak < 30e6
+    assert report["bimonotone"].verdict and peak < 20e6
     report, peak = _traced_peak(bimonotone_check, planted)
     assert report.verdict and peak < 10e6
 
 
 def test_paramonotone_stores_nothing_for_a_sample_that_is_not_monotone():
     # the first block of a random sample shows a monotone violation, so the
-    # pass never allocates the mask and gap matrices that analyze keeps for a
-    # monotone sample of the same shape
+    # pass never allocates the mask and float32 gap matrices that analyze
+    # keeps for a monotone sample of the same shape; the margin is the gaps'
+    # 8 m^2 bytes
     m = 1000
     planted = make_fixture(FixtureSpec(n=20, k=8, m=m, offset_norm=1.0, seed=3)).graph
     rng = np.random.Generator(np.random.Philox(5))
@@ -511,4 +608,4 @@ def test_paramonotone_stores_nothing_for_a_sample_that_is_not_monotone():
     assert report["monotone"].verdict
     report, peak = _traced_peak(paramonotone_check, random)
     assert isinstance(report, NotMonotone)
-    assert peak <= monotone_peak - 12 * m * m
+    assert peak <= monotone_peak - 8 * m * m

@@ -401,6 +401,55 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert code == 0 and stdout.startswith("usage: skewfit analyze") and stderr == ""
 
 
+def test_integer_flags_past_the_digit_limit_exit_2(capsys, tmp_path):
+    # Python converts at most 4300 digits to an int by default; the message
+    # names the flag, not the function that read it
+    path = tmp_path / "g.json"
+    path.write_bytes(SMALL_GRAPH)
+    digits = "1" * 5000
+    for argv in (["decompose", str(path), "--basepoint", digits],
+                 ["generate", write_spec(tmp_path, SPEC), "--out", str(tmp_path / "o.json"), "--seed", digits]):
+        code, stdout, stderr = invoke(capsys, *argv)
+        assert (code, stdout) == (2, "")
+        assert stderr == f"skewfit: error: argument {argv[-2]}: integer with too many digits\n"
+
+
+# a spec and a graph document, each with an integer past Python's digit limit
+TOO_MANY_DIGITS = {
+    "generate": b'{"n": ' + b"1" * 5000 + b', "k": 1, "m": 1}',
+    "analyze": b'{"dimension": ' + b"1" * 5000 + b', "points": []}',
+}
+
+
+def _exits_2_with_one_error_line(capsys, tmp_path, command, content):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    argv = [command, str(path)] + (["--out", str(tmp_path / "out.json")] if command == "generate" else [])
+    code, stdout, stderr = invoke(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("skewfit: error: ") and stderr.count("\n") == 1
+    return stderr
+
+
+@pytest.mark.parametrize("command", ["generate", "analyze"])
+def test_integer_past_the_digit_limit_exits_2(capsys, tmp_path, command):
+    stderr = _exits_2_with_one_error_line(capsys, tmp_path, command, TOO_MANY_DIGITS[command])
+    assert stderr.endswith("JSON integer with too many digits\n")
+
+
+@pytest.mark.parametrize("command", ["generate", "analyze"])
+def test_json_nested_100000_deep_exits_2(capsys, tmp_path, command):
+    stderr = _exits_2_with_one_error_line(capsys, tmp_path, command, b"[" * 100_000 + b"]" * 100_000)
+    assert stderr.endswith("JSON nested too deeply\n")
+
+
+def test_negative_zero_tolerance_prints_as_zero(capsys, tmp_path):
+    path = tmp_path / "g.json"
+    path.write_bytes(SMALL_GRAPH)
+    code, stdout, _ = invoke(capsys, "analyze", str(path), "--tol-abs", "-0")
+    assert code == 0 and '"tolerance": {"abs_tol": 0.0, "rel_tol": 1e-09}' in stdout
+
+
 def test_tolerance_whose_margin_overflows_exit_2(capsys, tmp_path):
     graph, _ = generate(capsys, tmp_path)
     code, stdout, stderr = invoke(capsys, "analyze", graph, "--tol-abs", "1e308", "--tol-rel", "1e308")

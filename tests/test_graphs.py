@@ -124,6 +124,14 @@ def test_tolerance_one_sided_zero_allowed():
     ToleranceConfig(abs_tol=1e-12, rel_tol=0.0)
 
 
+@pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
+@pytest.mark.parametrize("zero", [-0.0, np.float32(-0.0)])
+def test_tolerance_reads_negative_zero_as_zero(field, zero):
+    tol = ToleranceConfig(**{field: zero})
+    assert not np.signbit(getattr(tol, field))
+    assert f'"{field}": 0.0' in dumps_canonical(tol.to_dict())
+
+
 def test_tolerance_stores_numpy_scalars_as_floats():
     tol = ToleranceConfig(abs_tol=np.float32(1e-9), rel_tol=np.int64(0))
     assert type(tol.abs_tol) is float and type(tol.rel_tol) is float
