@@ -14,18 +14,16 @@ Every check is one pass over the upper triangle of point pairs, exact
 double arithmetic quadratic in the number of points: each pair's differences
 are formed once, and their product and two norms give the pairing and both
 gap violations.  Paramonotone's crossed-pair search is exact too: it bisects
-over the gap values, stored as float32 rounded up, and finishes in float64
-on the gap rows of the few points it leaves.  ``analyze`` returns all four
-reports from that one pass and the search.  Verdicts are order-independent;
-witnesses break ties by the smallest index pair.
+once over the float64 gap values that the pass stores in one m x m matrix,
+the primal gaps above its diagonal and the dual gaps below.  ``analyze``
+returns all four reports from that one pass and the search.  Verdicts are
+order-independent; witnesses break ties by the smallest index pair.
 
-The search stores 9 m^2 bytes for m points: a bool mask and two float32 gap
-matrices.  A float32 tie over every point makes its float64 finish take
-16 m^2 bytes, after the float32 matrices are released (``_pair_pass`` and
-``_crossed_pairs`` state what each stores and costs).  Beyond that, the
-working set is one 2 MB budget: the pass's difference blocks, the search's
-gap sample, and its float32 tiles, which take at least an eighth of the
-points each.
+The search stores 9 m^2 bytes for m points: a bool mask and the gap matrix
+(``_pair_pass`` and ``_crossed_pairs`` state what each stores and costs).
+Beyond that, the working set is one 2 MB budget: the pass's difference
+blocks, the search's gap sample and gap blocks, and its float32 tiles,
+which take at least an eighth of the points each.
 """
 
 from __future__ import annotations
@@ -53,8 +51,9 @@ __all__ = [
     "paramonotone_check",
 ]
 
-# Floats per difference block of the pair pass, per gap sample and per
-# float32 tile of the search (at least ceil(m / 8) rows): 2 MB of float64.
+# Floats per difference block of the pair pass, per gap sample and gap block
+# of the search, and per float32 tile (at least ceil(m / 8) rows): 2 MB of
+# float64.
 _CHUNK_FLOATS = 1 << 18
 
 
@@ -120,10 +119,11 @@ def _pair_pass(
     * primal gap: |dx| against max(|x_i|, |x_j|), with ``store`` only.
 
     Returns the reports, keyed by name, and ``stored``.  With ``store``,
-    ``stored`` = [vanishing, gap_x, gap_s], a list that ``_crossed_pairs``
-    empties: the bool mask of the pairs i < j with |pairing| <= 1 and the
-    upper triangles of both gap matrices in float32, each value rounded up
-    (``_round_up``), 9 m^2 bytes.  They are allocated with the first block,
+    ``stored`` = [vanishing, gaps], a list that ``_crossed_pairs`` empties:
+    the bool mask of the pairs i < j with |pairing| <= 1, and one m x m
+    float64 matrix holding, for each pair i < j, its primal gap at [i, j]
+    and its dual gap at [j, i] (the zero diagonal serves both), 9 m^2 bytes
+    in all, written block by block.  They are allocated with the first block,
     unless it shows a monotone violation, and dropped, with the primal gap's
     computation, at the first block that does, so ``stored`` is None for a
     sample that is not monotone.
@@ -149,8 +149,10 @@ def _pair_pass(
         below = np.arange(i0, m)[None, :] < np.arange(i0, i1)[:, None]
         dx = x[i0:i1, None, :] - x[None, i0:, :]
         ds = s[i0:i1, None, :] - s[None, i0:, :]
-        nx, ns = np.linalg.norm(dx, axis=2), np.linalg.norm(ds, axis=2)
-        terms = {"monotone": (-np.einsum("ijk,ijk->ij", ds, dx), ns * nx),
+        pairing = -np.einsum("ijk,ijk->ij", ds, dx)
+        # np.linalg.norm's arithmetic, squaring the differences in place
+        nx, ns = (np.sqrt(np.add.reduce(np.square(d, out=d), axis=2)) for d in (dx, ds))
+        terms = {"monotone": (pairing, ns * nx),
                  "constant": (ns, np.maximum(norm_s[i0:i1, None], norm_s[None, i0:]))}
         if store:
             terms["primal_gap"] = (nx, np.maximum(norm_x[i0:i1, None], norm_x[None, i0:]))
@@ -175,11 +177,10 @@ def _pair_pass(
             store, stored = False, None  # not monotone: nothing stored is read
         if store:
             if stored is None:
-                stored = [np.zeros((m, m), dtype=bool), np.empty((m, m), dtype=np.float32),
-                          np.empty((m, m), dtype=np.float32)]
+                stored = [np.zeros((m, m), dtype=bool), np.empty((m, m))]
             np.less_equal(np.abs(viol["monotone"]), 1.0, out=stored[0][i0:i1, i0:])
-            _round_up(viol["primal_gap"], stored[1][i0:i1, i0:])
-            _round_up(viol["constant"], stored[2][i0:i1, i0:])
+            stored[1][i0:, i0:i1] = viol["constant"].T  # dual gaps below the diagonal
+            np.copyto(stored[1][i0:i1, i0:], viol["primal_gap"], where=~below)  # primal on and above
     if stored is not None:
         np.fill_diagonal(stored[0], False)
         stored = errors.get("primal_gap") or errors.get("constant") or stored
@@ -220,156 +221,143 @@ def constant_on_domain_check(
     return _read(_pair_pass(g, tol)[0]["constant"])
 
 
-def _round_up(v: np.ndarray, out: np.ndarray) -> None:
-    """Write float64 ``v`` into float32 ``out`` rounded toward +inf: the
-    nearest float32, moved up one step where it fell below.  For the
-    nonnegative gaps that step, np.nextafter toward +inf, is one more in the
-    int32 bit pattern (the largest float32 steps to inf), which vectorizes.
-    The rounding is monotone and sends only 0 to 0, so it commutes with the
-    search's min and max, and a vanishing gap stays exactly 0."""
-    out[...] = v
-    bits = out.view(np.int32)
-    bits += out < v
+def _near(gaps: np.ndarray, pts: np.ndarray, t: float) -> np.ndarray:
+    """near[a, l] = (gap_x[pts[a], l] <= t) + 2 (gap_s[pts[a], l] <= t), a
+    |pts| x m uint8 matrix, read from the two-triangle matrix ``gaps`` of
+    ``_pair_pass``: a point's primal gaps are its row right of the diagonal
+    and its column above it, its dual gaps the other way round.
+
+    Points are read in blocks of about ``_CHUNK_FLOATS // m``.  A block's
+    rows and columns are gathered, or, where the block spans less than twice
+    as many points as it holds, thresholded over that span and picked."""
+    m = gaps.shape[0]
+    near = np.empty((pts.size, m), dtype=np.uint8)
+    ls = np.arange(m)
+    step = max(1, _CHUNK_FLOATS // m)
+    for a0 in range(0, pts.size, step):
+        p = pts[a0:a0 + step]
+        dense = p[-1] - p[0] < 2 * p.size
+        index = slice(p[0], p[-1] + 1) if dense else p
+        pick = p - p[0] if dense and p[-1] - p[0] >= p.size else slice(None)
+        row = (gaps[index] <= t)[pick]
+        col = np.ascontiguousarray(gaps[:, index].T <= t)[pick]
+        block = near[a0:a0 + p.size]
+        block[...] = col  # dual: the column right of the diagonal, the row left of it
+        np.copyto(block, row, where=ls < p[:, None])
+        block += row  # row + col = primal + dual, so block = primal + 2 dual
+        block += col
+    return near
 
 
-def _gap_rows(v: np.ndarray, pts: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """Rows ``pts`` of the normalized gap matrix of the points ``v``, a
-    |pts| x m float64 array, by ``_pair_pass``'s arithmetic and so equal bit
-    for bit to its values, in blocks of about ``_CHUNK_FLOATS`` floats."""
-    m, n = v.shape
-    rows = max(1, _CHUNK_FLOATS // max(1, m * n))
-    norms = np.linalg.norm(v, axis=1)
-    out = np.empty((pts.size, m))
-    for a0 in range(0, pts.size, rows):
-        p = pts[a0:a0 + rows]
-        dist = np.linalg.norm(v[p, None, :] - v[None, :, :], axis=2)
-        out[a0:a0 + rows] = dist / tol.margin(np.maximum(norms[p, None], norms[None, :]))
-    return out
+def _median_gap(gaps: np.ndarray, pts: np.ndarray, lo: float, hi: float) -> float | None:
+    """Median of the values strictly between ``lo`` and ``hi`` in the rows
+    and columns ``pts`` of ``gaps`` (those points' primal and dual gaps), or
+    None when there is none.  When these hold more than ``_CHUNK_FLOATS``
+    values, the median is taken over those of an evenly strided subset of
+    the points, which hold at most about that many, and only if none of
+    theirs is bracketed, over an evenly strided sample of as many from all
+    the points.  Lines are gathered in blocks of about ``_CHUNK_FLOATS``
+    floats, and the sample is partitioned in place."""
+    m = gaps.shape[0]
+    step = max(1, _CHUNK_FLOATS // m)
+    stride = -(-2 * pts.size * m // _CHUNK_FLOATS)
+
+    def bracketed(line, every):
+        # copied, so that the strided view does not keep the line alive
+        return line[(line > lo) & (line < hi)][::every].copy()
+    for sub, every in ((pts[::stride], 1), (pts, stride)):
+        sample = np.concatenate([bracketed(gaps[i], every) for a0 in range(0, sub.size, step)
+                                 for i in (sub[a0:a0 + step], (slice(None), sub[a0:a0 + step]))])
+        if sample.size:
+            sample.partition(sample.size // 2)
+            return float(sample[sample.size // 2])
+    return None
 
 
-def _rows(gap: np.ndarray, pts: np.ndarray, a0: int, a1: int) -> np.ndarray:
-    """Rows pts[a0:a1] of a gap matrix; a view when pts is every row."""
-    return gap[a0:a1] if pts.size == gap.shape[0] else gap[pts[a0:a1]]
-
-
-def _median_gap(gaps, pts: np.ndarray, lo: float, hi: float) -> float | None:
-    """Median of the values strictly between ``lo`` and ``hi`` in rows ``pts``
-    of the gap matrices (m columns each, float32 or float64), or None when
-    there is none.  When those rows hold more than ``_CHUNK_FLOATS`` values,
-    it is the median of an evenly strided sample of at most about that many,
-    read in blocks of about as many floats and partitioned in place."""
-    m = gaps[0].shape[1]
-    rows = max(1, _CHUNK_FLOATS // m)
-    stride = -(-len(gaps) * pts.size * m // _CHUNK_FLOATS)
-    sample = []
-    for gap in gaps:
-        for a0 in range(0, pts.size, rows):
-            block = _rows(gap, pts, a0, min(pts.size, a0 + rows))
-            # copied, so that the strided view does not keep the block alive
-            sample.append(block[(block > lo) & (block < hi)][::stride].copy())
-    sample = np.concatenate(sample)
-    if not sample.size:
-        return None
-    sample.partition(sample.size // 2)
-    return float(sample[sample.size // 2])
-
-
-def _unmatched(gap_x: np.ndarray, gap_s: np.ndarray, pts: np.ndarray, t: float) -> np.ndarray:
+def _unmatched(gaps: np.ndarray, pts: np.ndarray, t: float) -> np.ndarray:
     """u[a, b]: no point l has gap_x[pts[a], l] <= t and gap_s[pts[b], l] <= t,
-    i.e. (x_pts[a], xstar_pts[b]) is farther than t from the graph, for gap
-    rows of m columns (float32 or float64).  One float32 0/1 product per pair
-    of tiles; its counts sum nonnegative terms, so a count is zero exactly
-    when no l matches, at any m.
+    i.e. (x_pts[a], xstar_pts[b]) is farther than t from the graph.  Each
+    step thresholds the points' rows and columns once, into one |pts| x m
+    uint8 matrix (``_near``).  One float32 0/1 product per pair of tiles;
+    its counts sum nonnegative terms, so a count is zero exactly when no l
+    matches, at any m.
 
     A tile is ``_CHUNK_FLOATS // m`` rows, but at least ceil(m / 8), since
-    each gap_s tile is thresholded again for every gap_x tile (at m = 3000:
-    375 rows, 4.5 MB)."""
-    m, n = gap_x.shape[1], pts.size
+    each dual tile is cast to float32 again for every primal tile (at
+    m = 3000: 375 rows, 4.5 MB)."""
+    m, n = gaps.shape[0], pts.size
     rows = max(_CHUNK_FLOATS // m, -(-m // 8))
+    near = _near(gaps, pts, t)
     u = np.empty((n, n), dtype=bool)
     mx = np.empty((min(rows, n), m), dtype=np.float32)
     ms = np.empty_like(mx)
     for a0 in range(0, n, rows):
         a1 = min(n, a0 + rows)
-        np.less_equal(_rows(gap_x, pts, a0, a1), t, out=mx[: a1 - a0])
+        np.bitwise_and(near[a0:a1], 1, out=mx[: a1 - a0])
         for b0 in range(0, n, rows):
             b1 = min(n, b0 + rows)
-            np.less_equal(_rows(gap_s, pts, b0, b1), t, out=ms[: b1 - b0])
+            np.right_shift(near[b0:b1], 1, out=ms[: b1 - b0])
             np.equal(mx[: a1 - a0] @ ms[: b1 - b0].T, 0.0, out=u[a0:a1, b0:b1])
     return u
 
 
-def _bisect(gap_x, gap_s, pts: np.ndarray, active: np.ndarray, lo: float, hi: float):
-    """Narrow (lo, hi] to the worst violation W of the pairs ``active`` among
-    the rows ``pts``, given that every such pair matches at ``hi`` and each
-    fails at ``lo``.  Each step tests t, the ``_median_gap`` of the values
-    still bracketed: if every pair matches, hi = t; otherwise lo = t and only
-    the failing pairs, with their points, stay, since a pair that matches at
-    t < W cannot attain W.  Returns (pts, active, lo, hi) once no value lies
-    strictly between lo and hi: then hi = W, and the pairs left are exactly
-    those attaining it, unless lo is still -inf (no step failed)."""
-    while pts.size and (t := _median_gap((gap_x, gap_s), pts, lo, hi)) is not None:
-        failing = _unmatched(gap_x, gap_s, pts, t)
+def _bisect(gaps: np.ndarray, pts: np.ndarray, active: np.ndarray):
+    """Narrow (lo, hi] = (-inf, inf] to the worst violation W of the pairs
+    ``active`` among the points ``pts``.  Each step tests t, the
+    ``_median_gap`` of the values still bracketed: if every pair matches,
+    hi = t; otherwise lo = t and only the failing pairs, with their points,
+    stay, since a pair that matches at t < W cannot attain W.  Returns (pts,
+    active, lo, hi) once no value lies strictly between lo and hi: then
+    hi = W, and the pairs left are exactly those attaining it, unless lo is
+    still -inf (no step failed)."""
+    lo, hi = -np.inf, np.inf
+    while pts.size and (t := _median_gap(gaps, pts, lo, hi)) is not None:
+        failing = _unmatched(gaps, pts, t)
         failing |= failing.T  # in place: numpy buffers the overlapping transpose
         failing &= active
-        if not failing.any():
-            hi = t
-            continue
-        lo = t
         keep = failing.any(axis=0) | failing.any(axis=1)
-        pts, active = pts[keep], failing[np.ix_(keep, keep)]
+        if keep.any():
+            lo, pts, active = t, pts[keep], failing[np.ix_(keep, keep)]
+        else:
+            hi = t
+        del failing  # before the next step allocates its own
     return pts, active, lo, hi
 
 
-def _crossed_pairs(g: OperatorGraph, tol: ToleranceConfig, stored: list) -> ClassificationReport:
-    """Paramonotone report of a monotone sample ``g`` from what ``_pair_pass``
-    stores, [vanishing, gap_x, gap_s], which it takes out of ``stored``: the
-    bool mask of the vanishing pairs i < j (an m x m upper triangle, m^2
-    bytes) and the upper triangles of the two normalized gap matrices
-    (float32 or float64), which are mirrored in place, a row at a time.
+def _crossed_pairs(stored: list) -> ClassificationReport:
+    """Paramonotone report of a monotone sample from what ``_pair_pass``
+    stores, [vanishing, gaps], which it takes out of ``stored``: the bool
+    mask of the vanishing pairs i < j (an m x m upper triangle, m^2 bytes)
+    and the m x m float64 matrix of the normalized gaps, primal above the
+    diagonal and dual below it (8 m^2 bytes).
 
     need(i, j) = min_l max(gap_x[l, i], gap_s[l, j]) is the distance from
     (x_i, xstar_j) to the nearest stored pair, and a vanishing pair i < j
     violates by max(need(i, j), need(j, i)).  Every need value is a gap
     entry, so the worst violation W is the smallest gap value t at which no
-    vanishing pair is ``_unmatched`` either way, which ``_bisect`` finds.
-
-    Stored in float32 rounded up, the gaps give each pair's violation
-    rounded up, since the rounding commutes with min and max: the bisection
-    on them finds W32, W rounded up, and leaves the pairs attaining it, among
-    them every pair that attains W.  W32 is 0 exactly when W is, and no step
-    failed.  Otherwise the float32 matrices and the mask are released, and
-    ``_bisect`` runs again, on the float64 gap rows of the points left
-    (``_gap_rows``) and within the float32 bracket, so W, and the witness,
-    the smallest pair attaining it in row-major order, are exact.
+    vanishing pair is ``_unmatched`` either way, which one exact ``_bisect``
+    finds; the witness is the smallest pair attaining W in row-major order.
 
     About log2(2 |V| m) products of |V| x m x |V| (V: the points in
     vanishing pairs), shrinking as pairs leave, in float32 tiles of
     ``_unmatched``'s rule: about ``_CHUNK_FLOATS`` floats, and at least an
-    eighth of the points.  The float32 search holds the 9 m^2 bytes stored
-    and bool matrices over V; the finish holds 16 |P| m bytes of rows (P: the
-    points left) and bool matrices over P.  So a float32 tie over every point
-    peaks below the 17 m^2 bytes of storing float64 gaps, and bisects twice
-    over all of them.
+    eighth of the points.  Beside the 8 m^2 bytes of gaps, a step holds the
+    pairs still active and those failing (bool, |P|^2 bytes each; P: the
+    points left; the mask is dropped once the active pairs are copied out),
+    the |P| x m uint8 matrix of ``_near`` and two float32 tiles: about
+    12 m^2 bytes in all while P is every point.
     """
-    vanishing, gap_x, gap_s = stored
+    vanishing, gaps = stored
     stored.clear()
-    for gap in (gap_x, gap_s):
-        for i in range(1, gap.shape[0]):
-            gap[i, :i] = gap[:i, i]
     keep = vanishing.any(axis=0) | vanishing.any(axis=1)
     pts, active = np.flatnonzero(keep), vanishing[np.ix_(keep, keep)]
     del vanishing
-    pts, active, lo, hi = _bisect(gap_x, gap_s, pts, active, -np.inf, np.inf)
-    del gap, gap_x, gap_s  # the float32 matrices, released before the float64 rows
+    pts, active, lo, hi = _bisect(gaps, pts, active)
     if lo == -np.inf:
         # no threshold failed: every crossed pair is stored (or none is needed)
         return ClassificationReport(verdict=True, worst_violation=0.0)
-    rows = [_gap_rows(v, pts, tol) for v in (g.primal_matrix, g.dual_matrix)]
-    left, active, _, hi = _bisect(*rows, np.arange(pts.size), active, lo, hi)
-    a, b = divmod(int(np.argmax(active)), left.size)
-    return ClassificationReport(verdict=hi <= 1.0, worst_violation=hi,
-                                witness=(pts[left[a]], pts[left[b]]))
+    a, b = divmod(int(np.argmax(active)), pts.size)
+    return ClassificationReport(verdict=hi <= 1.0, worst_violation=hi, witness=(pts[a], pts[b]))
 
 
 @quiet_overflow
@@ -388,7 +376,7 @@ def analyze(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> dict:
         "monotone": mono,
         "bimonotone": _read(found["bimonotone"]),
         "paramonotone": (NotMonotone(monotone=mono) if stored is None
-                         else _crossed_pairs(g, tol, _read(stored))),
+                         else _crossed_pairs(_read(stored))),
         "constant_on_domain": _read(found["constant"]),
     }
 
@@ -411,4 +399,4 @@ def paramonotone_check(
     """
     found, stored = _pair_pass(g, tol, store=True)
     mono = _read(found["monotone"])
-    return NotMonotone(monotone=mono) if stored is None else _crossed_pairs(g, tol, _read(stored))
+    return NotMonotone(monotone=mono) if stored is None else _crossed_pairs(_read(stored))

@@ -4,7 +4,8 @@ Subcommands: analyze (classification bundle), decompose (skew
 representation), generate (seeded fixtures), verify (reconstruction
 residuals).  Every invocation writes exactly one JSON document to stdout
 and keeps diagnostics on stderr.  Exit codes: 0 for a true verdict or
-success, 1 for a false verdict, 2 for usage or parse errors.
+success, 1 for a false verdict, 2 for usage or parse errors, 3 for an
+internal error.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import traceback
 from pathlib import Path
 from typing import Sequence
 
@@ -198,4 +200,9 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run())
+    try:
+        code = run()
+    except Exception:  # a fault in skewfit, not in its input: never read as a verdict
+        traceback.print_exc()
+        code = 3
+    raise SystemExit(code)

@@ -112,6 +112,8 @@ def _reals(value, name: str, entry=None) -> np.ndarray:
             return leaves.astype(np.float64)
     except ValueError as exc:  # ragged beyond what an object array holds
         raise ValidationError(f"{name} is not an array of reals: {exc}") from exc
+    except RuntimeError as exc:  # nested past the 32 axes numpy's functions take
+        raise ValidationError(f"{name} is not an array of reals: it nests more than 32 deep") from exc
     except OverflowError as exc:  # an integer beyond the range of a double
         raise ValidationError(f"{name} overflows double precision") from exc
     index, leaf = next((i, leaf) for i, leaf in np.ndenumerate(leaves) if not _is_real(type(leaf)))

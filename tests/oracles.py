@@ -201,21 +201,31 @@ def scan_constant(g, tol):
     return _scan(g, tol, _gap_terms(g.dual_matrix))
 
 
-def _vanishing(pairing):
-    """The mask of vanishing pairs i < j that ``_crossed_pairs`` reads."""
-    return np.triu(np.abs(pairing) <= 1.0, 1)
+def _stored(pairing, gap_x, gap_s):
+    """[vanishing, gaps] as ``_pair_pass`` stores them for ``_crossed_pairs``:
+    the mask of the vanishing pairs i < j, and the primal gaps on and above
+    the diagonal with the dual gaps below it."""
+    upper = np.triu(np.ones(pairing.shape, dtype=bool))
+    return [np.triu(np.abs(pairing) <= 1.0, 1), np.where(upper, gap_x, gap_s.T)]
+
+
+@quiet_overflow
+def stored(g, tol):
+    """What ``_pair_pass(g, tol, store=True)`` stores, from the full-square
+    scans, or None for a sample that is not monotone."""
+    m = g.primal_matrix.shape[0]
+    pairing, gap_x, gap_s = np.empty((m, m)), np.empty((m, m)), np.empty((m, m))
+    if not _scan(g, tol, _pairing_terms(g), out=pairing).verdict:
+        return None
+    _scan(g, tol, _gap_terms(g.primal_matrix), out=gap_x)
+    _scan(g, tol, _gap_terms(g.dual_matrix), out=gap_s)
+    return _stored(pairing, gap_x, gap_s)
 
 
 @quiet_overflow
 def scan_paramonotone(g, tol):
-    m = g.primal_matrix.shape[0]
-    pairing, gap_x, gap_s = np.empty((m, m)), np.empty((m, m)), np.empty((m, m))
-    mono = _scan(g, tol, _pairing_terms(g), out=pairing)
-    if not mono.verdict:
-        return NotMonotone(monotone=mono)
-    _scan(g, tol, _gap_terms(g.primal_matrix), out=gap_x)
-    _scan(g, tol, _gap_terms(g.dual_matrix), out=gap_s)
-    return classify._crossed_pairs(g, tol, [_vanishing(pairing), gap_x, gap_s])
+    found = stored(g, tol)
+    return NotMonotone(monotone=scan_monotone(g, tol)) if found is None else classify._crossed_pairs(found)
 
 
 @quiet_overflow
@@ -229,7 +239,7 @@ def scan_analyze(g, tol):
     constant = _scan(g, tol, _gap_terms(g.dual_matrix), out=gap_s)
     paramonotone = NotMonotone(monotone=mono)
     if mono.verdict:
-        paramonotone = classify._crossed_pairs(g, tol, [_vanishing(pairing), gap_x, gap_s])
+        paramonotone = classify._crossed_pairs(_stored(pairing, gap_x, gap_s))
     return {"monotone": mono, "bimonotone": bimonotone,
             "paramonotone": paramonotone, "constant_on_domain": constant}
 

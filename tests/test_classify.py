@@ -329,10 +329,12 @@ def test_one_row_blocks_match_default_blocks(g):
     reference = [(name, check(g)) for name, check in checks.items()]
     assert list(classify.analyze(g).items()) == reference
     _assert_matches_full_square_scan(g)
+    _assert_stores_full_square_gaps(g)
     with mock.patch.object(classify, "_CHUNK_FLOATS", 1):
         assert [(name, check(g)) for name, check in checks.items()] == reference
         assert list(classify.analyze(g).items()) == reference
         _assert_matches_full_square_scan(g)
+        _assert_stores_full_square_gaps(g)
 
 
 def _outcome(call, g):
@@ -351,6 +353,17 @@ def _assert_matches_full_square_scan(g):
         assert _outcome(getattr(classify, name), g) == _outcome(reference, g), name
 
 
+def _assert_stores_full_square_gaps(g):
+    # the mask and the two-triangle gap matrix equal the full-square scans'
+    # values bit for bit: primal gaps on and above the diagonal, dual below
+    tol = ToleranceConfig()
+    stored, expected = classify._pair_pass(g, tol, store=True)[1], oracles.stored(g, tol)
+    assert (stored is None) == (expected is None)
+    if expected is not None:
+        assert [(a.dtype, a.shape, a.tobytes()) for a in stored] == [
+            (a.dtype, a.shape, a.tobytes()) for a in expected]
+
+
 def _seeded_samples():
     rng = np.random.Generator(np.random.Philox(11))
     x = rng.normal(size=(700, 20))
@@ -364,13 +377,16 @@ def _seeded_samples():
 
 @pytest.mark.parametrize("name", ["planted", "strictly monotone", "random"])
 def test_pair_pass_matches_full_square_scan(name):
-    # 700 points in R^20 take 39 row blocks at the default _CHUNK_FLOATS and
-    # three at 4_000_000, an earlier default: the block size changes no byte
+    # 700 points in R^20 take 39 row blocks at the default _CHUNK_FLOATS,
+    # three at 4_000_000, an earlier default, and 700 at 1: the block size
+    # changes no byte, of a report or of what the pass stores
     g = _seeded_samples()[name]
-    for chunk, blocks in ((classify._CHUNK_FLOATS, 39), (4_000_000, 3)):
+    for chunk, blocks in ((classify._CHUNK_FLOATS, 39), (4_000_000, 3), (1, 700)):
         with mock.patch.object(classify, "_CHUNK_FLOATS", chunk):
-            assert len(range(0, 700, classify._CHUNK_FLOATS // (700 * 20))) == blocks
-            _assert_matches_full_square_scan(g)
+            assert len(range(0, 700, max(1, classify._CHUNK_FLOATS // (700 * 20)))) == blocks
+            _assert_stores_full_square_gaps(g)
+            if chunk > 1:
+                _assert_matches_full_square_scan(g)
 
 
 # Whichever of the pairing, the primal gap and the dual gap overflows, the
@@ -448,40 +464,18 @@ def test_paramonotone_matches_oracle_where_the_tile_row_floor_binds(tol):
         assert paramonotone_check(g, tol).to_dict() == expected
 
 
-# The crossed-pair search bisects on float32 gaps rounded up and finishes on
-# the float64 gap rows of the points it leaves.  These cases sit at float32's
-# edges; each is checked against the plain-loop oracle.
-
-def _violations_rounded_up(g, tol):
-    """The oracle's crossed-pair violations, rounded up to float32 as the
-    search stores the gaps."""
-    violations = np.array(list(oracles.crossed_violations(g, tol).values()))
-    up = np.empty(violations.shape, dtype=np.float32)
-    with np.errstate(over="ignore"):  # as in the search: a gap past float32's maximum is inf
-        classify._round_up(violations, up)
-    return up
-
-
-def test_round_up_is_nextafter_toward_inf():
-    tiny, top = np.finfo(np.float32).smallest_subnormal, np.finfo(np.float32).max
-    v = np.array([0.0, 1e-60, float(tiny), 1.0, 1.0 + 2.0**-40, float(top), 3.5e38, 1e300])
-    up = np.empty(v.shape, dtype=np.float32)
-    with np.errstate(over="ignore"):
-        classify._round_up(v, up)
-    assert up.tolist() == [0.0, tiny, tiny, 1.0, 1.0 + 2.0**-23, top, np.inf, np.inf]
-
+# The crossed-pair search reads the float64 gaps as the pass stores them, so
+# gaps at float32's edges, which a float32 copy would round to one value, are
+# told apart exactly.  Each case is checked against the plain-loop oracle.
 
 def test_paramonotone_crossed_distances_below_float32_subnormals():
     # points about 1e-60 apart: every nonzero normalized gap, about 1e-51, is
-    # below float32's smallest subnormal and rounds up to it, not to 0, so
-    # every vanishing pair ties in float32 and the float64 finish runs over
-    # all the points
+    # below float32's smallest subnormal
     g = skew_graph_2d(m=40, seed=4)
     g = OperatorGraph.from_arrays(g.primal_matrix * 1e-60, g.dual_matrix * 1e-60)
     tol = ToleranceConfig()
     expected = oracles.paramonotone(g, tol)
     assert 0.0 < expected["worst_violation"] < np.finfo(np.float32).smallest_subnormal
-    assert set(_violations_rounded_up(g, tol).tolist()) == {np.finfo(np.float32).smallest_subnormal}
     assert paramonotone_check(g, tol).to_dict() == expected
     with mock.patch.object(classify, "_CHUNK_FLOATS", 1):
         assert paramonotone_check(g, tol).to_dict() == expected
@@ -491,7 +485,7 @@ def test_paramonotone_crossed_distances_above_float32_max():
     # primal points on the first axis and dual points on the second, so every
     # product is exactly 0 and every pair vanishes.  With an absolute
     # tolerance of 1 a gap is a distance: 1e38 fits float32, the others
-    # exceed its maximum and round up to inf, and so does the worst violation
+    # exceed its maximum, and so does the worst violation
     rng = np.random.Generator(np.random.Philox(12))
     m = 16
     a = rng.choice([0.0, 1e38, 1e39, 3e39], size=m)
@@ -500,7 +494,6 @@ def test_paramonotone_crossed_distances_above_float32_max():
     tol = ToleranceConfig(abs_tol=1.0, rel_tol=0.0)
     expected = oracles.paramonotone(g, tol)
     assert np.finfo(np.float32).max < expected["worst_violation"] < np.inf
-    assert np.isinf(_violations_rounded_up(g, tol).max())
     assert paramonotone_check(g, tol).to_dict() == expected
     with mock.patch.object(classify, "_CHUNK_FLOATS", 1):
         assert paramonotone_check(g, tol).to_dict() == expected
@@ -510,8 +503,8 @@ def test_paramonotone_float32_tie_is_finished_in_float64():
     # Blocks of two points, (c, c) and (c + (d, 0), c + (0, d)), along the
     # diagonal: each block's pair vanishes exactly, pairs of different blocks
     # do not, and a block's crossed pairs are d from the graph.  The seeded d
-    # lie within one float32 step above 1, so every block ties in float32 and
-    # only the float64 finish finds the worst one, which is not block 0.
+    # lie within one float32 step above 1, where float32 ties them all, and
+    # the worst one is not block 0's.
     blocks = 8
     d = 1.0 + np.random.Generator(np.random.Philox(16)).integers(1, 2**17, size=blocks) * 2.0**-40
     x = np.repeat(64.0 * np.arange(blocks), 2)[:, None] * np.ones(2)
@@ -521,28 +514,35 @@ def test_paramonotone_float32_tie_is_finished_in_float64():
     g = OperatorGraph.from_arrays(x, s)
     tol = ToleranceConfig(abs_tol=1.0, rel_tol=0.0)
     expected = oracles.paramonotone(g, tol)
-    up = _violations_rounded_up(g, tol)
-    assert up.size == blocks and (up == up.max()).all()
+    violations = list(oracles.crossed_violations(g, tol).values())
+    assert len(violations) == blocks and all(1.0 < v < 1.0 + 2.0**-23 for v in violations)
     assert expected["worst_violation"] == d.max() and expected["witness"] != [0, 1]
     assert paramonotone_check(g, tol).to_dict() == expected
     with mock.patch.object(classify, "_CHUNK_FLOATS", 1):
         assert paramonotone_check(g, tol).to_dict() == expected
 
 
-@pytest.mark.parametrize("chunk", [1, None])
-def test_gap_rows_equal_the_full_square_gaps_bit_for_bit(chunk):
-    # the finish recomputes float64 gap rows, below the diagonal too, which
-    # the pass stores only above it: both are the full-square scan's values
-    rng = np.random.Generator(np.random.Philox(13))
-    g = OperatorGraph.from_arrays(rng.normal(size=(120, 5)) * 3.0 + 2.0, rng.normal(size=(120, 5)))
-    tol = ToleranceConfig()
-    pts = np.sort(rng.choice(120, size=37, replace=False))
-    for v in (g.primal_matrix, g.dual_matrix):
-        full = np.empty((120, 120))
-        oracles._scan(g, tol, oracles._gap_terms(v), out=full)
-        full = np.where(np.triu(np.ones((120, 120), dtype=bool)), full, full.T)
-        with mock.patch.object(classify, "_CHUNK_FLOATS", chunk or classify._CHUNK_FLOATS):
-            assert np.array_equal(classify._gap_rows(v, pts, tol), full[pts])
+def _full_searches(g):
+    """How many of the crossed-pair search's steps run over every point."""
+    m, full = g.primal_matrix.shape[0], []
+    unmatched = classify._unmatched
+
+    def counted(gaps, pts, t):
+        full.append(pts.size == m)
+        return unmatched(gaps, pts, t)
+    with mock.patch.object(classify, "_unmatched", counted):
+        classify.analyze(g)
+    return sum(full)
+
+
+def test_tiny_gaps_take_no_more_full_search_steps():
+    # scaled by 1e-60, every nonzero gap of the planted sample lies below
+    # float32's smallest subnormal, where a float32 copy would tie them all;
+    # on the float64 gaps the search runs over all 1000 points no more often
+    # than on the unscaled sample
+    g = make_fixture(FixtureSpec(n=20, k=8, m=1000, offset_norm=1.0, seed=3)).graph
+    tiny = OperatorGraph.from_arrays(g.primal_matrix * 1e-60, g.dual_matrix * 1e-60)
+    assert _full_searches(tiny) <= _full_searches(g)
 
 
 def test_paramonotone_memory_is_blocked(monkeypatch):
@@ -555,12 +555,13 @@ def test_paramonotone_memory_is_blocked(monkeypatch):
     strict = OperatorGraph.from_arrays(x, 2.0 * x)
     planted = make_fixture(FixtureSpec(n=20, k=8, m=400, offset_norm=1.0, seed=8)).graph
     assert bimonotone_check(planted).verdict
-    # At m = 1200 the pass stores an m x m bool mask and two float32 gap
-    # matrices, 9 m^2 bytes, and the search adds m x m bool matrices and
-    # blocks: 12.4 m^2 traced in all.
+    # At m = 1200 the pass stores an m x m bool mask and one float64 gap
+    # matrix, 9 m^2 bytes, and the search adds m x m bool and uint8 matrices
+    # and blocks: 12.1 m^2 traced in all.  Another m x m float64 matrix
+    # (8 m^2) would break the bound.
     m = 1200
     large = make_fixture(FixtureSpec(n=20, k=8, m=m, offset_norm=1.0, seed=8)).graph
-    for g, verdict, bound in ((strict, True, 16e6), (planted, False, 16e6), (large, False, 32 * m * m)):
+    for g, verdict, bound in ((strict, True, 16e6), (planted, False, 16e6), (large, False, 16 * m * m)):
         tracemalloc.start()
         try:
             rep = paramonotone_check(g)
@@ -583,11 +584,11 @@ def _traced_peak(call, g):
 
 def test_pair_pass_peak_memory():
     # m = 1000 in R^20 at the default _CHUNK_FLOATS: a pass holds a few 2 MB
-    # difference blocks (7.4 MB traced), and analyze adds the 9 m^2 bytes it
-    # stores for the crossed-pair search and the search's m x m bool
-    # matrices (16.6 MB).  Float64 gaps, 17 m^2 bytes, peaked at 24.6 MB; 8 MB
-    # blocks at 46.5 MB and 28.7 MB, a float64 pairing matrix and 32 MB
-    # blocks at 125 MB and 101 MB.
+    # difference blocks (7.2 MB traced), and analyze adds the 9 m^2 bytes it
+    # stores for the crossed-pair search and the search's m x m bool and
+    # uint8 matrices (16.5 MB).  Two float64 gap matrices, 17 m^2 bytes,
+    # peaked at 24.6 MB; 8 MB blocks at 46.5 MB and 28.7 MB, a float64
+    # pairing matrix and 32 MB blocks at 125 MB and 101 MB.
     planted = make_fixture(FixtureSpec(n=20, k=8, m=1000, offset_norm=1.0, seed=3)).graph
     report, peak = _traced_peak(classify.analyze, planted)
     assert report["bimonotone"].verdict and peak < 20e6
@@ -597,7 +598,7 @@ def test_pair_pass_peak_memory():
 
 def test_paramonotone_stores_nothing_for_a_sample_that_is_not_monotone():
     # the first block of a random sample shows a monotone violation, so the
-    # pass never allocates the mask and float32 gap matrices that analyze
+    # pass never allocates the mask and the gap matrix that analyze
     # keeps for a monotone sample of the same shape; the margin is the gaps'
     # 8 m^2 bytes
     m = 1000

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from skewfit import OperatorGraph, classify, decompose, make_fixture, perturb, save_graph
+from skewfit import cli
 from skewfit.cli import run
 from skewfit.fixtures import FixtureSpec
 
@@ -441,6 +442,32 @@ def test_integer_past_the_digit_limit_exits_2(capsys, tmp_path, command):
 def test_json_nested_100000_deep_exits_2(capsys, tmp_path, command):
     stderr = _exits_2_with_one_error_line(capsys, tmp_path, command, b"[" * 100_000 + b"]" * 100_000)
     assert stderr.endswith("JSON nested too deeply\n")
+
+
+@pytest.mark.parametrize("depth", [33, 900])
+def test_point_nested_past_numpy_axes_exits_2(capsys, tmp_path, depth):
+    # the JSON decoder reads it; numpy's functions take at most 32 axes
+    x = b"[" * depth + b"0" + b"]" * depth
+    doc = b'{"dimension": 1, "points": [{"x": ' + x + b', "xstar": [0]}]}'
+    stderr = _exits_2_with_one_error_line(capsys, tmp_path, "analyze", doc)
+    assert stderr.startswith("skewfit: error: primal is not an array of reals")
+
+
+def test_internal_error_exits_3_with_its_traceback(capsys, tmp_path, monkeypatch):
+    # a fault in the program, not in its input, is neither a verdict (1)
+    # nor a usage error (2)
+    def broken(args):
+        raise RuntimeError("broken subcommand")
+    monkeypatch.setattr(cli, "_cmd_analyze", broken)
+    path = tmp_path / "g.json"
+    path.write_bytes(SMALL_GRAPH)
+    monkeypatch.setattr(sys, "argv", ["skewfit", "analyze", str(path)])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    captured = capsys.readouterr()
+    assert exc.value.code == 3 and captured.out == ""
+    assert captured.err.startswith("Traceback (most recent call last):")
+    assert captured.err.endswith("RuntimeError: broken subcommand\n")
 
 
 def test_negative_zero_tolerance_prints_as_zero(capsys, tmp_path):

@@ -574,3 +574,16 @@ def test_dumps_canonical_rejects_numpy_values():
     for value in (np.zeros(2), np.int64(3)):
         with pytest.raises(ValidationError, match="not JSON serializable"):
             dumps_canonical({"value": value})
+
+
+@pytest.mark.parametrize("depth", [33, 900])
+def test_points_nested_past_numpy_axes_raise_validation_error(depth):
+    # numpy's functions take at most 32 axes; deeper input is not an array
+    # (older numpy reads it as ragged)
+    x = [0.0]
+    for _ in range(depth - 1):
+        x = [x]
+    with pytest.raises(ValidationError, match="^primal is not an array of reals"):
+        OperatorGraph([x], [[0.0]])
+    with pytest.raises(ValidationError, match="^dual is not an array of reals"):
+        OperatorGraph([[0.0]], [x])
