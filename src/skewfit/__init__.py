@@ -6,90 +6,16 @@ constant on its domain, and for bimonotone samples constructively recovers
 the structure that forces those pairings to vanish: an orthonormal basis of
 the relevant span, an exactly antisymmetric matrix acting in span
 coordinates, and an affine offset.
+
+Each public name is declared once, in its module's ``__all__``.
 """
 
-from .classify import (
-    ClassificationReport,
-    NotMonotone,
-    analyze,
-    bimonotone_check,
-    constant_on_domain_check,
-    monotone_check,
-    paramonotone_check,
-)
-from .fixtures import (
-    Fixture,
-    FixtureSpec,
-    FixtureTruth,
-    make_fixture,
-    perturb,
-    random_skew,
-)
-from .graphs import (
-    DEFAULT_TOLERANCE,
-    GraphPoint,
-    OperatorGraph,
-    ParseError,
-    SkewfitError,
-    ToleranceConfig,
-    ValidationError,
-    domain,
-    dumps_canonical,
-    inverse_graph,
-    load_graph,
-    save_graph,
-    translate,
-)
-from .recovery import (
-    InternalInconsistencyError,
-    NotBimonotoneError,
-    OrthonormalBasis,
-    ReconstructionReport,
-    SkewDecomposition,
-    build_skew_operator,
-    decompose,
-    reduce,
-    span_basis,
-    verify_reconstruction,
-)
+from . import classify, fixtures, graphs, recovery
+from .classify import *  # noqa: F401,F403
+from .fixtures import *  # noqa: F401,F403
+from .graphs import *  # noqa: F401,F403
+from .recovery import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClassificationReport",
-    "DEFAULT_TOLERANCE",
-    "Fixture",
-    "FixtureSpec",
-    "FixtureTruth",
-    "GraphPoint",
-    "InternalInconsistencyError",
-    "NotBimonotoneError",
-    "NotMonotone",
-    "OperatorGraph",
-    "OrthonormalBasis",
-    "ParseError",
-    "ReconstructionReport",
-    "SkewDecomposition",
-    "SkewfitError",
-    "ToleranceConfig",
-    "ValidationError",
-    "analyze",
-    "bimonotone_check",
-    "build_skew_operator",
-    "constant_on_domain_check",
-    "decompose",
-    "domain",
-    "dumps_canonical",
-    "inverse_graph",
-    "load_graph",
-    "make_fixture",
-    "monotone_check",
-    "paramonotone_check",
-    "perturb",
-    "random_skew",
-    "reduce",
-    "save_graph",
-    "span_basis",
-    "translate",
-    "verify_reconstruction",
-]
+__all__ = classify.__all__ + fixtures.__all__ + graphs.__all__ + recovery.__all__

@@ -301,29 +301,6 @@ def _unmatched(gaps: np.ndarray, pts: np.ndarray, t: float) -> np.ndarray:
     return u
 
 
-def _bisect(gaps: np.ndarray, pts: np.ndarray, active: np.ndarray):
-    """Narrow (lo, hi] = (-inf, inf] to the worst violation W of the pairs
-    ``active`` among the points ``pts``.  Each step tests t, the
-    ``_median_gap`` of the values still bracketed: if every pair matches,
-    hi = t; otherwise lo = t and only the failing pairs, with their points,
-    stay, since a pair that matches at t < W cannot attain W.  Returns (pts,
-    active, lo, hi) once no value lies strictly between lo and hi: then
-    hi = W, and the pairs left are exactly those attaining it, unless lo is
-    still -inf (no step failed)."""
-    lo, hi = -np.inf, np.inf
-    while pts.size and (t := _median_gap(gaps, pts, lo, hi)) is not None:
-        failing = _unmatched(gaps, pts, t)
-        failing |= failing.T  # in place: numpy buffers the overlapping transpose
-        failing &= active
-        keep = failing.any(axis=0) | failing.any(axis=1)
-        if keep.any():
-            lo, pts, active = t, pts[keep], failing[np.ix_(keep, keep)]
-        else:
-            hi = t
-        del failing  # before the next step allocates its own
-    return pts, active, lo, hi
-
-
 def _crossed_pairs(stored: list) -> ClassificationReport:
     """Paramonotone report of a monotone sample from what ``_pair_pass``
     stores, [vanishing, gaps], which it takes out of ``stored``: the bool
@@ -335,8 +312,14 @@ def _crossed_pairs(stored: list) -> ClassificationReport:
     (x_i, xstar_j) to the nearest stored pair, and a vanishing pair i < j
     violates by max(need(i, j), need(j, i)).  Every need value is a gap
     entry, so the worst violation W is the smallest gap value t at which no
-    vanishing pair is ``_unmatched`` either way, which one exact ``_bisect``
-    finds; the witness is the smallest pair attaining W in row-major order.
+    vanishing pair is ``_unmatched`` either way.  One exact bisection
+    narrows the bracket (lo, hi] = (-inf, inf] to W: each step tests t, the
+    ``_median_gap`` of the values still bracketed; if every active pair
+    matches, hi = t, otherwise lo = t and only the failing pairs, with their
+    points, stay, since a pair that matches at t < W cannot attain W.  Once
+    no value lies strictly between lo and hi, hi = W and the pairs left are
+    exactly those attaining it, unless lo is still -inf (no step failed).
+    The witness is the smallest pair attaining W in row-major order.
 
     About log2(2 |V| m) products of |V| x m x |V| (V: the points in
     vanishing pairs), shrinking as pairs leave, in float32 tiles of
@@ -352,7 +335,17 @@ def _crossed_pairs(stored: list) -> ClassificationReport:
     keep = vanishing.any(axis=0) | vanishing.any(axis=1)
     pts, active = np.flatnonzero(keep), vanishing[np.ix_(keep, keep)]
     del vanishing
-    pts, active, lo, hi = _bisect(gaps, pts, active)
+    lo, hi = -np.inf, np.inf
+    while pts.size and (t := _median_gap(gaps, pts, lo, hi)) is not None:
+        failing = _unmatched(gaps, pts, t)
+        failing |= failing.T  # in place: numpy buffers the overlapping transpose
+        failing &= active
+        keep = failing.any(axis=0) | failing.any(axis=1)
+        if keep.any():
+            lo, pts, active = t, pts[keep], failing[np.ix_(keep, keep)]
+        else:
+            hi = t
+        del failing  # before the next step allocates its own
     if lo == -np.inf:
         # no threshold failed: every crossed pair is stored (or none is needed)
         return ClassificationReport(verdict=True, worst_violation=0.0)

@@ -14,6 +14,7 @@ import argparse
 import math
 import sys
 import traceback
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -93,7 +94,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 def _cmd_generate(args: argparse.Namespace) -> int:
     spec = FixtureSpec.from_dict(_read_json_file(args.spec))
     if args.seed is not None:
-        spec = spec.with_seed(args.seed)
+        spec = replace(spec, seed=args.seed)
     fixture = make_fixture(spec)
     out = Path(args.out)
     out.write_bytes(save_graph(fixture.graph, _graph_format(args.out, args.format)))

@@ -15,7 +15,7 @@ arrays.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "FixtureTruth",
     "make_fixture",
     "perturb",
-    "random_skew",
 ]
 
 
@@ -86,9 +85,6 @@ class FixtureSpec:
         check_keys(doc, "fixture spec", keys, keys[:3], ParseError)
         return cls(**doc)
 
-    def with_seed(self, seed: int) -> "FixtureSpec":
-        return replace(self, seed=seed)
-
 
 @dataclass(frozen=True, eq=False)
 class FixtureTruth:
@@ -126,22 +122,6 @@ def _unit(v: np.ndarray) -> np.ndarray:
     if not np.all(norm):
         raise InternalInconsistencyError("cannot normalize a zero vector")
     return v / norm
-
-
-def random_skew(k: int, seed: int) -> np.ndarray:
-    """Exactly antisymmetric k x k matrix with seeded Gaussian entries.
-
-    k = 0 gives the empty matrix and k = 1 the zero matrix, since a 1 x 1
-    skew matrix is zero.
-    """
-    k = integer(k, "k")
-    if k < 0:
-        raise ValidationError("k must be a nonnegative integer")
-    rng = _rng(seed)
-    if k == 0:
-        return np.zeros((0, 0))
-    b = rng.standard_normal((k, k))
-    return (b - b.T) / 2.0
 
 
 def make_fixture(spec: FixtureSpec) -> Fixture:

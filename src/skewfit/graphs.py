@@ -39,7 +39,6 @@ __all__ = [
     "dumps_canonical",
     "inverse_graph",
     "load_graph",
-    "load_json_object",
     "save_graph",
     "translate",
 ]

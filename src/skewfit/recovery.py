@@ -54,17 +54,9 @@ __all__ = [
 class NotBimonotoneError(SkewfitError):
     """The input sample is not bimonotone at the working tolerance."""
 
-    def __init__(
-        self,
-        message: str,
-        report: ClassificationReport | None = None,
-        worst_index: int | None = None,
-        residual: float | None = None,
-    ) -> None:
+    def __init__(self, message: str, report: ClassificationReport | None = None) -> None:
         super().__init__(message)
         self.report = report
-        self.worst_index = worst_index
-        self.residual = residual
 
 
 class InternalInconsistencyError(SkewfitError, RuntimeError):
@@ -205,9 +197,7 @@ def _reconstruction(q, a_hat, v_hat, g: OperatorGraph, tol: ToleranceConfig, str
         raise NotBimonotoneError(
             f"reduced pair {worst} is not consistent with a skew-symmetric linear "
             f"map at tolerance (residual {residual[worst]:.6e}); the sample is not "
-            "bimonotone at this tolerance",
-            worst_index=worst,
-            residual=float(residual[worst]),
+            "bimonotone at this tolerance"
         )
     return ReconstructionReport(
         verdict=bool(normalized[worst] <= 1.0),

@@ -5,9 +5,11 @@ prints a single PASS/FAIL line (run pytest with -s to see them).  The
 thresholds are the contract: loosening them is a behavior change.
 """
 
+import ast
 import json
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from skewfit import (
     span_basis,
     translate,
 )
+import skewfit
 from skewfit.cli import run
 from skewfit.fixtures import FixtureSpec
 
@@ -248,3 +251,20 @@ def test_cli_determinism(tmp_path, capsys):
         second_out, second_files = cli_suite(tmp_path, capsys)
         assert first_out == second_out
         assert first_files == second_files
+
+
+def test_public_names_are_declared_once():
+    # skewfit.__all__ is its modules' __all__ lists and nothing else, and it
+    # covers every name this suite imports from the package
+    with criterion("public-names"):
+        modules = (skewfit.classify, skewfit.fixtures, skewfit.graphs, skewfit.recovery)
+        assert set(skewfit.__all__) == set().union(*(m.__all__ for m in modules))
+        assert len(skewfit.__all__) == sum(len(m.__all__) for m in modules)
+        for module in modules:
+            for name in module.__all__:
+                assert getattr(skewfit, name) is getattr(module, name), name
+        tree = ast.parse(Path(__file__).read_text(encoding="utf-8"))
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "skewfit"
+                    for alias in node.names}
+        assert imported <= set(skewfit.__all__)

@@ -499,7 +499,7 @@ def test_paramonotone_crossed_distances_above_float32_max():
         assert paramonotone_check(g, tol).to_dict() == expected
 
 
-def test_paramonotone_float32_tie_is_finished_in_float64():
+def test_paramonotone_float32_tie_is_read_exactly_from_float64_gaps():
     # Blocks of two points, (c, c) and (c + (d, 0), c + (0, d)), along the
     # diagonal: each block's pair vanishes exactly, pairs of different blocks
     # do not, and a block's crossed pairs are d from the graph.  The seeded d

@@ -1,5 +1,7 @@
 import copy
+import functools
 import json
+import operator
 import subprocess
 import sys
 
@@ -318,12 +320,21 @@ FUZZ_SPEC = {"n": 3, "k": 2, "m": 4, "branches": 2, "offset_norm": 1.0,
              "noise_in_span": 0.0, "noise_orthogonal": 0.5, "seed": 9}
 
 
-def numeric_leaves(doc, path=()):
+def values_below(doc, path=()):
+    """Paths to every value below the root of a decoded JSON document."""
+    if not isinstance(doc, (dict, list)):
+        return []
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    return [p for key, value in items for p in (path + (key,), *values_below(value, path + (key,)))]
+
+
+def value_at(doc, path):
+    return functools.reduce(operator.getitem, path, doc)
+
+
+def numeric_leaves(doc):
     """Paths to every number, booleans excluded, in a decoded JSON document."""
-    if isinstance(doc, (dict, list)):
-        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
-        return [leaf for key, value in items for leaf in numeric_leaves(value, path + (key,))]
-    return [path] if type(doc) in (int, float) else []
+    return [p for p in values_below(doc) if type(value_at(doc, p)) in (int, float)]
 
 
 def _valid_documents():
@@ -361,6 +372,87 @@ def test_mutated_documents_exit_2(capsys, tmp_path, command, data, junk):
     code, stdout, stderr = invoke(capsys, *argv)
     assert code == 2 and stdout == ""
     assert stderr.startswith("skewfit: error: ") and stderr.count("\n") == 1
+
+
+# JSON text that takes the place of one value: a 5000-digit integer, the
+# extreme doubles, negative zero, every other JSON type, and a list nested 40 deep
+JUNK = ["1" * 5000, "1e308", "5e-324", "-0.0", "true", "null", '"one"', "[]", "{}",
+        "[" * 40 + "1.0" + "]" * 40]
+# the digit three in Arabic-Indic, Devanagari, fullwidth and mathematical bold
+UNICODE_DIGITS = ["٣", "३", "３", "\U0001d7d1"]
+SENTINEL = "\x00junk\x00"
+FUZZ_CSV = (b"x0,x1,x2,s0,s1,s2\n"
+            + save_graph(make_fixture(FixtureSpec(**FUZZ_SPEC)).graph, "csv"))
+
+
+def _mutated(kind, data) -> bytes:
+    """A valid document of ``kind`` (a key of VALID_DOCUMENTS), mutated once."""
+    doc = copy.deepcopy(VALID_DOCUMENTS[kind])
+    how = data.draw(st.sampled_from(["value", "duplicate_key", "bom", "unicode_digit"]
+                                    + (["csv"] if kind == "analyze" else [])), label="mutation")
+    if how == "csv":
+        return FUZZ_CSV
+    junk = data.draw(st.sampled_from(JUNK), label="junk")
+    if how == "value":
+        *parents, last = data.draw(st.sampled_from(values_below(doc)), label="path")
+        value_at(doc, parents)[last] = SENTINEL
+    elif how == "duplicate_key":
+        # the copy comes last, so it is the one json.loads keeps
+        objects = [()] + [p for p in values_below(doc) if isinstance(value_at(doc, p), dict)]
+        target = value_at(doc, data.draw(st.sampled_from(objects), label="object"))
+        key = data.draw(st.sampled_from(sorted(target)), label="key")
+        value = data.draw(st.sampled_from([json.dumps(target[key]), junk]), label="value")
+        target[SENTINEL] = SENTINEL
+        return json.dumps(doc).replace(json.dumps(SENTINEL) + ": ", json.dumps(key) + ": ").replace(
+            json.dumps(SENTINEL), value).encode("utf-8")
+    text = json.dumps(doc).replace(json.dumps(SENTINEL), junk)
+    if how == "bom":
+        return b"\xef\xbb\xbf" + text.encode("utf-8")
+    if how == "unicode_digit":
+        at = data.draw(st.sampled_from([i for i, c in enumerate(text) if c in "0123456789"]), label="at")
+        text = text[:at] + data.draw(st.sampled_from(UNICODE_DIGITS), label="digit") + text[at + 1:]
+    return text.encode("utf-8")
+
+
+@settings(derandomize=True, max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(sorted(VALID_DOCUMENTS)), data=st.data())
+def test_fuzzed_documents_keep_the_exit_code_contract(capsys, tmp_path, kind, data):
+    # one mutation of a valid graph, spec or decomposition: the run ends in a
+    # verdict (0 or 1) that its one JSON line agrees with, or in one error line (2)
+    content = _mutated(kind, data)
+    csv = content == FUZZ_CSV
+    path = tmp_path / ("mutated.csv" if csv else "mutated.json")
+    path.write_bytes(content)
+    graph, dec = tmp_path / "graph.json", tmp_path / "dec.json"
+    graph.write_text(json.dumps(VALID_DOCUMENTS["analyze"]))
+    dec.write_text(json.dumps(VALID_DOCUMENTS["verify"]))
+    tolerance = data.draw(st.sampled_from([[], ["--tol-abs", "0"], ["--tol-rel", "1e-3"]]), label="tol")
+    if kind == "generate":
+        command = "generate"
+        argv = [str(path), "--out", str(tmp_path / "out.json")]
+        argv += data.draw(st.sampled_from([[], ["--seed", "3"]]), label="seed")
+    elif kind == "verify":
+        command, argv = "verify", [str(path), str(graph), *tolerance]
+    else:
+        command = data.draw(st.sampled_from(["analyze", "decompose", "verify"]), label="command")
+        argv = ([str(dec)] if command == "verify" else []) + [str(path), *tolerance]
+        argv += data.draw(st.sampled_from([[], ["--format", "csv" if csv else "json"]]), label="format")
+        if command == "decompose":
+            argv += data.draw(st.sampled_from([[], ["--basepoint", "7"], ["--basepoint", "8"]]),
+                              label="basepoint")
+    code, stdout, stderr = invoke(capsys, command, *argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert stdout == ""
+        assert stderr.startswith("skewfit: error: ") and stderr.count("\n") == 1
+        return
+    assert stderr == "" and stdout.endswith("\n") and stdout.count("\n") == 1
+    out = json.loads(stdout)
+    success = {"analyze": lambda: out["bimonotone"]["verdict"], "verify": lambda: out["verdict"],
+               "decompose": lambda: out.get("error") != "not_bimonotone",
+               "generate": lambda: "error" not in out}[command]()
+    assert success is (code == 0)
 
 
 def test_usage_errors_exit_2(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import warnings
 
@@ -17,7 +18,6 @@ from skewfit import (
     make_fixture,
     paramonotone_check,
     perturb,
-    random_skew,
     reduce,
     span_basis,
     translate,
@@ -28,33 +28,8 @@ import oracles
 
 
 # ---------------------------------------------------------------------------
-# random_skew
+# seeds
 # ---------------------------------------------------------------------------
-
-def test_random_skew_shapes_and_symmetry():
-    assert random_skew(0, seed=0).shape == (0, 0)
-    np.testing.assert_array_equal(random_skew(1, seed=0), np.array([[0.0]]))
-    a = random_skew(3, seed=1)
-    np.testing.assert_array_equal(a, -a.T)
-    np.testing.assert_array_equal(np.diag(a), np.zeros(3))
-    assert np.any(a)  # generically nonzero off the diagonal
-
-
-def test_random_skew_seeded():
-    np.testing.assert_array_equal(random_skew(4, seed=7), random_skew(4, seed=7))
-    assert not np.array_equal(random_skew(4, seed=7), random_skew(4, seed=8))
-
-
-@pytest.mark.parametrize(
-    "k, message",
-    [(True, "k must be an integer"), (2.0, "k must be an integer"), ("2", "k must be an integer"),
-     (-1, "k must be a nonnegative integer")],
-)
-def test_random_skew_rejects_what_is_not_a_nonnegative_integer(k, message):
-    with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
-        random_skew(k, seed=0)
-    assert random_skew(np.int64(2), seed=0).shape == (2, 2)
-
 
 @pytest.mark.parametrize(
     "seed, message",
@@ -64,12 +39,13 @@ def test_random_skew_rejects_what_is_not_a_nonnegative_integer(k, message):
 def test_seeds_follow_the_integer_rule(seed, message):
     # every seed, not only a spec's, is checked before anything is drawn
     fix = planted(seed=28)
-    for call in (lambda: random_skew(0, seed=seed), lambda: FixtureSpec(n=1, k=1, m=1, seed=seed),
+    for call in (lambda: FixtureSpec(n=1, k=1, m=1, seed=seed),
                  lambda: perturb(fix.graph, index=0, direction="in_span", amplitude=0.0,
                                  basis=fix.truth.basis, seed=seed)):
         with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
             call()
-    np.testing.assert_array_equal(random_skew(3, seed=np.uint64(7)), random_skew(3, seed=7))
+    seed = FixtureSpec(n=1, k=1, m=1, seed=np.uint64(7)).seed
+    assert seed == 7 and type(seed) is int
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +126,7 @@ def test_fixture_determinism():
     np.testing.assert_array_equal(a.truth.operator, b.truth.operator)
     np.testing.assert_array_equal(a.truth.offset, b.truth.offset)
     np.testing.assert_array_equal(a.truth.basis.q, b.truth.basis.q)
-    c = make_fixture(spec.with_seed(17))
+    c = make_fixture(dataclasses.replace(spec, seed=17))
     assert a.graph != c.graph
 
 

@@ -22,7 +22,6 @@ from skewfit import (
     dumps_canonical,
     make_fixture,
     perturb,
-    random_skew,
     reduce,
     span_basis,
     translate,
@@ -190,7 +189,8 @@ def test_build_rank_zero():
 
 def test_build_recovers_random_skew():
     k, m = 4, 12
-    a0 = random_skew(k, seed=21)
+    b = np.random.Generator(np.random.Philox(21)).standard_normal((k, k))
+    a0 = (b - b.T) / 2.0
     rng = np.random.Generator(np.random.Philox(22))
     x = np.vstack([np.zeros(k), rng.normal(size=(m, k))])
     s = x @ a0.T
@@ -205,7 +205,8 @@ def test_build_is_the_skew_least_squares_fit():
     # duals off the planted map by noise inside the tolerance: the fit is
     # still the least-squares optimum over all skew matrices
     k, m = 4, 15
-    a0 = random_skew(k, seed=24)
+    b = np.random.Generator(np.random.Philox(24)).standard_normal((k, k))
+    a0 = (b - b.T) / 2.0
     rng = np.random.Generator(np.random.Philox(25))
     x = np.vstack([np.zeros(k), rng.normal(size=(m, k))])
     s = x @ a0.T + 1e-11 * np.vstack([np.zeros(k), rng.normal(size=(m, k))])
@@ -250,8 +251,10 @@ def test_build_rejects_nonlinear_duals():
     s[4] += np.array([0.5, 0.5])
     with pytest.raises(NotBimonotoneError, match="not bimonotone") as info:
         build_skew_operator(OperatorGraph.from_arrays(x, s))
-    assert info.value.worst_index is not None
-    assert info.value.residual is not None and info.value.residual > 1e-3
+    # the message names the worst pair, the perturbed one, and its residual
+    found = re.match(r"reduced pair (\d+) .*\(residual (\S+)\)", str(info.value))
+    assert found is not None and int(found[1]) == 4
+    assert float(found[2]) > 1e-3
 
 
 def test_build_rejects_symmetric_duals():
