@@ -17,7 +17,8 @@ gap violations.  Paramonotone's crossed-pair search is exact too: it bisects
 once over the float64 gap values that the pass stores in one m x m matrix,
 the primal gaps above its diagonal and the dual gaps below.  ``analyze``
 returns all four reports from that one pass and the search.  Verdicts are
-order-independent; witnesses break ties by the smallest index pair.
+order-independent; witnesses break ties by the smallest index pair, and an
+overflow raises ValidationError by the rule of ``_pair_pass``.
 
 The search stores 9 m^2 bytes for m points: a bool mask and the gap matrix
 (``_pair_pass`` and ``_crossed_pairs`` state what each stores and costs).
@@ -37,7 +38,6 @@ from .graphs import (
     OperatorGraph,
     ToleranceConfig,
     ValidationError,
-    check_overflow,
     quiet_overflow,
 )
 
@@ -102,10 +102,10 @@ class NotMonotone:
 
 def _pair_pass(
     g: OperatorGraph, tol: ToleranceConfig, store: bool = False
-) -> tuple[dict, list | ValidationError | None]:
-    """The monotone, bimonotone and constant reports of ``g`` from one pass
-    over its pairs (i, j), j >= i, and, with ``store``, the matrices that
-    ``_crossed_pairs`` reads.
+) -> tuple[dict, list | None]:
+    """The records of the monotone, bimonotone and constant violations of
+    ``g`` from one pass over its pairs (i, j), j >= i, and, with ``store``,
+    of the primal gap and the matrices that ``_crossed_pairs`` reads.
 
     Row blocks are sized for about ``_CHUNK_FLOATS`` floats (2 MB of float64)
     per (rows, m, n) array, and block [i0, i1) takes its differences dx, ds
@@ -114,35 +114,30 @@ def _pair_pass(
     a residual over ``tol.margin`` of its scale:
 
     * pairing:    -<ds, dx> against |ds| |dx|.  Its maximum is the monotone
-                  report, the maximum of its absolute value the bimonotone one.
-    * dual gap:   |ds| against max(|xstar_i|, |xstar_j|); the constant report.
+                  record, the maximum of its absolute value the bimonotone one.
+    * dual gap:   |ds| against max(|xstar_i|, |xstar_j|); the constant record.
     * primal gap: |dx| against max(|x_i|, |x_j|), with ``store`` only.
 
-    Returns the reports, keyed by name, and ``stored``.  With ``store``,
-    ``stored`` = [vanishing, gaps], a list that ``_crossed_pairs`` empties:
-    the bool mask of the pairs i < j with |pairing| <= 1, and one m x m
-    float64 matrix holding, for each pair i < j, its primal gap at [i, j]
-    and its dual gap at [j, i] (the zero diagonal serves both), 9 m^2 bytes
-    in all, written block by block.  They are allocated with the first block,
-    unless it shows a monotone violation, and dropped, with the primal gap's
-    computation, at the first block that does, so ``stored`` is None for a
-    sample that is not monotone.
+    Returns the records, keyed by name, each (worst, pair): the largest
+    violation and the first pair in row-major order attaining it (blocks
+    ascend, np.argmax takes the first maximum), or (0.0, None).  A violation
+    whose value or margin is not finite overflows and counts as +inf, so an
+    infinite worst names the first overflowing pair; ``_report`` raises it.
 
-    A non-finite margin or violation overflows.  The pass keeps each
-    quantity's first overflow error in place of what reads it: the pairing's
-    in place of the monotone and bimonotone reports, the primal gap's, or
-    else the dual gap's, in place of ``stored``, and the dual gap's in place
-    of the constant report.  ``_read`` raises it.  Blocks arrive in
-    ascending row order and np.argmax returns the first maximum in row-major
-    order, so each witness, and each named pair, is the smallest (i, j)
-    among ties.
+    With ``store``, ``stored`` = [vanishing, gaps], a list that
+    ``_crossed_pairs`` empties: the bool mask of the pairs i < j with
+    |pairing| <= 1, and one m x m float64 matrix holding, for each pair
+    i < j, its primal gap at [i, j] and its dual gap at [j, i] (the zero
+    diagonal serves both), 9 m^2 bytes in all, written block by block.  They
+    are allocated with the first block, unless it shows a monotone violation,
+    and dropped, with the primal gap's computation, at the first block that
+    does, so ``stored`` is None for a sample that is not monotone.
     """
     x, s = g.primal_matrix, g.dual_matrix
     m, n = x.shape
     rows = max(1, _CHUNK_FLOATS // max(1, m * n))
     norm_x, norm_s = np.linalg.norm(x, axis=1), np.linalg.norm(s, axis=1)
-    best = dict.fromkeys(("monotone", "bimonotone", "constant"), (0.0, None))
-    errors = {}  # first overflow errors of the pairing (monotone), dual gap (constant), primal gap
+    records = dict.fromkeys(("monotone", "bimonotone", "constant", "primal_gap"), (0.0, None))
     stored = None
     for i0 in range(0, m, rows):
         i1, w = min(m, i0 + rows), m - i0
@@ -160,20 +155,14 @@ def _pair_pass(
         for name, (residual, scale) in terms.items():
             margin = tol.margin(scale)
             viol[name] = residual / margin
-            if name not in errors:
-                try:
-                    check_overflow(~(np.isfinite(viol[name]) & np.isfinite(margin)) & ~below,
-                                   lambda f: f"pair {(i0 + f // w, i0 + f % w)}")
-                except ValidationError as exc:
-                    errors[name] = exc
+            viol[name][~(np.isfinite(viol[name]) & np.isfinite(margin))] = np.inf
         viol["bimonotone"] = np.abs(viol["monotone"])
-        for v in viol.values():
+        for name, v in viol.items():
             v[below] = -np.inf
-        for name, (worst, _) in best.items():
-            flat = int(np.argmax(viol[name]))
-            if viol[name].flat[flat] > worst:
-                best[name] = (float(viol[name].flat[flat]), (i0 + flat // w, i0 + flat % w))
-        if store and best["monotone"][0] > 1.0:
+            flat = int(np.argmax(v))
+            if v.flat[flat] > records[name][0]:
+                records[name] = (float(v.flat[flat]), (i0 + flat // w, i0 + flat % w))
+        if store and records["monotone"][0] > 1.0:
             store, stored = False, None  # not monotone: nothing stored is read
         if store:
             if stored is None:
@@ -183,25 +172,22 @@ def _pair_pass(
             np.copyto(stored[1][i0:i1, i0:], viol["primal_gap"], where=~below)  # primal on and above
     if stored is not None:
         np.fill_diagonal(stored[0], False)
-        stored = errors.get("primal_gap") or errors.get("constant") or stored
-    errors["bimonotone"] = errors.get("monotone")
-    found = {name: errors.get(name) or ClassificationReport(worst <= 1.0, worst, witness)
-             for name, (worst, witness) in best.items()}
-    return found, stored
+    return records, stored
 
 
-def _read(value):
-    """``value`` from what ``_pair_pass`` returns, or the overflow error it
-    kept in its place, raised."""
-    if isinstance(value, ValidationError):
-        raise value
-    return value
+def _report(record: tuple) -> ClassificationReport:
+    """The report of a ``_pair_pass`` record (worst, pair), or, for an
+    infinite worst, the overflow at that pair, raised."""
+    worst, pair = record
+    if worst == np.inf:
+        raise ValidationError(f"pair {pair} overflows double precision; rescale the sample")
+    return ClassificationReport(worst <= 1.0, worst, pair)
 
 
 @quiet_overflow
 def monotone_check(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> ClassificationReport:
     """Every pairwise product <xstar - ystar, x - y> is nonnegative within tolerance."""
-    return _read(_pair_pass(g, tol)[0]["monotone"])
+    return _report(_pair_pass(g, tol)[0]["monotone"])
 
 
 @quiet_overflow
@@ -210,7 +196,7 @@ def bimonotone_check(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE)
 
     Equivalent to the sample and its negation both being monotone.
     """
-    return _read(_pair_pass(g, tol)[0]["bimonotone"])
+    return _report(_pair_pass(g, tol)[0]["bimonotone"])
 
 
 @quiet_overflow
@@ -218,7 +204,7 @@ def constant_on_domain_check(
     g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE
 ) -> ClassificationReport:
     """All dual points of the graph coincide within vector tolerance."""
-    return _read(_pair_pass(g, tol)[0]["constant"])
+    return _report(_pair_pass(g, tol)[0]["constant"])
 
 
 def _near(gaps: np.ndarray, pts: np.ndarray, t: float) -> np.ndarray:
@@ -353,6 +339,16 @@ def _crossed_pairs(stored: list) -> ClassificationReport:
     return ClassificationReport(verdict=hi <= 1.0, worst_violation=hi, witness=(pts[a], pts[b]))
 
 
+def _paramonotone(records: dict, stored: list | None, mono) -> ClassificationReport | NotMonotone:
+    """NotMonotone with the monotone report ``mono`` when ``_pair_pass``
+    stored nothing, else, unless a gap overflows, the crossed-pair search."""
+    if stored is None:
+        return NotMonotone(monotone=mono)
+    _report(records["primal_gap"])
+    _report(records["constant"])
+    return _crossed_pairs(stored)
+
+
 @quiet_overflow
 def analyze(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> dict:
     """The four membership reports, keyed ``monotone``, ``bimonotone``,
@@ -363,14 +359,13 @@ def analyze(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> dict:
     for a monotone sample, the matrices that the crossed-pair search
     ``_crossed_pairs`` reads; their docstrings give the cost of each.
     """
-    found, stored = _pair_pass(g, tol, store=True)
-    mono = _read(found["monotone"])
+    records, stored = _pair_pass(g, tol, store=True)
+    mono = _report(records["monotone"])
     return {
         "monotone": mono,
-        "bimonotone": _read(found["bimonotone"]),
-        "paramonotone": (NotMonotone(monotone=mono) if stored is None
-                         else _crossed_pairs(_read(stored))),
-        "constant_on_domain": _read(found["constant"]),
+        "bimonotone": _report(records["bimonotone"]),
+        "paramonotone": _paramonotone(records, stored, mono),
+        "constant_on_domain": _report(records["constant"]),
     }
 
 
@@ -390,6 +385,5 @@ def paramonotone_check(
     pass and the crossed-pair search of ``analyze``, and returns NotMonotone
     for a sample that is not monotone.
     """
-    found, stored = _pair_pass(g, tol, store=True)
-    mono = _read(found["monotone"])
-    return NotMonotone(monotone=mono) if stored is None else _crossed_pairs(_read(stored))
+    records, stored = _pair_pass(g, tol, store=True)
+    return _paramonotone(records, stored, _report(records["monotone"]))

@@ -354,8 +354,10 @@ def decompose(
 
     Raises NotBimonotoneError when the input fails the bimonotone check
     (with the report attached) or when some pair misses the skew fit at
-    tolerance, and ValidationError when the fit or a residual overflows.
+    tolerance, and ValidationError, before any check, for a basepoint that
+    indexes no point, and when the fit or a residual overflows.
     """
+    base = g.points[point_index(g, 0 if basepoint is None else basepoint, "basepoint")]
     report = bimonotone_check(g, tol)
     if not report.verdict:
         raise NotBimonotoneError(
@@ -363,7 +365,6 @@ def decompose(
             f"(worst_violation {report.worst_violation:.6e} at pair {report.witness})",
             report=report,
         )
-    base = g.points[point_index(g, 0 if basepoint is None else basepoint, "basepoint")]
     shifted = translate(g, base.x, base.xstar)
     q, a_hat = _fit(shifted, tol)
     basis = OrthonormalBasis(q)

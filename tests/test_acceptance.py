@@ -268,3 +268,19 @@ def test_public_names_are_declared_once():
                     if isinstance(node, ast.ImportFrom) and node.module == "skewfit"
                     for alias in node.names}
         assert imported <= set(skewfit.__all__)
+
+
+def test_every_import_in_the_package_is_used():
+    # an imported name is read by its module or listed in its __all__
+    with criterion("no-unused-imports"):
+        for path in sorted(Path(skewfit.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            imported = {(alias.asname or alias.name).split(".")[0]
+                        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                        and getattr(node, "module", None) != "__future__"
+                        for alias in node.names if alias.name != "*"}
+            read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            exported = {leaf.value for node in tree.body if isinstance(node, ast.Assign)
+                        and any(getattr(target, "id", None) == "__all__" for target in node.targets)
+                        for leaf in ast.walk(node.value) if isinstance(leaf, ast.Constant)}
+            assert imported <= read | exported, (path.name, sorted(imported - read - exported))

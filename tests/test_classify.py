@@ -403,6 +403,13 @@ OVERFLOWS = {
     "primal gap": ([[1e154, 0.0], [_BIG, 0.0]], [[_BIG, 0.0], [_BIG, 0.0]], "pair (0, 1)"),
     # not monotone: the primal gap's overflow at (0, 1) is never used
     "dual gap": ([[1e154, 0.0], [_BIG, 0.0]], [[1.0, _BIG], [0.0, _BIG]], "pair (0, 0)"),
+    # row 0 violates monotonicity by about 1e9, finitely; the first overflow,
+    # of the pairing and both gaps, is at (1, 2), in a later row block when
+    # blocks are one row, and must still win
+    "after a finite violation": ([[0.0, 0.0], [1e154, 0.0], [-1e154, 0.0]],
+                                 [[0.0, 0.0], [-1e154, 0.0], [1e154, 0.0]], "pair (1, 2)"),
+    # <ds, dx> = 1e400 - 1e400: the pairing is NaN, not +-inf
+    "NaN pairing": ([[0.0, 0.0], [1e200, -1e200]], [[0.0, 0.0], [1e200, 1e200]], "pair (0, 1)"),
 }
 
 

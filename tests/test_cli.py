@@ -189,6 +189,14 @@ def test_decompose_not_bimonotone_exits_1(capsys, tmp_path):
     assert doc["bimonotone"]["verdict"] is False
 
 
+def test_analyze_header_only_csv_exits_2(capsys, tmp_path):
+    path = tmp_path / "graph.csv"
+    path.write_text("x1,x2,xstar1,xstar2\n")
+    code, stdout, stderr = invoke(capsys, "analyze", str(path))
+    assert (code, stdout) == (2, "")
+    assert stderr == "skewfit: error: a graph must contain at least one point\n"
+
+
 def test_decompose_basepoint_flag(capsys, tmp_path):
     out, _ = generate(capsys, tmp_path)
     code, stdout, _ = invoke(capsys, "decompose", out, "--basepoint", "2")
@@ -198,6 +206,17 @@ def test_decompose_basepoint_flag(capsys, tmp_path):
     assert doc["basepoint"]["x"] == graph_doc["points"][2]["x"]
     code, _, stderr = invoke(capsys, "decompose", out, "--basepoint", "42")
     assert code == 2 and "out of range" in stderr
+
+
+def test_decompose_invalid_basepoint_exits_2_whatever_the_sample(capsys, tmp_path):
+    # the sample is not bimonotone (exit 1 at a valid basepoint), yet an
+    # invalid index is an input error, not a false verdict
+    path = perturbed_graph_file(tmp_path)
+    assert invoke(capsys, "decompose", path, "--basepoint", "0")[0] == 1
+    for value in ("-1", str(SPEC["m"])):
+        code, stdout, stderr = invoke(capsys, "decompose", path, "--basepoint", value)
+        assert (code, stdout) == (2, "")
+        assert stderr == f"skewfit: error: basepoint index {value} out of range for {SPEC['m']} points\n"
 
 
 # ---------------------------------------------------------------------------

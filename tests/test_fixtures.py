@@ -7,6 +7,7 @@ import pytest
 
 from skewfit import (
     ClassificationReport,
+    InternalInconsistencyError,
     OperatorGraph,
     ParseError,
     ValidationError,
@@ -140,6 +141,29 @@ def test_fixture_full_rank_domain():
         assert span_basis(domain(shifted)).rank == 3
 
 
+def test_fixture_redraws_a_domain_sample_that_fails_to_span(monkeypatch):
+    real_rank, calls = np.linalg.matrix_rank, []
+
+    def first_rank_short(a, *args, **kwargs):
+        calls.append(a)
+        return real_rank(a, *args, **kwargs) - (len(calls) == 1)
+    monkeypatch.setattr(np.linalg, "matrix_rank", first_rank_short)
+    g = make_fixture(FixtureSpec(n=4, k=2, m=5, offset_norm=1.0, seed=3)).graph
+    assert len(calls) == 2
+    # make_fixture's draws: basis, operator core, offset direction, then two
+    # domain samples, the second of which is kept
+    rng = np.random.Generator(np.random.Philox(3))
+    q0, _ = np.linalg.qr(rng.standard_normal((4, 2)))
+    rng.standard_normal((2, 2))
+    rng.standard_normal(4)
+    np.testing.assert_array_equal(calls[0], rng.standard_normal((5, 2)))
+    np.testing.assert_array_equal(g.primal_matrix, rng.standard_normal((5, 2)) @ q0.T)
+    monkeypatch.setattr(np.linalg, "matrix_rank", lambda a, *args, **kwargs: 0)
+    with pytest.raises(InternalInconsistencyError,
+                       match="^domain sample failed to span the planted subspace twice in a row$"):
+        make_fixture(FixtureSpec(n=4, k=2, m=5, seed=3))
+
+
 # ---------------------------------------------------------------------------
 # FixtureSpec validation and serialization
 # ---------------------------------------------------------------------------
@@ -255,6 +279,9 @@ def test_perturb_argument_errors():
     with pytest.raises(ValidationError):
         perturb(full.graph, index=0, direction="orthogonal", amplitude=1.0,
                 basis=full.truth.basis, seed=31)
+    with pytest.raises(ValidationError, match=r"^basis lives in R\^3, graph in R\^5$"):
+        perturb(fix.graph, index=0, direction="in_span", amplitude=1.0,
+                basis=full.truth.basis, seed=29)
 
 
 def test_perturb_in_span_requires_nontrivial_span():

@@ -386,6 +386,11 @@ def test_load_unknown_format():
         load_graph(b"", "xml")
 
 
+def test_save_unknown_format():
+    with pytest.raises(ValidationError, match="^unknown format 'xml'; expected 'json' or 'csv'$"):
+        save_graph(simple_graph(), "xml")
+
+
 def _random_wide_range_graph(seed, m=1000, n=3):
     rng = np.random.Generator(np.random.Philox(seed))
     mag = 10.0 ** rng.uniform(-12, 12, size=(m, 2 * n))
@@ -567,6 +572,13 @@ def test_none_is_not_a_real(build, message):
     # numpy reads None as NaN, which must not pass for a non-finite real
     with pytest.raises(ValidationError, match="^" + re.escape(message)):
         build()
+
+
+def test_array_rule_names_what_numpy_cannot_hold():
+    # arrays of different shapes fill no object array, so numpy raises
+    # ValueError, reported as the array rule's error
+    with pytest.raises(ValidationError, match="^primal is not an array of reals: could not broadcast "):
+        OperatorGraph([np.zeros((2, 2)), np.zeros((2, 3))], [[0, 0], [0, 0]])
 
 
 def test_dumps_canonical_rejects_numpy_values():

@@ -330,6 +330,17 @@ def test_decompose_basepoint_override():
         decompose(fix.graph, basepoint=True)
 
 
+def test_decompose_reads_the_basepoint_before_the_check():
+    # an invalid basepoint is an input error on a sample that is not
+    # bimonotone too, never a NotBimonotoneError
+    g = planted_fixture(seed=32, noise_in_span=1e-3).graph
+    assert not bimonotone_check(g).verdict
+    with pytest.raises(ValidationError, match="^basepoint index 20 out of range for 20 points$"):
+        decompose(g, basepoint=len(g.points))
+    with pytest.raises(ValidationError, match="^basepoint must be an integer$"):
+        decompose(g, basepoint=True)
+
+
 def test_decompose_basis_change_is_a_conjugation():
     fix = planted_fixture(seed=34)
     g = fix.graph
