@@ -22,7 +22,6 @@ from .classify import analyze
 from .fixtures import FixtureSpec, make_fixture
 from .graphs import (
     OperatorGraph,
-    ParseError,
     SkewfitError,
     ToleranceConfig,
     dumps_canonical,
@@ -37,8 +36,21 @@ from .recovery import NotBimonotoneError, SkewDecomposition, decompose, verify_r
 __all__ = ["build_parser", "main", "run"]
 
 
-def _emit(doc: dict) -> None:
-    sys.stdout.write(dumps_canonical(doc) + "\n")
+def _read(path: str, parse):
+    """``parse`` of the bytes of ``path``; an error in them names the file."""
+    try:
+        return parse(Path(path).read_bytes())
+    except SkewfitError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def _emit(doc: dict, path: str | None = None) -> None:
+    """Write ``doc`` as one canonical JSON line to ``path``, or to stdout."""
+    text = dumps_canonical(doc) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_bytes(text.encode("utf-8"))
 
 
 def _tolerance(args: argparse.Namespace) -> ToleranceConfig:
@@ -50,16 +62,7 @@ def _graph_format(path: str, explicit: str | None) -> str:
 
 
 def _read_graph(path: str, explicit_format: str | None) -> OperatorGraph:
-    with open(path, "rb") as handle:
-        return load_graph(handle, _graph_format(path, explicit_format))
-
-
-def _read_json_file(path: str) -> dict:
-    data = Path(path).read_bytes()
-    try:
-        return load_json_object(data)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    return _read(path, lambda data: load_graph(data, _graph_format(path, explicit_format)))
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -84,30 +87,28 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         _emit(doc)
         return 1
     doc = dec.to_dict()
-    payload = dumps_canonical(doc) + "\n"
     if args.out:
-        Path(args.out).write_bytes(payload.encode("utf-8"))
-    sys.stdout.write(payload)
+        _emit(doc, args.out)
+    _emit(doc)
     return 0
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    spec = FixtureSpec.from_dict(_read_json_file(args.spec))
+    spec = _read(args.spec, lambda data: FixtureSpec.from_dict(load_json_object(data)))
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     fixture = make_fixture(spec)
     out = Path(args.out)
     out.write_bytes(save_graph(fixture.graph, _graph_format(args.out, args.format)))
     truth_path = out.with_name(out.stem + ".truth.json")
-    truth_doc = {"spec": spec.to_dict(), **fixture.truth.to_dict()}
-    truth_path.write_bytes((dumps_canonical(truth_doc) + "\n").encode("utf-8"))
+    _emit({"spec": spec.to_dict(), **fixture.truth.to_dict()}, str(truth_path))
     _emit({"spec": spec.to_dict(), "graph_path": args.out, "truth_path": str(truth_path),
            "dimension": fixture.graph.dimension, "num_points": len(fixture.graph.points)})
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    dec = SkewDecomposition.from_dict(_read_json_file(args.decomposition))
+    dec = _read(args.decomposition, lambda data: SkewDecomposition.from_dict(load_json_object(data)))
     g = _read_graph(args.graph, args.format)
     report = verify_reconstruction(dec, g, _tolerance(args))
     _emit(report.to_dict())

@@ -3,9 +3,10 @@
 Fixtures plant a skew-symmetric linear operator on a random k-dimensional
 subspace of R^n, sample its graph at random domain points, optionally hang
 several dual branches off each point by adding components orthogonal to the
-subspace (which preserves bimonotonicity), and optionally inject in-span
-noise (which destroys it).  The planted operator, offset, and subspace are
-returned alongside the graph so recovery can be checked against the truth.
+subspace (which preserves bimonotonicity because the domain points lie in
+the subspace, up to rounding), and optionally inject in-span noise (which
+destroys it).  The planted operator, offset, and subspace are returned
+alongside the graph so recovery can be checked against the truth.
 
 All randomness flows from a counter-based generator seeded by the spec, so
 identical specs produce bit-identical fixtures.  The noise of every point
@@ -41,8 +42,9 @@ class FixtureSpec:
     offset_norm: norm of the constant offset added to every dual;
     noise_in_span: amplitude of in-span noise on each dual (breaks
     bimonotonicity when positive); noise_orthogonal: norm of the orthogonal
-    component added per branch (harmless to bimonotonicity, ignored when
-    k = n since the complement is trivial); zero_operator: plant the zero
+    component added per branch (harmless to bimonotonicity because the
+    domain points lie in the subspace up to rounding; ignored when k = n
+    since the complement is trivial); zero_operator: plant the zero
     matrix instead of a random skew one, making the sample constant.
     The fields are the keys of the spec document, n, k and m (required) first.
     """
@@ -182,33 +184,27 @@ def perturb(
     ``direction`` selects where the nudge lives relative to ``basis``:
     "in_span" draws a random unit vector inside the span (this breaks
     bimonotonicity of a planted sample), "orthogonal" draws one in the
-    orthogonal complement (this never affects it).  Amplitude zero returns
-    an unchanged copy.
+    orthogonal complement (this keeps it only while the primal points lie in
+    the span exactly).  Every argument is checked before amplitude zero
+    returns an unchanged copy.
     """
     index = point_index(g, index, "perturbed point")
     rng = _rng(seed)
     if direction not in ("in_span", "orthogonal"):
-        raise ValidationError(
-            f"direction must be 'in_span' or 'orthogonal', got {direction!r}"
-        )
+        raise ValidationError(f"direction must be 'in_span' or 'orthogonal', got {direction!r}")
     amplitude = nonnegative(amplitude, "amplitude")
+    if basis.ambient_dimension != g.dimension:
+        raise ValidationError(f"basis lives in R^{basis.ambient_dimension}, graph in R^{g.dimension}")
+    if direction == "in_span" and basis.rank == 0:
+        raise ValidationError("span is trivial; there is no in-span direction")
+    if direction == "orthogonal" and basis.rank == g.dimension:
+        raise ValidationError("orthogonal complement of the span is trivial")
     if amplitude == 0.0:
         return OperatorGraph.from_arrays(g.primal_matrix, g.dual_matrix)
-    if basis.ambient_dimension != g.dimension:
-        raise ValidationError(
-            f"basis lives in R^{basis.ambient_dimension}, graph in R^{g.dimension}"
-        )
-    q = basis.q
+    q, dual = basis.q, np.array(g.dual_matrix)
     if direction == "in_span":
-        if basis.rank == 0:
-            raise ValidationError("span is trivial; there is no in-span direction")
-        step = amplitude * (q @ _unit(rng.standard_normal(basis.rank)))
+        dual[index] += amplitude * (q @ _unit(rng.standard_normal(basis.rank)))
     else:
         raw = rng.standard_normal(g.dimension)
-        perp = raw - q @ (q.T @ raw)
-        if float(np.linalg.norm(perp)) <= 1e-9 * float(np.linalg.norm(raw)):
-            raise ValidationError("orthogonal complement of the span is trivial")
-        step = amplitude * _unit(perp)
-    dual = np.array(g.dual_matrix)
-    dual[index] += step
+        dual[index] += amplitude * _unit(raw - q @ (q.T @ raw))
     return OperatorGraph.from_arrays(g.primal_matrix, dual)

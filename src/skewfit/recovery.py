@@ -10,8 +10,10 @@ fit in closed form.  The residual rule of ``verify_reconstruction`` accepts
 that fit, with its affine offset, on the untranslated sample.
 
 Components of the dual points orthogonal to the span are invisible to the
-reduction and do not affect bimonotonicity; they are deliberately
-discarded, and all residuals are measured after projection onto the span.
+reduction and deliberately discarded; all residuals are measured after
+projection onto the span.  Only primal points exactly in the span make them
+harmless to bimonotonicity: off it, a pair's pairing gains <dw, de>, dw and
+de being the differences of the discarded parts and of the off-span parts.
 """
 
 from __future__ import annotations

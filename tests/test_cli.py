@@ -194,7 +194,7 @@ def test_analyze_header_only_csv_exits_2(capsys, tmp_path):
     path.write_text("x1,x2,xstar1,xstar2\n")
     code, stdout, stderr = invoke(capsys, "analyze", str(path))
     assert (code, stdout) == (2, "")
-    assert stderr == "skewfit: error: a graph must contain at least one point\n"
+    assert stderr == f"skewfit: error: {path}: a graph must contain at least one point\n"
 
 
 def test_decompose_basepoint_flag(capsys, tmp_path):
@@ -561,7 +561,7 @@ def test_point_nested_past_numpy_axes_exits_2(capsys, tmp_path, depth):
     x = b"[" * depth + b"0" + b"]" * depth
     doc = b'{"dimension": 1, "points": [{"x": ' + x + b', "xstar": [0]}]}'
     stderr = _exits_2_with_one_error_line(capsys, tmp_path, "analyze", doc)
-    assert stderr.startswith("skewfit: error: primal is not an array of reals")
+    assert stderr.startswith(f"skewfit: error: {tmp_path / 'doc.json'}: primal is not an array of reals")
 
 
 def test_internal_error_exits_3_with_its_traceback(capsys, tmp_path, monkeypatch):
@@ -667,7 +667,34 @@ def test_verify_rejects_a_certificate_that_is_not_skew(capsys, tmp_path, a_hat, 
     dec = tmp_path / "dec.json"
     dec.write_bytes(CERTIFICATE % (a_hat, max_residual, defect))
     code, stdout, stderr = invoke(capsys, "verify", str(dec), str(graph))
-    assert (code, stdout, stderr) == (2, "", f"skewfit: error: {message}\n")
+    assert (code, stdout, stderr) == (2, "", f"skewfit: error: {dec}: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "command, name, content, message",
+    [
+        ("verify", "bad.json", b'{"dimension": 1,\n',
+         "invalid JSON at line 2, column 1: Expecting property name enclosed in double quotes"),
+        ("analyze", "bad.csv", b"1,2\n3,x\n", "line 2, field 2: not a number: 'x'"),
+        ("generate", "spec.json", b'{"n": 3, "k": 2, "m": 4, "alpha": 1}',
+         "unknown key 'alpha' in fixture spec"),
+    ],
+    ids=["verify graph", "analyze csv", "generate spec"],
+)
+def test_an_error_in_a_file_names_the_file(capsys, tmp_path, command, name, content, message):
+    # verify's bad file is its second argument, the graph after a valid decomposition
+    bad = tmp_path / name
+    bad.write_bytes(content)
+    argv = [command, str(bad)]
+    if command == "verify":
+        out, _ = generate(capsys, tmp_path, out_name="good.json")
+        dec = str(tmp_path / "dec.json")
+        assert invoke(capsys, "decompose", out, "--out", dec)[0] == 0
+        argv.insert(1, dec)
+    if command == "generate":
+        argv += ["--out", str(tmp_path / "out.json")]
+    code, stdout, stderr = invoke(capsys, *argv)
+    assert (code, stdout, stderr) == (2, "", f"skewfit: error: {bad}: {message}\n")
 
 
 def test_graph_files_with_a_byte_order_mark(capsys, tmp_path):

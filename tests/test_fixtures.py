@@ -268,20 +268,26 @@ def test_perturb_only_touches_one_dual():
 
 
 def test_perturb_argument_errors():
+    # every argument is checked before amplitude 0 returns its copy
     fix = planted(seed=28)
-    with pytest.raises(ValidationError, match="out of range"):
-        perturb(fix.graph, index=50, direction="in_span", amplitude=1.0,
-                basis=fix.truth.basis, seed=29)
-    with pytest.raises(ValidationError, match="direction"):
-        perturb(fix.graph, index=0, direction="sideways", amplitude=1.0,
-                basis=fix.truth.basis, seed=29)
     full = make_fixture(FixtureSpec(n=3, k=3, m=4, seed=30))
-    with pytest.raises(ValidationError):
-        perturb(full.graph, index=0, direction="orthogonal", amplitude=1.0,
-                basis=full.truth.basis, seed=31)
-    with pytest.raises(ValidationError, match=r"^basis lives in R\^3, graph in R\^5$"):
-        perturb(fix.graph, index=0, direction="in_span", amplitude=1.0,
-                basis=full.truth.basis, seed=29)
+    trivial = make_fixture(FixtureSpec(n=2, k=0, m=1, offset_norm=1.0, seed=32))
+    for amplitude in (0.0, 1.0):
+        with pytest.raises(ValidationError, match="out of range"):
+            perturb(fix.graph, index=50, direction="in_span", amplitude=amplitude,
+                    basis=fix.truth.basis, seed=29)
+        with pytest.raises(ValidationError, match="direction"):
+            perturb(fix.graph, index=0, direction="sideways", amplitude=amplitude,
+                    basis=fix.truth.basis, seed=29)
+        with pytest.raises(ValidationError, match="^orthogonal complement of the span is trivial$"):
+            perturb(full.graph, index=0, direction="orthogonal", amplitude=amplitude,
+                    basis=full.truth.basis, seed=31)
+        with pytest.raises(ValidationError, match=r"^basis lives in R\^3, graph in R\^5$"):
+            perturb(fix.graph, index=0, direction="in_span", amplitude=amplitude,
+                    basis=full.truth.basis, seed=29)
+        with pytest.raises(ValidationError, match="^span is trivial; there is no in-span direction$"):
+            perturb(trivial.graph, index=0, direction="in_span", amplitude=amplitude,
+                    basis=trivial.truth.basis, seed=33)
 
 
 def test_perturb_in_span_requires_nontrivial_span():
