@@ -18,7 +18,9 @@ once over the float64 gap values that the pass stores in one m x m matrix,
 the primal gaps above its diagonal and the dual gaps below.  ``analyze``
 returns all four reports from that one pass and the search.  Verdicts are
 order-independent; witnesses break ties by the smallest index pair, and an
-overflow raises ValidationError by the rule of ``_pair_pass``.
+overflow raises ValidationError by the rule of ``_pair_pass``, which carries
+the module's one overflow guard: the search only compares stored gaps and
+multiplies 0/1 tiles whose counts stay at most m.
 
 The search stores 9 m^2 bytes for m points: a bool mask and the gap matrix
 (``_pair_pass`` and ``_crossed_pairs`` state what each stores and costs).
@@ -51,9 +53,7 @@ __all__ = [
     "paramonotone_check",
 ]
 
-# Floats per difference block of the pair pass, per gap sample and gap block
-# of the search, and per float32 tile (at least ceil(m / 8) rows): 2 MB of
-# float64.
+# The working-set budget of the module docstring, in floats: 2 MB of float64.
 _CHUNK_FLOATS = 1 << 18
 
 
@@ -100,6 +100,7 @@ class NotMonotone:
         return {"status": "not_monotone", "monotone": self.monotone.to_dict()}
 
 
+@quiet_overflow
 def _pair_pass(
     g: OperatorGraph, tol: ToleranceConfig, store: bool = False
 ) -> tuple[dict, list | None]:
@@ -184,13 +185,11 @@ def _report(record: tuple) -> ClassificationReport:
     return ClassificationReport(worst <= 1.0, worst, pair)
 
 
-@quiet_overflow
 def monotone_check(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> ClassificationReport:
     """Every pairwise product <xstar - ystar, x - y> is nonnegative within tolerance."""
     return _report(_pair_pass(g, tol)[0]["monotone"])
 
 
-@quiet_overflow
 def bimonotone_check(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> ClassificationReport:
     """Every pairwise product <xstar - ystar, x - y> vanishes within tolerance.
 
@@ -199,7 +198,6 @@ def bimonotone_check(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE)
     return _report(_pair_pass(g, tol)[0]["bimonotone"])
 
 
-@quiet_overflow
 def constant_on_domain_check(
     g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE
 ) -> ClassificationReport:
@@ -213,20 +211,18 @@ def _near(gaps: np.ndarray, pts: np.ndarray, t: float) -> np.ndarray:
     ``_pair_pass``: a point's primal gaps are its row right of the diagonal
     and its column above it, its dual gaps the other way round.
 
-    Points are read in blocks of about ``_CHUNK_FLOATS // m``.  A block's
-    rows and columns are gathered, or, where the block spans less than twice
-    as many points as it holds, thresholded over that span and picked."""
+    Points are read in blocks of about ``_CHUNK_FLOATS // m``: a block of
+    consecutive points is sliced, any other gathered (per search at m = 3000,
+    gathering every block took 0.13 s more, slicing every span 0.04 s more)."""
     m = gaps.shape[0]
     near = np.empty((pts.size, m), dtype=np.uint8)
     ls = np.arange(m)
     step = max(1, _CHUNK_FLOATS // m)
     for a0 in range(0, pts.size, step):
         p = pts[a0:a0 + step]
-        dense = p[-1] - p[0] < 2 * p.size
-        index = slice(p[0], p[-1] + 1) if dense else p
-        pick = p - p[0] if dense and p[-1] - p[0] >= p.size else slice(None)
-        row = (gaps[index] <= t)[pick]
-        col = np.ascontiguousarray(gaps[:, index].T <= t)[pick]
+        index = slice(p[0], p[-1] + 1) if p[-1] - p[0] == p.size - 1 else p
+        row = gaps[index] <= t
+        col = np.ascontiguousarray(gaps[:, index].T <= t)
         block = near[a0:a0 + p.size]
         block[...] = col  # dual: the column right of the diagonal, the row left of it
         np.copyto(block, row, where=ls < p[:, None])
@@ -243,7 +239,8 @@ def _median_gap(gaps: np.ndarray, pts: np.ndarray, lo: float, hi: float) -> floa
     the points, which hold at most about that many, and only if none of
     theirs is bracketed, over an evenly strided sample of as many from all
     the points.  Lines are gathered in blocks of about ``_CHUNK_FLOATS``
-    floats, and the sample is partitioned in place."""
+    floats, and the sample is partitioned in place.  Per search, the subset
+    saves 20-38 ms on certify's planted inputs and 0.6 s at m = 3000."""
     m = gaps.shape[0]
     step = max(1, _CHUNK_FLOATS // m)
     stride = -(-2 * pts.size * m // _CHUNK_FLOATS)
@@ -270,7 +267,8 @@ def _unmatched(gaps: np.ndarray, pts: np.ndarray, t: float) -> np.ndarray:
 
     A tile is ``_CHUNK_FLOATS // m`` rows, but at least ceil(m / 8), since
     each dual tile is cast to float32 again for every primal tile (at
-    m = 3000: 375 rows, 4.5 MB)."""
+    m = 3000: 375 rows, 4.5 MB, which cut this function's time per search
+    from 3.5 to 2.2 s there; the floor binds only above m = 1448)."""
     m, n = gaps.shape[0], pts.size
     rows = max(_CHUNK_FLOATS // m, -(-m // 8))
     near = _near(gaps, pts, t)
@@ -349,7 +347,6 @@ def _paramonotone(records: dict, stored: list | None, mono) -> ClassificationRep
     return _crossed_pairs(stored)
 
 
-@quiet_overflow
 def analyze(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> dict:
     """The four membership reports, keyed ``monotone``, ``bimonotone``,
     ``paramonotone`` (a report, or NotMonotone) and ``constant_on_domain``.
@@ -369,7 +366,6 @@ def analyze(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> dict:
     }
 
 
-@quiet_overflow
 def paramonotone_check(
     g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE
 ) -> ClassificationReport | NotMonotone:

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .graphs import (OperatorGraph, ParseError, ValidationError, check_keys, integer,
-                     nonnegative, point_index)
+                     nonnegative, point_index, quiet_overflow)
 from .recovery import InternalInconsistencyError, OrthonormalBasis
 
 __all__ = [
@@ -126,6 +126,7 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / norm
 
 
+@quiet_overflow
 def make_fixture(spec: FixtureSpec) -> Fixture:
     """Synthesize the sample described by ``spec`` along with its truth.
 
@@ -171,6 +172,7 @@ def make_fixture(spec: FixtureSpec) -> Fixture:
     return Fixture(graph=graph, truth=truth)
 
 
+@quiet_overflow
 def perturb(
     g: OperatorGraph,
     index: int,

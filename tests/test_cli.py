@@ -101,6 +101,17 @@ def test_generate_rejects_bad_spec(capsys, tmp_path):
     assert "unknown key" in stderr
 
 
+def test_generate_overflowing_fixture_exits_2_with_one_line(capsys, tmp_path):
+    # the duals overflow inside make_fixture: the graph's finiteness check
+    # names them, and no numpy warning reaches stderr
+    spec_path = write_spec(tmp_path, {"n": 3, "k": 2, "m": 5, "offset_norm": 1e308,
+                                      "noise_in_span": 1e308})
+    out = str(tmp_path / "graph.json")
+    code, stdout, stderr = invoke(capsys, "generate", spec_path, "--out", out)
+    assert (code, stdout) == (2, "")
+    assert stderr == "skewfit: error: points[2].xstar contains non-finite entries\n"
+
+
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------

@@ -297,6 +297,15 @@ def test_perturb_in_span_requires_nontrivial_span():
                 basis=fix.truth.basis, seed=33)
 
 
+def test_perturb_overflow_is_the_graphs_error_not_a_warning():
+    g = OperatorGraph.from_arrays(np.zeros((2, 2)), np.full((2, 2), 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=r"^points\[0\]\.xstar contains non-finite entries$"):
+            perturb(g, index=0, direction="in_span", amplitude=1e308,
+                    basis=span_basis(np.eye(2)[:1]), seed=1)
+
+
 # ---------------------------------------------------------------------------
 # end-to-end recovery on fixture output
 # ---------------------------------------------------------------------------
