@@ -14,19 +14,22 @@ Every check is one pass over the upper triangle of point pairs, exact
 double arithmetic quadratic in the number of points: each pair's differences
 are formed once, and their product and two norms give the pairing and both
 gap violations.  Paramonotone's crossed-pair search is exact too: it bisects
-once over the float64 gap values that the pass stores in one m x m matrix,
-the primal gaps above its diagonal and the dual gaps below.  ``analyze``
-returns all four reports from that one pass and the search.  Verdicts are
-order-independent; witnesses break ties by the smallest index pair, and an
-overflow raises ValidationError by the rule of ``_pair_pass``, which carries
-the module's one overflow guard: the search only compares stored gaps and
-multiplies 0/1 tiles whose counts stay at most m.
+over the float64 gap values that the pass stores in one m x m matrix, the
+primal gaps above its diagonal and the dual gaps below, first over a subset
+of at most ``_SEED_POINTS`` points, whose worst violation seeds the search
+over all of them, and it reads the few pairs that each bisection leaves
+exactly.  ``analyze`` returns all four reports from that one pass and the
+search.  Verdicts are order-independent; witnesses break ties by the
+smallest index pair, and an overflow raises ValidationError by the rule of
+``_pair_pass``, which carries the module's one overflow guard: the search
+only compares stored gaps and multiplies 0/1 tiles whose counts stay at
+most m.
 
 The search stores 9 m^2 bytes for m points: a bool mask and the gap matrix
 (``_pair_pass`` and ``_crossed_pairs`` state what each stores and costs).
 Beyond that, the working set is one 2 MB budget: the pass's difference
-blocks, the search's gap sample and gap blocks, and its float32 tiles,
-which take at least an eighth of the points each.
+blocks, the search's gap sample, gap blocks and gap lines, and its float32
+tiles, which take at least an eighth of the points each.
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ __all__ = [
 
 # The working-set budget of the module docstring, in floats: 2 MB of float64.
 _CHUNK_FLOATS = 1 << 18
+# The most points of the subset that seeds the crossed-pair search.
+_SEED_POINTS = 128
 
 
 @dataclass(frozen=True)
@@ -171,6 +176,7 @@ def _pair_pass(
             np.less_equal(np.abs(viol["monotone"]), 1.0, out=stored[0][i0:i1, i0:])
             stored[1][i0:, i0:i1] = viol["constant"].T  # dual gaps below the diagonal
             np.copyto(stored[1][i0:i1, i0:], viol["primal_gap"], where=~below)  # primal on and above
+        del dx, ds  # before the next block allocates its own
     if stored is not None:
         np.fill_diagonal(stored[0], False)
     return records, stored
@@ -212,8 +218,9 @@ def _near(gaps: np.ndarray, pts: np.ndarray, t: float) -> np.ndarray:
     and its column above it, its dual gaps the other way round.
 
     Points are read in blocks of about ``_CHUNK_FLOATS // m``: a block of
-    consecutive points is sliced, any other gathered (per search at m = 3000,
-    gathering every block took 0.13 s more, slicing every span 0.04 s more)."""
+    consecutive points is sliced, any other gathered by index (per seeded
+    search, gathering every block took 1 ms more on certify's inputs and
+    54 ms more at m = 3000; np.take, 1.4-2.1 ms more and 30 ms less)."""
     m = gaps.shape[0]
     near = np.empty((pts.size, m), dtype=np.uint8)
     ls = np.arange(m)
@@ -239,8 +246,9 @@ def _median_gap(gaps: np.ndarray, pts: np.ndarray, lo: float, hi: float) -> floa
     the points, which hold at most about that many, and only if none of
     theirs is bracketed, over an evenly strided sample of as many from all
     the points.  Lines are gathered in blocks of about ``_CHUNK_FLOATS``
-    floats, and the sample is partitioned in place.  Per search, the subset
-    saves 20-38 ms on certify's planted inputs and 0.6 s at m = 3000."""
+    floats, and the sample is partitioned in place.  Per seeded search at
+    m = 3000 the subset saves 0.2-0.3 s; at m = 1000 the seed's 125 points
+    hold fewer values, so it is not taken."""
     m = gaps.shape[0]
     step = max(1, _CHUNK_FLOATS // m)
     stride = -(-2 * pts.size * m // _CHUNK_FLOATS)
@@ -267,8 +275,9 @@ def _unmatched(gaps: np.ndarray, pts: np.ndarray, t: float) -> np.ndarray:
 
     A tile is ``_CHUNK_FLOATS // m`` rows, but at least ceil(m / 8), since
     each dual tile is cast to float32 again for every primal tile (at
-    m = 3000: 375 rows, 4.5 MB, which cut this function's time per search
-    from 3.5 to 2.2 s there; the floor binds only above m = 1448)."""
+    m = 3000: 375 rows, 4.5 MB, which cut this function's time per seeded
+    search from 1.3-1.7 to 0.8-1.2 s there; the floor binds only above
+    m = 1448)."""
     m, n = gaps.shape[0], pts.size
     rows = max(_CHUNK_FLOATS // m, -(-m // 8))
     near = _near(gaps, pts, t)
@@ -285,6 +294,62 @@ def _unmatched(gaps: np.ndarray, pts: np.ndarray, t: float) -> np.ndarray:
     return u
 
 
+def _lines(gaps: np.ndarray, p: np.ndarray) -> tuple:
+    """The primal and dual gap lines of the points ``p``, two |p| x m
+    float64 matrices, read from ``gaps`` by the rule of ``_near``."""
+    row, col = gaps[p], gaps[:, p].T
+    left = np.arange(gaps.shape[0]) < p[:, None]
+    return np.where(left, col, row), np.where(left, row, col)
+
+
+def _violations(gaps: np.ndarray, pts: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """The violation max(need(i, j), need(j, i)) of each pair of ``active``
+    (see ``_crossed_pairs``), in row-major order, from the gap lines of its
+    two points, for blocks of pairs whose four line sets hold about
+    ``_CHUNK_FLOATS`` floats."""
+    i, j = (pts[k] for k in np.nonzero(active))
+    out = np.empty(i.size)
+    step = max(1, _CHUNK_FLOATS // (4 * gaps.shape[0]))
+    for k0 in range(0, i.size, step):
+        (xi, si), (xj, sj) = _lines(gaps, i[k0:k0 + step]), _lines(gaps, j[k0:k0 + step])
+        need_ij, need_ji = np.maximum(xi, sj, out=xi).min(axis=1), np.maximum(xj, si, out=xj).min(axis=1)
+        out[k0:k0 + step] = np.maximum(need_ij, need_ji)
+    return out
+
+
+def _worst(gaps: np.ndarray, pts: np.ndarray, active: np.ndarray, t: float = -np.inf) -> tuple:
+    """(W, pts, attaining): the worst violation W of the pairs ``active``
+    (bool, |pts| x |pts|) of the points ``pts``, the pairs attaining it and
+    their points.  While one gap line per pair exceeds ``_CHUNK_FLOATS``, a
+    step tests a threshold t, ``t`` itself first unless it is -inf, then
+    the ``_median_gap`` of the values bracketed by (lo, hi]: if every pair
+    matches, hi = t, else lo = t and only the failing pairs stay, since one
+    that matches at t < W cannot attain W.  Any t is a valid step.  Then
+    the pairs left are read exactly, or, if no value lies strictly between
+    lo and hi, all attain W = hi (0, a point's gap to itself, if no step
+    failed)."""
+    lo, hi = -np.inf, np.inf
+    while np.count_nonzero(active) * gaps.shape[0] > _CHUNK_FLOATS:
+        if not t > lo and (t := _median_gap(gaps, pts, lo, hi)) is None:
+            return hi, pts, active
+        failing = _unmatched(gaps, pts, t)
+        failing |= failing.T  # in place: numpy buffers the overlapping transpose
+        failing &= active
+        keep = failing.any(axis=0) | failing.any(axis=1)
+        if keep.any():
+            lo, pts, active = t, pts[keep], failing[np.ix_(keep, keep)]
+        else:
+            hi = t
+        del failing  # before the next step allocates its own
+        t = -np.inf
+    v = _violations(gaps, pts, active)
+    w = float(v.max(initial=0.0))
+    attaining = np.zeros_like(active)
+    attaining[active] = v == w
+    keep = attaining.any(axis=0) | attaining.any(axis=1)
+    return w, pts[keep], attaining[np.ix_(keep, keep)]
+
+
 def _crossed_pairs(stored: list) -> ClassificationReport:
     """Paramonotone report of a monotone sample from what ``_pair_pass``
     stores, [vanishing, gaps], which it takes out of ``stored``: the bool
@@ -296,45 +361,43 @@ def _crossed_pairs(stored: list) -> ClassificationReport:
     (x_i, xstar_j) to the nearest stored pair, and a vanishing pair i < j
     violates by max(need(i, j), need(j, i)).  Every need value is a gap
     entry, so the worst violation W is the smallest gap value t at which no
-    vanishing pair is ``_unmatched`` either way.  One exact bisection
-    narrows the bracket (lo, hi] = (-inf, inf] to W: each step tests t, the
-    ``_median_gap`` of the values still bracketed; if every active pair
-    matches, hi = t, otherwise lo = t and only the failing pairs, with their
-    points, stay, since a pair that matches at t < W cannot attain W.  Once
-    no value lies strictly between lo and hi, hi = W and the pairs left are
-    exactly those attaining it, unless lo is still -inf (no step failed).
-    The witness is the smallest pair attaining W in row-major order.
+    vanishing pair is ``_unmatched`` either way; ``_worst`` finds it, and
+    the witness is the smallest pair attaining W in row-major order.
 
-    About log2(2 |V| m) products of |V| x m x |V| (V: the points in
-    vanishing pairs), shrinking as pairs leave, in float32 tiles of
-    ``_unmatched``'s rule: about ``_CHUNK_FLOATS`` floats, and at least an
-    eighth of the points.  Beside the 8 m^2 bytes of gaps, a step holds the
-    pairs still active and those failing (bool, |P|^2 bytes each; P: the
-    points left; the mask is dropped once the active pairs are copied out),
-    the |P| x m uint8 matrix of ``_near`` and two float32 tiles: about
-    12 m^2 bytes in all while P is every point.
+    When more than ``_SEED_POINTS`` points lie in vanishing pairs, ``_worst``
+    first runs on an evenly strided subset of at most that many, with only
+    their vanishing pairs active.  Their gap lines still cover all m points,
+    so the subset's worst W_Q is the violation of a real pair, W >= W_Q,
+    and the search over all the points steps first just below W_Q, keeping
+    only the pairs that violate by W_Q or more.  If W_Q is 0, it starts at
+    the median, as it would without the subset.
+
+    On certify's 1000-point inputs this makes two steps over 125 points,
+    one over all of them (the most costly, in float32 tiles of
+    ``_unmatched``), and exact reads of the 16-94 pairs left: about 40% of
+    the unseeded search's time.  Beside the 8 m^2 bytes of gaps, the step
+    over every point holds the active and failing pairs (bool, m^2 bytes
+    each; the mask is dropped once the active pairs are copied out), the
+    m x m uint8 matrix of ``_near`` and two float32 tiles: about 12 m^2
+    bytes in all.
     """
     vanishing, gaps = stored
     stored.clear()
     keep = vanishing.any(axis=0) | vanishing.any(axis=1)
     pts, active = np.flatnonzero(keep), vanishing[np.ix_(keep, keep)]
     del vanishing
-    lo, hi = -np.inf, np.inf
-    while pts.size and (t := _median_gap(gaps, pts, lo, hi)) is not None:
-        failing = _unmatched(gaps, pts, t)
-        failing |= failing.T  # in place: numpy buffers the overlapping transpose
-        failing &= active
-        keep = failing.any(axis=0) | failing.any(axis=1)
-        if keep.any():
-            lo, pts, active = t, pts[keep], failing[np.ix_(keep, keep)]
-        else:
-            hi = t
-        del failing  # before the next step allocates its own
-    if lo == -np.inf:
-        # no threshold failed: every crossed pair is stored (or none is needed)
+    t = -np.inf
+    if pts.size > _SEED_POINTS:
+        every = -(-pts.size // _SEED_POINTS)
+        w = _worst(gaps, pts[::every], active[::every, ::every])[0]
+        if w > 0.0:
+            t = np.nextafter(w, -np.inf)
+    w, pts, attaining = _worst(gaps, pts, active, t)
+    if w == 0.0:
+        # every crossed pair is stored (or none is needed)
         return ClassificationReport(verdict=True, worst_violation=0.0)
-    a, b = divmod(int(np.argmax(active)), pts.size)
-    return ClassificationReport(verdict=hi <= 1.0, worst_violation=hi, witness=(pts[a], pts[b]))
+    a, b = divmod(int(np.argmax(attaining)), pts.size)
+    return ClassificationReport(verdict=w <= 1.0, worst_violation=w, witness=(pts[a], pts[b]))
 
 
 def _paramonotone(records: dict, stored: list | None, mono) -> ClassificationReport | NotMonotone:

@@ -424,15 +424,24 @@ def test_overflow_order_matches_full_square_scan(first, chunk):
         _assert_matches_full_square_scan(g)
 
 
+def _assert_paramonotone_matches(g, tol, expected):
+    # at the defaults, where a small sample's pairs are read exactly; in
+    # one-float blocks, where the bisection runs to the end; and seeded from
+    # a subset of two points, where on samples of more than two points in
+    # vanishing pairs the seeded first step runs, or, when no pair of the
+    # seed fails, the unseeded search does
+    assert paramonotone_check(g, tol).to_dict() == expected
+    for patch in ({"_CHUNK_FLOATS": 1}, {"_SEED_POINTS": 2}, {"_CHUNK_FLOATS": 1, "_SEED_POINTS": 2}):
+        with mock.patch.multiple(classify, **patch):
+            assert paramonotone_check(g, tol).to_dict() == expected
+
+
 # A loose tolerance puts normalized distances between grid points on both
 # sides of 1, so crossed pairs are found, missed and tied.
 @settings(derandomize=True, max_examples=300)
 @given(tie_prone_graphs(), st.sampled_from([ToleranceConfig(), ToleranceConfig(0.25, 0.25)]))
 def test_paramonotone_matches_brute_force_oracle(g, tol):
-    expected = oracles.paramonotone(g, tol)
-    assert paramonotone_check(g, tol).to_dict() == expected
-    with mock.patch.object(classify, "_CHUNK_FLOATS", 1):
-        assert paramonotone_check(g, tol).to_dict() == expected
+    _assert_paramonotone_matches(g, tol, oracles.paramonotone(g, tol))
 
 
 # Two branches per domain point give duplicate primal points, whose vanishing
@@ -450,9 +459,7 @@ def test_paramonotone_matches_oracle_on_tied_two_branch_fixtures(spec, matched, 
     violations = oracles.crossed_violations(g, tol).values()
     assert sum(v == expected["worst_violation"] for v in violations) > 1
     assert (expected["worst_violation"] == 0.0) == (expected["witness"] is None) == matched
-    assert paramonotone_check(g, tol).to_dict() == expected
-    with mock.patch.object(classify, "_CHUNK_FLOATS", 1):
-        assert paramonotone_check(g, tol).to_dict() == expected
+    _assert_paramonotone_matches(g, tol, expected)
 
 
 # 80 points (40 domain points, two branches each): a budget of 4 m floats
@@ -469,6 +476,8 @@ def test_paramonotone_matches_oracle_where_the_tile_row_floor_binds(tol):
     with mock.patch.object(classify, "_CHUNK_FLOATS", 4 * m):
         assert classify._CHUNK_FLOATS // m < -(-m // 8) < m
         assert paramonotone_check(g, tol).to_dict() == expected
+        with mock.patch.object(classify, "_SEED_POINTS", 2):
+            assert paramonotone_check(g, tol).to_dict() == expected
 
 
 # The crossed-pair search reads the float64 gaps as the pass stores them, so
@@ -483,9 +492,7 @@ def test_paramonotone_crossed_distances_below_float32_subnormals():
     tol = ToleranceConfig()
     expected = oracles.paramonotone(g, tol)
     assert 0.0 < expected["worst_violation"] < np.finfo(np.float32).smallest_subnormal
-    assert paramonotone_check(g, tol).to_dict() == expected
-    with mock.patch.object(classify, "_CHUNK_FLOATS", 1):
-        assert paramonotone_check(g, tol).to_dict() == expected
+    _assert_paramonotone_matches(g, tol, expected)
 
 
 def test_paramonotone_crossed_distances_above_float32_max():
@@ -501,9 +508,7 @@ def test_paramonotone_crossed_distances_above_float32_max():
     tol = ToleranceConfig(abs_tol=1.0, rel_tol=0.0)
     expected = oracles.paramonotone(g, tol)
     assert np.finfo(np.float32).max < expected["worst_violation"] < np.inf
-    assert paramonotone_check(g, tol).to_dict() == expected
-    with mock.patch.object(classify, "_CHUNK_FLOATS", 1):
-        assert paramonotone_check(g, tol).to_dict() == expected
+    _assert_paramonotone_matches(g, tol, expected)
 
 
 def test_paramonotone_float32_tie_is_read_exactly_from_float64_gaps():
@@ -524,32 +529,66 @@ def test_paramonotone_float32_tie_is_read_exactly_from_float64_gaps():
     violations = list(oracles.crossed_violations(g, tol).values())
     assert len(violations) == blocks and all(1.0 < v < 1.0 + 2.0**-23 for v in violations)
     assert expected["worst_violation"] == d.max() and expected["witness"] != [0, 1]
-    assert paramonotone_check(g, tol).to_dict() == expected
-    with mock.patch.object(classify, "_CHUNK_FLOATS", 1):
-        assert paramonotone_check(g, tol).to_dict() == expected
+    _assert_paramonotone_matches(g, tol, expected)
 
 
-def _full_searches(g):
-    """How many of the crossed-pair search's steps run over every point."""
-    m, full = g.primal_matrix.shape[0], []
-    unmatched = classify._unmatched
+def _search_steps(g, seed_points=None):
+    """The number of points of each step of the crossed-pair search of
+    ``analyze(g)``, with the seed size ``seed_points`` if given."""
+    sizes, unmatched = [], classify._unmatched
 
     def counted(gaps, pts, t):
-        full.append(pts.size == m)
+        sizes.append(pts.size)
         return unmatched(gaps, pts, t)
-    with mock.patch.object(classify, "_unmatched", counted):
+    with mock.patch.object(classify, "_unmatched", counted), \
+            mock.patch.object(classify, "_SEED_POINTS", seed_points or classify._SEED_POINTS):
         classify.analyze(g)
-    return sum(full)
+    return sizes
+
+
+def _full_searches(g, seed_points=None):
+    """How many of the crossed-pair search's steps run over every point."""
+    return _search_steps(g, seed_points).count(g.primal_matrix.shape[0])
+
+
+_PLANTED_1000 = FixtureSpec(n=20, k=8, m=1000, offset_norm=1.0, seed=3)
+
+
+def test_seeded_search_takes_one_full_step_on_the_planted_sample():
+    # every pair of the planted sample vanishes; the one step over all 1000
+    # points, just below the seed's worst violation, leaves only the pairs
+    # violating by as much or more, where the unseeded search needs two
+    g = make_fixture(_PLANTED_1000).graph
+    assert _full_searches(g) == 1
+    assert _full_searches(g, seed_points=1000) == 2
 
 
 def test_tiny_gaps_take_no_more_full_search_steps():
     # scaled by 1e-60, every nonzero gap of the planted sample lies below
     # float32's smallest subnormal, where a float32 copy would tie them all;
     # on the float64 gaps the search runs over all 1000 points no more often
-    # than on the unscaled sample
-    g = make_fixture(FixtureSpec(n=20, k=8, m=1000, offset_norm=1.0, seed=3)).graph
+    # than on the unscaled sample, or than the unseeded bisection
+    g = make_fixture(_PLANTED_1000).graph
     tiny = OperatorGraph.from_arrays(g.primal_matrix * 1e-60, g.dual_matrix * 1e-60)
-    assert _full_searches(tiny) <= _full_searches(g)
+    assert _full_searches(tiny) <= min(_full_searches(g), _full_searches(tiny, seed_points=1000))
+
+
+def test_a_seed_with_no_failing_pair_adds_no_full_search_step():
+    # x = (a, 0), xstar = (0, b): every pair vanishes exactly.  On a 32 x 32
+    # grid of (a, b) every crossed pair is stored; two points off the grid,
+    # last, lie outside the seed (every 9th of 1026 points), so no pair of
+    # the seed fails, and the search then runs as if unseeded
+    a, b = np.meshgrid(np.arange(32.0), np.arange(32.0), indexing="ij")
+    a, b = np.append(a.ravel(), [0.5, 7.5]), np.append(b.ravel(), [0.5, 3.5])
+    zero = np.zeros_like(a)
+    g = OperatorGraph.from_arrays(np.column_stack([a, zero]), np.column_stack([zero, b]))
+    m = a.size
+    assert -(-m // classify._SEED_POINTS) == 9 and (m - 2) % 9 and (m - 1) % 9
+    seeded, unseeded = _search_steps(g), _search_steps(g, seed_points=m)
+    assert seeded[len(seeded) - len(unseeded):] == unseeded
+    assert max(seeded[:len(seeded) - len(unseeded)]) <= classify._SEED_POINTS
+    assert seeded.count(m) == unseeded.count(m) >= 1
+    assert not paramonotone_check(g).verdict
 
 
 def test_paramonotone_memory_is_blocked(monkeypatch):
