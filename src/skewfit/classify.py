@@ -13,23 +13,24 @@ for every check.  The conditions, for pairs (x, xstar) and (y, ystar):
 Every check is one pass over the upper triangle of point pairs, exact
 double arithmetic quadratic in the number of points: each pair's differences
 are formed once, and their product and two norms give the pairing and both
-gap violations.  Paramonotone's crossed-pair search is exact too: it bisects
-over the float64 gap values that the pass stores in one m x m matrix, the
-primal gaps above its diagonal and the dual gaps below, first over a subset
-of at most ``_SEED_POINTS`` points, whose worst violation seeds the search
-over all of them, and it reads the few pairs that each bisection leaves
-exactly.  ``analyze`` returns all four reports from that one pass and the
-search.  Verdicts are order-independent; witnesses break ties by the
-smallest index pair, and an overflow raises ValidationError by the rule of
-``_pair_pass``, which carries the module's one overflow guard: the search
-only compares stored gaps and multiplies 0/1 tiles whose counts stay at
-most m.
+gap violations.  Paramonotone's crossed-pair search is exact too: it reads
+the float64 gap values that the pass stores in one m x m matrix, the primal
+gaps above its diagonal and the dual gaps below.  Each step tests a
+threshold against every pair left, first over a subset of at most
+``_SEED_POINTS`` points, whose worst violation seeds the search over all of
+them; every other threshold is the exact violation of a sampled pair, and
+the few pairs that the steps leave are read exactly.  ``analyze`` returns
+all four reports from that one pass and the search.  Verdicts are
+order-independent; witnesses break ties by the smallest index pair, and an
+overflow raises ValidationError by the rule of ``_pair_pass``, which
+carries the module's one overflow guard: the search only compares stored
+gaps and multiplies 0/1 tiles whose counts stay at most m.
 
 The search stores 9 m^2 bytes for m points: a bool mask and the gap matrix
 (``_pair_pass`` and ``_crossed_pairs`` state what each stores and costs).
 Beyond that, the working set is one 2 MB budget: the pass's difference
-blocks, the search's gap sample, gap blocks and gap lines, and its float32
-tiles, which take at least an eighth of the points each.
+blocks, the search's gap blocks and gap lines, and its float32 tiles, which
+take at least an eighth of the points each.
 """
 
 from __future__ import annotations
@@ -238,33 +239,6 @@ def _near(gaps: np.ndarray, pts: np.ndarray, t: float) -> np.ndarray:
     return near
 
 
-def _median_gap(gaps: np.ndarray, pts: np.ndarray, lo: float, hi: float) -> float | None:
-    """Median of the values strictly between ``lo`` and ``hi`` in the rows
-    and columns ``pts`` of ``gaps`` (those points' primal and dual gaps), or
-    None when there is none.  When these hold more than ``_CHUNK_FLOATS``
-    values, the median is taken over those of an evenly strided subset of
-    the points, which hold at most about that many, and only if none of
-    theirs is bracketed, over an evenly strided sample of as many from all
-    the points.  Lines are gathered in blocks of about ``_CHUNK_FLOATS``
-    floats, and the sample is partitioned in place.  Per seeded search at
-    m = 3000 the subset saves 0.2-0.3 s; at m = 1000 the seed's 125 points
-    hold fewer values, so it is not taken."""
-    m = gaps.shape[0]
-    step = max(1, _CHUNK_FLOATS // m)
-    stride = -(-2 * pts.size * m // _CHUNK_FLOATS)
-
-    def bracketed(line, every):
-        # copied, so that the strided view does not keep the line alive
-        return line[(line > lo) & (line < hi)][::every].copy()
-    for sub, every in ((pts[::stride], 1), (pts, stride)):
-        sample = np.concatenate([bracketed(gaps[i], every) for a0 in range(0, sub.size, step)
-                                 for i in (sub[a0:a0 + step], (slice(None), sub[a0:a0 + step]))])
-        if sample.size:
-            sample.partition(sample.size // 2)
-            return float(sample[sample.size // 2])
-    return None
-
-
 def _unmatched(gaps: np.ndarray, pts: np.ndarray, t: float) -> np.ndarray:
     """u[a, b]: no point l has gap_x[pts[a], l] <= t and gap_s[pts[b], l] <= t,
     i.e. (x_pts[a], xstar_pts[b]) is farther than t from the graph.  Each
@@ -302,18 +276,18 @@ def _lines(gaps: np.ndarray, p: np.ndarray) -> tuple:
     return np.where(left, col, row), np.where(left, row, col)
 
 
-def _violations(gaps: np.ndarray, pts: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """The violation max(need(i, j), need(j, i)) of each pair of ``active``
-    (see ``_crossed_pairs``), in row-major order, from the gap lines of its
-    two points, for blocks of pairs whose four line sets hold about
+def _violations(gaps: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The violation max(need(i, j), need(j, i)) of each pair of points
+    (i[k], j[k]) (see ``_crossed_pairs``), from the gap lines of its two
+    points, for blocks of pairs whose four line sets hold about
     ``_CHUNK_FLOATS`` floats."""
-    i, j = (pts[k] for k in np.nonzero(active))
     out = np.empty(i.size)
     step = max(1, _CHUNK_FLOATS // (4 * gaps.shape[0]))
     for k0 in range(0, i.size, step):
         (xi, si), (xj, sj) = _lines(gaps, i[k0:k0 + step]), _lines(gaps, j[k0:k0 + step])
         need_ij, need_ji = np.maximum(xi, sj, out=xi).min(axis=1), np.maximum(xj, si, out=xj).min(axis=1)
         out[k0:k0 + step] = np.maximum(need_ij, need_ji)
+        del xi, si, xj, sj  # before the next block reads its own
     return out
 
 
@@ -321,28 +295,39 @@ def _worst(gaps: np.ndarray, pts: np.ndarray, active: np.ndarray, t: float = -np
     """(W, pts, attaining): the worst violation W of the pairs ``active``
     (bool, |pts| x |pts|) of the points ``pts``, the pairs attaining it and
     their points.  While one gap line per pair exceeds ``_CHUNK_FLOATS``, a
-    step tests a threshold t, ``t`` itself first unless it is -inf, then
-    the ``_median_gap`` of the values bracketed by (lo, hi]: if every pair
-    matches, hi = t, else lo = t and only the failing pairs stay, since one
-    that matches at t < W cannot attain W.  Any t is a valid step.  Then
-    the pairs left are read exactly, or, if no value lies strictly between
-    lo and hi, all attain W = hi (0, a point's gap to itself, if no step
-    failed)."""
-    lo, hi = -np.inf, np.inf
-    while np.count_nonzero(active) * gaps.shape[0] > _CHUNK_FLOATS:
-        if not t > lo and (t := _median_gap(gaps, pts, lo, hi)) is None:
-            return hi, pts, active
+    step tests a threshold t: ``t`` itself first unless it is -inf, then
+    the largest violation below hi among an evenly strided sample of the
+    active pairs, one block of ``_violations``.  If every pair matches,
+    hi = t, else only the failing pairs stay, since one that matches at
+    t < W cannot attain W.  Any t is a valid step; a sampled one is a real
+    pair's violation, and about 1/k of the pairs outlast a sample of k.  If
+    every sampled pair violates by hi, the step is just below hi, and the
+    pairs that fail it attain W = hi; if a t <= 0 fails no pair, W = 0.
+    Otherwise the pairs left are read exactly."""
+    m, hi = gaps.shape[0], np.inf
+    block = max(1, _CHUNK_FLOATS // (4 * m))
+    while (n := np.count_nonzero(active)) * m > _CHUNK_FLOATS:
+        if t == -np.inf:
+            a, b = np.divmod(np.flatnonzero(active)[::-(-n // block)], pts.size)
+            v = _violations(gaps, pts[a], pts[b])
+            v = v[v < hi]
+            t = v.max() if v.size else np.nextafter(hi, -np.inf)
         failing = _unmatched(gaps, pts, t)
         failing |= failing.T  # in place: numpy buffers the overlapping transpose
         failing &= active
         keep = failing.any(axis=0) | failing.any(axis=1)
         if keep.any():
-            lo, pts, active = t, pts[keep], failing[np.ix_(keep, keep)]
+            pts, active = pts[keep], failing[np.ix_(keep, keep)]
+            if t == np.nextafter(hi, -np.inf):
+                return float(hi), pts, active  # no active pair violates by more than hi
+        elif t <= 0.0:
+            return 0.0, pts, active  # no violation is negative
         else:
             hi = t
         del failing  # before the next step allocates its own
         t = -np.inf
-    v = _violations(gaps, pts, active)
+    a, b = np.nonzero(active)
+    v = _violations(gaps, pts[a], pts[b])
     w = float(v.max(initial=0.0))
     attaining = np.zeros_like(active)
     attaining[active] = v == w
@@ -369,17 +354,18 @@ def _crossed_pairs(stored: list) -> ClassificationReport:
     their vanishing pairs active.  Their gap lines still cover all m points,
     so the subset's worst W_Q is the violation of a real pair, W >= W_Q,
     and the search over all the points steps first just below W_Q, keeping
-    only the pairs that violate by W_Q or more.  If W_Q is 0, it starts at
-    the median, as it would without the subset.
+    only the pairs that violate by W_Q or more.  If W_Q is 0, its first
+    threshold is sampled, as it would be without the subset.
 
-    On certify's 1000-point inputs this makes two steps over 125 points,
+    On certify's 1000-point inputs this makes one step over 125 points,
     one over all of them (the most costly, in float32 tiles of
-    ``_unmatched``), and exact reads of the 16-94 pairs left: about 40% of
-    the unseeded search's time.  Beside the 8 m^2 bytes of gaps, the step
-    over every point holds the active and failing pairs (bool, m^2 bytes
-    each; the mask is dropped once the active pairs are copied out), the
-    m x m uint8 matrix of ``_near`` and two float32 tiles: about 12 m^2
-    bytes in all.
+    ``_unmatched``), and exact reads of the pairs left.  Beside the 8 m^2
+    bytes of gaps, the step over every point holds the active and failing
+    pairs (bool, m^2 bytes each; the mask is dropped once the active pairs
+    are copied out), the m x m uint8 matrix of ``_near`` and two float32
+    tiles: about 12 m^2 bytes in all.  If W_Q is 0, the sample before that
+    step holds the flat indices of the active pairs, 8 bytes each (4 m^2
+    bytes if every pair vanishes), and drops them before the step.
     """
     vanishing, gaps = stored
     stored.clear()

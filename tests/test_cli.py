@@ -627,6 +627,31 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_loads_no_numpy_module_beyond_import_numpy(tmp_path):
+    # every CLI child pays for each numpy module it loads (np.unique, say,
+    # loads numpy.ma); only numpy.random, which generate draws from and
+    # numpy 1.x loads with numpy, may follow.  At m = 200 the crossed-pair
+    # search samples thresholds and steps before its exact reads.
+    spec = write_spec(tmp_path, {"n": 20, "k": 8, "m": 200, "offset_norm": 1.0, "seed": 3})
+    graph, dec = str(tmp_path / "graph.json"), str(tmp_path / "dec.json")
+    argvs = [["generate", spec, "--out", graph], ["analyze", graph],
+             ["decompose", graph, "--out", dec], ["verify", dec, graph]]
+    script = """if True:
+        import contextlib, io, json, sys
+        import numpy
+        before = set(sys.modules)
+        from skewfit.cli import run
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in json.loads(sys.argv[1]):
+                assert run(argv) == 0, argv
+        print(sorted(name for name in set(sys.modules) - before
+                     if name.split(".")[0] == "numpy" and name.split(".")[:2] != ["numpy", "random"]))
+    """
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_analyze_makes_one_pair_pass(capsys, tmp_path, monkeypatch):
     # one pass over the pairs gives every report; only a monotone sample
     # goes on to the crossed-pair search
