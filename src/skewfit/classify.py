@@ -78,6 +78,7 @@ class ClassificationReport:
     witness: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "verdict", bool(self.verdict))
         object.__setattr__(self, "worst_violation", float(self.worst_violation))
         if self.witness is not None:
             i, j = self.witness

@@ -77,9 +77,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph, args.format)
-    tol = _tolerance(args)
     try:
-        dec = decompose(g, basepoint=args.basepoint, tol=tol)
+        dec = decompose(g, _tolerance(args))
     except NotBimonotoneError as exc:
         doc = {"error": "not_bimonotone", "message": str(exc)}
         if exc.report is not None:
@@ -126,7 +125,7 @@ def _tolerance_flag(text: str) -> float:
 
 
 def _integer_flag(text: str) -> int:
-    """An index or a seed, spelled as a JSON integer; its range is checked where it is used."""
+    """A seed, spelled as a JSON integer; its range is checked where it is used."""
     try:
         value = spelled_integer(text)
     except ValueError:  # Python's limit on the digits of an int
@@ -168,8 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     dec = sub.add_parser("decompose", help="recover basis, skew matrix, and offset")
     dec.add_argument("graph", help="path to a graph file")
-    dec.add_argument("--basepoint", type=_integer_flag, default=None,
-                     help="index of the pair translated to (0, 0); default 0")
     dec.add_argument("--out", default=None, help="also write the result to this path")
     _add_common(dec)
     dec.set_defaults(func=_cmd_decompose)

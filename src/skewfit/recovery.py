@@ -1,13 +1,14 @@
 """Constructive recovery of the linear skew representation of a sample.
 
-A bimonotone sample, once translated so that one of its pairs sits at
-(0, 0), is single-valued in the coordinates of the span of its primal
-points, and the map from reduced primal to reduced dual coordinates is
-linear and skew-symmetric.  ``decompose`` and ``build_skew_operator`` share
-one fit: one thin SVD of the translated primal points, cut at the rank of
-``span_basis``, whose factors give both the span and the skew least-squares
-fit in closed form.  The residual rule of ``verify_reconstruction`` accepts
-that fit, with its affine offset, on the untranslated sample.
+A bimonotone sample, once translated so that its centre sits at (0, 0), is
+single-valued in the coordinates of the span of its primal points (the
+direction space of their affine hull), and the map from reduced primal to
+reduced dual coordinates is linear and skew-symmetric.  ``decompose`` and
+``build_skew_operator`` share one fit: one thin SVD of the translated
+primal points, cut at the rank of ``span_basis``, whose factors give both
+the span and the skew least-squares fit in closed form.  The residual rule
+of ``verify_reconstruction`` accepts that fit, with its affine offset, on
+the untranslated sample.
 
 Components of the dual points orthogonal to the span are invisible to the
 reduction and deliberately discarded; all residuals are measured after
@@ -18,6 +19,7 @@ de being the differences of the discarded parts and of the off-span parts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -35,7 +37,6 @@ from .graphs import (
     contains_origin,
     finite_array,
     nonnegative,
-    point_index,
     quiet_overflow,
     translate,
 )
@@ -222,10 +223,10 @@ def _skew_fit(w: np.ndarray, sing: np.ndarray) -> np.ndarray:
 
 
 def _fit(shifted: OperatorGraph, tol: ToleranceConfig):
-    """``(q, a_hat)`` for a graph with a pair at (0, 0): the ``span_basis``
-    of its primal points X = u diag(sing) q^T, and the skew least-squares
-    fit in its coordinates from W = u^T S q.  Raises ValidationError when
-    the fit overflows."""
+    """``(q, a_hat)`` for a translated graph, whose centre or one of whose
+    pairs sits at (0, 0): the ``span_basis`` of its primal points
+    X = u diag(sing) q^T, and the skew least-squares fit in its coordinates
+    from W = u^T S q.  Raises ValidationError when the fit overflows."""
     u, sing, q = _span_svd(shifted.primal_matrix, tol)
     a_hat = _skew_fit(u.T @ (shifted.dual_matrix @ q), sing)
     check_overflow(~np.isfinite(a_hat), lambda f: "the skew fit")
@@ -339,27 +340,22 @@ class SkewDecomposition:
 
 
 @quiet_overflow
-def decompose(
-    g: OperatorGraph,
-    basepoint: int | None = None,
-    tol: ToleranceConfig = DEFAULT_TOLERANCE,
-) -> SkewDecomposition:
+def decompose(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> SkewDecomposition:
     """Recover the affine skew representation of a bimonotone sample.
 
-    Pipeline: certify bimonotonicity, translate the chosen basepoint (the
-    first point by default) to (0, 0), and take one thin SVD of the
-    translated primal points cut at the tolerance rank: the basis is its
-    right factor, and the skew least-squares fit comes from its other
-    factors.  With the offset reassembled, the rule of
-    ``verify_reconstruction`` accepts basis^T xstar = a_hat basis^T x +
-    v_hat over the original graph, so the result verifies on ``g`` at ``tol``.
+    Pipeline: certify bimonotonicity, translate the centre (xbar, sbar) of
+    the sample to (0, 0), and take one thin SVD of the translated primal
+    points cut at the tolerance rank: the basis is its right factor, and the
+    skew least-squares fit comes from its other factors.  The centre, which
+    the document records as its ``basepoint``, takes each coordinate as an
+    exact ``math.fsum`` over m, so the order of the points cannot change it.
+    With v_hat = basis^T sbar - a_hat basis^T xbar, the rule of
+    ``verify_reconstruction`` accepts the fit on ``g`` at ``tol``.
 
     Raises NotBimonotoneError when the input fails the bimonotone check
     (with the report attached) or when some pair misses the skew fit at
-    tolerance, and ValidationError, before any check, for a basepoint that
-    indexes no point, and when the fit or a residual overflows.
+    tolerance, and ValidationError when the centre, fit or a residual overflows.
     """
-    base = g.points[point_index(g, 0 if basepoint is None else basepoint, "basepoint")]
     report = bimonotone_check(g, tol)
     if not report.verdict:
         raise NotBimonotoneError(
@@ -367,12 +363,17 @@ def decompose(
             f"(worst_violation {report.worst_violation:.6e} at pair {report.witness})",
             report=report,
         )
-    shifted = translate(g, base.x, base.xstar)
-    q, a_hat = _fit(shifted, tol)
-    basis = OrthonormalBasis(q)
-    v_hat = q.T @ base.xstar - a_hat @ (q.T @ base.x)
+    m = len(g.points)
+    try:
+        centre = GraphPoint(*([math.fsum(c.tolist()) / m for c in a.T]
+                              for a in (g.primal_matrix, g.dual_matrix)))
+    except OverflowError:
+        raise ValidationError("the centre of the sample overflows double precision; "
+                              "rescale the sample") from None
+    q, a_hat = _fit(translate(g, centre.x, centre.xstar), tol)
+    v_hat = q.T @ centre.xstar - a_hat @ (q.T @ centre.x)
     fit = _reconstruction(q, a_hat, v_hat, g, tol, strict=True)
-    return SkewDecomposition(basis=basis, a_hat=a_hat, v_hat=v_hat, basepoint=base,
+    return SkewDecomposition(basis=OrthonormalBasis(q), a_hat=a_hat, v_hat=v_hat, basepoint=centre,
                              max_residual=fit.max_residual, skewness_defect=0.0)
 
 

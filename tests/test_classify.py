@@ -232,6 +232,16 @@ def test_report_invariant_enforced():
         ClassificationReport(verdict=False, worst_violation=5.0, witness=None)
 
 
+@pytest.mark.parametrize("worst", [0.5, 2.0])
+def test_report_from_numpy_values_survives_json(worst):
+    # a verdict computed by numpy comparison is a numpy.bool, which json
+    # cannot write; the report keeps a Python bool
+    worst = np.float64(worst)
+    doc = ClassificationReport(worst <= 1, worst, witness=(np.int64(0), np.int64(1))).to_dict()
+    assert json.loads(json.dumps(doc)) == {"verdict": bool(worst <= 1), "worst_violation": float(worst),
+                                          "witness": [0, 1]}
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "check",

@@ -1,9 +1,13 @@
+import argparse
 import copy
 import functools
 import json
+import math
 import operator
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,25 +213,18 @@ def test_analyze_header_only_csv_exits_2(capsys, tmp_path):
 
 
 def test_decompose_basepoint_flag(capsys, tmp_path):
+    # the fit goes through the centre of the sample, which the document
+    # records as its basepoint; no flag chooses a point instead
     out, _ = generate(capsys, tmp_path)
-    code, stdout, _ = invoke(capsys, "decompose", out, "--basepoint", "2")
+    code, stdout, stderr = invoke(capsys, "decompose", out, "--basepoint", "0")
+    assert (code, stdout) == (2, "")
+    assert stderr == "skewfit: error: unrecognized arguments: --basepoint 0\n"
+    code, stdout, _ = invoke(capsys, "decompose", out)
     assert code == 0
-    doc = json.loads(stdout)
-    graph_doc = json.loads((tmp_path / "graph.json").read_text())
-    assert doc["basepoint"]["x"] == graph_doc["points"][2]["x"]
-    code, _, stderr = invoke(capsys, "decompose", out, "--basepoint", "42")
-    assert code == 2 and "out of range" in stderr
-
-
-def test_decompose_invalid_basepoint_exits_2_whatever_the_sample(capsys, tmp_path):
-    # the sample is not bimonotone (exit 1 at a valid basepoint), yet an
-    # invalid index is an input error, not a false verdict
-    path = perturbed_graph_file(tmp_path)
-    assert invoke(capsys, "decompose", path, "--basepoint", "0")[0] == 1
-    for value in ("-1", str(SPEC["m"])):
-        code, stdout, stderr = invoke(capsys, "decompose", path, "--basepoint", value)
-        assert (code, stdout) == (2, "")
-        assert stderr == f"skewfit: error: basepoint index {value} out of range for {SPEC['m']} points\n"
+    points = json.loads((tmp_path / "graph.json").read_text())["points"]
+    for key in ("x", "xstar"):
+        centre = [math.fsum(column) / len(points) for column in zip(*(p[key] for p in points))]
+        assert json.loads(stdout)["basepoint"][key] == centre
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +465,6 @@ def test_fuzzed_documents_keep_the_exit_code_contract(capsys, tmp_path, kind, da
         command = data.draw(st.sampled_from(["analyze", "decompose", "verify"]), label="command")
         argv = ([str(dec)] if command == "verify" else []) + [str(path), *tolerance]
         argv += data.draw(st.sampled_from([[], ["--format", "csv" if csv else "json"]]), label="format")
-        if command == "decompose":
-            argv += data.draw(st.sampled_from([[], ["--basepoint", "7"], ["--basepoint", "8"]]),
-                              label="basepoint")
     code, stdout, stderr = invoke(capsys, command, *argv)
     assert code in (0, 1, 2)
     if code == 2:
@@ -483,6 +477,16 @@ def test_fuzzed_documents_keep_the_exit_code_contract(capsys, tmp_path, kind, da
                "decompose": lambda: out.get("error") != "not_bimonotone",
                "generate": lambda: "error" not in out}[command]()
     assert success is (code == 0)
+
+
+def test_readme_synopsis_names_every_flag_of_each_subcommand():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    synopsis = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    named = {line.split()[1]: set(re.findall(r"--[a-z-]+", line)) for line in synopsis.splitlines()}
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    defined = {name: {flag for action in parser._actions for flag in action.option_strings} - {"-h", "--help"}
+               for name, parser in sub.choices.items()}
+    assert named == defined
 
 
 def test_usage_errors_exit_2(capsys, tmp_path):
@@ -499,20 +503,17 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     path = tmp_path / "g.json"
     path.write_text("{}")
     assert "argument --tol-abs" in usage_error("analyze", str(path), "--tol-abs", "-1")
-    assert "argument --basepoint" in usage_error("decompose", str(path), "--basepoint", "x")
     # a non-finite tolerance is refused while parsing, before the file is read
     for value in ("inf", "nan"):
         assert "argument --tol-rel" in usage_error("analyze", str(path), "--tol-rel", value)
     spec_path = write_spec(tmp_path, SPEC)
     # flags follow the number rule of every file: a tolerance is spelled as a
-    # JSON number, an index or a seed as a JSON integer (ASCII digits only)
+    # JSON number, a seed as a JSON integer (ASCII digits only)
     for flag in ("--tol-abs", "--tol-rel"):
         for value in ("1_0", " 1e-9 ", ".5", "+1", "1.", "0x1", "1e-9\n"):
             stderr = usage_error("analyze", str(path), flag, value)
             assert stderr == f"skewfit: error: argument {flag}: not a number: {value!r}\n"
     for value in ("0_1", "٠", "01", "1.0", "+1", " 1", "1e0"):
-        stderr = usage_error("decompose", str(path), "--basepoint", value)
-        assert stderr == f"skewfit: error: argument --basepoint: not an integer: {value!r}\n"
         stderr = usage_error("generate", spec_path, "--out", str(tmp_path / "o.json"), "--seed", value)
         assert stderr == f"skewfit: error: argument --seed: not an integer: {value!r}\n"
     # generate takes no tolerance
@@ -527,14 +528,11 @@ def test_usage_errors_exit_2(capsys, tmp_path):
 def test_integer_flags_past_the_digit_limit_exit_2(capsys, tmp_path):
     # Python converts at most 4300 digits to an int by default; the message
     # names the flag, not the function that read it
-    path = tmp_path / "g.json"
-    path.write_bytes(SMALL_GRAPH)
     digits = "1" * 5000
-    for argv in (["decompose", str(path), "--basepoint", digits],
-                 ["generate", write_spec(tmp_path, SPEC), "--out", str(tmp_path / "o.json"), "--seed", digits]):
-        code, stdout, stderr = invoke(capsys, *argv)
-        assert (code, stdout) == (2, "")
-        assert stderr == f"skewfit: error: argument {argv[-2]}: integer with too many digits\n"
+    argv = ["generate", write_spec(tmp_path, SPEC), "--out", str(tmp_path / "o.json"), "--seed", digits]
+    code, stdout, stderr = invoke(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert stderr == "skewfit: error: argument --seed: integer with too many digits\n"
 
 
 # a spec and a graph document, each with an integer past Python's digit limit

@@ -320,25 +320,26 @@ def test_decompose_raises_with_report_attached():
     assert not rep.verdict and rep.witness is not None
 
 
-def test_decompose_basepoint_override():
-    fix = planted_fixture(seed=33)
-    dec = decompose(fix.graph, basepoint=2)
-    assert dec.basepoint == fix.graph.points[2]
-    with pytest.raises(ValidationError, match="out of range"):
-        decompose(fix.graph, basepoint=99)
-    with pytest.raises(ValidationError, match="^basepoint must be an integer$"):
-        decompose(fix.graph, basepoint=True)
+def test_decompose_translates_by_the_exact_centre():
+    # the document's basepoint is the centre of the sample, each coordinate
+    # an exact sum over m, so no order of the points changes it; np.mean
+    # rounds 1e16 + 1 and reads 0.25 for the first coordinate below
+    x = np.array([[1e16, 0.0], [1.0, 1.0], [-1e16, 0.0], [1.0, -1.0]])
+    s = np.array([[3.0, 4.0]] * 4)
+    assert np.mean(x[:, 0]) == 0.25
+    for order in ([0, 1, 2, 3], [3, 1, 0, 2]):
+        dec = decompose(OperatorGraph.from_arrays(x[order], s[order]))
+        assert dec.basepoint.x.tolist() == [0.5, 0.0]
+        assert dec.basepoint.xstar.tolist() == [3.0, 4.0]
 
 
-def test_decompose_reads_the_basepoint_before_the_check():
-    # an invalid basepoint is an input error on a sample that is not
-    # bimonotone too, never a NotBimonotoneError
-    g = planted_fixture(seed=32, noise_in_span=1e-3).graph
-    assert not bimonotone_check(g).verdict
-    with pytest.raises(ValidationError, match="^basepoint index 20 out of range for 20 points$"):
-        decompose(g, basepoint=len(g.points))
-    with pytest.raises(ValidationError, match="^basepoint must be an integer$"):
-        decompose(g, basepoint=True)
+def test_decompose_refuses_a_centre_beyond_double_range():
+    # every difference is small, so the pair check passes, but the sum of
+    # the primal points is beyond double range
+    g = OperatorGraph.from_arrays([[1e308, 0.0], [1e308, 1.0]], np.zeros((2, 2)))
+    assert bimonotone_check(g).verdict
+    with pytest.raises(ValidationError, match="^the centre of the sample overflows double precision"):
+        decompose(g)
 
 
 def test_decompose_basis_change_is_a_conjugation():
@@ -349,8 +350,8 @@ def test_decompose_basis_change_is_a_conjugation():
     shuffled = OperatorGraph.from_arrays(
         [g.points[i].x for i in perm], [g.points[i].xstar for i in perm]
     )
-    dec1 = decompose(g, basepoint=0)
-    dec2 = decompose(shuffled, basepoint=m - 1)  # same underlying basepoint
+    dec1 = decompose(g)
+    dec2 = decompose(shuffled)  # the same centre, whatever the order
     r = dec2.basis.q.T @ dec1.basis.q
     np.testing.assert_allclose(r @ r.T, np.eye(dec1.rank), atol=1e-12)
     np.testing.assert_allclose(dec2.a_hat, r @ dec1.a_hat @ r.T, atol=1e-10)
@@ -399,13 +400,13 @@ def test_decompose_runs_one_svd(monkeypatch, sample):
 
 @pytest.mark.filterwarnings("error")
 def test_decompose_tiny_directions_fit_or_overflow():
-    # with abs_tol 0, two directions 1e-160 long enter the basis; their
-    # squares are subnormal, yet the fit is exact, and an operator beyond
-    # double range raises instead of warning
-    x = np.zeros((4, 3))
-    x[1, 0], x[2, 1], x[3, 2] = 1.0, 1e-160, 1e-160
-    s = np.zeros((4, 3))
-    s[2, 2], s[3, 1] = 1e140, -1e140
+    # a cloud centred at the origin: with abs_tol 0, two directions 1e-160
+    # long enter the basis; their squares are subnormal, yet the fit is
+    # exact, and an operator beyond double range raises instead of warning
+    x = np.zeros((7, 3))
+    x[1:3, 0], x[3:5, 1], x[5:7, 2] = [1.0, -1.0], [1e-160, -1e-160], [1e-160, -1e-160]
+    s = np.zeros((7, 3))
+    s[3:5, 2], s[5:7, 1] = [1e140, -1e140], [-1e140, 1e140]
     tol = ToleranceConfig(0.0, 1e-9)
     dec = decompose(OperatorGraph.from_arrays(x, s), tol=tol)
     q = dec.basis.q
@@ -414,9 +415,8 @@ def test_decompose_tiny_directions_fit_or_overflow():
     assert dec.rank == 3
     np.testing.assert_allclose(q @ dec.a_hat @ q.T, planted, atol=1e288)
     assert verify_reconstruction(dec, OperatorGraph.from_arrays(x, s), tol).verdict
-    s[2, 2], s[3, 1] = 1e149, -1e149
-    with pytest.raises(ValidationError, match="overflows double precision"):
-        decompose(OperatorGraph.from_arrays(x, s), tol=tol)
+    with pytest.raises(ValidationError, match="^the skew fit overflows double precision"):
+        decompose(OperatorGraph.from_arrays(x, 1e9 * s), tol=tol)
 
 
 def boundary_family(count):
