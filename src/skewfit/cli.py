@@ -80,10 +80,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     try:
         dec = decompose(g, _tolerance(args))
     except NotBimonotoneError as exc:
-        doc = {"error": "not_bimonotone", "message": str(exc)}
-        if exc.report is not None:
-            doc["bimonotone"] = exc.report.to_dict()
-        _emit(doc)
+        _emit({"error": "not_bimonotone", "message": str(exc), "bimonotone": exc.report.to_dict()})
         return 1
     doc = dec.to_dict()
     if args.out:

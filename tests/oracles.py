@@ -59,6 +59,29 @@ def fit_skew_least_squares(primal_rows, dual_rows):
     return fitted
 
 
+def residual_bound(graph, rank):
+    """The largest reconstruction residual that the pair check allows a
+    skew fit of rank k = ``rank`` through the centre of ``graph``:
+
+        (||D||_F + sigma_{k+1} ||S_c||_F) / sigma_k + 4 (n + 4) u max_i ||s_i||,
+
+    with D_ij = <s_i - s_j, x_i - x_j>, S_c the duals translated by their
+    centre, sigma the singular values of the primal points X_c translated by
+    theirs (sigma_{k+1} = 0 past the last) and u the unit roundoff.  The
+    symmetric part E of S_c X_c^T, which no skew fit absorbs, is -J D J / 2
+    by double centring (J the centring projection), so ||E||_F <= ||D||_F / 2;
+    the directions cut at the rank add sigma_{k+1} ||S_c||_F, and the last
+    term covers the rounding of the residuals themselves.
+    """
+    x, s = graph.primal_matrix, graph.dual_matrix
+    n = x.shape[1]
+    d = np.einsum("ijk,ijk->ij", s[:, None] - s[None], x[:, None] - x[None])
+    sigma = np.append(np.linalg.svd(x - x.mean(axis=0), compute_uv=False), 0.0)
+    s_c = np.linalg.norm(s - s.mean(axis=0))
+    rounding = 4 * (n + 4) * np.finfo(float).eps / 2 * np.linalg.norm(s, axis=1).max()
+    return (np.linalg.norm(d) + sigma[rank] * s_c) / sigma[rank - 1] + rounding
+
+
 def _report(worst, witness):
     return {"verdict": worst <= 1.0, "worst_violation": worst, "witness": witness}
 

@@ -10,6 +10,9 @@ each hard family of ``test_recovery`` (near_plane, near_duplicate,
 far_from_origin), at the default tolerance and at an abs-only one; the
 module runs the first 600 boundary samples, which keeps it under 10 s:
 
+- ``decompose`` succeeds exactly when ``bimonotone_check`` passes, on every
+  sample and under every map below, so each map keeps the ``decompose``
+  answer exactly where it keeps the bimonotone verdict;
 - a permutation keeps every ``analyze`` verdict and worst violation, bit for
   bit, and ``decompose``, which fits through the exactly summed centre of
   the sample, succeeds exactly when it did;
@@ -30,24 +33,19 @@ A permutation may move a witness to another pair of equal violation, so
 only verdicts and worst violations are compared there.  On the boundary
 family (of 2000) and the hard families (of 90, all far_from_origin) the
 other maps change these answers (samples flipped, as bimonotone verdict /
-``decompose`` success); the non-zero cells describe the program as it is,
-nothing pins them, and the last column names the item of ROADMAP.md meant
-to bring them to 0:
+``decompose`` success; a translation flips none); the non-zero cells
+describe the program as it is, nothing pins them, and the last column names
+the item of ROADMAP.md meant to bring them to 0:
 
-| map                     | default   | abs-only | hard, default | hard, abs-only | item           |
-|-------------------------|-----------|----------|---------------|----------------|----------------|
-| translation             | 0 / 94    | 0 / 0    | 0 / 0         | 0 / 0          | 3              |
-| c = 0.01                | 0 / 54    | 0 / 340  | 0 / 0         | 2 / 13         | 6 (verdict), 3 |
-| c = 100                 | 0 / 93    | 0 / 90   | 0 / 0         | 3 / 3          | 6 (verdict), 3 |
-| random P                | 96 / 118  | 0 / 79   | 2 / 2         | 9 / 9          | 6 (verdict), 3 |
+| map                     | default   | abs-only | hard, default | hard, abs-only | item |
+|-------------------------|-----------|----------|---------------|----------------|------|
+| c = 0.01                | 0 / 0     | 0 / 0    | 0 / 0         | 2 / 2          | 6    |
+| c = 100                 | 0 / 0     | 0 / 0    | 0 / 0         | 3 / 3          | 6    |
+| random P                | 96 / 96   | 0 / 0    | 2 / 2         | 9 / 9          | 6    |
 
-At abs-only tolerance the c = 0.01 cell counts every boundary sample that
-decomposes (340 of the 430 bimonotone ones): the scaled duals are 100 times
-longer, and so are the fit's residuals, against the same absolute margin.
-Apart from that cell, random P is the one map under which the fit through
-the centre flips more samples than a fit through point 0: 118 against 107
-at the default tolerance (36 samples flip that did not, and 25 no longer
-do), and 79 against 75 at abs-only.
+On the module's own 710 samples the non-zero cells read 24 / 24 for random
+P at the default tolerance, and 2 / 2, 3 / 3 and 9 / 9 for c = 0.01,
+c = 100 and random P at abs-only.
 
 Under P the default tolerance moves the bimonotone verdict because its
 margin scales with |ds| |dx|, which P changes: the units of item 6.  At
@@ -70,40 +68,12 @@ from skewfit import (
     bimonotone_check,
     decompose,
     inverse_graph,
-    make_fixture,
 )
-from skewfit.fixtures import FixtureSpec
-
-from test_recovery import boundary_family, hard_family_graph
+from test_recovery import boundary_family, hard_families, two_branch_family
 
 TOLERANCES = {"default": ToleranceConfig(), "abs-only": ToleranceConfig(abs_tol=1e-9, rel_tol=0.0)}
 
 
-def two_branch_family(count):
-    """Planted samples with two duals per point, some of them constant and
-    some with orthogonal components on their branches."""
-    rng = np.random.default_rng(1)
-    for seed in range(count):
-        n = int(rng.integers(2, 6))
-        yield make_fixture(FixtureSpec(
-            n=n, k=int(rng.integers(1, n + 1)), m=int(rng.integers(3, 16)), branches=2,
-            offset_norm=1.0, noise_orthogonal=float(rng.uniform(0, 2)),
-            zero_operator=seed % 4 == 0, seed=seed)).graph
-
-
-def hard_families(count):
-    """``count`` seeded samples of each hard family of ``test_recovery``, in
-    the order of ``HARD_FAMILIES``, drawn as its property test draws them."""
-    rng = np.random.default_rng(2)
-    for family in HARD_FAMILIES:
-        for _ in range(count):
-            n = int(rng.integers(2, 8))
-            k = int(rng.integers(1, n if family == "near_plane" else n + 1))
-            m = int(rng.integers(k + 1, 31))
-            yield hard_family_graph(family, n, k, m, int(rng.integers(2**32)))
-
-
-HARD_FAMILIES = ("near_plane", "near_duplicate", "far_from_origin")
 BOUNDARY = list(boundary_family(600))
 TWO_BRANCH = list(two_branch_family(20))
 HARD = list(hard_families(30))
@@ -121,6 +91,7 @@ def _negated(i):
     return OperatorGraph.from_arrays(SAMPLES[i].primal_matrix, -SAMPLES[i].dual_matrix)
 
 
+@functools.cache
 def _moved(i):
     """Sample ``i`` translated by 10^3 N(0, I) in x and s, scaled by c = 0.01
     and c = 100, and mapped by a random P, each drawn from the sample's seed."""
@@ -154,6 +125,13 @@ def _decomposes(g, tol):
 @functools.cache
 def _decomposes_unmapped(i, tol_name):
     return _decomposes(SAMPLES[i], TOLERANCES[tol_name])
+
+
+@functools.cache
+def _mapped(i, name, tol_name):
+    """``(bimonotone verdict, decompose succeeds)`` on sample ``i`` under the map ``name``."""
+    g, tol = _moved(i)[name], TOLERANCES[tol_name]
+    return bimonotone_check(g, tol).verdict, _decomposes(g, tol)
 
 
 def _mismatches(check, samples=None):
@@ -208,38 +186,38 @@ def test_translation_and_scaling_keep_the_bimonotone_verdict(tol_name):
 
     def same(i):
         before = _analyze(i, tol_name)["bimonotone"].verdict
-        moved = _moved(i)
-        return all(bimonotone_check(moved[name], tol).verdict == before for name in maps)
+        return all(_mapped(i, name, tol_name)[0] == before for name in maps)
     # at abs-only tolerance the hard families keep only the translation's (below)
     assert _mismatches(same, range(len(SAMPLES) - len(HARD)) if tol_name == "abs-only" else None) == []
 
 
 def test_translation_keeps_the_decompose_answer_at_abs_only_tolerance():
-    tol = TOLERANCES["abs-only"]
-    assert _mismatches(lambda i: _decomposes(_moved(i)["translation"], tol)
+    assert _mismatches(lambda i: _mapped(i, "translation", "abs-only")[1]
                        == _decomposes_unmapped(i, "abs-only")) == []
 
 
 @pytest.mark.parametrize("tol_name", TOLERANCES)
 def test_decompose_keeps_its_answer_on_two_branch_fixtures_under_every_map(tol_name):
-    tol = TOLERANCES[tol_name]
-
     def same(i):
         before = _decomposes_unmapped(i, tol_name)
-        return all(_decomposes(g, tol) == before for g in _moved(i).values())
+        return all(_mapped(i, name, tol_name)[1] == before for name in _moved(i))
     assert _mismatches(same, range(len(BOUNDARY), len(BOUNDARY) + len(TWO_BRANCH))) == []
 
 
 @pytest.mark.parametrize("tol_name", TOLERANCES)
 def test_hard_families_keep_both_answers_under_translation_and_scaling(tol_name):
-    tol = TOLERANCES[tol_name]
     maps = ["translation"] + (["c = 0.01", "c = 100"] if tol_name == "default" else [])
 
     def same(i):
-        bimonotone = _analyze(i, tol_name)["bimonotone"].verdict
-        decomposes = _decomposes_unmapped(i, tol_name)
-        moved = _moved(i)
-        return ((bimonotone or tol_name == "abs-only")  # at the default, every sample is
-                and all(bimonotone_check(moved[name], tol).verdict == bimonotone
-                        and _decomposes(moved[name], tol) == decomposes for name in maps))
+        before = (_analyze(i, tol_name)["bimonotone"].verdict, _decomposes_unmapped(i, tol_name))
+        return ((before[0] or tol_name == "abs-only")  # at the default, every sample is
+                and all(_mapped(i, name, tol_name) == before for name in maps))
     assert _mismatches(same, range(len(SAMPLES) - len(HARD), len(SAMPLES))) == []
+
+
+@pytest.mark.parametrize("tol_name", TOLERANCES)
+def test_decompose_succeeds_exactly_when_bimonotone_check_passes_on_every_mapped_sample(tol_name):
+    def same(i):
+        unmapped = (_analyze(i, tol_name)["bimonotone"].verdict, _decomposes_unmapped(i, tol_name))
+        return all(len(set(pair)) == 1 for pair in [unmapped, *(_mapped(i, name, tol_name) for name in _moved(i))])
+    assert _mismatches(same) == []

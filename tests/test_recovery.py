@@ -1,3 +1,4 @@
+import functools
 import json
 import re
 
@@ -245,23 +246,25 @@ def test_build_ranks_by_the_span_basis_rule():
 
 
 def test_build_rejects_nonlinear_duals():
+    # the one refusal is the pair check's: its report is attached, and its
+    # witness pairs the perturbed point with another
     a0 = np.array([[0.0, 1.0], [-1.0, 0.0]])
     x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])
     s = x @ a0.T
     s[4] += np.array([0.5, 0.5])
-    with pytest.raises(NotBimonotoneError, match="not bimonotone") as info:
-        build_skew_operator(OperatorGraph.from_arrays(x, s))
-    # the message names the worst pair, the perturbed one, and its residual
-    found = re.match(r"reduced pair (\d+) .*\(residual (\S+)\)", str(info.value))
-    assert found is not None and int(found[1]) == 4
-    assert float(found[2]) > 1e-3
+    g = OperatorGraph.from_arrays(x, s)
+    with pytest.raises(NotBimonotoneError, match=r"^sample is not bimonotone .* at pair \(1, 4\)\)$") as info:
+        build_skew_operator(g)
+    assert info.value.report == bimonotone_check(g)
+    assert info.value.report.witness == (1, 4)
+    assert info.value.report.worst_violation == pytest.approx(3.090170e8, rel=1e-6)
 
 
 def test_build_rejects_symmetric_duals():
     sym = np.array([[0.0, 1.0], [1.0, 0.0]])
     x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     s = x @ sym.T
-    with pytest.raises(NotBimonotoneError, match="skew-symmetric"):
+    with pytest.raises(NotBimonotoneError, match=r"worst_violation 6\.666667e\+08 at pair \(1, 2\)"):
         build_skew_operator(OperatorGraph.from_arrays(x, s))
 
 
@@ -433,21 +436,6 @@ def boundary_family(count):
         yield OperatorGraph.from_arrays(x, s)
 
 
-def test_boundary_family_decomposition_verifies_on_its_sample():
-    # decompose accepts its fit by verify's rule, so no sample decomposes and
-    # then fails verify on its own written output
-    raised = 0
-    for i, g in enumerate(boundary_family(500)):
-        try:
-            dec = decompose(g)
-        except NotBimonotoneError:
-            raised += 1
-            continue
-        back = SkewDecomposition.from_dict(json.loads(dumps_canonical(dec.to_dict())))
-        assert verify_reconstruction(back, g).verdict, f"sample {i}"
-    assert raised > 0  # the family reaches past the tolerance
-
-
 def hard_family_graph(family, n, k, m, seed):
     """A planted skew sample bent into one of the families that a rank rule
     at machine precision or a square pivoted solve gets wrong."""
@@ -469,9 +457,98 @@ def hard_family_graph(family, n, k, m, seed):
     return OperatorGraph.from_arrays(x, x @ fix.truth.operator.T + fix.truth.offset)
 
 
+HARD_FAMILIES = ("near_plane", "near_duplicate", "far_from_origin")
+
+
+def hard_families(count):
+    """``count`` seeded samples of each hard family, in the order of
+    ``HARD_FAMILIES``, drawn as ``test_certified_hard_families_decompose_and_verify``
+    draws them."""
+    rng = np.random.default_rng(2)
+    for family in HARD_FAMILIES:
+        for _ in range(count):
+            n = int(rng.integers(2, 8))
+            k = int(rng.integers(1, n if family == "near_plane" else n + 1))
+            m = int(rng.integers(k + 1, 31))
+            yield hard_family_graph(family, n, k, m, int(rng.integers(2**32)))
+
+
+def two_branch_family(count):
+    """Planted samples with two duals per point, some of them constant and
+    some with orthogonal components on their branches."""
+    rng = np.random.default_rng(1)
+    for seed in range(count):
+        n = int(rng.integers(2, 6))
+        yield make_fixture(FixtureSpec(
+            n=n, k=int(rng.integers(1, n + 1)), m=int(rng.integers(3, 16)), branches=2,
+            offset_norm=1.0, noise_orthogonal=float(rng.uniform(0, 2)),
+            zero_operator=seed % 4 == 0, seed=seed)).graph
+
+
+# (abs_tol, rel_tol) in {1e-12, 1e-9, 1e-6} x {0, 1e-9, 1e-6}
+TOLERANCE_GRID = [ToleranceConfig(a, r) for a in (1e-12, 1e-9, 1e-6) for r in (0.0, 1e-9, 1e-6)]
+
+
+@functools.cache
+def grid_decompositions():
+    """``(g, tol, decompose(g, tol) or the report it refused with)`` for all
+    2000 boundary samples at the default and the abs-only tolerance, and for
+    the first 600 of them, the two-branch fixtures and the hard families at
+    every tolerance of ``TOLERANCE_GRID``."""
+    boundary = list(boundary_family(2000))
+    others = list(two_branch_family(20)) + list(hard_families(30))
+    out = []
+    for tol in TOLERANCE_GRID:
+        wide = tol in (ToleranceConfig(), ToleranceConfig(1e-9, 0.0))
+        for g in boundary[:2000 if wide else 600] + others:
+            try:
+                out.append((g, tol, decompose(g, tol)))
+            except NotBimonotoneError as exc:
+                out.append((g, tol, exc.report))
+    return tuple(out)
+
+
+def test_boundary_family_decomposition_verifies_on_its_sample():
+    # the paper's equivalence at every tolerance of the grid: decompose
+    # refuses a sample only with the failing report of the pair check
+    # (analyze's bimonotone report), and every document it writes passes
+    # verify on its sample after a JSON round trip, since verify allows each
+    # point the document's own max_residual
+    wrong_refusals, unverified = [], []
+    for i, (g, tol, out) in enumerate(grid_decompositions()):
+        if isinstance(out, ClassificationReport):
+            if out.verdict or out != bimonotone_check(g, tol):
+                wrong_refusals.append(i)
+        else:
+            back = SkewDecomposition.from_dict(json.loads(dumps_canonical(out.to_dict())))
+            if not verify_reconstruction(back, g, tol).verdict:
+                unverified.append(i)
+    assert (wrong_refusals, unverified) == ([], [])
+    kinds = {type(out) for _, _, out in grid_decompositions()}
+    assert kinds == {ClassificationReport, SkewDecomposition}  # the family reaches past the tolerance
+
+
+def test_decompose_residual_within_the_pair_check_bound():
+    # the paper's "bimonotone => the skew fit is good", in floating point:
+    # the pair check bounds the fit's max_residual, which verify allows
+    rng = np.random.default_rng(5)
+    fixtures = []
+    for seed in range(100):
+        n = int(rng.integers(2, 8))
+        k = int(rng.integers(1, n + 1))
+        fixtures.append(make_fixture(FixtureSpec(
+            n=n, k=k, m=int(rng.integers(k + 1, 31)), branches=int(rng.integers(1, 3)),
+            offset_norm=float(rng.uniform(0, 2)), noise_orthogonal=float(rng.uniform(0, 2)),
+            zero_operator=seed % 10 == 0, seed=seed)).graph)
+    decs = [(g, out) for g, _, out in grid_decompositions() if isinstance(out, SkewDecomposition)]
+    decs += [(g, decompose(g)) for g in fixtures]
+    ratios = [dec.max_residual / oracles.residual_bound(g, dec.rank) for g, dec in decs if dec.rank > 0]
+    assert len(ratios) > 5000 and max(ratios) <= 1.0
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(
-    family=st.sampled_from(["near_plane", "near_duplicate", "far_from_origin"]),
+    family=st.sampled_from(HARD_FAMILIES),
     n=st.integers(2, 7),
     data=st.data(),
     seed=st.integers(0, 2**32 - 1),
@@ -509,6 +586,26 @@ def test_verify_flags_in_span_perturbation():
     assert not rep.verdict
     assert rep.worst_index == 3
     assert 1e-4 < rep.max_residual < 1e-2
+
+
+def test_verify_allows_the_documents_max_residual():
+    # a document claims its fit within max_residual: a point off the fit by
+    # less than that passes even beyond its margin of 2e-9, and a false
+    # verdict names a point that fails, not the one with the largest residual
+    a0 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    dec = SkewDecomposition(basis=OrthonormalBasis(np.eye(2)), a_hat=a0, v_hat=np.zeros(2),
+                            basepoint=GraphPoint([0.0, 0.0], [0.0, 0.0]),
+                            max_residual=1e-6, skewness_defect=0.0)
+    x = np.array([[0.0, 0.0], [1.0, 0.0], [1e6, 0.0]])
+    s = x @ a0.T
+    s[1, 0] += 5e-7
+    rep = verify_reconstruction(dec, OperatorGraph.from_arrays(x, s))
+    assert rep.verdict and rep.worst_index == 1
+    s[1, 0] += 2e-6  # now beyond max_residual, and beyond its margin
+    s[2, 0] += 5e-4  # half the margin at scale 1e6, five hundred times max_residual
+    rep = verify_reconstruction(dec, OperatorGraph.from_arrays(x, s))
+    assert not rep.verdict and rep.worst_index == 1
+    assert rep.max_residual == pytest.approx(5e-4) and rep.residuals[1] == pytest.approx(2.5e-6)
 
 
 def test_verify_ignores_orthogonal_perturbation():
