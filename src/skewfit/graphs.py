@@ -16,6 +16,7 @@ graph inversion, which is an involution.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -398,12 +399,11 @@ def _integer_token(token: str) -> int:
         raise ParseError("JSON integer with too many digits") from exc
 
 
-def _row(value, where: str, dim: int) -> list:
+def _row(value, where: str, dim: int) -> None:
     if not isinstance(value, list):
         raise ParseError(f"{where} must be an array of numbers")
     if len(value) != dim:
         raise ValidationError(f"{where} has length {len(value)}, expected {dim}")
-    return value
 
 
 def _decode(data: bytes) -> str:
@@ -436,11 +436,18 @@ def _graph_from_json(doc: dict) -> OperatorGraph:
     raw_points = doc["points"]
     if not isinstance(raw_points, list):
         raise ParseError("points must be an array")
-    primal, dual = [], []
+    # each entry is checked without a name, which is built only for a message
+    keys = set(_POINT_KEYS)
     for i, entry in enumerate(raw_points):
-        check_keys(entry, f"points[{i}]", _POINT_KEYS, _POINT_KEYS, ParseError)
-        primal.append(_row(entry["x"], f"points[{i}].x", dim))
-        dual.append(_row(entry["xstar"], f"points[{i}].xstar", dim))
+        if not (isinstance(entry, dict) and entry.keys() == keys):
+            check_keys(entry, f"points[{i}]", _POINT_KEYS, _POINT_KEYS, ParseError)
+        x, s = entry["x"], entry["xstar"]
+        if not (isinstance(x, list) and isinstance(s, list) and len(x) == dim == len(s)):
+            _row(x, f"points[{i}].x", dim)
+            _row(s, f"points[{i}].xstar", dim)
+    primal, dual = ([entry[key] for entry in raw_points] for key in _POINT_KEYS)
+    if set(map(type, itertools.chain.from_iterable(primal + dual))) <= {float}:
+        primal, dual = np.array(primal), np.array(dual)  # no leaf needs the array rule's message
     return OperatorGraph.from_arrays(primal, dual)
 
 
@@ -519,20 +526,27 @@ def load_graph(source: IO[bytes] | bytes, format: str = "json") -> OperatorGraph
     raise ValidationError(f"unknown format {format!r}; expected 'json' or 'csv'")
 
 
+def _row_texts(rows: np.ndarray, sep: str) -> list[str]:
+    """``sep.join`` of each row's floats in shortest round-trip form, once per
+    run of rows with equal bits (0.0 and -0.0 differ), as repeated points are."""
+    bits = rows.view(np.uint64)
+    fresh = np.append(True, (bits[1:] != bits[:-1]).any(axis=1))
+    texts = [sep.join(map(repr, row)) for row in rows[fresh].tolist()]
+    return [texts[i] for i in (np.cumsum(fresh) - 1).tolist()]
+
+
 def save_graph(g: OperatorGraph, format: str = "json") -> bytes:
     """Serialize a graph so that ``load_graph(save_graph(g))`` reproduces it
-    exactly; a graph of dimension 0, which no document holds, raises."""
+    exactly; a graph of dimension 0, which no document holds, raises.  The
+    bytes are ``dumps_canonical``'s of the graph document for ``json``, and
+    one line of 2n comma-separated ``repr`` floats per pair for ``csv``; each
+    run of rows with equal bits in a column is formatted once."""
     if g.dimension == 0:
         raise ValidationError("a graph of dimension 0 cannot be saved")
-    primal = g.primal_matrix.tolist()
-    dual = g.dual_matrix.tolist()
+    if format not in ("json", "csv"):
+        raise ValidationError(f"unknown format {format!r}; expected 'json' or 'csv'")
+    primal, dual = (_row_texts(a, ", " if format == "json" else ",") for a in (g.primal_matrix, g.dual_matrix))
     if format == "json":
-        doc = {
-            "dimension": g.dimension,
-            "points": [{"x": x, "xstar": s} for x, s in zip(primal, dual)],
-        }
-        return (dumps_canonical(doc) + "\n").encode("utf-8")
-    if format == "csv":
-        rows = [",".join(map(repr, x + s)) for x, s in zip(primal, dual)]
-        return ("\n".join(rows) + "\n").encode("utf-8")
-    raise ValidationError(f"unknown format {format!r}; expected 'json' or 'csv'")
+        points = ", ".join(f'{{"x": [{x}], "xstar": [{s}]}}' for x, s in zip(primal, dual))
+        return f'{{"dimension": {g.dimension}, "points": [{points}]}}\n'.encode("utf-8")
+    return "".join(f"{x},{s}\n" for x, s in zip(primal, dual)).encode("utf-8")

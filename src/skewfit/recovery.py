@@ -6,10 +6,12 @@ direction space of their affine hull), and the map from reduced primal to
 reduced dual coordinates is linear and skew-symmetric.  ``decompose`` and
 ``build_skew_operator`` share one fit: one thin SVD of the translated
 primal points, cut at the rank of ``span_basis``, whose factors give both
-the span and the skew least-squares fit in closed form.  Both refuse only
-what ``bimonotone_check`` refuses, and ``verify_reconstruction`` allows each
-point the larger of its margin and the fit's ``max_residual``, so a
-document always verifies on its own sample.
+the span and the skew least-squares fit in closed form.  Both refuse
+exactly what ``bimonotone_check`` refuses, with its report, but run its
+O(m^2 n) pair pass only when the fit's own O(m n k) bound does not certify
+the sample.  ``verify_reconstruction`` allows each point the larger of its
+margin and the fit's ``max_residual``, so a document always verifies on its
+own sample.
 
 Components of the dual points orthogonal to the span are invisible to the
 reduction and deliberately discarded; all residuals are measured after
@@ -201,8 +203,30 @@ def _reconstruction(q, a_hat, v_hat, g: OperatorGraph, tol: ToleranceConfig, all
         verdict=bool(normalized[worst] <= 1.0),
         max_residual=float(residual.max()),
         worst_index=worst,
-        residuals=tuple(float(r) for r in residual),
+        residuals=tuple(residual.tolist()),
     )
+
+
+@quiet_overflow
+def _fit_parts(x: np.ndarray, s: np.ndarray, q: np.ndarray, a_hat: np.ndarray):
+    """``(eps, omega, rho, xi, eta, g)``: for each row of the primal and dual
+    ``x``, ``s`` in the frame of the fit ``(q, a_hat)``, upper bounds of |e_i|,
+    |w_i|, |r_i|, |xi_i| and |eta_i|, exact in the float inputs with
+    xi_i = q^T x_i, e_i = x_i - q xi_i (off the span), eta_i = q^T s_i,
+    w_i = s_i - q eta_i and r_i = eta_i - a_hat xi_i (the fit's residual), and
+    g >= ||q^T q - I||_2.  Each norm is padded by 2^-500, beyond underflow, and
+    by tau = 4 (n + k + 4) sqrt(k + 1) (1 + g)^2 u times its row's norm (|x_i|,
+    |s_i|, or |s_i| + ||a_hat|| |x_i| for r), beyond the rounding of a
+    translated row and of each step here (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 3).  An overflow leaves non-finite values."""
+    (n, k), u = q.shape, np.finfo(np.float64).eps / 2
+    g = 2.0 * (np.linalg.norm(q.T @ q - np.eye(k)) + k * (n + 2) * u)
+    tau = 4 * (n + k + 4) * math.sqrt(k + 1) * (1.0 + g) ** 2 * u
+    size_x, size_s = (tau * np.linalg.norm(v, axis=1) for v in (x, s))
+    xi, eta = x @ q, s @ q
+    parts = (x - xi @ q.T, s - eta @ q.T, eta - xi @ a_hat.T, xi, eta)
+    pads = (size_x, size_s, size_s + np.linalg.norm(a_hat) * size_x, size_x, size_s)
+    return (*(np.linalg.norm(v, axis=1) + p + 2.0**-500 for v, p in zip(parts, pads)), g)
 
 
 def _certify(g: OperatorGraph, tol: ToleranceConfig) -> None:
@@ -226,14 +250,41 @@ def _skew_fit(w: np.ndarray, sing: np.ndarray) -> np.ndarray:
     return (rj * w.T - ri * w) / (ri**2 + rj**2) / top
 
 
-def _fit(shifted: OperatorGraph, tol: ToleranceConfig):
-    """``(q, a_hat)`` for a translated graph, whose centre or one of whose
-    pairs sits at (0, 0): the ``span_basis`` of its primal points
-    X = u diag(sing) q^T, and the skew least-squares fit in its coordinates
-    from W = u^T S q.  Raises ValidationError when the fit overflows."""
-    u, sing, q = _span_svd(shifted.primal_matrix, tol)
-    a_hat = _skew_fit(u.T @ (shifted.dual_matrix @ q), sing)
-    check_overflow(~np.isfinite(a_hat), lambda f: "the skew fit")
+@quiet_overflow
+def _certified_fit(g: OperatorGraph, centre: GraphPoint, tol: ToleranceConfig):
+    """``(q, a_hat)`` for ``g`` translated by ``centre`` (its centre, or the
+    origin when a pair sits there): the ``span_basis`` of the translated
+    primal points X = u diag(sing) q^T, and the skew least-squares fit in its
+    coordinates from W = u^T S q, once ``g`` is certified bimonotone: by the
+    fit's own bound B when it is within budget, else by ``_certify``, which
+    then runs before anything here raises, such as a fit that overflows.
+
+    By ``_fit_parts``, exactly <ds, dx> = <dr, dxi> - <deta, G dxi> + <dw, de>
+    for G = q^T q - I and a_hat antisymmetric, so every pairing is at most
+    4 (rho R + g H R + omega eps), with maxima over the points (R of |xi|, H
+    of |eta|).  ``bimonotone_check``'s rounding, gamma_{n+2} |ds| |dx|, is
+    within rel_tol |ds| |dx| / 2 if rel_tol >= 2 gamma_{n+2}, else B adds it
+    at the largest differences.  B <= (abs_tol + rel_tol / 2) (1 - 8 (n + 4) u)
+    then keeps every pair within its margin, unless the pass overflows, which
+    the guard on those differences rules out."""
+    try:
+        frame = translate(g, centre.x, centre.xstar)
+        u_k, sing, q = _span_svd(frame.primal_matrix, tol)
+        a_hat = _skew_fit(u_k.T @ (frame.dual_matrix @ q), sing)
+        check_overflow(~np.isfinite(a_hat), lambda f: "the skew fit")
+        eps, omega, rho, xi, eta, gram = map(np.max, _fit_parts(frame.primal_matrix, frame.dual_matrix, q, a_hat))
+        n, u = g.dimension, np.finfo(np.float64).eps / 2
+        gamma = (n + 2) * u / (1 - (n + 2) * u)
+        reach_x, reach_s = 2 * ((1 + gram) * xi + eps), 2 * ((1 + gram) * eta + omega)
+        bound = 4 * (rho * xi + gram * eta * xi + omega * eps)
+        bound += gamma * reach_x * reach_s if tol.rel_tol < 2 * gamma else 0.0
+        guard = (n + 2) * (tol.abs_tol + tol.rel_tol + 1) * (reach_x + reach_s + 1) ** 2
+        certified = np.isfinite(guard) and bound <= (tol.abs_tol + tol.rel_tol / 2) * (1 - 8 * (n + 4) * u)
+    except Exception:
+        _certify(g, tol)
+        raise
+    if not certified:
+        _certify(g, tol)
     return q, a_hat
 
 
@@ -245,9 +296,10 @@ def build_skew_operator(
 
     Expects a reduced graph that contains (0, 0) and whose primal points
     span the reduced space at the rank of ``span_basis``; a smaller rank
-    raises InternalInconsistencyError.  Like ``decompose``, it refuses only
-    what ``bimonotone_check`` refuses, and its fit is ``decompose``'s: the
-    skew A minimizing ||S - X A^T|| over the primal points X and duals S.
+    raises InternalInconsistencyError.  Like ``decompose``, it refuses
+    exactly what ``bimonotone_check`` refuses, running it only when the fit
+    does not certify the sample, and its fit is ``decompose``'s: the skew A
+    minimizing ||S - X A^T|| over the primal points X and duals S.
     The returned matrix is skew up to the rounding of the change of basis;
     callers wanting an exactly antisymmetric matrix take its antisymmetric part.
     """
@@ -255,9 +307,8 @@ def build_skew_operator(
         raise ValidationError(
             "reduced graph does not contain (0, 0); translate by a graph point first"
         )
-    _certify(rg, tol)
-    q, c = _fit(rg, tol)
     k = rg.dimension
+    q, c = _certified_fit(rg, GraphPoint(np.zeros(k), np.zeros(k)), tol)
     if q.shape[1] < k:
         raise InternalInconsistencyError(
             f"reduced primal points span only {q.shape[1]} of {k} directions; "
@@ -346,28 +397,29 @@ class SkewDecomposition:
 def decompose(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> SkewDecomposition:
     """Recover the affine skew representation of a bimonotone sample.
 
-    Pipeline: certify bimonotonicity, translate the centre (xbar, sbar) of
-    the sample to (0, 0), and take one thin SVD of the translated primal
-    points cut at the tolerance rank: the basis is its right factor, and the
-    skew least-squares fit comes from its other factors.  The centre, which
+    Pipeline: translate the centre (xbar, sbar) of the sample to (0, 0),
+    take one thin SVD of the translated primal points cut at the tolerance
+    rank (the basis is its right factor, and the skew least-squares fit comes
+    from its other factors), and certify bimonotonicity from the fit in
+    O(m n k), or else by ``bimonotone_check``'s O(m^2 n) pass.  The centre, which
     the document records as its ``basepoint``, takes each coordinate as an
     exact ``math.fsum`` over m, so the order of the points cannot change it.
     With v_hat = basis^T sbar - a_hat basis^T xbar, ``max_residual`` is the
     fit's largest residual on ``g``, which ``verify_reconstruction`` allows.
 
-    Raises NotBimonotoneError, with the report attached, exactly when the
-    input fails the bimonotone check, and ValidationError when the centre, fit
-    or a residual overflows.
+    Raises NotBimonotoneError, with ``bimonotone_check``'s report attached,
+    exactly when the input fails it, and otherwise ValidationError when the
+    centre, fit or a residual overflows.
     """
-    _certify(g, tol)
     m = len(g.points)
     try:
         centre = GraphPoint(*([math.fsum(c.tolist()) / m for c in a.T]
                               for a in (g.primal_matrix, g.dual_matrix)))
     except OverflowError:
+        _certify(g, tol)
         raise ValidationError("the centre of the sample overflows double precision; "
                               "rescale the sample") from None
-    q, a_hat = _fit(translate(g, centre.x, centre.xstar), tol)
+    q, a_hat = _certified_fit(g, centre, tol)
     v_hat = q.T @ centre.xstar - a_hat @ (q.T @ centre.x)
     fit = _reconstruction(q, a_hat, v_hat, g, tol, 0.0)
     return SkewDecomposition(basis=OrthonormalBasis(q), a_hat=a_hat, v_hat=v_hat, basepoint=centre,

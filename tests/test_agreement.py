@@ -27,7 +27,11 @@ module runs the first 600 boundary samples, which keeps it under 10 s:
   ``decompose`` keeps its answer under every map;
 - on the hard families, a translation keeps the ``decompose`` answer and
   the bimonotone verdict, and so does scaling at the default tolerance,
-  where every hard sample is bimonotone.
+  where every hard sample is bimonotone;
+- ``decompose`` skips the pair check only on a sample that passes it, at
+  every tolerance of ``TOLERANCE_GRID``: on the first 200 boundary samples,
+  the two-branch and hard samples, every tenth sample under each map, and
+  the converse and near-constant samples of ``test_recovery``.
 
 A permutation may move a witness to another pair of equal violation, so
 only verdicts and worst violations are compared there.  On the boundary
@@ -69,7 +73,8 @@ from skewfit import (
     decompose,
     inverse_graph,
 )
-from test_recovery import boundary_family, hard_families, two_branch_family
+from test_recovery import (TOLERANCE_GRID, boundary_family, converse_family, hard_families,
+                           near_constant_family, pair_checks, two_branch_family)
 
 TOLERANCES = {"default": ToleranceConfig(), "abs-only": ToleranceConfig(abs_tol=1e-9, rel_tol=0.0)}
 
@@ -221,3 +226,25 @@ def test_decompose_succeeds_exactly_when_bimonotone_check_passes_on_every_mapped
         unmapped = (_analyze(i, tol_name)["bimonotone"].verdict, _decomposes_unmapped(i, tol_name))
         return all(len(set(pair)) == 1 for pair in [unmapped, *(_mapped(i, name, tol_name) for name in _moved(i))])
     assert _mismatches(same) == []
+
+
+def test_a_fit_certifies_only_a_sample_that_passes_the_pair_check(pair_checks):
+    # decompose runs no pair check when its fit's own bound shows that the
+    # pass would pass; wherever it runs none, an independent one passes
+    families = {
+        "boundary": BOUNDARY[:200], "two-branch": TWO_BRANCH, "hard": HARD,
+        "maps": [_moved(i)[name] for i in range(0, len(SAMPLES), 10) for name in _moved(i)],
+        "converse": list(converse_family(60)), "near-constant": list(near_constant_family(60)),
+    }
+    certified, wrong = dict.fromkeys(families, 0), []
+    for family, graphs in families.items():
+        for tol in TOLERANCE_GRID:
+            for i, g in enumerate(graphs):
+                before = len(pair_checks)
+                _decomposes(g, tol)
+                if len(pair_checks) == before:
+                    certified[family] += 1
+                    if not bimonotone_check(g, tol).verdict:
+                        wrong.append((family, i, tol))
+    assert wrong == []
+    assert all(certified.values())  # no family is vacuous

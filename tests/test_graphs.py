@@ -1,4 +1,6 @@
+import hashlib
 import io
+import json
 import re
 
 import numpy as np
@@ -420,6 +422,42 @@ def test_save_load_csv_round_trip_exact():
     assert load_graph(save_graph(g, "csv"), "csv") == g
 
 
+# sha256 of both formats, pinned before save_graph formatted repeated rows
+# once: branches repeat every primal row, and the zero operator repeats the
+# duals of every branch too
+@pytest.mark.parametrize("spec, json_sha, csv_sha", [
+    (FixtureSpec(n=4, k=2, m=6, offset_norm=1.0, seed=1),
+     "1f9e45f5ffc25ef30cf2271d33e38462acfbaafc2d8f2de975a62da5fe3391f0",
+     "ad75989b5028b5067c63f4f2cae443de7e8e213c2b0960ee4599cb5ae09c31e7"),
+    (FixtureSpec(n=5, k=3, m=7, branches=2, offset_norm=1.0, noise_orthogonal=1.0, seed=2),
+     "e0c8b957a266b41d41433c31f37e3b77d38f66b11de8727acea396cf817b1f28",
+     "1a8b1988347c80311cfeb5c8d46f1799c884a23932c43456d571b05079736911"),
+    (FixtureSpec(n=3, k=2, m=5, branches=3, offset_norm=0.5, seed=3),
+     "9f5cf7087d94433b2e36e748a8b3523b035f8135271b4d4c1c5f4b2310c7420d",
+     "eb4781423eb102cb72974e95b03a5a17dae59a229f7c6c37630143be854f1066"),
+    (FixtureSpec(n=3, k=3, m=4, branches=2, offset_norm=1.0, zero_operator=True, seed=4),
+     "ed70d14ac1719fabd6ba995924a05074d92126509c8be400ee3d56c196d2b673",
+     "0eb5d88b4e3ed262f76c0b307abeefeb82d03259ae53f5bed3877205a3f609b2"),
+])
+def test_saved_fixture_bytes_are_pinned(spec, json_sha, csv_sha):
+    g = make_fixture(spec).graph
+    assert hashlib.sha256(save_graph(g, "json")).hexdigest() == json_sha
+    assert hashlib.sha256(save_graph(g, "csv")).hexdigest() == csv_sha
+
+
+def test_saved_rows_that_differ_only_in_the_sign_of_a_zero():
+    # equal rows are equal bits: 0.0 and -0.0 compare equal but are written apart
+    g = OperatorGraph.from_arrays([[0.0, 1.0], [-0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]],
+                                  [[1.0, -0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+    assert save_graph(g, "json") == (
+        b'{"dimension": 2, "points": [{"x": [0.0, 1.0], "xstar": [1.0, -0.0]}, '
+        b'{"x": [-0.0, 1.0], "xstar": [1.0, 0.0]}, {"x": [-0.0, 1.0], "xstar": [1.0, 0.0]}, '
+        b'{"x": [0.0, 1.0], "xstar": [1.0, 0.0]}]}\n'
+    )
+    assert save_graph(g, "csv") == b"0.0,1.0,1.0,-0.0\n-0.0,1.0,1.0,0.0\n-0.0,1.0,1.0,0.0\n0.0,1.0,1.0,0.0\n"
+    assert load_graph(save_graph(g, "json")).primal_matrix.tobytes() == g.primal_matrix.tobytes()
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_save_refuses_a_graph_that_load_refuses(fmt):
     # a sample reduced to a rank-0 basis has dimension 0, and no document of it loads
@@ -502,6 +540,46 @@ def test_involution_property(g):
 def test_load_json_error_messages(text, error, message):
     with pytest.raises(error, match="^" + re.escape(message) + "$"):
         load_graph(text, "json")
+
+
+# the reader's messages for each kind of leaf that is not a float, pinned
+# before the reader checked the leaf types itself: in x of point 1, in xstar
+# of point 2, and in both, where the primal is named first
+_LEAF_MESSAGES = {
+    "bool": (True, "{side} is not an array of reals: {where} is a bool; only numbers are allowed"),
+    "str": ("1.0", "{side} is not an array of reals: {where} is a str; only numbers are allowed"),
+    "None": (None, "{side} is not an array of reals: {where} is None; only numbers are allowed"),
+    "list": ([1.0], "{side} is not an array of reals: it is ragged at {where}"),
+    "dict": ({"a": 1.0}, "{side} is not an array of reals: {where} is a dict; only numbers are allowed"),
+    "huge": (10**400, "{side} overflows double precision"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_LEAF_MESSAGES))
+@pytest.mark.parametrize("place", ["x", "xstar", "both"])
+def test_load_json_names_the_first_leaf_that_is_not_a_real(kind, place):
+    leaf, message = _LEAF_MESSAGES[kind]
+    points = [{"x": [1.0, 2.0], "xstar": [0.5, 0.25]} for _ in range(3)]
+    if place != "xstar":
+        points[1]["x"] = [1.0, leaf]
+    if place != "x":
+        points[2]["xstar"] = [leaf, 0.25]
+    side, where = ("dual", "points[2].xstar[0]") if place == "xstar" else ("primal", "points[1].x[1]")
+    text = json.dumps({"dimension": 2, "points": points}).encode()
+    with pytest.raises(ValidationError, match="^" + re.escape(message.format(side=side, where=where)) + "$"):
+        load_graph(text)
+
+
+def test_load_json_reads_integers_as_their_nearest_doubles():
+    # integers mixed with floats read bit for bit as float(int) does
+    ints = [0, -0, 7, 2**53 + 1, -(2**63) - 1, 10**300]
+    text = json.dumps({"dimension": 3, "points": [
+        {"x": [ints[i], 0.5, -0.0], "xstar": [1.5, ints[-1 - i], 2]} for i in range(len(ints))]})
+    g = load_graph(text.encode())
+    assert g.primal_matrix[:, 0].tobytes() == np.array([float(i) for i in ints]).tobytes()
+    assert g.dual_matrix[:, 1].tobytes() == np.array([float(i) for i in ints[::-1]]).tobytes()
+    assert g.primal_matrix[:, 2].tobytes() == np.full(len(ints), -0.0).tobytes()
+    assert g == load_graph(save_graph(g))
 
 
 @pytest.mark.parametrize(

@@ -28,6 +28,7 @@ from skewfit import (
     translate,
     verify_reconstruction,
 )
+from skewfit import recovery
 from skewfit.fixtures import FixtureSpec
 
 import oracles
@@ -485,6 +486,83 @@ def two_branch_family(count):
             zero_operator=seed % 4 == 0, seed=seed)).graph
 
 
+def converse_family(count):
+    """Samples in R^3 whose planted decomposition (basis e_1, e_2, a_hat the
+    rotation A = [[0, b], [-b, 0]], v_hat = 0) verifies while the sample need
+    not be bimonotone: x = (xi, +-10^U(-11, -8)) sits just off the span, and
+    s = (A xi, 10^U(2, 7) N(0, 1)) has large duals orthogonal to it."""
+    rng = np.random.default_rng(11)
+    for _ in range(count):
+        m, b = int(rng.integers(10, 40)), rng.normal()
+        off, far = 10 ** rng.uniform(-11, -8), 10 ** rng.uniform(2, 7)
+        xi = rng.normal(size=(m, 2))
+        x = np.column_stack([xi, off * rng.choice([-1.0, 1.0], size=m)])
+        s = np.column_stack([xi @ np.array([[0.0, b], [-b, 0.0]]).T, far * rng.normal(size=m)])
+        yield OperatorGraph.from_arrays(x, s)
+
+
+def near_constant_family(count):
+    """Samples in R^2..R^4 with duals within 10^U(-12, -8) N(0, 1) of one
+    point c ~ N(0, I), over primal clouds of scale 10^U(-3, 6)."""
+    rng = np.random.default_rng(7)
+    for _ in range(count):
+        n, m = int(rng.integers(2, 5)), int(rng.integers(5, 40))
+        x = 10 ** rng.uniform(-3, 6) * rng.normal(size=(m, n))
+        s = rng.normal(size=n) + 10 ** rng.uniform(-12, -8) * rng.normal(size=(m, n))
+        yield OperatorGraph.from_arrays(x, s)
+
+
+@pytest.fixture
+def pair_checks(monkeypatch):
+    """The reports of every ``bimonotone_check`` that recovery runs."""
+    reports = []
+    monkeypatch.setattr(recovery, "bimonotone_check",
+                        lambda g, tol: reports.append(bimonotone_check(g, tol)) or reports[-1])
+    return reports
+
+
+def test_a_certified_fit_skips_the_pair_check(pair_checks):
+    # the fit's own bound certifies a planted sample: neither decompose nor
+    # build_skew_operator runs the O(m^2 n) pass
+    fix = planted_fixture(seed=46, m=40)
+    dec = decompose(fix.graph)
+    first = fix.graph.points[0]
+    build_skew_operator(reduce(translate(fix.graph, first.x, first.xstar), dec.basis))
+    assert pair_checks == []
+    # a sample kicked off the planted map falls back to the pass, once, and
+    # is refused with the report that the pass returned
+    g = perturb(fix.graph, 7, "in_span", 1e-3, fix.truth.basis, seed=3)
+    with pytest.raises(NotBimonotoneError) as refused:
+        decompose(g)
+    assert len(pair_checks) == 1 and refused.value.report is pair_checks[0]
+    assert refused.value.report == bimonotone_check(g) and not refused.value.report.verdict
+
+
+@pytest.mark.parametrize("case", ["centre", "fit", "residual"])
+def test_every_error_waits_for_the_pair_check(case, pair_checks):
+    # a sample that would overflow in decompose, but is not bimonotone, is
+    # refused as not bimonotone, as if the pass had run first
+    if case == "centre":
+        x, s, tol = [[1e308, 0.0], [1e308, 1.0]], [[0.0, 0.0], [0.0, 1.0]], ToleranceConfig()
+        error = "the centre of the sample"
+    elif case == "fit":  # the operator of test_decompose_tiny_directions_fit_or_overflow
+        x = np.zeros((7, 3))
+        x[1:3, 0], x[3:5, 1], x[5:7, 2] = [1.0, -1.0], [1e-160, -1e-160], [1e-160, -1e-160]
+        s = np.zeros((7, 3))
+        s[3:5, 2], s[5:7, 1] = [1e149, -1e149], [-1e149, 1e149]
+        s[1, 0], tol, error = 1.0, ToleranceConfig(0.0, 1e-9), "the skew fit"
+    else:  # the decompose_overflow case of the CLI tests, one dual moved
+        x = [[0.0, 1.0], [1.0, 0.0], [2.0, 3.0]]
+        s, tol, error = [[1e160, 0.0], [1e160, 1.0], [1e160, 0.0]], ToleranceConfig(), "points[0]"
+    g = OperatorGraph.from_arrays(x, s)
+    with pytest.raises(NotBimonotoneError) as refused:
+        decompose(g, tol)
+    assert len(pair_checks) == 1 and refused.value.report == bimonotone_check(g, tol)
+    # the same sample with that dual put back is bimonotone, and overflows
+    with pytest.raises(ValidationError, match="^" + re.escape(error) + " overflows double precision"):
+        decompose(OperatorGraph.from_arrays(x, np.where(np.abs(s) == 1.0, 0.0, s)), tol)
+
+
 # (abs_tol, rel_tol) in {1e-12, 1e-9, 1e-6} x {0, 1e-9, 1e-6}
 TOLERANCE_GRID = [ToleranceConfig(a, r) for a in (1e-12, 1e-9, 1e-6) for r in (0.0, 1e-9, 1e-6)]
 
@@ -511,19 +589,23 @@ def grid_decompositions():
 def test_boundary_family_decomposition_verifies_on_its_sample():
     # the paper's equivalence at every tolerance of the grid: decompose
     # refuses a sample only with the failing report of the pair check
-    # (analyze's bimonotone report), and every document it writes passes
-    # verify on its sample after a JSON round trip, since verify allows each
-    # point the document's own max_residual
-    wrong_refusals, unverified = [], []
+    # (analyze's bimonotone report), it accepts only a sample that passes an
+    # independent pair check (decompose runs none when its fit certifies the
+    # sample), and every document it writes passes verify on its sample after
+    # a JSON round trip, since verify allows each point the document's own
+    # max_residual
+    wrong_refusals, wrong_acceptances, unverified = [], [], []
     for i, (g, tol, out) in enumerate(grid_decompositions()):
         if isinstance(out, ClassificationReport):
             if out.verdict or out != bimonotone_check(g, tol):
                 wrong_refusals.append(i)
         else:
+            if not bimonotone_check(g, tol).verdict:
+                wrong_acceptances.append(i)
             back = SkewDecomposition.from_dict(json.loads(dumps_canonical(out.to_dict())))
             if not verify_reconstruction(back, g, tol).verdict:
                 unverified.append(i)
-    assert (wrong_refusals, unverified) == ([], [])
+    assert (wrong_refusals, wrong_acceptances, unverified) == ([], [], [])
     kinds = {type(out) for _, _, out in grid_decompositions()}
     assert kinds == {ClassificationReport, SkewDecomposition}  # the family reaches past the tolerance
 
