@@ -4,16 +4,17 @@ Subcommands: analyze (classification bundle), decompose (skew
 representation), generate (seeded fixtures), verify (reconstruction
 residuals).  Every invocation writes exactly one JSON document to stdout
 and keeps diagnostics on stderr.  Exit codes: 0 for a true verdict or
-success, 1 for a false verdict, 2 for usage or parse errors, 3 for an
-internal error.
+success, 1 for a false verdict, 2 for usage or parse errors and for a
+stdout that cannot be written, 3 for an internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
-import traceback
 from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
@@ -48,6 +49,8 @@ def _emit(doc: dict, path: str | None = None) -> None:
     """Write ``doc`` as one canonical JSON line to ``path``, or to stdout."""
     text = dumps_canonical(doc) + "\n"
     if path is None:
+        if sys.stdout is None:  # Python started with fd 1 closed
+            raise OSError(errno.EBADF, "stdout is closed")
         sys.stdout.write(text)
     else:
         Path(path).write_bytes(text.encode("utf-8"))
@@ -184,6 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(exc: BaseException) -> int:
+    """Report ``exc`` on one stderr line; return the exit code for it."""
+    print(f"skewfit: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+    return 2
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -191,14 +200,24 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except (SkewfitError, OSError, MemoryError) as exc:
-        print(f"skewfit: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return 2
+        return _error(exc)
 
 
 def main() -> None:
+    """Run the command line on ``sys.argv``, flush its output and end the process
+    at once: finalizing numpy and every module would only add to each call's time."""
     try:
         code = run()
     except Exception:  # a fault in skewfit, not in its input: never read as a verdict
+        import traceback
         traceback.print_exc()
         code = 3
-    raise SystemExit(code)
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:  # the document never reached stdout, so it is no verdict
+        if code < 2:
+            code = _error(exc)
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)

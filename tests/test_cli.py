@@ -1,12 +1,15 @@
 import argparse
 import copy
 import functools
+import gc
 import json
 import math
 import operator
+import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -582,6 +585,10 @@ def test_internal_error_exits_3_with_its_traceback(capsys, tmp_path, monkeypatch
     path = tmp_path / "g.json"
     path.write_bytes(SMALL_GRAPH)
     monkeypatch.setattr(sys, "argv", ["skewfit", "analyze", str(path)])
+    # main ends its process with os._exit, which must not end pytest's
+    def exit_(code):
+        raise SystemExit(code)
+    monkeypatch.setattr(cli.os, "_exit", exit_)
     with pytest.raises(SystemExit) as exc:
         cli.main()
     captured = capsys.readouterr()
@@ -614,6 +621,105 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["bimonotone"]["verdict"] is True
+
+
+def skewfit_process(*argv, unbuffered, **kwargs):
+    """``python -m skewfit *argv`` with stdout unbuffered or block-buffered."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "skewfit", *argv], env=env, **kwargs)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("stdout, message", [
+    ("/dev/full", "[Errno 28] No space left on device"),
+    ("broken pipe", "[Errno 32] Broken pipe"),
+    ("closed", "[Errno 9] stdout is closed"),
+])
+def test_a_stdout_that_cannot_take_the_document_exits_2_with_one_line(tmp_path, stdout, message, unbuffered):
+    # the document never arrives, so its verdict is not the exit code,
+    # whether the write fails at once or only at main's last flush
+    path = tmp_path / "g.json"
+    path.write_bytes(SMALL_GRAPH)
+    kwargs = {}
+    if stdout == "/dev/full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("this system has no /dev/full")
+        fd = os.open("/dev/full", os.O_WRONLY)
+    elif stdout == "broken pipe":
+        read_end, fd = os.pipe()
+        os.close(read_end)
+    else:
+        fd = None
+        kwargs["preexec_fn"] = lambda: os.close(1)
+    try:
+        proc = skewfit_process("analyze", str(path), unbuffered=unbuffered, stdout=fd,
+                               stderr=subprocess.PIPE, text=True, **kwargs)
+    finally:
+        if fd is not None:
+            os.close(fd)
+    assert (proc.returncode, proc.stderr) == (2, f"skewfit: error: {message}\n")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_the_whole_output_survives_the_process_exit(capsys, tmp_path, unbuffered):
+    # verify's document on 5000 points (about 117 KB) outgrows a 64 KiB pipe
+    # buffer; generate's short summary sits in stdout's buffer until main
+    # flushes it, and its two files are written before the process ends
+    spec = write_spec(tmp_path, {**SPEC, "m": 5000})
+    graph, dec = str(tmp_path / "graph.json"), str(tmp_path / "dec.json")
+    assert run(["generate", spec, "--out", graph]) == 0
+    summary = capsys.readouterr().out.replace(str(tmp_path / "graph"), str(tmp_path / "child"))
+    assert run(["decompose", graph, "--out", dec]) == 0
+    capsys.readouterr()
+    assert run(["verify", dec, graph]) == 0
+    expected = capsys.readouterr().out.encode()
+    assert len(expected) > 1 << 16
+    proc = skewfit_process("verify", dec, graph, unbuffered=unbuffered, capture_output=True)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == expected
+    proc = skewfit_process("generate", spec, "--out", str(tmp_path / "child.json"),
+                           unbuffered=unbuffered, capture_output=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, summary.encode(), b"")
+    for suffix in (".json", ".truth.json"):
+        assert (tmp_path / f"child{suffix}").read_bytes() == (tmp_path / f"graph{suffix}").read_bytes()
+
+
+def test_internal_error_exits_3_in_a_real_process(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_bytes(SMALL_GRAPH)
+    script = """if True:
+        import sys
+        from skewfit import cli
+        def broken(args):
+            raise RuntimeError("broken subcommand")
+        cli._cmd_analyze = broken
+        sys.argv = ["skewfit", "analyze", sys.argv[1]]
+        cli.main()
+    """
+    proc = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("Traceback (most recent call last):")
+    assert proc.stderr.endswith("RuntimeError: broken subcommand\n")
+
+
+def test_no_file_is_left_open_when_a_call_ends(capsys, tmp_path):
+    # a CLI process ends without running finalizers, so a leaked handle
+    # would close unseen there; in process, its ResourceWarning shows it
+    spec = write_spec(tmp_path, SPEC)
+    graph, dec, bad = str(tmp_path / "graph.json"), str(tmp_path / "dec.json"), tmp_path / "bad.json"
+    bad.write_bytes(b"{")
+    argvs = [(["generate", spec, "--out", graph], 0), (["analyze", graph], 0),
+             (["decompose", graph, "--out", dec], 0), (["verify", dec, graph], 0),
+             (["analyze", str(bad)], 2)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        for argv, code in argvs:
+            assert run(argv) == code, argv
+        gc.collect()
+    capsys.readouterr()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_cli_import_leaves_scipy_unloaded():
