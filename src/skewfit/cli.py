@@ -5,12 +5,14 @@ representation), generate (seeded fixtures), verify (reconstruction
 residuals).  Every invocation writes exactly one JSON document to stdout
 and keeps diagnostics on stderr.  Exit codes: 0 for a true verdict or
 success, 1 for a false verdict, 2 for usage or parse errors and for a
-stdout that cannot be written, 3 for an internal error.
+stdout that cannot take the document or the help, 3 for an internal error;
+no exit code depends on whether stderr could take the message.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import math
 import os
@@ -45,13 +47,21 @@ def _read(path: str, parse):
         raise type(exc)(f"{path}: {exc}") from exc
 
 
+def _write(name: str, text: str) -> None:
+    """Write ``text`` to ``sys.stdout`` or ``sys.stderr`` (``name``) and flush it,
+    so that a failed write raises here whatever the buffering."""
+    stream = getattr(sys, name)
+    if stream is None:  # Python started with that descriptor closed
+        raise OSError(errno.EBADF, f"{name} is closed")
+    stream.write(text)
+    stream.flush()
+
+
 def _emit(doc: dict, path: str | None = None) -> None:
     """Write ``doc`` as one canonical JSON line to ``path``, or to stdout."""
     text = dumps_canonical(doc) + "\n"
     if path is None:
-        if sys.stdout is None:  # Python started with fd 1 closed
-            raise OSError(errno.EBADF, "stdout is closed")
-        sys.stdout.write(text)
+        _write("stdout", text)
     else:
         Path(path).write_bytes(text.encode("utf-8"))
 
@@ -146,10 +156,16 @@ def _add_common(parser: argparse.ArgumentParser, tolerances: bool = True) -> Non
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser whose usage errors raise, so that ``run`` reports them on one line."""
+    """A parser whose usage errors raise, so that ``run`` reports them on one line,
+    and whose help goes through ``_write``: argparse's own writer drops an OSError."""
 
     def error(self, message: str):
         raise SkewfitError(message)
+
+    def print_help(self, file=None) -> None:
+        if file is not None:
+            return super().print_help(file)
+        _write("stdout", self.format_help())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -187,12 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error(exc: BaseException) -> int:
-    """Report ``exc`` on one stderr line; return the exit code for it."""
-    print(f"skewfit: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
-    return 2
-
-
 def run(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -200,24 +210,19 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except (SkewfitError, OSError, MemoryError) as exc:
-        return _error(exc)
+        with contextlib.suppress(OSError):  # the code stands if stderr cannot take the line
+            _write("stderr", f"skewfit: error: {str(exc) or type(exc).__name__}\n")
+        return 2
 
 
 def main() -> None:
-    """Run the command line on ``sys.argv``, flush its output and end the process
-    at once: finalizing numpy and every module would only add to each call's time."""
+    """Run the command line on ``sys.argv`` and end the process at once: its
+    output is flushed, and finalizing numpy and every module only adds time."""
     try:
         code = run()
     except Exception:  # a fault in skewfit, not in its input: never read as a verdict
         import traceback
-        traceback.print_exc()
+        with contextlib.suppress(OSError):
+            _write("stderr", traceback.format_exc())
         code = 3
-    try:
-        if sys.stdout is not None:
-            sys.stdout.flush()
-    except OSError as exc:  # the document never reached stdout, so it is no verdict
-        if code < 2:
-            code = _error(exc)
-    if sys.stderr is not None:
-        sys.stderr.flush()
     os._exit(code)

@@ -72,7 +72,7 @@ class FixtureSpec:
             raise ValidationError("branches must be positive")
         if self.n * self.m * self.branches > np.iinfo(np.intp).max // 8:
             raise ValidationError("n * m * branches exceeds the largest float64 array")
-        _rng(self.seed)  # raises unless the seed is in range
+        _seed(self.seed)  # range only: a generator would import numpy.random
         for name in ("offset_norm", "noise_in_span", "noise_orthogonal"):
             object.__setattr__(self, name, nonnegative(getattr(self, name), name))
         if not isinstance(self.zero_operator, bool):
@@ -111,11 +111,11 @@ class Fixture:
     truth: FixtureTruth
 
 
-def _rng(seed) -> np.random.Generator:
-    """The generator of ``seed``, an ``integer`` in [0, 2**64)."""
-    if not 0 <= integer(seed, "seed") < 2**64:
+def _seed(seed) -> int:
+    """``seed`` if it is an ``integer`` in [0, 2**64), the seeds of a Philox generator."""
+    if not 0 <= (seed := integer(seed, "seed")) < 2**64:
         raise ValidationError("seed must be a 64-bit nonnegative integer")
-    return np.random.Generator(np.random.Philox(int(seed)))
+    return seed
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -136,7 +136,7 @@ def make_fixture(spec: FixtureSpec) -> Fixture:
     sample order, holding the n orthogonal normals and then the k in-span
     ones.
     """
-    rng = _rng(spec.seed)
+    rng = np.random.Generator(np.random.Philox(spec.seed))
     n, k, m = spec.n, spec.k, spec.m
     if k > 0:
         q0, _ = np.linalg.qr(rng.standard_normal((n, k)))
@@ -191,7 +191,7 @@ def perturb(
     returns an unchanged copy.
     """
     index = point_index(g, index, "perturbed point")
-    rng = _rng(seed)
+    rng = np.random.Generator(np.random.Philox(_seed(seed)))
     if direction not in ("in_span", "orthogonal"):
         raise ValidationError(f"direction must be 'in_span' or 'orthogonal', got {direction!r}")
     amplitude = nonnegative(amplitude, "amplitude")

@@ -623,12 +623,17 @@ def test_module_entry_point(tmp_path):
     assert json.loads(proc.stdout)["bimonotone"]["verdict"] is True
 
 
-def skewfit_process(*argv, unbuffered, **kwargs):
-    """``python -m skewfit *argv`` with stdout unbuffered or block-buffered."""
+def child_env(unbuffered):
+    """This environment, with a child's stdio unbuffered or block-buffered."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    return subprocess.run([sys.executable, "-m", "skewfit", *argv], env=env, **kwargs)
+    return env
+
+
+def skewfit_process(*argv, unbuffered, **kwargs):
+    """``python -m skewfit *argv`` with stdout unbuffered or block-buffered."""
+    return subprocess.run([sys.executable, "-m", "skewfit", *argv], env=child_env(unbuffered), **kwargs)
 
 
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
@@ -639,7 +644,7 @@ def skewfit_process(*argv, unbuffered, **kwargs):
 ])
 def test_a_stdout_that_cannot_take_the_document_exits_2_with_one_line(tmp_path, stdout, message, unbuffered):
     # the document never arrives, so its verdict is not the exit code,
-    # whether the write fails at once or only at main's last flush
+    # whether stdout is unbuffered or holds the document until a flush
     path = tmp_path / "g.json"
     path.write_bytes(SMALL_GRAPH)
     kwargs = {}
@@ -665,8 +670,8 @@ def test_a_stdout_that_cannot_take_the_document_exits_2_with_one_line(tmp_path, 
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
 def test_the_whole_output_survives_the_process_exit(capsys, tmp_path, unbuffered):
     # verify's document on 5000 points (about 117 KB) outgrows a 64 KiB pipe
-    # buffer; generate's short summary sits in stdout's buffer until main
-    # flushes it, and its two files are written before the process ends
+    # buffer; generate's short summary must be flushed before the process
+    # ends without finalizing, and its two files are written before that
     spec = write_spec(tmp_path, {**SPEC, "m": 5000})
     graph, dec = str(tmp_path / "graph.json"), str(tmp_path / "dec.json")
     assert run(["generate", spec, "--out", graph]) == 0
@@ -702,6 +707,64 @@ def test_internal_error_exits_3_in_a_real_process(tmp_path):
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr.startswith("Traceback (most recent call last):")
     assert proc.stderr.endswith("RuntimeError: broken subcommand\n")
+
+
+@pytest.fixture
+def dev_full():
+    """A descriptor open for writing on /dev/full, where every write fails."""
+    if not os.path.exists("/dev/full"):
+        pytest.skip("this system has no /dev/full")
+    fd = os.open("/dev/full", os.O_WRONLY)
+    yield fd
+    os.close(fd)
+
+
+def stderr_that_fails(request, stderr):
+    """Keyword arguments that start a child whose stderr is /dev/full or closed."""
+    if stderr == "/dev/full":
+        return {"stderr": request.getfixturevalue("dev_full")}
+    return {"preexec_fn": lambda: os.close(2)}
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("stderr", ["/dev/full", "closed"])
+@pytest.mark.parametrize("content", [None, b"{"], ids=["missing", "malformed"])
+def test_an_input_error_exits_2_whatever_stderr_can_take(request, tmp_path, content, stderr, unbuffered):
+    # 1 would read as a false verdict; the code never waits on the message
+    path = tmp_path / "g.json"
+    if content is not None:
+        path.write_bytes(content)
+    proc = skewfit_process("analyze", str(path), unbuffered=unbuffered, stdout=subprocess.PIPE,
+                           **stderr_that_fails(request, stderr))
+    assert (proc.returncode, proc.stdout) == (2, b"")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("stderr", ["/dev/full", "closed"])
+def test_an_internal_error_exits_3_whatever_stderr_can_take(request, tmp_path, stderr, unbuffered):
+    path = tmp_path / "g.json"
+    path.write_bytes(SMALL_GRAPH)
+    script = """if True:
+        import sys
+        from skewfit import cli
+        def broken(args):
+            raise RuntimeError("broken subcommand")
+        cli._cmd_analyze = broken
+        sys.argv = ["skewfit", "analyze", sys.argv[1]]
+        cli.main()
+    """
+    proc = subprocess.run([sys.executable, "-c", script, str(path)], env=child_env(unbuffered),
+                          stdout=subprocess.PIPE, **stderr_that_fails(request, stderr))
+    assert (proc.returncode, proc.stdout) == (3, b"")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["analyze", "-h"]], ids=["help", "analyze-h"])
+def test_help_that_stdout_cannot_take_exits_2_with_one_line(dev_full, argv, unbuffered):
+    # help is written and flushed as a document is, since argparse's own
+    # writer drops the error of a failed write
+    proc = skewfit_process(*argv, unbuffered=unbuffered, stdout=dev_full, stderr=subprocess.PIPE, text=True)
+    assert (proc.returncode, proc.stderr) == (2, "skewfit: error: [Errno 28] No space left on device\n")
 
 
 def test_no_file_is_left_open_when_a_call_ends(capsys, tmp_path):

@@ -1,5 +1,7 @@
 import dataclasses
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -47,6 +49,29 @@ def test_seeds_follow_the_integer_rule(seed, message):
             call()
     seed = FixtureSpec(n=1, k=1, m=1, seed=np.uint64(7)).seed
     assert seed == 7 and type(seed) is int
+
+
+def test_validating_a_spec_imports_no_generator():
+    # a Philox generator imports numpy.random, which costs a CLI child about
+    # 18 ms; a spec checks its seed's range without one, accepted or rejected
+    if int(np.__version__.split(".")[0]) < 2:
+        pytest.skip("numpy 1.x loads numpy.random together with numpy")
+    script = """if True:
+        import sys
+        from skewfit.fixtures import FixtureSpec
+        from skewfit.graphs import ValidationError
+        FixtureSpec(n=3, k=2, m=4, seed=2**64 - 1)
+        for bad in ({"seed": 2**64}, {"offset_norm": "one"}):
+            try:
+                FixtureSpec(n=3, k=2, m=4, **bad)
+            except ValidationError:
+                pass
+            else:
+                raise AssertionError(bad)
+        print(sorted(name for name in sys.modules if name.startswith("numpy.random")))
+    """
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 # ---------------------------------------------------------------------------
