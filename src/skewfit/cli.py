@@ -89,13 +89,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    g = _read_graph(args.graph, args.format)
-    try:
-        dec = decompose(g, _tolerance(args))
-    except NotBimonotoneError as exc:
-        _emit({"error": "not_bimonotone", "message": str(exc), "bimonotone": exc.report.to_dict()})
-        return 1
-    doc = dec.to_dict()
+    doc = decompose(_read_graph(args.graph, args.format), _tolerance(args)).to_dict()
     if args.out:
         _emit(doc, args.out)
     _emit(doc)
@@ -118,8 +112,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     dec = _read(args.decomposition, lambda data: SkewDecomposition.from_dict(load_json_object(data)))
-    g = _read_graph(args.graph, args.format)
-    report = verify_reconstruction(dec, g, _tolerance(args))
+    report = verify_reconstruction(dec, _read_graph(args.graph, args.format), _tolerance(args))
     _emit(report.to_dict())
     return 0 if report.verdict else 1
 
@@ -206,7 +199,11 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        try:
+            return args.func(args)
+        except NotBimonotoneError as exc:  # decompose or verify refused the sample: a false verdict
+            _emit({"error": "not_bimonotone", "message": str(exc), "bimonotone": exc.report.to_dict()})
+            return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except (SkewfitError, OSError, MemoryError) as exc:

@@ -6,18 +6,18 @@ direction space of their affine hull), and the map from reduced primal to
 reduced dual coordinates is linear and skew-symmetric.  ``decompose`` and
 ``build_skew_operator`` share one fit: one thin SVD of the translated
 primal points, cut at the rank of ``span_basis``, whose factors give both
-the span and the skew least-squares fit in closed form.  Both refuse
-exactly what ``bimonotone_check`` refuses, with its report, but run its
-O(m^2 n) pair pass only when the fit's own O(m n k) bound does not certify
-the sample.  ``verify_reconstruction`` allows each point the larger of its
-margin and the fit's ``max_residual``, so a document always verifies on its
-own sample.
+the span and the skew least-squares fit in closed form.  With
+``verify_reconstruction`` they share one certificate, a fit's O(m n k)
+bound, else ``bimonotone_check``'s O(m^2 n) pass, and refuse exactly what
+that check refuses: NotBimonotoneError with its report (on the command line,
+the not_bimonotone document, exit 1).  A document's ``max_residual`` widens
+the residual rule of ``verify_reconstruction`` but buys no verdict.  A
+bimonotone sample that the bound misses pays the pass (unmeasured at
+m = 20000; about 27 s, extrapolated from 0.62 s at m = 3000).
 
-Components of the dual points orthogonal to the span are invisible to the
-reduction and deliberately discarded; all residuals are measured after
-projection onto the span.  Only primal points exactly in the span make them
-harmless to bimonotonicity: off it, a pair's pairing gains <dw, de>, dw and
-de being the differences of the discarded parts and of the off-span parts.
+Dual components orthogonal to the span are invisible to the reduction and
+discarded; residuals are measured after projection onto the span.  Off it, a
+pairing gains <dw, de> from the discarded parts dw and off-span parts de.
 """
 
 from __future__ import annotations
@@ -199,12 +199,8 @@ def _reconstruction(q, a_hat, v_hat, g: OperatorGraph, tol: ToleranceConfig, all
     check_overflow(~(np.isfinite(residual) & np.isfinite(scale)), lambda i: f"points[{i}]")
     normalized = residual / np.maximum(tol.margin(scale), allowance)
     worst = int(np.argmax(normalized))
-    return ReconstructionReport(
-        verdict=bool(normalized[worst] <= 1.0),
-        max_residual=float(residual.max()),
-        worst_index=worst,
-        residuals=tuple(residual.tolist()),
-    )
+    return ReconstructionReport(verdict=bool(normalized[worst] <= 1.0), max_residual=float(residual.max()),
+                                worst_index=worst, residuals=tuple(residual.tolist()))
 
 
 @quiet_overflow
@@ -251,41 +247,52 @@ def _skew_fit(w: np.ndarray, sing: np.ndarray) -> np.ndarray:
 
 
 @quiet_overflow
+def _bound_certifies(frame: OperatorGraph, q: np.ndarray, a_hat: np.ndarray, tol: ToleranceConfig) -> bool:
+    """The one certificate: whether the bound B of a fit ``(q, a_hat)``, a_hat
+    antisymmetric, keeps every pair of ``frame`` within its margin.  By
+    ``_fit_parts``, exactly <ds, dx> = <dr, dxi> - <deta, G dxi> + <dw, de>
+    for G = q^T q - I, so every pairing is at most B = 4 (rho R + g H R +
+    omega eps), with maxima over the points (R of |xi|, H of |eta|).
+    ``bimonotone_check``'s rounding, gamma_{n+2} |ds| |dx|, is within
+    rel_tol |ds| |dx| / 2 if rel_tol >= 2 gamma_{n+2}, else B adds it at the
+    largest differences.  B <= (abs_tol + rel_tol / 2) (1 - 8 (n + 4) u) then
+    keeps every pair within its margin, unless the pass overflows, which the
+    guard on those differences rules out; a non-finite B certifies nothing."""
+    eps, omega, rho, xi, eta, gram = map(np.max, _fit_parts(frame.primal_matrix, frame.dual_matrix, q, a_hat))
+    n, u = frame.dimension, np.finfo(np.float64).eps / 2
+    gamma = (n + 2) * u / (1 - (n + 2) * u)
+    reach_x, reach_s = 2 * ((1 + gram) * xi + eps), 2 * ((1 + gram) * eta + omega)
+    bound = 4 * (rho * xi + gram * eta * xi + omega * eps)
+    bound += gamma * reach_x * reach_s if tol.rel_tol < 2 * gamma else 0.0
+    guard = (n + 2) * (tol.abs_tol + tol.rel_tol + 1) * (reach_x + reach_s + 1) ** 2
+    return bool(np.isfinite(guard) and bound <= (tol.abs_tol + tol.rel_tol / 2) * (1 - 8 * (n + 4) * u))
+
+
+@quiet_overflow
 def _certified_fit(g: OperatorGraph, centre: GraphPoint, tol: ToleranceConfig):
     """``(q, a_hat)`` for ``g`` translated by ``centre`` (its centre, or the
     origin when a pair sits there): the ``span_basis`` of the translated
     primal points X = u diag(sing) q^T, and the skew least-squares fit in its
-    coordinates from W = u^T S q, once ``g`` is certified bimonotone: by the
-    fit's own bound B when it is within budget, else by ``_certify``, which
-    then runs before anything here raises, such as a fit that overflows.
-
-    By ``_fit_parts``, exactly <ds, dx> = <dr, dxi> - <deta, G dxi> + <dw, de>
-    for G = q^T q - I and a_hat antisymmetric, so every pairing is at most
-    4 (rho R + g H R + omega eps), with maxima over the points (R of |xi|, H
-    of |eta|).  ``bimonotone_check``'s rounding, gamma_{n+2} |ds| |dx|, is
-    within rel_tol |ds| |dx| / 2 if rel_tol >= 2 gamma_{n+2}, else B adds it
-    at the largest differences.  B <= (abs_tol + rel_tol / 2) (1 - 8 (n + 4) u)
-    then keeps every pair within its margin, unless the pass overflows, which
-    the guard on those differences rules out."""
+    coordinates from W = u^T S q, once ``g`` is certified bimonotone: by
+    ``_bound_certifies``, else by ``_certify``, run before anything raises."""
     try:
         frame = translate(g, centre.x, centre.xstar)
         u_k, sing, q = _span_svd(frame.primal_matrix, tol)
         a_hat = _skew_fit(u_k.T @ (frame.dual_matrix @ q), sing)
         check_overflow(~np.isfinite(a_hat), lambda f: "the skew fit")
-        eps, omega, rho, xi, eta, gram = map(np.max, _fit_parts(frame.primal_matrix, frame.dual_matrix, q, a_hat))
-        n, u = g.dimension, np.finfo(np.float64).eps / 2
-        gamma = (n + 2) * u / (1 - (n + 2) * u)
-        reach_x, reach_s = 2 * ((1 + gram) * xi + eps), 2 * ((1 + gram) * eta + omega)
-        bound = 4 * (rho * xi + gram * eta * xi + omega * eps)
-        bound += gamma * reach_x * reach_s if tol.rel_tol < 2 * gamma else 0.0
-        guard = (n + 2) * (tol.abs_tol + tol.rel_tol + 1) * (reach_x + reach_s + 1) ** 2
-        certified = np.isfinite(guard) and bound <= (tol.abs_tol + tol.rel_tol / 2) * (1 - 8 * (n + 4) * u)
+        certified = _bound_certifies(frame, q, a_hat, tol)
     except Exception:
         _certify(g, tol)
         raise
     if not certified:
         _certify(g, tol)
     return q, a_hat
+
+
+def _centre(g: OperatorGraph) -> GraphPoint:
+    """The centre of ``g``, each coordinate a ``math.fsum``, exact, over the
+    point count; raises OverflowError when a sum overflows."""
+    return GraphPoint(*([math.fsum(c.tolist()) / len(c) for c in a.T] for a in (g.primal_matrix, g.dual_matrix)))
 
 
 @quiet_overflow
@@ -400,21 +407,17 @@ def decompose(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Ske
     Pipeline: translate the centre (xbar, sbar) of the sample to (0, 0),
     take one thin SVD of the translated primal points cut at the tolerance
     rank (the basis is its right factor, and the skew least-squares fit comes
-    from its other factors), and certify bimonotonicity from the fit in
-    O(m n k), or else by ``bimonotone_check``'s O(m^2 n) pass.  The centre, which
-    the document records as its ``basepoint``, takes each coordinate as an
-    exact ``math.fsum`` over m, so the order of the points cannot change it.
-    With v_hat = basis^T sbar - a_hat basis^T xbar, ``max_residual`` is the
-    fit's largest residual on ``g``, which ``verify_reconstruction`` allows.
+    from its other factors), and certify the sample.  The centre, recorded as
+    ``basepoint``, sums each coordinate exactly (``math.fsum``), so the order
+    of the points cannot change it.  With v_hat = basis^T sbar - a_hat basis^T xbar,
+    ``max_residual`` is the fit's largest residual on ``g``.
 
     Raises NotBimonotoneError, with ``bimonotone_check``'s report attached,
     exactly when the input fails it, and otherwise ValidationError when the
     centre, fit or a residual overflows.
     """
-    m = len(g.points)
     try:
-        centre = GraphPoint(*([math.fsum(c.tolist()) / m for c in a.T]
-                              for a in (g.primal_matrix, g.dual_matrix)))
+        centre = _centre(g)
     except OverflowError:
         _certify(g, tol)
         raise ValidationError("the centre of the sample overflows double precision; "
@@ -426,16 +429,26 @@ def decompose(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Ske
                              max_residual=fit.max_residual, skewness_defect=0.0)
 
 
-def verify_reconstruction(
-    dec: SkewDecomposition,
-    g: OperatorGraph,
-    tol: ToleranceConfig = DEFAULT_TOLERANCE,
-) -> ReconstructionReport:
-    """Check basis^T xstar = a_hat basis^T x + v_hat for every pair of ``g``,
-    within the larger of the margin and the document's own ``max_residual``."""
+def verify_reconstruction(dec: SkewDecomposition, g: OperatorGraph,
+                          tol: ToleranceConfig = DEFAULT_TOLERANCE) -> ReconstructionReport:
+    """Check basis^T xstar = a_hat basis^T x + v_hat for every pair of ``g``
+    within the larger of the margin and the document's ``max_residual``, then
+    certify ``g`` bimonotone as ``decompose`` does: by the bound of the
+    document's basis and a_hat on ``g`` translated by its own centre (not the
+    ``basepoint``), else, also when those overflow, by ``bimonotone_check``
+    (an O(m^2 n) pass: about 27 s at m = 20000, extrapolated from 0.62 s at
+    m = 3000).  So ``max_residual`` buys no verdict: a sample within it that
+    is not bimonotone raises NotBimonotoneError with the pair report, which
+    the command line writes as the not_bimonotone document, exit 1."""
     if g.dimension != dec.basis.ambient_dimension:
-        raise ValidationError(
-            f"graph lives in R^{g.dimension}, decomposition in "
-            f"R^{dec.basis.ambient_dimension}"
-        )
-    return _reconstruction(dec.basis.q, dec.a_hat, dec.v_hat, g, tol, dec.max_residual)
+        raise ValidationError(f"graph lives in R^{g.dimension}, decomposition in R^{dec.basis.ambient_dimension}")
+    report = _reconstruction(dec.basis.q, dec.a_hat, dec.v_hat, g, tol, dec.max_residual)
+    if report.verdict:
+        try:
+            centre = _centre(g)
+            certified = _bound_certifies(translate(g, centre.x, centre.xstar), dec.basis.q, dec.a_hat, tol)
+        except (OverflowError, ValidationError):  # an overflowing centre or frame
+            certified = False
+        if not certified:
+            _certify(g, tol)
+    return report

@@ -5,8 +5,8 @@ points, negating the duals, swapping primal and dual (``inverse_graph``),
 translating both clouds, the scaling (x, s) -> (c x, s / c), and the map
 (x, s) -> (P x, P^-T s) with P invertible.  Each test below asserts a cell
 measured at 0 on the first 2000 samples of the seeded boundary family of
-``test_recovery``, on seeded two-branch fixtures and on 30 seeded samples of
-each hard family of ``test_recovery`` (near_plane, near_duplicate,
+``families``, on seeded two-branch fixtures and on 30 seeded samples of
+each hard family of ``families`` (near_plane, near_duplicate,
 far_from_origin), at the default tolerance and at an abs-only one; the
 module runs the first 600 boundary samples, which keeps it under 10 s:
 
@@ -31,7 +31,7 @@ module runs the first 600 boundary samples, which keeps it under 10 s:
 - ``decompose`` skips the pair check only on a sample that passes it, at
   every tolerance of ``TOLERANCE_GRID``: on the first 200 boundary samples,
   the two-branch and hard samples, every tenth sample under each map, and
-  the converse and near-constant samples of ``test_recovery``.
+  the converse and near-constant samples of ``families``.
 
 A permutation may move a witness to another pair of equal violation, so
 only verdicts and worst violations are compared there.  On the boundary
@@ -73,8 +73,8 @@ from skewfit import (
     decompose,
     inverse_graph,
 )
-from test_recovery import (TOLERANCE_GRID, boundary_family, converse_family, hard_families,
-                           near_constant_family, pair_checks, two_branch_family)
+from families import (TOLERANCE_GRID, boundary_family, converse_family, hard_families,
+                      near_constant_family, two_branch_family)
 
 TOLERANCES = {"default": ToleranceConfig(), "abs-only": ToleranceConfig(abs_tol=1e-9, rel_tol=0.0)}
 

@@ -17,10 +17,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from skewfit import OperatorGraph, classify, decompose, make_fixture, perturb, save_graph
+from skewfit import (OperatorGraph, bimonotone_check, classify, decompose, dumps_canonical, make_fixture,
+                     perturb, save_graph)
 from skewfit import cli
 from skewfit.cli import run
 from skewfit.fixtures import FixtureSpec
+
+from families import off_plane_rotation
 
 SPEC = {"n": 4, "k": 2, "m": 6, "offset_norm": 1.0, "seed": 5}
 CONSTANT_SPEC = {"n": 3, "k": 3, "m": 5, "offset_norm": 2.0,
@@ -269,6 +272,23 @@ def test_verify_flags_tampered_graph(capsys, tmp_path):
     doc = json.loads(stdout)
     assert doc["verdict"] is False
     assert doc["worst_index"] == 4
+
+
+def test_verify_refuses_a_sample_that_is_not_bimonotone(capsys, tmp_path):
+    # every residual fits the document, but the sample is not bimonotone:
+    # verify exits 1 with the not_bimonotone document that decompose writes
+    g, dec = off_plane_rotation()
+    graph, doc = tmp_path / "graph.json", tmp_path / "dec.json"
+    graph.write_bytes(save_graph(g, "json"))
+    doc.write_text(dumps_canonical(dec.to_dict()))
+    code, stdout, stderr = invoke(capsys, "verify", str(doc), str(graph))
+    assert (code, stderr) == (1, "")
+    assert json.loads(stdout) == {
+        "error": "not_bimonotone",
+        "message": "sample is not bimonotone at tolerance (worst_violation 5.202522e+01 at pair (3, 7))",
+        "bimonotone": bimonotone_check(g).to_dict(),
+    }
+    assert invoke(capsys, "decompose", str(graph)) == (1, stdout, "")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import re
@@ -32,6 +33,8 @@ from skewfit import recovery
 from skewfit.fixtures import FixtureSpec
 
 import oracles
+from families import (HARD_FAMILIES, TOLERANCE_GRID, boundary_family, converse_document, converse_family,
+                      hard_families, hard_family_graph, off_plane_rotation, two_branch_family)
 
 
 # ---------------------------------------------------------------------------
@@ -423,104 +426,6 @@ def test_decompose_tiny_directions_fit_or_overflow():
         decompose(OperatorGraph.from_arrays(x, 1e9 * s), tol=tol)
 
 
-def boundary_family(count):
-    """Planted affine skew samples in R^2..R^5 with noise 10^U(-11, -7) at
-    primal scales 10^U(-2, 3), so the noise straddles the default tolerance."""
-    rng = np.random.default_rng(0)
-    for _ in range(count):
-        n, m = int(rng.integers(2, 6)), int(rng.integers(3, 31))
-        b = rng.normal(size=(n, n))
-        x = rng.normal(size=(m, n)) * 10 ** rng.uniform(-2, 3)
-        v = rng.normal(size=n)
-        eps = 10 ** rng.uniform(-11, -7)
-        s = x @ ((b - b.T) / 2).T + v + eps * rng.normal(size=(m, n))
-        yield OperatorGraph.from_arrays(x, s)
-
-
-def hard_family_graph(family, n, k, m, seed):
-    """A planted skew sample bent into one of the families that a rank rule
-    at machine precision or a square pivoted solve gets wrong."""
-    fix = make_fixture(FixtureSpec(n=n, k=k, m=m, offset_norm=1.0, seed=seed))
-    q = fix.truth.basis.q
-    x = fix.graph.primal_matrix
-    rng = np.random.Generator(np.random.Philox(seed + 1))  # not the fixture's stream
-    if family == "near_plane":
-        # every point within 1e-12 of the planted span, off it along one normal
-        raw = rng.normal(size=n)
-        normal = raw - q @ (q.T @ raw)
-        normal /= np.linalg.norm(normal)
-        x = x + 1e-12 * rng.normal(size=(m, 1)) * normal
-    elif family == "near_duplicate":
-        x = np.repeat(x, 2, axis=0)
-        x[1::2] += 1e-12 * rng.normal(size=(m, k)) @ q.T
-    else:  # far_from_origin
-        x = x + 1e6 * q @ rng.normal(size=k)
-    return OperatorGraph.from_arrays(x, x @ fix.truth.operator.T + fix.truth.offset)
-
-
-HARD_FAMILIES = ("near_plane", "near_duplicate", "far_from_origin")
-
-
-def hard_families(count):
-    """``count`` seeded samples of each hard family, in the order of
-    ``HARD_FAMILIES``, drawn as ``test_certified_hard_families_decompose_and_verify``
-    draws them."""
-    rng = np.random.default_rng(2)
-    for family in HARD_FAMILIES:
-        for _ in range(count):
-            n = int(rng.integers(2, 8))
-            k = int(rng.integers(1, n if family == "near_plane" else n + 1))
-            m = int(rng.integers(k + 1, 31))
-            yield hard_family_graph(family, n, k, m, int(rng.integers(2**32)))
-
-
-def two_branch_family(count):
-    """Planted samples with two duals per point, some of them constant and
-    some with orthogonal components on their branches."""
-    rng = np.random.default_rng(1)
-    for seed in range(count):
-        n = int(rng.integers(2, 6))
-        yield make_fixture(FixtureSpec(
-            n=n, k=int(rng.integers(1, n + 1)), m=int(rng.integers(3, 16)), branches=2,
-            offset_norm=1.0, noise_orthogonal=float(rng.uniform(0, 2)),
-            zero_operator=seed % 4 == 0, seed=seed)).graph
-
-
-def converse_family(count):
-    """Samples in R^3 whose planted decomposition (basis e_1, e_2, a_hat the
-    rotation A = [[0, b], [-b, 0]], v_hat = 0) verifies while the sample need
-    not be bimonotone: x = (xi, +-10^U(-11, -8)) sits just off the span, and
-    s = (A xi, 10^U(2, 7) N(0, 1)) has large duals orthogonal to it."""
-    rng = np.random.default_rng(11)
-    for _ in range(count):
-        m, b = int(rng.integers(10, 40)), rng.normal()
-        off, far = 10 ** rng.uniform(-11, -8), 10 ** rng.uniform(2, 7)
-        xi = rng.normal(size=(m, 2))
-        x = np.column_stack([xi, off * rng.choice([-1.0, 1.0], size=m)])
-        s = np.column_stack([xi @ np.array([[0.0, b], [-b, 0.0]]).T, far * rng.normal(size=m)])
-        yield OperatorGraph.from_arrays(x, s)
-
-
-def near_constant_family(count):
-    """Samples in R^2..R^4 with duals within 10^U(-12, -8) N(0, 1) of one
-    point c ~ N(0, I), over primal clouds of scale 10^U(-3, 6)."""
-    rng = np.random.default_rng(7)
-    for _ in range(count):
-        n, m = int(rng.integers(2, 5)), int(rng.integers(5, 40))
-        x = 10 ** rng.uniform(-3, 6) * rng.normal(size=(m, n))
-        s = rng.normal(size=n) + 10 ** rng.uniform(-12, -8) * rng.normal(size=(m, n))
-        yield OperatorGraph.from_arrays(x, s)
-
-
-@pytest.fixture
-def pair_checks(monkeypatch):
-    """The reports of every ``bimonotone_check`` that recovery runs."""
-    reports = []
-    monkeypatch.setattr(recovery, "bimonotone_check",
-                        lambda g, tol: reports.append(bimonotone_check(g, tol)) or reports[-1])
-    return reports
-
-
 def test_a_certified_fit_skips_the_pair_check(pair_checks):
     # the fit's own bound certifies a planted sample: neither decompose nor
     # build_skew_operator runs the O(m^2 n) pass
@@ -561,10 +466,6 @@ def test_every_error_waits_for_the_pair_check(case, pair_checks):
     # the same sample with that dual put back is bimonotone, and overflows
     with pytest.raises(ValidationError, match="^" + re.escape(error) + " overflows double precision"):
         decompose(OperatorGraph.from_arrays(x, np.where(np.abs(s) == 1.0, 0.0, s)), tol)
-
-
-# (abs_tol, rel_tol) in {1e-12, 1e-9, 1e-6} x {0, 1e-9, 1e-6}
-TOLERANCE_GRID = [ToleranceConfig(a, r) for a in (1e-12, 1e-9, 1e-6) for r in (0.0, 1e-9, 1e-6)]
 
 
 @functools.cache
@@ -673,21 +574,86 @@ def test_verify_flags_in_span_perturbation():
 def test_verify_allows_the_documents_max_residual():
     # a document claims its fit within max_residual: a point off the fit by
     # less than that passes even beyond its margin of 2e-9, and a false
-    # verdict names a point that fails, not the one with the largest residual
+    # verdict names a point that fails, not the one with the largest residual;
+    # every primal difference lies along e_1 and every misfit along e_2, so
+    # no pairing moves and the sample stays bimonotone
     a0 = np.array([[0.0, 1.0], [-1.0, 0.0]])
     dec = SkewDecomposition(basis=OrthonormalBasis(np.eye(2)), a_hat=a0, v_hat=np.zeros(2),
                             basepoint=GraphPoint([0.0, 0.0], [0.0, 0.0]),
                             max_residual=1e-6, skewness_defect=0.0)
     x = np.array([[0.0, 0.0], [1.0, 0.0], [1e6, 0.0]])
     s = x @ a0.T
-    s[1, 0] += 5e-7
+    s[1, 1] += 5e-7
     rep = verify_reconstruction(dec, OperatorGraph.from_arrays(x, s))
     assert rep.verdict and rep.worst_index == 1
-    s[1, 0] += 2e-6  # now beyond max_residual, and beyond its margin
-    s[2, 0] += 5e-4  # half the margin at scale 1e6, five hundred times max_residual
+    s[1, 1] += 2e-6  # now beyond max_residual, and beyond its margin
+    s[2, 1] += 5e-4  # half the margin at scale 1e6, five hundred times max_residual
     rep = verify_reconstruction(dec, OperatorGraph.from_arrays(x, s))
     assert not rep.verdict and rep.worst_index == 1
     assert rep.max_residual == pytest.approx(5e-4) and rep.residuals[1] == pytest.approx(2.5e-6)
+    # the same misfit along e_1 makes the pairing of points 0 and 1 5e-7,
+    # and max_residual buys no verdict on a sample that is not bimonotone
+    s = x @ a0.T
+    s[1, 0] += 5e-7
+    g = OperatorGraph.from_arrays(x, s)
+    with pytest.raises(NotBimonotoneError) as refused:
+        verify_reconstruction(dec, g)
+    assert refused.value.report == bimonotone_check(g) and refused.value.report.witness == (0, 1)
+
+
+def test_verify_refuses_a_planted_rotation_off_its_plane():
+    # the primal points sit 1.5e-9 off the plane of the document, and the
+    # duals off it are 1e6: every residual on the plane is 0, yet the
+    # sample is not bimonotone, and verify refuses it with the pair report
+    g, dec = off_plane_rotation()
+    assert recovery._reconstruction(dec.basis.q, dec.a_hat, dec.v_hat, g, ToleranceConfig(), 0.0).verdict
+    report = bimonotone_check(g)
+    assert not report.verdict and report.witness == (3, 7) and round(report.worst_violation, 2) == 52.03
+    with pytest.raises(NotBimonotoneError) as refused:
+        verify_reconstruction(dec, g)
+    assert refused.value.report == report
+    assert str(refused.value) == ("sample is not bimonotone at tolerance "
+                                  "(worst_violation 5.202522e+01 at pair (3, 7))")
+
+
+def test_verify_refuses_a_claimed_max_residual():
+    # a document of a planted skew map fails on duals 1e3 N(0, 1) over the
+    # same points; claiming a max_residual of 1e300 passes the residual rule
+    # but not the certificate, since the sample is far from bimonotone
+    rng = np.random.default_rng(0)
+    x, b = rng.normal(size=(20, 3)), rng.normal(size=(3, 3))
+    dec = decompose(OperatorGraph.from_arrays(x, x @ (b - b.T).T))
+    g = OperatorGraph.from_arrays(x, 1e3 * rng.normal(size=(20, 3)))
+    assert not verify_reconstruction(dec, g).verdict
+    claim = dataclasses.replace(dec, max_residual=1e300)
+    with pytest.raises(NotBimonotoneError) as refused:
+        verify_reconstruction(claim, g)
+    assert refused.value.report == bimonotone_check(g) and not refused.value.report.verdict
+
+
+def test_verify_passes_exactly_the_bimonotone_converse_samples():
+    # the paper's "if" direction at every tolerance of the grid: a planted
+    # document, or decompose's own, verifies a converse sample exactly when
+    # the sample passes the pair check, and a refusal carries its report
+    mismatches, verified = [], []
+    for tol in TOLERANCE_GRID:
+        count = 0
+        for i, g in enumerate(converse_family(60)):
+            report = bimonotone_check(g, tol)
+            try:
+                planted = verify_reconstruction(converse_document(g), g, tol).verdict
+            except NotBimonotoneError as exc:
+                planted = exc.report == report and None
+            try:
+                made = verify_reconstruction(decompose(g, tol), g, tol).verdict
+            except NotBimonotoneError as exc:
+                made = exc.report == report and None
+            if (planted, made) != ((True, True) if report.verdict else (None, None)):
+                mismatches.append((tol, i, planted, made))
+            count += planted is True
+        verified.append(count)
+    assert mismatches == []
+    assert 0 in verified and 60 in verified and any(0 < c < 60 for c in verified)
 
 
 def test_verify_ignores_orthogonal_perturbation():
