@@ -12,8 +12,8 @@ bound, else ``bimonotone_check``'s O(m^2 n) pass, and refuse exactly what
 that check refuses: NotBimonotoneError with its report (on the command line,
 the not_bimonotone document, exit 1).  A document's ``max_residual`` widens
 the residual rule of ``verify_reconstruction`` but buys no verdict.  A
-bimonotone sample that the bound misses pays the pass (unmeasured at
-m = 20000; about 27 s, extrapolated from 0.62 s at m = 3000).
+bimonotone sample that the bound misses pays the pass (36-43 s for
+``verify`` at m = 20000, n = 20, measured on a 2-vCPU Intel Xeon).
 
 Dual components orthogonal to the span are invisible to the reduction and
 discarded; residuals are measured after projection onto the span.  Off it, a
@@ -41,7 +41,6 @@ from .graphs import (
     finite_array,
     nonnegative,
     quiet_overflow,
-    translate,
 )
 
 __all__ = [
@@ -203,28 +202,6 @@ def _reconstruction(q, a_hat, v_hat, g: OperatorGraph, tol: ToleranceConfig, all
                                 worst_index=worst, residuals=tuple(residual.tolist()))
 
 
-@quiet_overflow
-def _fit_parts(x: np.ndarray, s: np.ndarray, q: np.ndarray, a_hat: np.ndarray):
-    """``(eps, omega, rho, xi, eta, g)``: for each row of the primal and dual
-    ``x``, ``s`` in the frame of the fit ``(q, a_hat)``, upper bounds of |e_i|,
-    |w_i|, |r_i|, |xi_i| and |eta_i|, exact in the float inputs with
-    xi_i = q^T x_i, e_i = x_i - q xi_i (off the span), eta_i = q^T s_i,
-    w_i = s_i - q eta_i and r_i = eta_i - a_hat xi_i (the fit's residual), and
-    g >= ||q^T q - I||_2.  Each norm is padded by 2^-500, beyond underflow, and
-    by tau = 4 (n + k + 4) sqrt(k + 1) (1 + g)^2 u times its row's norm (|x_i|,
-    |s_i|, or |s_i| + ||a_hat|| |x_i| for r), beyond the rounding of a
-    translated row and of each step here (Higham, Accuracy and Stability of
-    Numerical Algorithms, ch. 3).  An overflow leaves non-finite values."""
-    (n, k), u = q.shape, np.finfo(np.float64).eps / 2
-    g = 2.0 * (np.linalg.norm(q.T @ q - np.eye(k)) + k * (n + 2) * u)
-    tau = 4 * (n + k + 4) * math.sqrt(k + 1) * (1.0 + g) ** 2 * u
-    size_x, size_s = (tau * np.linalg.norm(v, axis=1) for v in (x, s))
-    xi, eta = x @ q, s @ q
-    parts = (x - xi @ q.T, s - eta @ q.T, eta - xi @ a_hat.T, xi, eta)
-    pads = (size_x, size_s, size_s + np.linalg.norm(a_hat) * size_x, size_x, size_s)
-    return (*(np.linalg.norm(v, axis=1) + p + 2.0**-500 for v, p in zip(parts, pads)), g)
-
-
 def _certify(g: OperatorGraph, tol: ToleranceConfig) -> None:
     """The one refusal: NotBimonotoneError, with the report attached, unless
     ``bimonotone_check`` passes on ``g``."""
@@ -247,19 +224,33 @@ def _skew_fit(w: np.ndarray, sing: np.ndarray) -> np.ndarray:
 
 
 @quiet_overflow
-def _bound_certifies(frame: OperatorGraph, q: np.ndarray, a_hat: np.ndarray, tol: ToleranceConfig) -> bool:
+def _bound_certifies(x: np.ndarray, s: np.ndarray, q: np.ndarray, a_hat: np.ndarray,
+                     tol: ToleranceConfig) -> bool:
     """The one certificate: whether the bound B of a fit ``(q, a_hat)``, a_hat
-    antisymmetric, keeps every pair of ``frame`` within its margin.  By
-    ``_fit_parts``, exactly <ds, dx> = <dr, dxi> - <deta, G dxi> + <dw, de>
-    for G = q^T q - I, so every pairing is at most B = 4 (rho R + g H R +
-    omega eps), with maxima over the points (R of |xi|, H of |eta|).
+    antisymmetric, keeps every pair of the primal and dual rows ``x``, ``s``
+    within its margin.  With xi_i = q^T x_i, e_i = x_i - q xi_i (off the span),
+    eta_i = q^T s_i, w_i = s_i - q eta_i and r_i = eta_i - a_hat xi_i (the fit's
+    residual), exactly <ds, dx> = <dr, dxi> - <deta, G dxi> + <dw, de> for
+    G = q^T q - I, so every pairing is at most B = 4 (rho R + g H R + omega eps),
+    with g >= ||G||_2 and maxima over the points of upper bounds of |r| (rho),
+    |xi| (R), |eta| (H), |w| (omega) and |e| (eps).  Each norm is padded by
+    2^-500, beyond underflow, and by tau = 4 (n + k + 4) sqrt(k + 1) (1 + g)^2 u
+    times its row's norm (|x_i|, |s_i|, or |s_i| + ||a_hat|| |x_i| for r),
+    beyond the rounding of a centred row and of each step here (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 3).
     ``bimonotone_check``'s rounding, gamma_{n+2} |ds| |dx|, is within
     rel_tol |ds| |dx| / 2 if rel_tol >= 2 gamma_{n+2}, else B adds it at the
     largest differences.  B <= (abs_tol + rel_tol / 2) (1 - 8 (n + 4) u) then
     keeps every pair within its margin, unless the pass overflows, which the
     guard on those differences rules out; a non-finite B certifies nothing."""
-    eps, omega, rho, xi, eta, gram = map(np.max, _fit_parts(frame.primal_matrix, frame.dual_matrix, q, a_hat))
-    n, u = frame.dimension, np.finfo(np.float64).eps / 2
+    (n, k), u = q.shape, np.finfo(np.float64).eps / 2
+    gram = 2.0 * (np.linalg.norm(q.T @ q - np.eye(k)) + k * (n + 2) * u)
+    tau = 4 * (n + k + 4) * math.sqrt(k + 1) * (1.0 + gram) ** 2 * u
+    size_x, size_s = (tau * np.linalg.norm(v, axis=1) for v in (x, s))
+    xi, eta = x @ q, s @ q
+    parts = (x - xi @ q.T, s - eta @ q.T, eta - xi @ a_hat.T, xi, eta)
+    pads = (size_x, size_s, size_s + np.linalg.norm(a_hat) * size_x, size_x, size_s)
+    eps, omega, rho, xi, eta = (np.max(np.linalg.norm(v, axis=1) + p + 2.0**-500) for v, p in zip(parts, pads))
     gamma = (n + 2) * u / (1 - (n + 2) * u)
     reach_x, reach_s = 2 * ((1 + gram) * xi + eps), 2 * ((1 + gram) * eta + omega)
     bound = 4 * (rho * xi + gram * eta * xi + omega * eps)
@@ -269,24 +260,26 @@ def _bound_certifies(frame: OperatorGraph, q: np.ndarray, a_hat: np.ndarray, tol
 
 
 @quiet_overflow
-def _certified_fit(g: OperatorGraph, centre: GraphPoint, tol: ToleranceConfig):
-    """``(q, a_hat)`` for ``g`` translated by ``centre`` (its centre, or the
-    origin when a pair sits there): the ``span_basis`` of the translated
-    primal points X = u diag(sing) q^T, and the skew least-squares fit in its
-    coordinates from W = u^T S q, once ``g`` is certified bimonotone: by
-    ``_bound_certifies``, else by ``_certify``, run before anything raises."""
+def _certified(g: OperatorGraph, centre: GraphPoint, tol: ToleranceConfig, fit=None):
+    """The fit ``(q, a_hat)`` of the rows of ``g`` less ``centre``, once ``g``
+    is certified bimonotone: by ``_bound_certifies`` on those rows, else by
+    ``_certify``, run before anything raises.  Without a given ``fit`` it is
+    the ``span_basis`` q of the primal rows X = u diag(sing) q^T and the skew
+    least-squares fit in its coordinates from W = u^T S q."""
     try:
-        frame = translate(g, centre.x, centre.xstar)
-        u_k, sing, q = _span_svd(frame.primal_matrix, tol)
-        a_hat = _skew_fit(u_k.T @ (frame.dual_matrix @ q), sing)
-        check_overflow(~np.isfinite(a_hat), lambda f: "the skew fit")
-        certified = _bound_certifies(frame, q, a_hat, tol)
+        x, s = g.primal_matrix - centre.x, g.dual_matrix - centre.xstar
+        if fit is None:
+            u_k, sing, q = _span_svd(x, tol)
+            a_hat = _skew_fit(u_k.T @ (s @ q), sing)
+            check_overflow(~np.isfinite(a_hat), lambda f: "the skew fit")
+            fit = q, a_hat
+        certified = _bound_certifies(x, s, *fit, tol)
     except Exception:
         _certify(g, tol)
         raise
     if not certified:
         _certify(g, tol)
-    return q, a_hat
+    return fit
 
 
 def _centre(g: OperatorGraph) -> GraphPoint:
@@ -315,7 +308,7 @@ def build_skew_operator(
             "reduced graph does not contain (0, 0); translate by a graph point first"
         )
     k = rg.dimension
-    q, c = _certified_fit(rg, GraphPoint(np.zeros(k), np.zeros(k)), tol)
+    q, c = _certified(rg, GraphPoint(np.zeros(k), np.zeros(k)), tol)
     if q.shape[1] < k:
         raise InternalInconsistencyError(
             f"reduced primal points span only {q.shape[1]} of {k} directions; "
@@ -422,7 +415,7 @@ def decompose(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Ske
         _certify(g, tol)
         raise ValidationError("the centre of the sample overflows double precision; "
                               "rescale the sample") from None
-    q, a_hat = _certified_fit(g, centre, tol)
+    q, a_hat = _certified(g, centre, tol)
     v_hat = q.T @ centre.xstar - a_hat @ (q.T @ centre.x)
     fit = _reconstruction(q, a_hat, v_hat, g, tol, 0.0)
     return SkewDecomposition(basis=OrthonormalBasis(q), a_hat=a_hat, v_hat=v_hat, basepoint=centre,
@@ -434,10 +427,10 @@ def verify_reconstruction(dec: SkewDecomposition, g: OperatorGraph,
     """Check basis^T xstar = a_hat basis^T x + v_hat for every pair of ``g``
     within the larger of the margin and the document's ``max_residual``, then
     certify ``g`` bimonotone as ``decompose`` does: by the bound of the
-    document's basis and a_hat on ``g`` translated by its own centre (not the
+    document's basis and a_hat on ``g`` less its own centre (not the
     ``basepoint``), else, also when those overflow, by ``bimonotone_check``
-    (an O(m^2 n) pass: about 27 s at m = 20000, extrapolated from 0.62 s at
-    m = 3000).  So ``max_residual`` buys no verdict: a sample within it that
+    (an O(m^2 n) pass: 36-43 s at m = 20000, n = 20, measured on a 2-vCPU
+    Intel Xeon).  So ``max_residual`` buys no verdict: a sample within it that
     is not bimonotone raises NotBimonotoneError with the pair report, which
     the command line writes as the not_bimonotone document, exit 1."""
     if g.dimension != dec.basis.ambient_dimension:
@@ -446,9 +439,8 @@ def verify_reconstruction(dec: SkewDecomposition, g: OperatorGraph,
     if report.verdict:
         try:
             centre = _centre(g)
-            certified = _bound_certifies(translate(g, centre.x, centre.xstar), dec.basis.q, dec.a_hat, tol)
-        except (OverflowError, ValidationError):  # an overflowing centre or frame
-            certified = False
-        if not certified:
+        except OverflowError:
             _certify(g, tol)
+        else:
+            _certified(g, centre, tol, (dec.basis.q, dec.a_hat))
     return report

@@ -41,19 +41,21 @@ other maps change these answers (samples flipped, as bimonotone verdict /
 describe the program as it is, nothing pins them, and the last column names
 the item of ROADMAP.md meant to bring them to 0:
 
-| map                     | default   | abs-only | hard, default | hard, abs-only | item |
-|-------------------------|-----------|----------|---------------|----------------|------|
-| c = 0.01                | 0 / 0     | 0 / 0    | 0 / 0         | 2 / 2          | 6    |
-| c = 100                 | 0 / 0     | 0 / 0    | 0 / 0         | 3 / 3          | 6    |
-| random P                | 96 / 96   | 0 / 0    | 2 / 2         | 9 / 9          | 6    |
+| map                     | default   | abs-only | hard, default | hard, abs-only | item         |
+|-------------------------|-----------|----------|---------------|----------------|--------------|
+| c = 0.01                | 0 / 0     | 0 / 0    | 0 / 0         | 2 / 2          | 6            |
+| c = 100                 | 0 / 0     | 0 / 0    | 0 / 0         | 3 / 3          | 6            |
+| random P                | 96 / 96   | 0 / 0    | 2 / 2         | 9 / 9          | none planned |
 
 On the module's own 710 samples the non-zero cells read 24 / 24 for random
 P at the default tolerance, and 2 / 2, 3 / 3 and 9 / 9 for c = 0.01,
 c = 100 and random P at abs-only.
 
 Under P the default tolerance moves the bimonotone verdict because its
-margin scales with |ds| |dx|, which P changes: the units of item 6.  At
-abs-only tolerance a far_from_origin pairing carries the rounding of points
+relative margin scales with |ds| |dx|, which P changes.  Item 6 states the
+constant rule in pairing units and leaves that margin as it is, so its
+route leaves the random P cells as they are, and no item is planned for
+them.  At abs-only tolerance a far_from_origin pairing carries the rounding of points
 near |x| ~ 10^6, about 10^-10 per coordinate, so it sits at the margin: a
 rescaling that moves that rounding moves the verdict, and 11 of the 30
 far_from_origin samples are not bimonotone there.

@@ -291,6 +291,30 @@ def test_verify_refuses_a_sample_that_is_not_bimonotone(capsys, tmp_path):
     assert invoke(capsys, "decompose", str(graph)) == (1, stdout, "")
 
 
+RANK_ONE = (b'{"basis": [[1.0]], "a_hat": [[0.0]], "v_hat": [0.0], "basepoint": {"x": [0.0], "xstar": [0.0]}, '
+            b'"max_residual": 0.0, "skewness_defect": 0.0}')
+# two equal points whose sum overflows, and three whose centre is finite but
+# whose second row less that centre is not
+CENTRE_OVERFLOW = b'{"dimension": 1, "points": [{"x": [1e308], "xstar": [0.0]}, {"x": [1e308], "xstar": [0.0]}]}'
+CENTRED_ROW_OVERFLOW = (b'{"dimension": 1, "points": [{"x": [1.7e308], "xstar": [0.0]}, '
+                        b'{"x": [-1.7e308], "xstar": [0.0]}, {"x": [1.7e308], "xstar": [0.0]}]}')
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_overflows_are_decided_by_the_pair_check(capsys, tmp_path):
+    doc, centre, row = tmp_path / "dec.json", tmp_path / "centre.json", tmp_path / "row.json"
+    doc.write_bytes(RANK_ONE)
+    centre.write_bytes(CENTRE_OVERFLOW)
+    row.write_bytes(CENTRED_ROW_OVERFLOW)
+    code, stdout, stderr = invoke(capsys, "verify", str(doc), str(centre))
+    assert (code, stderr) == (0, "") and json.loads(stdout)["verdict"] is True
+    assert invoke(capsys, "decompose", str(centre)) == (
+        2, "", "skewfit: error: the centre of the sample overflows double precision; rescale the sample\n")
+    for argv in (["verify", str(doc), str(row)], ["decompose", str(row)]):
+        assert invoke(capsys, *argv) == (
+            2, "", "skewfit: error: pair (0, 1) overflows double precision; rescale the sample\n")
+
+
 # ---------------------------------------------------------------------------
 # error handling and process-level behavior
 # ---------------------------------------------------------------------------

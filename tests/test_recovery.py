@@ -656,6 +656,36 @@ def test_verify_passes_exactly_the_bimonotone_converse_samples():
     assert 0 in verified and 60 in verified and any(0 < c < 60 for c in verified)
 
 
+# a rank-1 document that every sample with zero duals fits with residual 0
+RANK_ONE = SkewDecomposition(basis=OrthonormalBasis([[1.0]]), a_hat=[[0.0]], v_hat=[0.0],
+                             basepoint=GraphPoint([0.0], [0.0]), max_residual=0.0, skewness_defect=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_lets_the_pair_check_decide_a_centre_beyond_double_range(pair_checks):
+    # two equal points at 1e308: the sum of the centre overflows, the pair
+    # check passes, and verify keeps its residual report; decompose has no
+    # centre to record and still refuses the sample
+    g = OperatorGraph.from_arrays([[1e308], [1e308]], [[0.0], [0.0]])
+    report = verify_reconstruction(RANK_ONE, g)
+    assert report.verdict and report.residuals == (0.0, 0.0)
+    assert len(pair_checks) == 1 and pair_checks[0].verdict
+    with pytest.raises(ValidationError, match="^the centre of the sample overflows double precision"):
+        decompose(g)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", ["verify", "decompose"])
+def test_a_centred_row_beyond_double_range_waits_for_the_pair_check(call):
+    # the centre 1.7e308 / 3 is finite, but the second row less it is not:
+    # the overflow of the pair check decides, for verify as for decompose
+    g = OperatorGraph.from_arrays([[1.7e308], [-1.7e308], [1.7e308]], np.zeros((3, 1)))
+    assert recovery._reconstruction(RANK_ONE.basis.q, RANK_ONE.a_hat, RANK_ONE.v_hat, g,
+                                    ToleranceConfig(), 0.0).verdict
+    with pytest.raises(ValidationError, match=r"^pair \(0, 1\) overflows double precision"):
+        verify_reconstruction(RANK_ONE, g) if call == "verify" else decompose(g)
+
+
 def test_verify_ignores_orthogonal_perturbation():
     fix = planted_fixture(seed=41)
     dec = decompose(fix.graph)
