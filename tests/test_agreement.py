@@ -55,10 +55,11 @@ Under P the default tolerance moves the bimonotone verdict because its
 relative margin scales with |ds| |dx|, which P changes.  Item 6 states the
 constant rule in pairing units and leaves that margin as it is, so its
 route leaves the random P cells as they are, and no item is planned for
-them.  At abs-only tolerance a far_from_origin pairing carries the rounding of points
-near |x| ~ 10^6, about 10^-10 per coordinate, so it sits at the margin: a
-rescaling that moves that rounding moves the verdict, and 11 of the 30
-far_from_origin samples are not bimonotone there.
+them.  At abs-only tolerance a far_from_origin pairing carries the
+rounding of points near |x| ~ 10^6, about 10^-10 per coordinate, so it
+sits at the margin: a rescaling that moves that rounding moves the
+verdict, and 11 of the 30 far_from_origin samples are not bimonotone
+there.
 """
 
 import functools
