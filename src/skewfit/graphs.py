@@ -16,7 +16,6 @@ graph inversion, which is an involution.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import numbers
@@ -446,8 +445,6 @@ def _graph_from_json(doc: dict) -> OperatorGraph:
             _row(x, f"points[{i}].x", dim)
             _row(s, f"points[{i}].xstar", dim)
     primal, dual = ([entry[key] for entry in raw_points] for key in _POINT_KEYS)
-    if set(map(type, itertools.chain.from_iterable(primal + dual))) <= {float}:
-        primal, dual = np.array(primal), np.array(dual)  # no leaf needs the array rule's message
     return OperatorGraph.from_arrays(primal, dual)
 
 

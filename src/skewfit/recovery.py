@@ -8,12 +8,12 @@ reduced dual coordinates is linear and skew-symmetric.  ``decompose`` and
 primal points, cut at the rank of ``span_basis``, whose factors give both
 the span and the skew least-squares fit in closed form.  With
 ``verify_reconstruction`` they share one certificate, a fit's O(m n k)
-bound, else ``bimonotone_check``'s O(m^2 n) pass, and refuse exactly what
-that check refuses: NotBimonotoneError with its report (on the command line,
-the not_bimonotone document, exit 1).  A document's ``max_residual`` widens
-the residual rule of ``verify_reconstruction`` but buys no verdict.  A
-bimonotone sample that the bound misses pays the pass (36-43 s for
-``verify`` at m = 20000, n = 20, measured on a 2-vCPU Intel Xeon).
+bound, else ``bimonotone_check``'s O(m^2 n) pass (36-43 s for ``verify`` at
+m = 20000, n = 20, measured on a 2-vCPU Intel Xeon), and refuse exactly
+what that check refuses: NotBimonotoneError with its report (on the command
+line, the not_bimonotone document, exit 1).  The pass decides first also
+when the exactly summed centre overflows; ``_centre`` then gives None, which
+``decompose`` refuses and ``verify_reconstruction`` leaves to its residuals.
 
 Dual components orthogonal to the span are invisible to the reduction and
 discarded; residuals are measured after projection onto the span.  Off it, a
@@ -282,10 +282,13 @@ def _certified(g: OperatorGraph, centre: GraphPoint, tol: ToleranceConfig, fit=N
     return fit
 
 
-def _centre(g: OperatorGraph) -> GraphPoint:
-    """The centre of ``g``, each coordinate a ``math.fsum``, exact, over the
-    point count; raises OverflowError when a sum overflows."""
-    return GraphPoint(*([math.fsum(c.tolist()) / len(c) for c in a.T] for a in (g.primal_matrix, g.dual_matrix)))
+def _centre(g: OperatorGraph, tol: ToleranceConfig) -> GraphPoint | None:
+    """The exact (``math.fsum``) centre of ``g``; on overflow ``_certify`` decides, then None."""
+    try:
+        return GraphPoint(*([math.fsum(c.tolist()) / len(c) for c in a.T] for a in (g.primal_matrix, g.dual_matrix)))
+    except OverflowError:
+        _certify(g, tol)
+        return None
 
 
 @quiet_overflow
@@ -409,12 +412,10 @@ def decompose(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Ske
     exactly when the input fails it, and otherwise ValidationError when the
     centre, fit or a residual overflows.
     """
-    try:
-        centre = _centre(g)
-    except OverflowError:
-        _certify(g, tol)
+    centre = _centre(g, tol)
+    if centre is None:
         raise ValidationError("the centre of the sample overflows double precision; "
-                              "rescale the sample") from None
+                              "rescale the sample")
     q, a_hat = _certified(g, centre, tol)
     v_hat = q.T @ centre.xstar - a_hat @ (q.T @ centre.x)
     fit = _reconstruction(q, a_hat, v_hat, g, tol, 0.0)
@@ -425,22 +426,15 @@ def decompose(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Ske
 def verify_reconstruction(dec: SkewDecomposition, g: OperatorGraph,
                           tol: ToleranceConfig = DEFAULT_TOLERANCE) -> ReconstructionReport:
     """Check basis^T xstar = a_hat basis^T x + v_hat for every pair of ``g``
-    within the larger of the margin and the document's ``max_residual``, then
-    certify ``g`` bimonotone as ``decompose`` does: by the bound of the
-    document's basis and a_hat on ``g`` less its own centre (not the
-    ``basepoint``), else, also when those overflow, by ``bimonotone_check``
-    (an O(m^2 n) pass: 36-43 s at m = 20000, n = 20, measured on a 2-vCPU
-    Intel Xeon).  So ``max_residual`` buys no verdict: a sample within it that
-    is not bimonotone raises NotBimonotoneError with the pair report, which
-    the command line writes as the not_bimonotone document, exit 1."""
+    within the larger of the margin and the document's ``max_residual``; if
+    all pass, certify ``g`` as ``decompose`` does, on ``g`` less its own centre
+    (not the ``basepoint``) with the document's basis and a_hat.  When that
+    centre overflows, the pair check runs first, and a sample that passes it
+    keeps its residual report.  So ``max_residual`` buys no verdict: a sample
+    within it that is not bimonotone raises NotBimonotoneError."""
     if g.dimension != dec.basis.ambient_dimension:
         raise ValidationError(f"graph lives in R^{g.dimension}, decomposition in R^{dec.basis.ambient_dimension}")
     report = _reconstruction(dec.basis.q, dec.a_hat, dec.v_hat, g, tol, dec.max_residual)
-    if report.verdict:
-        try:
-            centre = _centre(g)
-        except OverflowError:
-            _certify(g, tol)
-        else:
-            _certified(g, centre, tol, (dec.basis.q, dec.a_hat))
+    if report.verdict and (centre := _centre(g, tol)) is not None:
+        _certified(g, centre, tol, (dec.basis.q, dec.a_hat))
     return report

@@ -2,6 +2,7 @@ import argparse
 import copy
 import functools
 import gc
+import io
 import json
 import math
 import operator
@@ -570,6 +571,13 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert not (tmp_path / "o.json").exists()
     code, stdout, stderr = invoke(capsys, "analyze", "--help")
     assert code == 0 and stdout.startswith("usage: skewfit analyze") and stderr == ""
+
+
+def test_help_to_a_given_file_is_argparse_s(capsys):
+    # only help bound for stdout goes through the document writer
+    out = io.StringIO()
+    cli.build_parser().print_help(out)
+    assert out.getvalue().startswith("usage: skewfit") and capsys.readouterr() == ("", "")
 
 
 def test_integer_flags_past_the_digit_limit_exit_2(capsys, tmp_path):

@@ -25,7 +25,7 @@ from skewfit import (
     span_basis,
     translate,
 )
-from skewfit.fixtures import FixtureSpec
+from skewfit.fixtures import FixtureSpec, _unit
 
 import oracles
 
@@ -187,6 +187,14 @@ def test_fixture_redraws_a_domain_sample_that_fails_to_span(monkeypatch):
     with pytest.raises(InternalInconsistencyError,
                        match="^domain sample failed to span the planted subspace twice in a row$"):
         make_fixture(FixtureSpec(n=4, k=2, m=5, seed=3))
+
+
+def test_unit_refuses_a_zero_vector():
+    # no Gaussian draw or projection of one is exactly zero, so no spec
+    # reaches this guard; a direct call does
+    np.testing.assert_array_equal(_unit(np.array([[3.0, 4.0]])), [[0.6, 0.8]])
+    with pytest.raises(InternalInconsistencyError, match="^cannot normalize a zero vector$"):
+        _unit(np.array([[3.0, 4.0], [0.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,15 @@ def test_graph_point_dimension_checked():
     assert OperatorGraph(np.eye(2), np.eye(2)) == OperatorGraph.from_arrays(np.eye(2), np.eye(2))
 
 
+def test_points_and_graphs_compare_and_print_as_values():
+    g = simple_graph()
+    point = g.points[0]
+    # another type is not equal, whatever its contents
+    assert point != (point.x, point.xstar) and g != (g.primal_matrix, g.dual_matrix)
+    assert repr(GraphPoint([1.0, 2.0], [0.5, -0.0])) == "GraphPoint(x=[1.0, 2.0], xstar=[0.5, -0.0])"
+    assert repr(g) == "OperatorGraph(dimension=2, points=<3>)"
+
+
 def test_points_are_immutable():
     g = simple_graph()
     with pytest.raises(ValueError):
@@ -542,9 +551,9 @@ def test_load_json_error_messages(text, error, message):
         load_graph(text, "json")
 
 
-# the reader's messages for each kind of leaf that is not a float, pinned
-# before the reader checked the leaf types itself: in x of point 1, in xstar
-# of point 2, and in both, where the primal is named first
+# the reader's messages for each kind of leaf that is not a float, which are
+# the array rule's, since the reader hands its rows to the constructor: in x
+# of point 1, in xstar of point 2, and in both, where the primal is named first
 _LEAF_MESSAGES = {
     "bool": (True, "{side} is not an array of reals: {where} is a bool; only numbers are allowed"),
     "str": ("1.0", "{side} is not an array of reals: {where} is a str; only numbers are allowed"),

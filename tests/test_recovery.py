@@ -468,6 +468,35 @@ def test_every_error_waits_for_the_pair_check(case, pair_checks):
         decompose(OperatorGraph.from_arrays(x, np.where(np.abs(s) == 1.0, 0.0, s)), tol)
 
 
+def test_verify_refuses_an_overflowing_centre_through_the_pair_check(pair_checks):
+    # every residual is within the document's max_residual, and the centre
+    # overflows: the pair check runs first, once, and refuses the sample
+    g = OperatorGraph.from_arrays([[1e308, 0.0], [1e308, 1.0]], [[0.0, 0.0], [0.0, 1.0]])
+    dec = SkewDecomposition(basis=OrthonormalBasis([[0.0], [1.0]]), a_hat=[[0.0]], v_hat=[0.0],
+                            basepoint=GraphPoint([0.0, 0.0], [0.0, 0.0]), max_residual=1.0,
+                            skewness_defect=0.0)
+    with pytest.raises(NotBimonotoneError, match=r"worst_violation 5\.000000e\+08 at pair \(0, 1\)"):
+        verify_reconstruction(dec, g)
+    assert len(pair_checks) == 1
+
+
+@pytest.mark.parametrize("dual, error, message", [
+    (1.0, NotBimonotoneError, r"worst_violation 1\.000000e\+09 at pair \(0, 1\)"),
+    (0.0, ValidationError, "^the skew fit overflows double precision"),
+], ids=["not-bimonotone", "overflow"])
+def test_build_skew_operator_waits_for_the_pair_check(dual, error, message, pair_checks):
+    # the "fit" graph of test_every_error_waits_for_the_pair_check, which
+    # contains (0, 0): the pair check runs once, and decides before the
+    # fit's overflow can
+    x = np.zeros((7, 3))
+    x[1:3, 0], x[3:5, 1], x[5:7, 2] = [1.0, -1.0], [1e-160, -1e-160], [1e-160, -1e-160]
+    s = np.zeros((7, 3))
+    s[3:5, 2], s[5:7, 1], s[1, 0] = [1e149, -1e149], [-1e149, 1e149], dual
+    with pytest.raises(error, match=message):
+        build_skew_operator(OperatorGraph.from_arrays(x, s), ToleranceConfig(0.0, 1e-9))
+    assert len(pair_checks) == 1
+
+
 @functools.cache
 def grid_decompositions():
     """``(g, tol, decompose(g, tol) or the report it refused with)`` for all
