@@ -472,10 +472,10 @@ def _graph_from_csv(text: str) -> OperatorGraph:
     rows: list[list[float]] = []
     expected: int | None = None
     saw_first = False
-    for lineno, line in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
-        if not line.strip():
+    for lineno, line in enumerate(re.split(r"\r\n|\r|\n", text.removeprefix("\ufeff")), start=1):
+        if not line.strip(" \t"):
             continue
-        fields = [field.strip() for field in line.split(",")]
+        fields = [field.strip(" \t") for field in line.split(",")]
         values = list(map(spelled_real, fields))
         if not saw_first:
             saw_first = True
@@ -510,10 +510,11 @@ def load_graph(source: IO[bytes] | bytes, format: str = "json") -> OperatorGraph
 
     JSON documents must match ``{"dimension": n, "points": [{"x": [...],
     "xstar": [...]}, ...]}`` exactly, with n >= 1; unknown keys are
-    rejected.  CSV rows carry 2n numeric columns, the first n being the
-    primal point, each field a number spelled as JSON spells it; a leading
-    byte order mark is dropped, and the first non-blank row is skipped as a
-    header when none of its fields reads as a number.
+    rejected.  CSV rows end at LF, CRLF or CR and carry 2n numeric columns,
+    the first n being the primal point, each field a number spelled as JSON
+    spells it, padded only by spaces and tabs; a leading byte order mark is
+    dropped, and the first non-blank row is skipped as a header when none of
+    its fields reads as a number.
     """
     data = source if isinstance(source, (bytes, bytearray)) else source.read()
     if format == "json":

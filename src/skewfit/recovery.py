@@ -11,9 +11,8 @@ the span and the skew least-squares fit in closed form.  With
 bound, else ``bimonotone_check``'s O(m^2 n) pass (36-43 s for ``verify`` at
 m = 20000, n = 20, measured on a 2-vCPU Intel Xeon), and refuse exactly
 what that check refuses: NotBimonotoneError with its report (on the command
-line, the not_bimonotone document, exit 1).  The pass decides first also
-when the exactly summed centre overflows; ``_centre`` then gives None, which
-``decompose`` refuses and ``verify_reconstruction`` leaves to its residuals.
+line, the not_bimonotone document, exit 1).  Both translate by the exactly
+summed centre of the sample, which is finite for any finite points.
 
 Dual components orthogonal to the span are invisible to the reduction and
 discarded; residuals are measured after projection onto the span.  Off it, a
@@ -282,13 +281,15 @@ def _certified(g: OperatorGraph, centre: GraphPoint, tol: ToleranceConfig, fit=N
     return fit
 
 
-def _centre(g: OperatorGraph, tol: ToleranceConfig) -> GraphPoint | None:
-    """The exact (``math.fsum``) centre of ``g``; on overflow ``_certify`` decides, then None."""
+def _centre(g: OperatorGraph) -> GraphPoint:
+    """The exact (``math.fsum``) centre of ``g``, finite for finite points:
+    when a sum overflows, every coordinate is summed in units of 2^e > m."""
+    arrays = g.primal_matrix, g.dual_matrix
     try:
-        return GraphPoint(*([math.fsum(c.tolist()) / len(c) for c in a.T] for a in (g.primal_matrix, g.dual_matrix)))
+        return GraphPoint(*([math.fsum(c.tolist()) / len(c) for c in a.T] for a in arrays))
     except OverflowError:
-        _certify(g, tol)
-        return None
+        e = len(g.primal_matrix).bit_length()
+        return GraphPoint(*(np.ldexp([math.fsum(c.tolist()) / len(c) for c in np.ldexp(a, -e).T], e) for a in arrays))
 
 
 @quiet_overflow
@@ -410,12 +411,9 @@ def decompose(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Ske
 
     Raises NotBimonotoneError, with ``bimonotone_check``'s report attached,
     exactly when the input fails it, and otherwise ValidationError when the
-    centre, fit or a residual overflows.
+    fit or a residual overflows.
     """
-    centre = _centre(g, tol)
-    if centre is None:
-        raise ValidationError("the centre of the sample overflows double precision; "
-                              "rescale the sample")
+    centre = _centre(g)
     q, a_hat = _certified(g, centre, tol)
     v_hat = q.T @ centre.xstar - a_hat @ (q.T @ centre.x)
     fit = _reconstruction(q, a_hat, v_hat, g, tol, 0.0)
@@ -428,13 +426,12 @@ def verify_reconstruction(dec: SkewDecomposition, g: OperatorGraph,
     """Check basis^T xstar = a_hat basis^T x + v_hat for every pair of ``g``
     within the larger of the margin and the document's ``max_residual``; if
     all pass, certify ``g`` as ``decompose`` does, on ``g`` less its own centre
-    (not the ``basepoint``) with the document's basis and a_hat.  When that
-    centre overflows, the pair check runs first, and a sample that passes it
-    keeps its residual report.  So ``max_residual`` buys no verdict: a sample
-    within it that is not bimonotone raises NotBimonotoneError."""
+    (not the ``basepoint``) with the document's basis and a_hat.  So
+    ``max_residual`` buys no verdict: a sample within it that is not
+    bimonotone raises NotBimonotoneError."""
     if g.dimension != dec.basis.ambient_dimension:
         raise ValidationError(f"graph lives in R^{g.dimension}, decomposition in R^{dec.basis.ambient_dimension}")
     report = _reconstruction(dec.basis.q, dec.a_hat, dec.v_hat, g, tol, dec.max_residual)
-    if report.verdict and (centre := _centre(g, tol)) is not None:
-        _certified(g, centre, tol, (dec.basis.q, dec.a_hat))
+    if report.verdict:
+        _certified(g, _centre(g), tol, (dec.basis.q, dec.a_hat))
     return report

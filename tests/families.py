@@ -136,3 +136,16 @@ def off_plane_rotation():
     a = np.array([[0.0, 1.0], [-1.0, 0.0]])
     g = OperatorGraph.from_arrays(np.column_stack([xi, 1.5e-9 * sign]), np.column_stack([xi @ a.T, z]))
     return g, _planted_document(a)
+
+
+def overflowing_sum_family():
+    """60 bimonotone samples in R^3 whose first coordinate sums beyond double
+    range: x_i = (v, i, i mod 3) for v in {3e307, 7e307, 1e308, 1.7e308,
+    -1.7e308} and m in {2, 3, 5, 7, 64, 1000} points, with zero duals or the
+    skew duals (0, x_3, -x_2)."""
+    for v in (3e307, 7e307, 1e308, 1.7e308, -1.7e308):
+        for m in (2, 3, 5, 7, 64, 1000):
+            i = np.arange(m, dtype=float)
+            x = np.column_stack([np.full(m, v), i, i % 3])
+            yield OperatorGraph.from_arrays(x, np.zeros((m, 3)))
+            yield OperatorGraph.from_arrays(x, np.column_stack([np.zeros(m), x[:, 2], -x[:, 1]]))

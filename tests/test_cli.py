@@ -294,8 +294,8 @@ def test_verify_refuses_a_sample_that_is_not_bimonotone(capsys, tmp_path):
 
 RANK_ONE = (b'{"basis": [[1.0]], "a_hat": [[0.0]], "v_hat": [0.0], "basepoint": {"x": [0.0], "xstar": [0.0]}, '
             b'"max_residual": 0.0, "skewness_defect": 0.0}')
-# two equal points whose sum overflows, and three whose centre is finite but
-# whose second row less that centre is not
+# two equal points whose sum overflows (their centre does not), and three
+# whose centre is finite but whose second row less that centre is not
 CENTRE_OVERFLOW = b'{"dimension": 1, "points": [{"x": [1e308], "xstar": [0.0]}, {"x": [1e308], "xstar": [0.0]}]}'
 CENTRED_ROW_OVERFLOW = (b'{"dimension": 1, "points": [{"x": [1.7e308], "xstar": [0.0]}, '
                         b'{"x": [-1.7e308], "xstar": [0.0]}, {"x": [1.7e308], "xstar": [0.0]}]}')
@@ -309,8 +309,12 @@ def test_verify_overflows_are_decided_by_the_pair_check(capsys, tmp_path):
     row.write_bytes(CENTRED_ROW_OVERFLOW)
     code, stdout, stderr = invoke(capsys, "verify", str(doc), str(centre))
     assert (code, stderr) == (0, "") and json.loads(stdout)["verdict"] is True
-    assert invoke(capsys, "decompose", str(centre)) == (
-        2, "", "skewfit: error: the centre of the sample overflows double precision; rescale the sample\n")
+    code, stdout, stderr = invoke(capsys, "decompose", str(centre))
+    assert (code, stderr) == (0, "")
+    fitted = tmp_path / "centre.dec.json"
+    fitted.write_text(stdout)
+    code, stdout, stderr = invoke(capsys, "verify", str(fitted), str(centre))
+    assert (code, stderr) == (0, "") and json.loads(stdout)["verdict"] is True
     for argv in (["verify", str(doc), str(row)], ["decompose", str(row)]):
         assert invoke(capsys, *argv) == (
             2, "", "skewfit: error: pair (0, 1) overflows double precision; rescale the sample\n")

@@ -368,6 +368,27 @@ def test_load_csv_reads_json_numbers():
     np.testing.assert_array_equal(g.dual_matrix, [[0.25, -12.75]])
 
 
+@pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_load_csv_ends_a_row_only_at_a_line_break(separator):
+    # str.splitlines also breaks at these; a CSV row ends at \n, \r\n or \r
+    message = "line 1: expected an even number of columns (x then xstar), found 3"
+    with pytest.raises(ParseError, match=re.escape(message)):
+        load_graph(f"1,2{separator}3,4\n".encode(), "csv")
+
+
+@pytest.mark.parametrize("data", [b"1,2\r3,4\r", b"1,2\r\n3,4\r\n", b"1,2\n3,4"])
+def test_load_csv_reads_every_line_break(data):
+    g = load_graph(data, "csv")
+    np.testing.assert_array_equal(g.primal_matrix, [[1.0], [3.0]])
+    with pytest.raises(ParseError, match=re.escape("line 2, field 2: not a number")):
+        load_graph(data.replace(b"4", b"x"), "csv")
+
+
+def test_load_csv_pads_a_field_only_with_spaces_and_tabs():
+    with pytest.raises(ParseError, match=re.escape("line 1, field 1: not a number")):
+        load_graph("\u00a01,2\n".encode(), "csv")
+
+
 def test_load_csv_rejects_nan_token():
     with pytest.raises(ParseError, match="non-finite"):
         load_graph(b"nan,0,0,1\n", "csv")
