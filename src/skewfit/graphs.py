@@ -23,9 +23,11 @@ import operator
 import re
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
+from itertools import chain
 from typing import IO
 
 import numpy as np
+import orjson
 
 __all__ = [
     "DEFAULT_TOLERANCE",
@@ -412,8 +414,39 @@ def _decode(data: bytes) -> str:
         raise ParseError(f"input is not valid UTF-8: {exc}") from exc
 
 
+# orjson reads a document nested at most this deep; a deeper one goes to the
+# standard library, which refuses it past its recursion limit (orjson 3.8
+# overflows the C stack on objects nested about 10**5 deep)
+_ORJSON_DEPTH = 64
+_NOT_BRACKET_OR_QUOTE = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+
+
+def _nesting(data: bytes) -> int:
+    """How deep the arrays and objects of the JSON text ``data`` nest,
+    counting the brackets outside strings."""
+    if b"\\" in data:
+        data = re.sub(rb"\\.", b"", data, flags=re.DOTALL)  # then every quote delimits a string
+    marks = np.frombuffer(data.translate(None, _NOT_BRACKET_OR_QUOTE), np.uint8)
+    step = np.isin(marks, tuple(b"[{")).astype(np.int64) - np.isin(marks, tuple(b"]}"))
+    outside = np.cumsum(marks == ord('"')) % 2 == 0
+    return int(np.cumsum(step * outside).max(initial=0))
+
+
 def load_json_object(data: bytes) -> dict:
-    """Parse UTF-8 bytes holding one JSON object whose numbers are finite."""
+    """Parse UTF-8 bytes holding one JSON object whose numbers are finite.
+
+    orjson reads the object; the standard library reads what orjson refuses,
+    what is not an object and what nests deeper than ``_ORJSON_DEPTH``, so
+    every error is the standard library's.  Both read the same values, except
+    that orjson reads an integer outside [-2**63, 2**64) as its nearest double.
+    """
+    if _nesting(data) <= _ORJSON_DEPTH:
+        try:
+            doc = orjson.loads(data)
+        except orjson.JSONDecodeError:
+            doc = None
+        if isinstance(doc, dict):
+            return doc
     try:
         doc = json.loads(_decode(data), parse_constant=_reject_constant, parse_int=_integer_token)
     except json.JSONDecodeError as exc:
@@ -524,27 +557,37 @@ def load_graph(source: IO[bytes] | bytes, format: str = "json") -> OperatorGraph
     raise ValidationError(f"unknown format {format!r}; expected 'json' or 'csv'")
 
 
-def _row_texts(rows: np.ndarray, sep: str) -> list[str]:
-    """``sep.join`` of each row's floats in shortest round-trip form, once per
-    run of rows with equal bits (0.0 and -0.0 differ), as repeated points are."""
-    bits = rows.view(np.uint64)
-    fresh = np.append(True, (bits[1:] != bits[:-1]).any(axis=1))
-    texts = [sep.join(map(repr, row)) for row in rows[fresh].tolist()]
-    return [texts[i] for i in (np.cumsum(fresh) - 1).tolist()]
+# orjson writes each float with repr's shortest round-trip digits, but its
+# notation may differ: repr writes exponent form, with a signed exponent of at
+# least two digits, exactly for the nonzero v with |v| < 1e-4 or |v| >= 1e16.
+# Those values are written by repr itself, through a placeholder; orjson's
+# text of the rest is kept when none of it is in exponent form, which makes
+# it repr's fixed notation, and else json.dumps (whose floats are repr's)
+# writes the whole array.
+def _repr_text(a: np.ndarray) -> bytes:
+    """Compact JSON text of the float array ``a``, each float spelled by ``repr``."""
+    exponent = (np.abs(a) < 1e-4) & (a != 0) | (np.abs(a) >= 1e16)
+    text = orjson.dumps(np.where(exponent, np.nan, a), option=orjson.OPT_SERIALIZE_NUMPY)
+    if b"e" in text or b"E" in text:
+        return json.dumps(a.tolist(), separators=(",", ":")).encode()
+    parts = text.split(b"null")  # orjson writes the NaN placeholders as null
+    spelled = [repr(v).encode() for v in a[exponent].tolist()]
+    return b"".join(chain.from_iterable(zip(parts, spelled))) + parts[-1]
 
 
 def save_graph(g: OperatorGraph, format: str = "json") -> bytes:
     """Serialize a graph so that ``load_graph(save_graph(g))`` reproduces it
     exactly; a graph of dimension 0, which no document holds, raises.  The
     bytes are ``dumps_canonical``'s of the graph document for ``json``, and
-    one line of 2n comma-separated ``repr`` floats per pair for ``csv``; each
-    run of rows with equal bits in a column is formatted once."""
+    one line of 2n comma-separated ``repr`` floats per pair for ``csv``."""
     if g.dimension == 0:
         raise ValidationError("a graph of dimension 0 cannot be saved")
     if format not in ("json", "csv"):
         raise ValidationError(f"unknown format {format!r}; expected 'json' or 'csv'")
-    primal, dual = (_row_texts(a, ", " if format == "json" else ",") for a in (g.primal_matrix, g.dual_matrix))
-    if format == "json":
-        points = ", ".join(f'{{"x": [{x}], "xstar": [{s}]}}' for x, s in zip(primal, dual))
-        return f'{{"dimension": {g.dimension}, "points": [{points}]}}\n'.encode("utf-8")
-    return "".join(f"{x},{s}\n" for x, s in zip(primal, dual)).encode("utf-8")
+    x, s = g.primal_matrix, g.dual_matrix
+    if format == "csv":
+        return _repr_text(np.hstack([x, s]))[2:-2].replace(b"],[", b"\n") + b"\n"
+    # "[[[x], [s]], [[x], [s]]]" becomes the points, once each separator is respelled
+    text = _repr_text(np.stack([x, s], axis=1)).replace(b",", b", ")[3:-3]
+    points = text.replace(b"]], [[", b']}, {"x": [').replace(b"], [", b'], "xstar": [')
+    return b'{"dimension": %d, "points": [{"x": [%s]}]}\n' % (g.dimension, points)

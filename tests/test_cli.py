@@ -623,6 +623,33 @@ def test_json_nested_100000_deep_exits_2(capsys, tmp_path, command):
     assert stderr.endswith("JSON nested too deeply\n")
 
 
+# a string of closing brackets, plain or after an escaped quote, that a count
+# of the brackets in a document must skip
+_CLOSERS = {"none": b"", "closers": b'"k": "' + b"]" * 100_000 + b'", ',
+            "escaped-quote": b'"k": "\\"' + b"]" * 100_000 + b'", '}
+
+
+@pytest.mark.parametrize("decoy", sorted(_CLOSERS))
+def test_json_object_nested_100000_deep_exits_2(tmp_path, decoy):
+    # orjson 3.8 overflows the C stack on this object, so it runs in a child
+    path = tmp_path / "doc.json"
+    path.write_bytes(b"{" + _CLOSERS[decoy] + b'"a": ' + b'{"a": ' * 100_000 + b"1" + b"}" * 100_001)
+    proc = skewfit_process("analyze", str(path), unbuffered=False, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"skewfit: error: {path}: JSON nested too deeply\n"
+
+
+@pytest.mark.parametrize("value", [2**64, -(2**63) - 1])
+@pytest.mark.parametrize("command, field", [("analyze", "dimension"), ("generate", "n"), ("generate", "k"),
+                                            ("generate", "m"), ("generate", "branches"), ("generate", "seed")])
+def test_integer_field_beyond_64_bits_is_not_an_integer(capsys, tmp_path, command, field, value):
+    # the JSON reader reads an integer outside [-2**63, 2**64) as its nearest double
+    doc = {"dimension": 1, "points": [{"x": [0.0], "xstar": [0.0]}]} if command == "analyze" else dict(SPEC)
+    doc[field] = value
+    stderr = _exits_2_with_one_error_line(capsys, tmp_path, command, json.dumps(doc).encode())
+    assert stderr == f"skewfit: error: {tmp_path / 'doc.json'}: {field} must be an integer\n"
+
+
 @pytest.mark.parametrize("depth", [33, 900])
 def test_point_nested_past_numpy_axes_exits_2(capsys, tmp_path, depth):
     # the JSON decoder reads it; numpy's functions take at most 32 axes

@@ -26,7 +26,8 @@ from skewfit import (
     translate,
 )
 from skewfit.fixtures import FixtureSpec
-from skewfit.graphs import contains_origin
+from skewfit import graphs
+from skewfit.graphs import contains_origin, load_json_object
 
 import oracles
 
@@ -488,6 +489,54 @@ def test_saved_rows_that_differ_only_in_the_sign_of_a_zero():
     assert load_graph(save_graph(g, "json")).primal_matrix.tobytes() == g.primal_matrix.tobytes()
 
 
+def _repr_bytes(g, fmt):
+    """What ``save_graph`` writes, built from ``repr`` of every float."""
+    rows = list(zip(g.primal_matrix.tolist(), g.dual_matrix.tolist()))
+    if fmt == "csv":
+        return "".join(",".join(map(repr, x + s)) + "\n" for x, s in rows).encode()
+    points = ", ".join(f'{{"x": [{", ".join(map(repr, x))}], "xstar": [{", ".join(map(repr, s))}]}}'
+                       for x, s in rows)
+    return f'{{"dimension": {g.dimension}, "points": [{points}]}}\n'.encode()
+
+
+# where repr switches between fixed and exponent notation, with the ulps on
+# either side, and the ends of the double range
+_NOTATION_EDGES = [float(v) for base in (1e-05, 1e-04, 1e16)
+                   for v in (np.nextafter(base, 0.0), base, np.nextafter(base, np.inf))]
+_NOTATION_EDGES += [5e-324, 1.7976931348623157e308, 0.0]
+_any_float = (st.floats(allow_nan=False, allow_infinity=False)
+              | st.sampled_from(_NOTATION_EDGES + [-v for v in _NOTATION_EDGES]))
+
+
+@st.composite
+def any_float_graphs(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6))
+    table = np.array(draw(st.lists(_any_float, min_size=2 * n * m, max_size=2 * n * m))).reshape(m, 2 * n)
+    return OperatorGraph(table[:, :n], table[:, n:])
+
+
+@settings(derandomize=True, max_examples=300)
+@given(any_float_graphs())
+def test_saved_bytes_spell_every_float_as_repr(g):
+    for fmt in ("json", "csv"):
+        assert save_graph(g, fmt) == _repr_bytes(g, fmt)
+
+
+def test_saved_bytes_respell_a_writer_that_uses_exponents(monkeypatch):
+    # a writer with the same shortest digits in exponent form everywhere,
+    # as some orjson release might use for a part of repr's fixed range
+    def spell(a):
+        if a.ndim:
+            return "[" + ",".join(map(spell, a)) + "]"
+        return "null" if np.isnan(a) else np.format_float_scientific(a, unique=True, trim="-")
+    dumps = lambda a, option: spell(a).encode()
+    monkeypatch.setattr(graphs.orjson, "dumps", dumps)
+    g = _random_wide_range_graph(12, m=40)
+    for fmt in ("json", "csv"):
+        assert save_graph(g, fmt) == _repr_bytes(g, fmt)
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_save_refuses_a_graph_that_load_refuses(fmt):
     # a sample reduced to a rank-0 basis has dimension 0, and no document of it loads
@@ -610,6 +659,63 @@ def test_load_json_reads_integers_as_their_nearest_doubles():
     assert g.dual_matrix[:, 1].tobytes() == np.array([float(i) for i in ints[::-1]]).tobytes()
     assert g.primal_matrix[:, 2].tobytes() == np.full(len(ints), -0.0).tobytes()
     assert g == load_graph(save_graph(g))
+
+
+_json_leaves = (st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(2**63), 2**63 - 1)
+                | st.text() | st.booleans() | st.none())
+_json_values = st.recursive(_json_leaves, lambda inner: st.lists(inner, max_size=4)
+                            | st.dictionaries(st.text(), inner, max_size=4), max_leaves=30)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.dictionaries(st.text(), _json_values, max_size=5), st.booleans())
+def test_load_json_object_reads_what_json_loads_reads(doc, ascii):
+    # repr tells -0.0 from 0.0 and 1 from 1.0; escapes are json.dumps's
+    text = json.dumps(doc, ensure_ascii=ascii).encode()
+    assert repr(load_json_object(text)) == repr(json.loads(text))
+
+
+@pytest.mark.parametrize("text", [
+    b'{"a": "\\ud800", "b": "\\udc00x"}',  # lone surrogates, which orjson refuses
+    b'{"a": 1e400, "b": -1e999}',  # beyond double range, which orjson refuses
+    b'{"a": ' + str(10**400).encode() + b'}',
+    b'{"k": "]]]}}", "a": ' + b"[" * 70 + b"]" * 70 + b'}',  # nested past orjson's depth
+    b'{"k": "\\"]]", "a": [[[{"b": [1.5, -0.0, 1]}]]]}',
+])
+def test_load_json_object_reads_what_only_json_loads_reads(text):
+    assert repr(load_json_object(text)) == repr(json.loads(text))
+
+
+def test_load_json_object_reads_integers_beyond_64_bits_as_doubles():
+    # the one intended difference from json.loads: an integer literal outside
+    # [-2**63, 2**64) reads as its nearest double
+    text = b'{"a": [18446744073709551615, 18446744073709551616, -9223372036854775808, ' \
+           b'-9223372036854775809, 1' + b"0" * 300 + b']}'
+    assert repr(load_json_object(text)) == repr({"a": [2**64 - 1, float(2**64), -(2**63), float(-(2**63) - 1), 1e300]})
+    with pytest.raises(ValidationError, match="^dimension must be an integer$"):
+        load_graph(b'{"dimension": 18446744073709551616, "points": [{"x": [0.0], "xstar": [0.0]}]}')
+
+
+@pytest.mark.parametrize("text, message", [
+    (b"", "invalid JSON at line 1, column 1: Expecting value"),
+    (b'{"a": 1,', "invalid JSON at line 1, column 9: Expecting property name enclosed in double quotes"),
+    (b'{"a": 1} x', "invalid JSON at line 1, column 10: Extra data"),
+    (b'{"a": [1, 2,]}', "invalid JSON at line 1, column 13: Expecting value"),
+    (b'{"a": 01}', "invalid JSON at line 1, column 8: Expecting ',' delimiter"),
+    (b'{"a": "\x01"}', "invalid JSON at line 1, column 8: Invalid control character at"),
+    (b'{"a": NaN}', "non-finite number 'NaN' is not allowed"),
+    (b'{"a": -Infinity}', "non-finite number '-Infinity' is not allowed"),
+    (b'{"a": ' + b"1" * 5000 + b'}', "JSON integer with too many digits"),
+    (b'{"a": ' + b"[" * 100_000 + b"]" * 100_000 + b'}', "JSON nested too deeply"),
+    (b'\xef\xbb\xbf{"a": 1}', "invalid JSON at line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    (b'{"a": "\xff"}',
+     "input is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 7: invalid start byte"),
+    (b"[1]", "top-level JSON value must be an object"),
+    (b'"a"', "top-level JSON value must be an object"),
+])
+def test_load_json_object_keeps_every_refusal_message(text, message):
+    with pytest.raises(ParseError, match="^" + re.escape(message) + "$"):
+        load_json_object(text)
 
 
 @pytest.mark.parametrize(
