@@ -25,8 +25,8 @@ from skewfit import (
     span_basis,
     translate,
 )
-from skewfit.fixtures import FixtureSpec
 from skewfit import graphs
+from skewfit.fixtures import FixtureSpec
 from skewfit.graphs import contains_origin, load_json_object
 
 import oracles
@@ -679,7 +679,7 @@ def test_load_json_object_reads_what_json_loads_reads(doc, ascii):
     b'{"a": "\\ud800", "b": "\\udc00x"}',  # lone surrogates, which orjson refuses
     b'{"a": 1e400, "b": -1e999}',  # beyond double range, which orjson refuses
     b'{"a": ' + str(10**400).encode() + b'}',
-    b'{"k": "]]]}}", "a": ' + b"[" * 70 + b"]" * 70 + b'}',  # nested past orjson's depth
+    b'{"k": "]]]}}", "a": ' + b"[" * 70 + b"]" * 70 + b'}',  # nested deeper than orjson is given
     b'{"k": "\\"]]", "a": [[[{"b": [1.5, -0.0, 1]}]]]}',
 ])
 def test_load_json_object_reads_what_only_json_loads_reads(text):
