@@ -17,7 +17,6 @@ import errno
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -31,7 +30,6 @@ from .graphs import (
     load_graph,
     load_json_object,
     save_graph,
-    spelled_integer,
     spelled_real,
 )
 from .recovery import NotBimonotoneError, SkewDecomposition, decompose, verify_reconstruction
@@ -70,16 +68,16 @@ def _tolerance(args: argparse.Namespace) -> ToleranceConfig:
     return ToleranceConfig(abs_tol=args.tol_abs, rel_tol=args.tol_rel)
 
 
-def _graph_format(path: str, explicit: str | None) -> str:
-    return explicit or ("csv" if path.endswith(".csv") else "json")
+def _graph_format(path: str) -> str:
+    return "csv" if path.endswith(".csv") else "json"
 
 
-def _read_graph(path: str, explicit_format: str | None) -> OperatorGraph:
-    return _read(path, lambda data: load_graph(data, _graph_format(path, explicit_format)))
+def _read_graph(path: str) -> OperatorGraph:
+    return _read(path, lambda data: load_graph(data, _graph_format(path)))
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    g = _read_graph(args.graph, args.format)
+    g = _read_graph(args.graph)
     tol = _tolerance(args)
     reports = analyze(g, tol)
     docs = {name: report.to_dict() for name, report in reports.items()}
@@ -89,8 +87,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    doc = decompose(_read_graph(args.graph, args.format), _tolerance(args)).to_dict()
-    if args.out:
+    doc = decompose(_read_graph(args.graph), _tolerance(args)).to_dict()
+    if args.out is not None:
         _emit(doc, args.out)
     _emit(doc)
     return 0
@@ -98,11 +96,9 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     spec = _read(args.spec, lambda data: FixtureSpec.from_dict(load_json_object(data)))
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
     fixture = make_fixture(spec)
     out = Path(args.out)
-    out.write_bytes(save_graph(fixture.graph, _graph_format(args.out, args.format)))
+    out.write_bytes(save_graph(fixture.graph, _graph_format(args.out)))
     truth_path = out.with_name(out.stem + ".truth.json")
     _emit({"spec": spec.to_dict(), **fixture.truth.to_dict()}, str(truth_path))
     _emit({"spec": spec.to_dict(), "graph_path": args.out, "truth_path": str(truth_path),
@@ -112,7 +108,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     dec = _read(args.decomposition, lambda data: SkewDecomposition.from_dict(load_json_object(data)))
-    report = verify_reconstruction(dec, _read_graph(args.graph, args.format), _tolerance(args))
+    report = verify_reconstruction(dec, _read_graph(args.graph), _tolerance(args))
     _emit(report.to_dict())
     return 0 if report.verdict else 1
 
@@ -127,25 +123,11 @@ def _tolerance_flag(text: str) -> float:
     return value
 
 
-def _integer_flag(text: str) -> int:
-    """A seed, spelled as a JSON integer; its range is checked where it is used."""
-    try:
-        value = spelled_integer(text)
-    except ValueError:  # Python's limit on the digits of an int
-        raise argparse.ArgumentTypeError("integer with too many digits") from None
-    if value is None:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    return value
-
-
-def _add_common(parser: argparse.ArgumentParser, tolerances: bool = True) -> None:
-    if tolerances:
-        parser.add_argument("--tol-abs", type=_tolerance_flag, default=1e-9,
-                            help="absolute tolerance (default 1e-9)")
-        parser.add_argument("--tol-rel", type=_tolerance_flag, default=1e-9,
-                            help="relative tolerance (default 1e-9)")
-    parser.add_argument("--format", choices=("json", "csv"), default=None,
-                        help="graph file format; inferred from a .csv suffix when omitted")
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--tol-abs", type=_tolerance_flag, default=1e-9,
+                        help="absolute tolerance (default 1e-9)")
+    parser.add_argument("--tol-rel", type=_tolerance_flag, default=1e-9,
+                        help="relative tolerance (default 1e-9)")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,7 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="skewfit",
         description="Classify sampled multivalued operators and recover their "
-        "linear skew representation.",
+        "linear skew representation.  A graph file is CSV when its name ends in .csv, "
+        "and JSON otherwise.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -183,8 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="synthesize a fixture from a spec file")
     gen.add_argument("spec", help="path to a fixture spec (JSON)")
     gen.add_argument("--out", required=True, help="path for the generated graph")
-    gen.add_argument("--seed", type=_integer_flag, default=None, help="override the spec seed")
-    _add_common(gen, tolerances=False)
     gen.set_defaults(func=_cmd_generate)
 
     ver = sub.add_parser("verify", help="check a decomposition against a graph")

@@ -496,11 +496,6 @@ def spelled_real(text: str) -> float | None:
     return None
 
 
-def spelled_integer(text: str) -> int | None:
-    """``text`` as an int, or None when it is not spelled as a JSON integer."""
-    return int(text) if _JSON_INTEGER.fullmatch(text) else None
-
-
 def _graph_from_csv(text: str) -> OperatorGraph:
     rows: list[list[float]] = []
     expected: int | None = None

@@ -2,8 +2,10 @@
 
 The paper's condition <x* - y*, x - y> = 0 is unchanged by permuting the
 points, negating the duals, swapping primal and dual (``inverse_graph``),
-translating both clouds, the scaling (x, s) -> (c x, s / c), and the map
-(x, s) -> (P x, P^-T s) with P invertible.  Each test below asserts a cell
+translating both clouds, the scaling (x, s) -> (c x, s / c), the map
+(x, s) -> (P x, P^-T s) with P invertible, and the paper's own symmetry,
+the skew-affine map (x, s) -> (x, s + B x + c) with B skew, which adds
+<B dx, dx> = 0 to every pairing.  Each test below asserts a cell
 measured at 0 on the first 2000 samples of the seeded boundary family of
 ``families``, on seeded two-branch fixtures and on 30 seeded samples of
 each hard family of ``families`` (near_plane, near_duplicate,
@@ -21,13 +23,14 @@ module runs the first 600 boundary samples, which keeps it under 10 s:
 - ``inverse_graph`` keeps the monotone, bimonotone and paramonotone reports,
   witness included;
 - translating both clouds by 10^3 N(0, I) and scaling by c = 0.01 or 100
-  keep the bimonotone verdict, and so does a random P at abs-only
-  tolerance, where a translation also keeps the ``decompose`` answer;
+  keep the bimonotone verdict, and so do a random P and the skew-affine map
+  at abs-only tolerance, where a translation also keeps the ``decompose``
+  answer;
 - on the two-branch fixtures, which sit far from the tolerance boundary,
   ``decompose`` keeps its answer under every map;
 - on the hard families, a translation keeps the ``decompose`` answer and
-  the bimonotone verdict, and so does scaling at the default tolerance,
-  where every hard sample is bimonotone;
+  the bimonotone verdict, and so do scaling and the skew-affine map at the
+  default tolerance, where every hard sample is bimonotone;
 - ``decompose`` skips the pair check only on a sample that passes it, at
   every tolerance of ``TOLERANCE_GRID``: on the first 200 boundary samples,
   the two-branch and hard samples, every tenth sample under each map, and
@@ -46,20 +49,23 @@ the item of ROADMAP.md meant to bring them to 0:
 | c = 0.01                | 0 / 0     | 0 / 0    | 0 / 0         | 2 / 2          | 6            |
 | c = 100                 | 0 / 0     | 0 / 0    | 0 / 0         | 3 / 3          | 6            |
 | random P                | 96 / 96   | 0 / 0    | 2 / 2         | 9 / 9          | none planned |
+| skew-affine             | 79 / 79   | 0 / 0    | 0 / 0         | 3 / 3          | none planned |
 
 On the module's own 710 samples the non-zero cells read 24 / 24 for random
-P at the default tolerance, and 2 / 2, 3 / 3 and 9 / 9 for c = 0.01,
-c = 100 and random P at abs-only.
+P and 23 / 23 for the skew-affine map at the default tolerance, and 2 / 2,
+3 / 3, 9 / 9 and 3 / 3 for c = 0.01, c = 100, random P and the skew-affine
+map at abs-only.
 
-Under P the default tolerance moves the bimonotone verdict because its
-relative margin scales with |ds| |dx|, which P changes.  Item 6 states the
-constant rule in pairing units and leaves that margin as it is, so its
-route leaves the random P cells as they are, and no item is planned for
-them.  At abs-only tolerance a far_from_origin pairing carries the
-rounding of points near |x| ~ 10^6, about 10^-10 per coordinate, so it
-sits at the margin: a rescaling that moves that rounding moves the
-verdict, and 11 of the 30 far_from_origin samples are not bimonotone
-there.
+Under P and under the skew-affine map the default tolerance moves the
+bimonotone verdict because its relative margin scales with |ds| |dx|,
+which P changes and B x adds to.  Item 6 states the constant rule in
+pairing units and leaves that margin as it is, so its route leaves these
+cells as they are, and no item is planned for them.  At abs-only
+tolerance a far_from_origin pairing carries the rounding of points near
+|x| ~ 10^6, about 10^-10 per coordinate, so it sits at the margin: a
+rescaling, or a B x near 10^6 added to s, moves that rounding and the
+verdict (the skew-affine map's 3 flips are all far_from_origin), and 11
+of the 30 far_from_origin samples are not bimonotone there.
 """
 
 import functools
@@ -102,18 +108,22 @@ def _negated(i):
 @functools.cache
 def _moved(i):
     """Sample ``i`` translated by 10^3 N(0, I) in x and s, scaled by c = 0.01
-    and c = 100, and mapped by a random P, each drawn from the sample's seed."""
+    and c = 100, mapped by a random P, and moved by the skew-affine map
+    (x, s) -> (x, s + B x + c) with B = (b - b^T) / 2 and b, c ~ N(0, 1), each
+    drawn from the sample's seed."""
     g = SAMPLES[i]
     x, s = g.primal_matrix, g.dual_matrix
     rng = np.random.default_rng(20_000 + i)
     n = g.dimension
     p = rng.normal(size=(n, n))
     u, ustar = 1e3 * rng.normal(size=n), 1e3 * rng.normal(size=n)
+    b, c = rng.normal(size=(n, n)), rng.normal(size=n)
     return {
         "translation": OperatorGraph.from_arrays(x + u, s + ustar),
         "c = 0.01": OperatorGraph.from_arrays(0.01 * x, s / 0.01),
         "c = 100": OperatorGraph.from_arrays(100.0 * x, s / 100.0),
         "random P": OperatorGraph.from_arrays(x @ p.T, s @ np.linalg.inv(p)),
+        "skew-affine": OperatorGraph.from_arrays(x, s + x @ ((b - b.T) / 2).T + c),
     }
 
 
@@ -190,7 +200,7 @@ def test_decompose_keeps_its_answer_under_permutation_and_negation(tol_name):
 @pytest.mark.parametrize("tol_name", TOLERANCES)
 def test_translation_and_scaling_keep_the_bimonotone_verdict(tol_name):
     tol = TOLERANCES[tol_name]
-    maps = ["translation", "c = 0.01", "c = 100"] + (["random P"] if tol_name == "abs-only" else [])
+    maps = ["translation", "c = 0.01", "c = 100"] + (["random P", "skew-affine"] if tol_name == "abs-only" else [])
 
     def same(i):
         before = _analyze(i, tol_name)["bimonotone"].verdict
@@ -214,7 +224,7 @@ def test_decompose_keeps_its_answer_on_two_branch_fixtures_under_every_map(tol_n
 
 @pytest.mark.parametrize("tol_name", TOLERANCES)
 def test_hard_families_keep_both_answers_under_translation_and_scaling(tol_name):
-    maps = ["translation"] + (["c = 0.01", "c = 100"] if tol_name == "default" else [])
+    maps = ["translation"] + (["c = 0.01", "c = 100", "skew-affine"] if tol_name == "default" else [])
 
     def same(i):
         before = (_analyze(i, tol_name)["bimonotone"].verdict, _decomposes_unmapped(i, tol_name))

@@ -82,8 +82,7 @@ def test_generate_is_deterministic(capsys, tmp_path):
     runs = []
     for name in ("a.json", "b.json"):
         out = str(tmp_path / name)
-        code, stdout, _ = invoke(capsys, "generate", spec_path, "--out", out,
-                                 "--seed", "123")
+        code, stdout, _ = invoke(capsys, "generate", spec_path, "--out", out)
         assert code == 0
         runs.append((stdout, (tmp_path / name).read_bytes()))
     stdout_a, bytes_a = runs[0]
@@ -94,12 +93,12 @@ def test_generate_is_deterministic(capsys, tmp_path):
     assert json.loads(stdout_a)["spec"] == json.loads(stdout_b)["spec"]
 
 
-def test_generate_seed_override_changes_output(capsys, tmp_path):
-    spec_path = write_spec(tmp_path, SPEC)
-    out_a = str(tmp_path / "a.json")
-    out_b = str(tmp_path / "b.json")
-    assert invoke(capsys, "generate", spec_path, "--out", out_a)[0] == 0
-    assert invoke(capsys, "generate", spec_path, "--out", out_b, "--seed", "99")[0] == 0
+def test_generate_spec_seed_changes_output(capsys, tmp_path):
+    # the spec's seed field is the one source of the seed
+    spec_a = write_spec(tmp_path, SPEC, "a.spec.json")
+    spec_b = write_spec(tmp_path, {**SPEC, "seed": 99}, "b.spec.json")
+    assert invoke(capsys, "generate", spec_a, "--out", str(tmp_path / "a.json"))[0] == 0
+    assert invoke(capsys, "generate", spec_b, "--out", str(tmp_path / "b.json"))[0] == 0
     assert (tmp_path / "a.json").read_bytes() != (tmp_path / "b.json").read_bytes()
 
 
@@ -176,9 +175,12 @@ def test_analyze_csv_suffix_inference(capsys, tmp_path):
     code, stdout, _ = invoke(capsys, "analyze", out)
     assert code == 0
     assert json.loads(stdout)["bimonotone"]["verdict"] is True
-    # forcing the wrong format turns it into a parse error
-    code, stdout, stderr = invoke(capsys, "analyze", out, "--format", "json")
-    assert code == 2 and stdout == "" and "error" in stderr
+    # the suffix alone picks the format: the same rows under a .json name are
+    # a parse error
+    renamed = tmp_path / "graph.json"
+    renamed.write_text(text)
+    code, stdout, stderr = invoke(capsys, "analyze", str(renamed))
+    assert code == 2 and stdout == "" and stderr.startswith(f"skewfit: error: {renamed}: ")
 
 
 # ---------------------------------------------------------------------------
@@ -510,13 +512,11 @@ def test_fuzzed_documents_keep_the_exit_code_contract(capsys, tmp_path, kind, da
     if kind == "generate":
         command = "generate"
         argv = [str(path), "--out", str(tmp_path / "out.json")]
-        argv += data.draw(st.sampled_from([[], ["--seed", "3"]]), label="seed")
     elif kind == "verify":
         command, argv = "verify", [str(path), str(graph), *tolerance]
     else:
         command = data.draw(st.sampled_from(["analyze", "decompose", "verify"]), label="command")
         argv = ([str(dec)] if command == "verify" else []) + [str(path), *tolerance]
-        argv += data.draw(st.sampled_from([[], ["--format", "csv" if csv else "json"]]), label="format")
     code, stdout, stderr = invoke(capsys, command, *argv)
     assert code in (0, 1, 2)
     if code == 2:
@@ -559,19 +559,19 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     for value in ("inf", "nan"):
         assert "argument --tol-rel" in usage_error("analyze", str(path), "--tol-rel", value)
     spec_path = write_spec(tmp_path, SPEC)
-    # flags follow the number rule of every file: a tolerance is spelled as a
-    # JSON number, a seed as a JSON integer (ASCII digits only)
+    # a tolerance follows the number rule of every file: it is spelled as a
+    # JSON number
     for flag in ("--tol-abs", "--tol-rel"):
         for value in ("1_0", " 1e-9 ", ".5", "+1", "1.", "0x1", "1e-9\n"):
             stderr = usage_error("analyze", str(path), flag, value)
             assert stderr == f"skewfit: error: argument {flag}: not a number: {value!r}\n"
-    for value in ("0_1", "٠", "01", "1.0", "+1", " 1", "1e0"):
-        stderr = usage_error("generate", spec_path, "--out", str(tmp_path / "o.json"), "--seed", value)
-        assert stderr == f"skewfit: error: argument --seed: not an integer: {value!r}\n"
-    # generate takes no tolerance
-    for flag in ("--tol-abs", "--tol-rel"):
-        stderr = usage_error("generate", spec_path, "--out", str(tmp_path / "o.json"), flag, "1")
-        assert f"unrecognized arguments: {flag} 1" in stderr
+    # generate takes no tolerance, and no flag repeats what an input carries:
+    # a graph file's suffix picks its format, and the spec's seed field the seed
+    gen = ["generate", spec_path, "--out", str(tmp_path / "o.json")]
+    for argv, flag in [(gen, "--tol-abs"), (gen, "--tol-rel"), (gen, "--seed"), (gen, "--format"),
+                       (["analyze", str(path)], "--format"), (["decompose", str(path)], "--format"),
+                       (["verify", str(path), str(path)], "--format")]:
+        assert usage_error(*argv, flag, "1") == f"skewfit: error: unrecognized arguments: {flag} 1\n"
     assert not (tmp_path / "o.json").exists()
     code, stdout, stderr = invoke(capsys, "analyze", "--help")
     assert code == 0 and stdout.startswith("usage: skewfit analyze") and stderr == ""
@@ -584,14 +584,14 @@ def test_help_to_a_given_file_is_argparse_s(capsys):
     assert out.getvalue().startswith("usage: skewfit") and capsys.readouterr() == ("", "")
 
 
-def test_integer_flags_past_the_digit_limit_exit_2(capsys, tmp_path):
-    # Python converts at most 4300 digits to an int by default; the message
-    # names the flag, not the function that read it
-    digits = "1" * 5000
-    argv = ["generate", write_spec(tmp_path, SPEC), "--out", str(tmp_path / "o.json"), "--seed", digits]
-    code, stdout, stderr = invoke(capsys, *argv)
-    assert (code, stdout) == (2, "")
-    assert stderr == "skewfit: error: argument --seed: integer with too many digits\n"
+def test_decompose_to_an_empty_out_path_exits_2(capsys, tmp_path):
+    # an empty --out names a path, not no path: the write fails as generate's
+    # does, before anything reaches stdout
+    graph, _ = generate(capsys, tmp_path)
+    for argv in (["decompose", graph, "--out", ""], ["generate", write_spec(tmp_path, SPEC), "--out", ""]):
+        code, stdout, stderr = invoke(capsys, *argv)
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("skewfit: error: ") and stderr.count("\n") == 1
 
 
 # a spec and a graph document, each with an integer past Python's digit limit
