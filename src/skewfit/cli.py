@@ -100,7 +100,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.write_bytes(save_graph(fixture.graph, _graph_format(args.out)))
     truth_path = out.with_name(out.stem + ".truth.json")
-    _emit({"spec": spec.to_dict(), **fixture.truth.to_dict()}, str(truth_path))
+    try:
+        _emit({"spec": spec.to_dict(), **fixture.truth.to_dict()}, str(truth_path))
+    except Exception:  # no graph file is left without its truth file
+        with contextlib.suppress(OSError):
+            out.unlink()
+        raise
     _emit({"spec": spec.to_dict(), "graph_path": args.out, "truth_path": str(truth_path),
            "dimension": fixture.graph.dimension, "num_points": len(fixture.graph.points)})
     return 0
@@ -121,6 +126,13 @@ def _tolerance_flag(text: str) -> float:
     if not 0 <= value < math.inf:
         raise argparse.ArgumentTypeError("must be finite and nonnegative")
     return value
+
+
+def _out_flag(text: str) -> str:
+    """A path to write to; an empty one would name the current directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -159,13 +171,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     dec = sub.add_parser("decompose", help="recover basis, skew matrix, and offset")
     dec.add_argument("graph", help="path to a graph file")
-    dec.add_argument("--out", default=None, help="also write the result to this path")
+    dec.add_argument("--out", type=_out_flag, default=None, help="also write the result to this path")
     _add_common(dec)
     dec.set_defaults(func=_cmd_decompose)
 
     gen = sub.add_parser("generate", help="synthesize a fixture from a spec file")
     gen.add_argument("spec", help="path to a fixture spec (JSON)")
-    gen.add_argument("--out", required=True, help="path for the generated graph")
+    gen.add_argument("--out", type=_out_flag, required=True, help="path for the generated graph")
     gen.set_defaults(func=_cmd_generate)
 
     ver = sub.add_parser("verify", help="check a decomposition against a graph")

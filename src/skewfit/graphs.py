@@ -389,17 +389,6 @@ _GRAPH_KEYS = ("dimension", "points")
 _POINT_KEYS = ("x", "xstar")
 
 
-def _reject_constant(token: str):
-    raise ParseError(f"non-finite number {token!r} is not allowed")
-
-
-def _integer_token(token: str) -> int:
-    try:
-        return int(token)
-    except ValueError as exc:  # Python's limit on the digits of an int
-        raise ParseError("JSON integer with too many digits") from exc
-
-
 def _row(value, where: str, dim: int) -> None:
     if not isinstance(value, list):
         raise ParseError(f"{where} must be an array of numbers")
@@ -414,10 +403,10 @@ def _decode(data: bytes) -> str:
         raise ParseError(f"input is not valid UTF-8: {exc}") from exc
 
 
-# orjson reads a document nested at most this deep; a deeper one goes to the
-# standard library, which refuses it past its recursion limit (orjson 3.8
-# overflows the C stack on objects nested about 10**5 deep)
-_ORJSON_DEPTH = 64
+# A deeper document is refused before orjson reads it: no document that
+# skewfit reads nests deeper than 4, and orjson 3.8 overflows the C stack on
+# objects nested about 10**5 deep
+_MAX_DEPTH = 64
 _NOT_BRACKET_OR_QUOTE = bytes(sorted(set(range(256)) - set(b'[]{}"')))
 
 
@@ -433,28 +422,19 @@ def _nesting(data: bytes) -> int:
 
 
 def load_json_object(data: bytes) -> dict:
-    """Parse UTF-8 bytes holding one JSON object whose numbers are finite.
+    """Parse UTF-8 bytes holding one JSON object whose numbers are finite,
+    or raise ParseError.
 
-    orjson reads the object; the standard library reads what orjson refuses,
-    what is not an object and what nests deeper than ``_ORJSON_DEPTH``, so
-    every error is the standard library's.  Both read the same values, except
-    that orjson reads an integer outside [-2**63, 2**64) as its nearest double.
+    orjson reads the object once ``_nesting`` finds it at most ``_MAX_DEPTH``
+    deep.  An integer outside [-2**63, 2**64) reads as its nearest double.
+    The message for malformed JSON is orjson's, and may vary by release.
     """
-    if _nesting(data) <= _ORJSON_DEPTH:
-        try:
-            doc = orjson.loads(data)
-        except orjson.JSONDecodeError:
-            doc = None
-        if isinstance(doc, dict):
-            return doc
+    if _nesting(data) > _MAX_DEPTH:
+        raise ParseError("JSON nested too deeply")
     try:
-        doc = json.loads(_decode(data), parse_constant=_reject_constant, parse_int=_integer_token)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    except RecursionError as exc:
-        raise ParseError("JSON nested too deeply") from exc
+        doc = orjson.loads(data)
+    except orjson.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
     return doc

@@ -585,13 +585,20 @@ def test_help_to_a_given_file_is_argparse_s(capsys):
 
 
 def test_decompose_to_an_empty_out_path_exits_2(capsys, tmp_path):
-    # an empty --out names a path, not no path: the write fails as generate's
-    # does, before anything reaches stdout
+    # an empty --out would name the current directory: it is refused by name
+    # while the arguments are parsed, before any file is read or written
     graph, _ = generate(capsys, tmp_path)
     for argv in (["decompose", graph, "--out", ""], ["generate", write_spec(tmp_path, SPEC), "--out", ""]):
         code, stdout, stderr = invoke(capsys, *argv)
-        assert (code, stdout) == (2, "")
-        assert stderr.startswith("skewfit: error: ") and stderr.count("\n") == 1
+        assert (code, stdout, stderr) == (2, "", "skewfit: error: argument --out: must not be empty\n")
+
+
+def test_generate_leaves_no_graph_file_when_the_truth_file_fails(capsys, tmp_path):
+    (tmp_path / "g.truth.json").mkdir()
+    argv = ["generate", write_spec(tmp_path, SPEC), "--out", str(tmp_path / "g.json")]
+    code, stdout, stderr = invoke(capsys, *argv)
+    assert (code, stdout) == (2, "") and stderr.count("\n") == 1
+    assert "g.truth.json" in stderr and not (tmp_path / "g.json").exists()
 
 
 # a spec and a graph document, each with an integer past Python's digit limit
@@ -614,7 +621,7 @@ def _exits_2_with_one_error_line(capsys, tmp_path, command, content):
 @pytest.mark.parametrize("command", ["generate", "analyze"])
 def test_integer_past_the_digit_limit_exits_2(capsys, tmp_path, command):
     stderr = _exits_2_with_one_error_line(capsys, tmp_path, command, TOO_MANY_DIGITS[command])
-    assert stderr.endswith("JSON integer with too many digits\n")
+    assert stderr.startswith(f"skewfit: error: {tmp_path / 'doc.json'}: invalid JSON at line 1, column ")
 
 
 @pytest.mark.parametrize("command", ["generate", "analyze"])
@@ -650,9 +657,10 @@ def test_integer_field_beyond_64_bits_is_not_an_integer(capsys, tmp_path, comman
     assert stderr == f"skewfit: error: {tmp_path / 'doc.json'}: {field} must be an integer\n"
 
 
-@pytest.mark.parametrize("depth", [33, 900])
+@pytest.mark.parametrize("depth", [33, 61])
 def test_point_nested_past_numpy_axes_exits_2(capsys, tmp_path, depth):
-    # the JSON decoder reads it; numpy's functions take at most 32 axes
+    # the JSON reader reads it, as the document nests at most 64 deep; numpy's
+    # functions take at most 32 axes
     x = b"[" * depth + b"0" + b"]" * depth
     doc = b'{"dimension": 1, "points": [{"x": ' + x + b', "xstar": [0]}]}'
     stderr = _exits_2_with_one_error_line(capsys, tmp_path, "analyze", doc)
@@ -957,17 +965,17 @@ def test_verify_rejects_a_certificate_that_is_not_skew(capsys, tmp_path, a_hat, 
 
 
 @pytest.mark.parametrize(
-    "command, name, content, message",
+    "command, name, content, pattern",
     [
-        ("verify", "bad.json", b'{"dimension": 1,\n',
-         "invalid JSON at line 2, column 1: Expecting property name enclosed in double quotes"),
-        ("analyze", "bad.csv", b"1,2\n3,x\n", "line 2, field 2: not a number: 'x'"),
+        # orjson words the message for malformed JSON, so only its position is pinned
+        ("verify", "bad.json", b'{"dimension": 1,\n', r"invalid JSON at line 2, column [0-9]+: .+"),
+        ("analyze", "bad.csv", b"1,2\n3,x\n", re.escape("line 2, field 2: not a number: 'x'")),
         ("generate", "spec.json", b'{"n": 3, "k": 2, "m": 4, "alpha": 1}',
-         "unknown key 'alpha' in fixture spec"),
+         re.escape("unknown key 'alpha' in fixture spec")),
     ],
     ids=["verify graph", "analyze csv", "generate spec"],
 )
-def test_an_error_in_a_file_names_the_file(capsys, tmp_path, command, name, content, message):
+def test_an_error_in_a_file_names_the_file(capsys, tmp_path, command, name, content, pattern):
     # verify's bad file is its second argument, the graph after a valid decomposition
     bad = tmp_path / name
     bad.write_bytes(content)
@@ -980,7 +988,7 @@ def test_an_error_in_a_file_names_the_file(capsys, tmp_path, command, name, cont
     if command == "generate":
         argv += ["--out", str(tmp_path / "out.json")]
     code, stdout, stderr = invoke(capsys, *argv)
-    assert (code, stdout, stderr) == (2, "", f"skewfit: error: {bad}: {message}\n")
+    assert (code, stdout) == (2, "") and re.fullmatch(f"skewfit: error: {re.escape(str(bad))}: {pattern}\n", stderr)
 
 
 def test_graph_files_with_a_byte_order_mark(capsys, tmp_path):

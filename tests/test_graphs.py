@@ -4,6 +4,7 @@ import json
 import re
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -313,7 +314,7 @@ def test_load_json_wrong_vector_length():
 
 def test_load_json_rejects_infinity_token():
     text = b'{"dimension": 1, "points": [{"x": [Infinity], "xstar": [0]}]}'
-    with pytest.raises(ParseError, match="non-finite"):
+    with pytest.raises(ParseError, match=r"^invalid JSON at line 1, column [0-9]+: "):
         load_graph(text, "json")
 
 
@@ -610,10 +611,6 @@ def test_involution_property(g):
         (b'{"dimension": true, "points": []}', ValidationError, "dimension must be an integer"),
         (b'{"dimension": 1.0, "points": []}', ValidationError, "dimension must be an integer"),
         (b'{"dimension": "1", "points": []}', ValidationError, "dimension must be an integer"),
-        (b'{"dimension": 1, "points": [{"x": [1e400], "xstar": [0]}]}', ValidationError,
-         "points[0].x contains non-finite entries"),
-        (b'{"dimension": 1, "points": [{"x": [0], "xstar": [0]}, {"x": [0], "xstar": [-1e400]}]}',
-         ValidationError, "points[1].xstar contains non-finite entries"),
     ],
 )
 def test_load_json_error_messages(text, error, message):
@@ -630,7 +627,6 @@ _LEAF_MESSAGES = {
     "None": (None, "{side} is not an array of reals: {where} is None; only numbers are allowed"),
     "list": ([1.0], "{side} is not an array of reals: it is ragged at {where}"),
     "dict": ({"a": 1.0}, "{side} is not an array of reals: {where} is a dict; only numbers are allowed"),
-    "huge": (10**400, "{side} overflows double precision"),
 }
 
 
@@ -675,20 +671,9 @@ def test_load_json_object_reads_what_json_loads_reads(doc, ascii):
     assert repr(load_json_object(text)) == repr(json.loads(text))
 
 
-@pytest.mark.parametrize("text", [
-    b'{"a": "\\ud800", "b": "\\udc00x"}',  # lone surrogates, which orjson refuses
-    b'{"a": 1e400, "b": -1e999}',  # beyond double range, which orjson refuses
-    b'{"a": ' + str(10**400).encode() + b'}',
-    b'{"k": "]]]}}", "a": ' + b"[" * 70 + b"]" * 70 + b'}',  # nested deeper than orjson is given
-    b'{"k": "\\"]]", "a": [[[{"b": [1.5, -0.0, 1]}]]]}',
-])
-def test_load_json_object_reads_what_only_json_loads_reads(text):
-    assert repr(load_json_object(text)) == repr(json.loads(text))
-
-
 def test_load_json_object_reads_integers_beyond_64_bits_as_doubles():
-    # the one intended difference from json.loads: an integer literal outside
-    # [-2**63, 2**64) reads as its nearest double
+    # the one difference from json.loads on a document that both read: an
+    # integer literal outside [-2**63, 2**64) reads as its nearest double
     text = b'{"a": [18446744073709551615, 18446744073709551616, -9223372036854775808, ' \
            b'-9223372036854775809, 1' + b"0" * 300 + b']}'
     assert repr(load_json_object(text)) == repr({"a": [2**64 - 1, float(2**64), -(2**63), float(-(2**63) - 1), 1e300]})
@@ -696,26 +681,70 @@ def test_load_json_object_reads_integers_beyond_64_bits_as_doubles():
         load_graph(b'{"dimension": 18446744073709551616, "points": [{"x": [0.0], "xstar": [0.0]}]}')
 
 
+# the refusals whose message skewfit writes itself
 @pytest.mark.parametrize("text, message", [
-    (b"", "invalid JSON at line 1, column 1: Expecting value"),
-    (b'{"a": 1,', "invalid JSON at line 1, column 9: Expecting property name enclosed in double quotes"),
-    (b'{"a": 1} x', "invalid JSON at line 1, column 10: Extra data"),
-    (b'{"a": [1, 2,]}', "invalid JSON at line 1, column 13: Expecting value"),
-    (b'{"a": 01}', "invalid JSON at line 1, column 8: Expecting ',' delimiter"),
-    (b'{"a": "\x01"}', "invalid JSON at line 1, column 8: Invalid control character at"),
-    (b'{"a": NaN}', "non-finite number 'NaN' is not allowed"),
-    (b'{"a": -Infinity}', "non-finite number '-Infinity' is not allowed"),
-    (b'{"a": ' + b"1" * 5000 + b'}', "JSON integer with too many digits"),
     (b'{"a": ' + b"[" * 100_000 + b"]" * 100_000 + b'}', "JSON nested too deeply"),
-    (b'\xef\xbb\xbf{"a": 1}', "invalid JSON at line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
-    (b'{"a": "\xff"}',
-     "input is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 7: invalid start byte"),
     (b"[1]", "top-level JSON value must be an object"),
     (b'"a"', "top-level JSON value must be an object"),
 ])
 def test_load_json_object_keeps_every_refusal_message(text, message):
     with pytest.raises(ParseError, match="^" + re.escape(message) + "$"):
         load_json_object(text)
+
+
+# orjson words these refusals, and its words and columns may change between
+# releases, so only the line of the position is pinned
+_MALFORMED_JSON = {
+    "empty": (b"", 1),
+    "truncated": (b'{"a": 1,', 1),
+    "truncated after a newline": (b'{"a": 1,\n', 2),
+    "extra data": (b'{"a": 1} x', 1),
+    "trailing comma": (b'{"a": [1, 2,]}', 1),
+    "leading zero": (b'{"a": 01}', 1),
+    "control character": (b'{"a": "\x01"}', 1),
+    "NaN": (b'{"a": NaN}', 1),
+    "-Infinity": (b'{"a": -Infinity}', 1),
+    "5000 digits": (b'{"a": ' + b"1" * 5000 + b'}', 1),
+    "integer beyond double range": (b'{"a": ' + str(10**400).encode() + b'}', 1),
+    "1e400": (b'{"a": 1e400, "b": -1e999}', 1),
+    "1e400 in a graph": (b'{"dimension": 1, "points": [{"x": [1e400], "xstar": [0]}]}', 1),
+    "lone surrogates": (b'{"a": "\\ud800", "b": "\\udc00x"}', 1),
+    "byte order mark": (b'\xef\xbb\xbf{"a": 1}', 1),
+    "not UTF-8": (b'{"a": "\xff"}', 1),
+}
+
+
+@pytest.mark.parametrize("kind", list(_MALFORMED_JSON))
+def test_load_json_object_refuses_malformed_json_at_its_line(kind):
+    text, line = _MALFORMED_JSON[kind]
+    with pytest.raises(ParseError, match=rf"^invalid JSON at line {line}, column [1-9][0-9]*: .+$"):
+        load_json_object(text)
+
+
+def _nested(depth: int, decoy: bytes) -> bytes:
+    """A JSON object whose key ``a`` holds arrays, ``depth`` deep in all,
+    after the members ``decoy``."""
+    return b"{" + decoy + b'"a": ' + b"[" * (depth - 1) + b"]" * (depth - 1) + b"}"
+
+
+# brackets inside strings, plain or after an escaped quote or backslash, that
+# a count of the brackets must skip: each decoy moves a wrong count past 64
+# one way or the other
+_DECOYS = {"none": b"", "closers": b'"k": "]]]}}", ', "openers": b'"k": "[[[{{", ',
+           "escaped quote": b'"k": "\\"]]", ', "escaped backslash": b'"k": "\\\\", "j": "[[[", '}
+
+
+@pytest.mark.parametrize("decoy", list(_DECOYS))
+def test_load_json_object_reads_64_deep_and_refuses_65_deep_unread(decoy, monkeypatch):
+    text = _nested(64, _DECOYS[decoy])
+    assert repr(load_json_object(text)) == repr(json.loads(text))
+
+    def unreachable(data):
+        raise AssertionError("orjson.loads was called")
+
+    monkeypatch.setattr(orjson, "loads", unreachable)
+    with pytest.raises(ParseError, match="^JSON nested too deeply$"):
+        load_json_object(_nested(65, _DECOYS[decoy]))
 
 
 @pytest.mark.parametrize(
