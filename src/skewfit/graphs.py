@@ -107,6 +107,13 @@ def _reals(value, name: str, entry=None) -> np.ndarray:
     ``entry(index)`` or ``name[i][j]``.  Only the set of leaf types is checked."""
     if isinstance(value, np.ndarray) and value.dtype.kind in "fiu":
         return np.array(value, dtype=np.float64)
+    # a list of lists, as orjson reads a graph's rows, needs no object array
+    if isinstance(value, list) and set(map(type, value)) == {list}:
+        if set(map(type, chain.from_iterable(value))) <= {float, int}:
+            try:
+                return np.array(value, dtype=np.float64)
+            except (ValueError, OverflowError):  # ragged, or an integer beyond a double
+                pass  # named below
     try:
         leaves = np.array(value, dtype=object)
         if all(map(_is_real, set(map(type, leaves.flat)))):
@@ -427,13 +434,15 @@ def load_json_object(data: bytes) -> dict:
 
     orjson reads the object once ``_nesting`` finds it at most ``_MAX_DEPTH``
     deep.  An integer outside [-2**63, 2**64) reads as its nearest double.
-    The message for malformed JSON is orjson's, and may vary by release.
+    Bytes that are not UTF-8 are named by ``_decode``; the message for other
+    malformed JSON is orjson's, and may vary by release.
     """
     if _nesting(data) > _MAX_DEPTH:
         raise ParseError("JSON nested too deeply")
     try:
         doc = orjson.loads(data)
     except orjson.JSONDecodeError as exc:
+        _decode(data)
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
@@ -535,19 +544,26 @@ def load_graph(source: IO[bytes] | bytes, format: str = "json") -> OperatorGraph
 # orjson writes each float with repr's shortest round-trip digits, but its
 # notation may differ: repr writes exponent form, with a signed exponent of at
 # least two digits, exactly for the nonzero v with |v| < 1e-4 or |v| >= 1e16.
-# Those values are written by repr itself, through a placeholder; orjson's
-# text of the rest is kept when none of it is in exponent form, which makes
-# it repr's fixed notation, and else json.dumps (whose floats are repr's)
-# writes the whole array.
-def _repr_text(a: np.ndarray) -> bytes:
-    """Compact JSON text of the float array ``a``, each float spelled by ``repr``."""
+# orjson writes the array with those values as null placeholders, and its
+# text is kept when none of it is in exponent form, which makes it repr's fixed
+# notation; repr then respells each row that holds a placeholder.  When orjson
+# wrote an exponent (another release's notation), repr spells every row.
+def _repr_rows(a: np.ndarray, comma: bytes) -> list[bytes]:
+    """One line per row of the 2-D float array ``a``: its floats spelled by
+    ``repr`` and separated by ``comma``."""
     exponent = (np.abs(a) < 1e-4) & (a != 0) | (np.abs(a) >= 1e16)
     text = orjson.dumps(np.where(exponent, np.nan, a), option=orjson.OPT_SERIALIZE_NUMPY)
     if b"e" in text or b"E" in text:
-        return json.dumps(a.tolist(), separators=(",", ":")).encode()
-    parts = text.split(b"null")  # orjson writes the NaN placeholders as null
-    spelled = [repr(v).encode() for v in a[exponent].tolist()]
-    return b"".join(chain.from_iterable(zip(parts, spelled))) + parts[-1]
+        lines, respell = [b""] * len(a), range(len(a))
+    else:
+        if comma != b",":
+            text = text.replace(b",", comma)
+        lines = text[2:-2].split(b"]" + comma + b"[")
+        respell = np.flatnonzero(exponent.any(axis=1)).tolist()
+    spell = comma.decode().join
+    for i, row in zip(respell, a[respell].tolist()):
+        lines[i] = spell(map(repr, row)).encode()
+    return lines
 
 
 def save_graph(g: OperatorGraph, format: str = "json") -> bytes:
@@ -561,8 +577,14 @@ def save_graph(g: OperatorGraph, format: str = "json") -> bytes:
         raise ValidationError(f"unknown format {format!r}; expected 'json' or 'csv'")
     x, s = g.primal_matrix, g.dual_matrix
     if format == "csv":
-        return _repr_text(np.hstack([x, s]))[2:-2].replace(b"],[", b"\n") + b"\n"
-    # "[[[x], [s]], [[x], [s]]]" becomes the points, once each separator is respelled
-    text = _repr_text(np.stack([x, s], axis=1)).replace(b",", b", ")[3:-3]
-    points = text.replace(b"]], [[", b']}, {"x": [').replace(b"], [", b'], "xstar": [')
-    return b'{"dimension": %d, "points": [{"x": [%s]}]}\n' % (g.dimension, points)
+        lines = _repr_rows(np.hstack([x, s]), b",")
+        lines.append(b"")
+        return b"\n".join(lines)
+    # one line per primal row, then per dual row, of each point in turn
+    lines = _repr_rows(np.stack([x, s], axis=1).reshape(-1, g.dimension), b", ")
+    lines[0] = b'{"dimension": %d, "points": [{"x": [%s' % (g.dimension, lines[0])
+    ends = [b'], "xstar": [', b']}, {"x": ['] * len(x)
+    ends[-1] = b"]}]}\n"
+    parts = lines * 2
+    parts[0::2], parts[1::2] = lines, ends
+    return b"".join(parts)

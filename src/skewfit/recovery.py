@@ -281,10 +281,50 @@ def _certified(g: OperatorGraph, centre: GraphPoint, tol: ToleranceConfig, fit=N
     return fit
 
 
+# Rounds of extraction before what is left of a column goes to fsum whole
+_EXTRACT_ROUNDS = 4
+
+
+def _column_fsums(a: np.ndarray) -> list[float]:
+    """``math.fsum`` of each column of the (m, n) array ``a``, for
+    m max|a| < 2^1021, by the error-free extraction of Rump, Ogita and Oishi
+    (SIAM J. Sci. Comput. 31, 2008): each round splits every entry p into
+    q = (sigma + p) - sigma and p - q, with sigma a power of two at least
+    (m + 2) max|p| over the column, so that q sums exactly in any order.
+    fsum, correctly rounded, then adds those sums and the nonzero entries
+    left after ``_EXTRACT_ROUNDS``.  A zero sum is taken again over the
+    whole column, whose zeros fsum may sign otherwise than the parts'."""
+    p = a.T.copy()
+    shift = (p.shape[1] + 1).bit_length()
+    parts = []
+    for _ in range(_EXTRACT_ROUNDS):
+        top = np.maximum(p.max(axis=1), -p.min(axis=1))
+        sigma = np.ldexp(1.0, np.frexp(top)[1] + shift)[:, None]
+        q = sigma + p
+        q -= sigma
+        p -= q
+        parts.append(q.sum(axis=1))
+        if not p.any():
+            rests = [[]] * len(p)
+            break
+    else:
+        rests = [rest[rest != 0].tolist() for rest in p]
+    sums = []
+    for column, exact, rest in zip(a.T, zip(*parts), rests):
+        total = math.fsum([*exact, *rest])
+        sums.append(total if total else math.fsum(column.tolist()))
+    return sums
+
+
 def _centre(g: OperatorGraph) -> GraphPoint:
-    """The exact (``math.fsum``) centre of ``g``, finite for finite points:
+    """The exact (``math.fsum``) centre of ``g``, finite for finite points.
+    Sums that cannot reach 2^1021 go through ``_column_fsums``; otherwise,
     when a sum overflows, every coordinate is summed in units of 2^e > m."""
     arrays = g.primal_matrix, g.dual_matrix
+    m = len(g.primal_matrix)
+    big = max(max(a.max(initial=0.0), -a.min(initial=0.0)) for a in arrays)
+    if math.frexp(big)[1] + m.bit_length() <= 1021:
+        return GraphPoint(*([total / m for total in _column_fsums(a)] for a in arrays))
     try:
         return GraphPoint(*([math.fsum(c.tolist()) / len(c) for c in a.T] for a in arrays))
     except OverflowError:

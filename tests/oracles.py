@@ -2,16 +2,19 @@
 
 These deliberately avoid the library's own vectorized code paths: plain
 double loops and a least-squares fit over the free parameters of an
-antisymmetric matrix, solved through the normal equations.  The one
-exception is the former full-square pair scan at the end, the bit-for-bit
-reference for the library's upper-triangle pass.
+antisymmetric matrix, solved through the normal equations.  The two
+exceptions are the former full-square pair scan, the bit-for-bit reference
+for the library's upper-triangle pass, and the former per-column ``math.fsum``
+centre at the end, the bit-for-bit reference for ``recovery._centre``.
 """
+
+import math
 
 import numpy as np
 
 from skewfit import classify
 from skewfit.classify import ClassificationReport, NotMonotone
-from skewfit.graphs import check_overflow, quiet_overflow
+from skewfit.graphs import GraphPoint, check_overflow, quiet_overflow
 
 
 def pairwise_products(graph):
@@ -275,3 +278,17 @@ FULL_SQUARE = {
     "paramonotone_check": scan_paramonotone,
     "constant_on_domain_check": scan_constant,
 }
+
+
+# ---------------------------------------------------------------------------
+# The former centre: one ``math.fsum`` over each column's list of m floats,
+# and when a sum overflows, every coordinate summed in units of 2^e > m.
+# ---------------------------------------------------------------------------
+
+def centre(g):
+    arrays = g.primal_matrix, g.dual_matrix
+    try:
+        return GraphPoint(*([math.fsum(c.tolist()) / len(c) for c in a.T] for a in arrays))
+    except OverflowError:
+        e = len(g.primal_matrix).bit_length()
+        return GraphPoint(*(np.ldexp([math.fsum(c.tolist()) / len(c) for c in np.ldexp(a, -e).T], e) for a in arrays))

@@ -538,6 +538,20 @@ def test_saved_bytes_respell_a_writer_that_uses_exponents(monkeypatch):
         assert save_graph(g, fmt) == _repr_bytes(g, fmt)
 
 
+def test_saved_bytes_of_many_rows_spell_every_float_as_repr():
+    # exponent-form values scattered over both halves of 1200 rows, the first
+    # and the last row of each half among them, amid fixed-notation values
+    rng = np.random.Generator(np.random.Philox(14))
+    m, n = 1200, 3
+    table = rng.normal(size=(m, 2 * n))
+    rows = np.concatenate([[0, 0, m - 1, m - 1], rng.integers(m, size=60)])
+    cols = np.concatenate([[0, n, n - 1, 2 * n - 1], rng.integers(2 * n, size=60)])
+    table[rows, cols] = rng.choice([1e-5, -3.25e-7, 5e-324, 1e16, -2.5e20, 1.7976931348623157e308], size=64)
+    g = OperatorGraph.from_arrays(table[:, :n], table[:, n:])
+    for fmt in ("json", "csv"):
+        assert save_graph(g, fmt) == _repr_bytes(g, fmt)
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_save_refuses_a_graph_that_load_refuses(fmt):
     # a sample reduced to a rank-0 basis has dimension 0, and no document of it loads
@@ -710,7 +724,6 @@ _MALFORMED_JSON = {
     "1e400 in a graph": (b'{"dimension": 1, "points": [{"x": [1e400], "xstar": [0]}]}', 1),
     "lone surrogates": (b'{"a": "\\ud800", "b": "\\udc00x"}', 1),
     "byte order mark": (b'\xef\xbb\xbf{"a": 1}', 1),
-    "not UTF-8": (b'{"a": "\xff"}', 1),
 }
 
 
@@ -718,6 +731,19 @@ _MALFORMED_JSON = {
 def test_load_json_object_refuses_malformed_json_at_its_line(kind):
     text, line = _MALFORMED_JSON[kind]
     with pytest.raises(ParseError, match=rf"^invalid JSON at line {line}, column [1-9][0-9]*: .+$"):
+        load_json_object(text)
+
+
+# bytes that are not UTF-8 are named by the first bad byte and its offset,
+# in Python's words, whatever orjson says of them
+@pytest.mark.parametrize("text, byte, position", [
+    (b'{"a": "\xff"}', "0xff", 7),
+    (b'{"n": 3, "k": 2, "m": 5, "seed": 1}\xff\xfe\n', "0xff", 35),
+    (b'{"a": "\xc3("}', "0xc3", 7),
+], ids=["in a string", "after the object", "bad continuation"])
+def test_load_json_object_names_the_byte_that_is_not_utf8(text, byte, position):
+    with pytest.raises(ParseError, match=rf"^input is not valid UTF-8: 'utf-8' codec can't decode "
+                                         rf"byte {byte} in position {position}: "):
         load_json_object(text)
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import json
+import math
 import re
 
 import numpy as np
@@ -369,6 +370,86 @@ def test_decompose_fits_every_sample_of_the_overflowing_sum_family():
         basepoint = decompose(reversed_graph).basepoint
         assert (basepoint.x.tolist(), basepoint.xstar.tolist()) == (dec.basepoint.x.tolist(),
                                                                     dec.basepoint.xstar.tolist())
+
+
+def _assert_former_centre(g):
+    got, want = recovery._centre(g), oracles.centre(g)
+    assert got.x.tobytes() == want.x.tobytes()
+    assert got.xstar.tobytes() == want.xstar.tobytes()
+
+
+def _fsum_lengths(monkeypatch, g):
+    """How many values each ``math.fsum`` call of ``recovery._centre(g)`` sums."""
+    lengths, fsum = [], math.fsum
+
+    def counted(values):
+        values = list(values)
+        lengths.append(len(values))
+        return fsum(values)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(math, "fsum", counted)
+        recovery._centre(g)
+    return lengths
+
+
+_SMALLEST_NORMAL = 2.2250738585072014e-308
+_column_kinds = {
+    "any": st.floats(allow_nan=False, allow_infinity=False),
+    "unit": st.floats(-1.0, 1.0),
+    "zeros": st.sampled_from([0.0, -0.0]),
+    "subnormal": st.floats(-_SMALLEST_NORMAL, _SMALLEST_NORMAL),
+}
+
+
+@st.composite
+def centre_graphs(draw):
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 40))
+    columns = []
+    for _ in range(2 * n):
+        kind = draw(st.sampled_from([*_column_kinds, "equal"]))
+        if kind == "equal":
+            columns.append([draw(_column_kinds["any"] | _column_kinds["unit"])] * m)
+        else:
+            columns.append(draw(st.lists(_column_kinds[kind], min_size=m, max_size=m)))
+    table = np.array(columns).T
+    return OperatorGraph.from_arrays(table[:, :n], table[:, n:])
+
+
+@settings(derandomize=True, max_examples=300)
+@given(centre_graphs())
+def test_centre_is_the_former_fsum_centre(g):
+    _assert_former_centre(g)
+
+
+@pytest.mark.parametrize("v", [0.1, 1 / 3, -2.5e-310, -0.0, 1e300])
+@pytest.mark.parametrize("m", [1, 3, 1000])
+def test_centre_of_equal_rows_is_the_former_fsum_centre(v, m):
+    _assert_former_centre(OperatorGraph.from_arrays(np.full((m, 2), v), np.full((m, 2), -v)))
+
+
+def test_centre_where_a_sum_may_overflow_is_the_former_fsum_centre():
+    # the 1.7e308 rows sum beyond double range, so the former code runs as it was
+    for g in overflowing_sum_family():
+        _assert_former_centre(g)
+
+
+def test_centre_of_a_column_spanning_600_decades_stops_extracting(monkeypatch):
+    # each round resolves about 41 binary orders of magnitude at m = 3000, so
+    # the round cap hands what is left, entry by entry, to fsum
+    rng = np.random.Generator(np.random.Philox(38))
+    x = rng.choice([-1.0, 1.0], size=(3000, 2)) * 10.0 ** rng.uniform(-300, 300, size=(3000, 2))
+    g = OperatorGraph.from_arrays(x, rng.normal(size=(3000, 2)))
+    _assert_former_centre(g)
+    assert max(_fsum_lengths(monkeypatch, g)) > recovery._EXTRACT_ROUNDS
+
+
+def test_centre_of_a_normal_sample_sums_at_most_64_values_at_once(monkeypatch):
+    rng = np.random.Generator(np.random.Philox(39))
+    g = OperatorGraph.from_arrays(rng.normal(size=(20000, 20)), rng.normal(size=(20000, 20)))
+    _assert_former_centre(g)
+    lengths = _fsum_lengths(monkeypatch, g)
+    assert len(lengths) == 40 and max(lengths) <= 64
 
 
 def test_decompose_basis_change_is_a_conjugation():
