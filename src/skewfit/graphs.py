@@ -23,7 +23,6 @@ import operator
 import re
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
-from itertools import chain
 from typing import IO
 
 import numpy as np
@@ -107,13 +106,6 @@ def _reals(value, name: str, entry=None) -> np.ndarray:
     ``entry(index)`` or ``name[i][j]``.  Only the set of leaf types is checked."""
     if isinstance(value, np.ndarray) and value.dtype.kind in "fiu":
         return np.array(value, dtype=np.float64)
-    # a list of lists, as orjson reads a graph's rows, needs no object array
-    if isinstance(value, list) and set(map(type, value)) == {list}:
-        if set(map(type, chain.from_iterable(value))) <= {float, int}:
-            try:
-                return np.array(value, dtype=np.float64)
-            except (ValueError, OverflowError):  # ragged, or an integer beyond a double
-                pass  # named below
     try:
         leaves = np.array(value, dtype=object)
         if all(map(_is_real, set(map(type, leaves.flat)))):
