@@ -11,8 +11,10 @@ the span and the skew least-squares fit in closed form.  With
 bound, else ``bimonotone_check``'s O(m^2 n) pass (36-43 s for ``verify`` at
 m = 20000, n = 20, measured on a 2-vCPU Intel Xeon), and refuse exactly
 what that check refuses: NotBimonotoneError with its report (on the command
-line, the not_bimonotone document, exit 1).  Both translate by the exactly
-summed centre of the sample, which is finite for any finite points.
+line, the not_bimonotone document, exit 1).  ``decompose`` translates by
+the exactly summed centre of the sample, its ``basepoint``, which is finite
+for any finite points; ``verify_reconstruction`` by the sample's mean clipped
+to its range, since pairings do not change under translation.
 
 Dual components orthogonal to the span are invisible to the reduction and
 discarded; residuals are measured after projection onto the span.  Off it, a
@@ -281,50 +283,11 @@ def _certified(g: OperatorGraph, centre: GraphPoint, tol: ToleranceConfig, fit=N
     return fit
 
 
-# Rounds of extraction before what is left of a column goes to fsum whole
-_EXTRACT_ROUNDS = 4
-
-
-def _column_fsums(a: np.ndarray) -> list[float]:
-    """``math.fsum`` of each column of the (m, n) array ``a``, for
-    m max|a| < 2^1021, by the error-free extraction of Rump, Ogita and Oishi
-    (SIAM J. Sci. Comput. 31, 2008): each round splits every entry p into
-    q = (sigma + p) - sigma and p - q, with sigma a power of two at least
-    (m + 2) max|p| over the column, so that q sums exactly in any order.
-    fsum, correctly rounded, then adds those sums and the nonzero entries
-    left after ``_EXTRACT_ROUNDS``.  A zero sum is taken again over the
-    whole column, whose zeros fsum may sign otherwise than the parts'."""
-    p = a.T.copy()
-    shift = (p.shape[1] + 1).bit_length()
-    parts = []
-    for _ in range(_EXTRACT_ROUNDS):
-        top = np.maximum(p.max(axis=1), -p.min(axis=1))
-        sigma = np.ldexp(1.0, np.frexp(top)[1] + shift)[:, None]
-        q = sigma + p
-        q -= sigma
-        p -= q
-        parts.append(q.sum(axis=1))
-        if not p.any():
-            rests = [[]] * len(p)
-            break
-    else:
-        rests = [rest[rest != 0].tolist() for rest in p]
-    sums = []
-    for column, exact, rest in zip(a.T, zip(*parts), rests):
-        total = math.fsum([*exact, *rest])
-        sums.append(total if total else math.fsum(column.tolist()))
-    return sums
-
-
 def _centre(g: OperatorGraph) -> GraphPoint:
-    """The exact (``math.fsum``) centre of ``g``, finite for finite points.
-    Sums that cannot reach 2^1021 go through ``_column_fsums``; otherwise,
-    when a sum overflows, every coordinate is summed in units of 2^e > m."""
+    """The exact (``math.fsum``) centre of ``g``, ``decompose``'s ``basepoint``,
+    finite for finite points: when a sum overflows, every coordinate is summed
+    in units of 2^e > m."""
     arrays = g.primal_matrix, g.dual_matrix
-    m = len(g.primal_matrix)
-    big = max(max(a.max(initial=0.0), -a.min(initial=0.0)) for a in arrays)
-    if math.frexp(big)[1] + m.bit_length() <= 1021:
-        return GraphPoint(*([total / m for total in _column_fsums(a)] for a in arrays))
     try:
         return GraphPoint(*([math.fsum(c.tolist()) / len(c) for c in a.T] for a in arrays))
     except OverflowError:
@@ -461,17 +424,22 @@ def decompose(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Ske
                              max_residual=fit.max_residual, skewness_defect=0.0)
 
 
+@quiet_overflow
 def verify_reconstruction(dec: SkewDecomposition, g: OperatorGraph,
                           tol: ToleranceConfig = DEFAULT_TOLERANCE) -> ReconstructionReport:
     """Check basis^T xstar = a_hat basis^T x + v_hat for every pair of ``g``
     within the larger of the margin and the document's ``max_residual``; if
-    all pass, certify ``g`` as ``decompose`` does, on ``g`` less its own centre
-    (not the ``basepoint``) with the document's basis and a_hat.  So
+    all pass, certify ``g`` as ``decompose`` does, with the document's basis
+    and a_hat, on ``g`` less its own mean (not the ``basepoint``).  So
     ``max_residual`` buys no verdict: a sample within it that is not
-    bimonotone raises NotBimonotoneError."""
+    bimonotone raises NotBimonotoneError.  Pairings do not change under
+    translation, so the mean need not be exact, only finite: each coordinate
+    is clipped to the points' range."""
     if g.dimension != dec.basis.ambient_dimension:
         raise ValidationError(f"graph lives in R^{g.dimension}, decomposition in R^{dec.basis.ambient_dimension}")
     report = _reconstruction(dec.basis.q, dec.a_hat, dec.v_hat, g, tol, dec.max_residual)
     if report.verdict:
-        _certified(g, _centre(g), tol, (dec.basis.q, dec.a_hat))
+        arrays = g.primal_matrix, g.dual_matrix
+        mean = (np.clip((a / len(a)).sum(axis=0), a.min(axis=0), a.max(axis=0)) for a in arrays)
+        _certified(g, GraphPoint(*mean), tol, (dec.basis.q, dec.a_hat))
     return report

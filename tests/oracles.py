@@ -4,7 +4,7 @@ These deliberately avoid the library's own vectorized code paths: plain
 double loops and a least-squares fit over the free parameters of an
 antisymmetric matrix, solved through the normal equations.  The two
 exceptions are the former full-square pair scan, the bit-for-bit reference
-for the library's upper-triangle pass, and the former per-column ``math.fsum``
+for the library's upper-triangle pass, and the per-column ``math.fsum``
 centre at the end, the bit-for-bit reference for ``recovery._centre``.
 """
 
@@ -281,8 +281,8 @@ FULL_SQUARE = {
 
 
 # ---------------------------------------------------------------------------
-# The former centre: one ``math.fsum`` over each column's list of m floats,
-# and when a sum overflows, every coordinate summed in units of 2^e > m.
+# The fsum centre: one ``math.fsum`` over each column's list of m floats, and
+# when a sum overflows, every coordinate summed in units of 2^e > m.
 # ---------------------------------------------------------------------------
 
 def centre(g):

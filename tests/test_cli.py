@@ -111,6 +111,16 @@ def test_generate_rejects_bad_spec(capsys, tmp_path):
     assert "unknown key" in stderr
 
 
+def test_generate_refuses_a_spec_beyond_the_largest_float64_array(capsys, tmp_path):
+    # refused as the spec is read, before make_fixture allocates anything
+    spec_path = write_spec(tmp_path, {"n": 2**30, "k": 1, "m": 2**30})
+    out = tmp_path / "graph.json"
+    code, stdout, stderr = invoke(capsys, "generate", spec_path, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert stderr == f"skewfit: error: {spec_path}: n * m * branches exceeds the largest float64 array\n"
+    assert not out.exists() and not (tmp_path / "graph.truth.json").exists()
+
+
 def test_generate_overflowing_fixture_exits_2_with_one_line(capsys, tmp_path):
     # the duals overflow inside make_fixture: the graph's finiteness check
     # names them, and no numpy warning reaches stderr

@@ -74,6 +74,16 @@ def test_validating_a_spec_imports_no_generator():
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
+def test_a_spec_beyond_the_largest_float64_array_is_refused_unbuilt():
+    # the n * m * branches entries of each primal and dual array must be
+    # addressable in bytes; a spec only checks this, so no array is built
+    limit = np.iinfo(np.intp).max // 8
+    FixtureSpec(n=limit, k=1, m=1)
+    for n, m, branches in ((limit + 1, 1, 1), (2**30, 2**30, 1), (1, 2**31, 2**30)):
+        with pytest.raises(ValidationError, match=r"^n \* m \* branches exceeds the largest float64 array$"):
+            FixtureSpec(n=n, k=1, m=m, branches=branches)
+
+
 # ---------------------------------------------------------------------------
 # make_fixture
 # ---------------------------------------------------------------------------

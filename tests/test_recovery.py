@@ -1,8 +1,8 @@
 import dataclasses
 import functools
 import json
-import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -378,21 +378,6 @@ def _assert_former_centre(g):
     assert got.xstar.tobytes() == want.xstar.tobytes()
 
 
-def _fsum_lengths(monkeypatch, g):
-    """How many values each ``math.fsum`` call of ``recovery._centre(g)`` sums."""
-    lengths, fsum = [], math.fsum
-
-    def counted(values):
-        values = list(values)
-        lengths.append(len(values))
-        return fsum(values)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(math, "fsum", counted)
-        recovery._centre(g)
-    return lengths
-
-
 _SMALLEST_NORMAL = 2.2250738585072014e-308
 _column_kinds = {
     "any": st.floats(allow_nan=False, allow_infinity=False),
@@ -429,27 +414,22 @@ def test_centre_of_equal_rows_is_the_former_fsum_centre(v, m):
 
 
 def test_centre_where_a_sum_may_overflow_is_the_former_fsum_centre():
-    # the 1.7e308 rows sum beyond double range, so the former code runs as it was
+    # the 1.7e308 rows sum beyond double range, so every coordinate is summed in units of 2^e > m
     for g in overflowing_sum_family():
         _assert_former_centre(g)
 
 
-def test_centre_of_a_column_spanning_600_decades_stops_extracting(monkeypatch):
-    # each round resolves about 41 binary orders of magnitude at m = 3000, so
-    # the round cap hands what is left, entry by entry, to fsum
-    rng = np.random.Generator(np.random.Philox(38))
-    x = rng.choice([-1.0, 1.0], size=(3000, 2)) * 10.0 ** rng.uniform(-300, 300, size=(3000, 2))
-    g = OperatorGraph.from_arrays(x, rng.normal(size=(3000, 2)))
+@pytest.mark.parametrize("kind", ["600-decades", "normal-20000"])
+def test_centre_of_a_large_sample_is_the_former_fsum_centre(kind):
+    # a 3000-row column spanning 1e-300 to 1e300, and a 20000 x 20 N(0, 1) sample
+    if kind == "600-decades":
+        rng = np.random.Generator(np.random.Philox(38))
+        x = rng.choice([-1.0, 1.0], size=(3000, 2)) * 10.0 ** rng.uniform(-300, 300, size=(3000, 2))
+        g = OperatorGraph.from_arrays(x, rng.normal(size=(3000, 2)))
+    else:
+        rng = np.random.Generator(np.random.Philox(39))
+        g = OperatorGraph.from_arrays(rng.normal(size=(20000, 20)), rng.normal(size=(20000, 20)))
     _assert_former_centre(g)
-    assert max(_fsum_lengths(monkeypatch, g)) > recovery._EXTRACT_ROUNDS
-
-
-def test_centre_of_a_normal_sample_sums_at_most_64_values_at_once(monkeypatch):
-    rng = np.random.Generator(np.random.Philox(39))
-    g = OperatorGraph.from_arrays(rng.normal(size=(20000, 20)), rng.normal(size=(20000, 20)))
-    _assert_former_centre(g)
-    lengths = _fsum_lengths(monkeypatch, g)
-    assert len(lengths) == 40 and max(lengths) <= 64
 
 
 def test_decompose_basis_change_is_a_conjugation():
@@ -815,6 +795,17 @@ def test_verify_certifies_a_sample_whose_sum_overflows_by_the_bound(pair_checks)
     assert report.verdict and report.residuals == (0.0, 0.0)
     assert pair_checks == []
     assert decompose(g).basepoint.x.tolist() == [1e308]
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_certifies_rows_at_the_largest_double_by_a_clipped_mean(pair_checks):
+    # the plain mean of three rows at the largest double, a third of it summed
+    # three times, overflows; clipped to the rows' range it is that double, so
+    # the fit's bound certifies the sample with no pair check and no warning
+    g = OperatorGraph.from_arrays([[sys.float_info.max]] * 3, np.zeros((3, 1)))
+    report = verify_reconstruction(RANK_ONE, g)
+    assert report.verdict and report.residuals == (0.0, 0.0, 0.0)
+    assert pair_checks == []
 
 
 @pytest.mark.filterwarnings("error")
