@@ -20,9 +20,8 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .graphs import (OperatorGraph, ParseError, ValidationError, check_keys, integer,
-                     nonnegative, point_index, quiet_overflow)
-from .recovery import InternalInconsistencyError, OrthonormalBasis
+from .graphs import (InternalInconsistencyError, OperatorGraph, OrthonormalBasis, ParseError,
+                     ValidationError, check_keys, integer, nonnegative, point_index, quiet_overflow)
 
 __all__ = [
     "Fixture",

@@ -7,7 +7,9 @@ read-only (m, n) float64 arrays, the primal and the dual rows in sample
 order.  Its one constructor, ``OperatorGraph(primal, dual)`` (also spelled
 ``OperatorGraph.from_arrays``), validates the two arrays as a whole; every
 scan and fit works on them directly, and a GraphPoint is only a view of one
-row pair, built when ``points`` is indexed.
+row pair, built when ``points`` is indexed.  An OrthonormalBasis holds a
+subspace of R^n, the span that fixtures plant and recovery finds.  Every other
+module of the package imports this one, and this one imports none of them.
 
 Comparisons between nearby vectors go through an explicit ToleranceConfig;
 exact (bit-level) equality is reserved for serialization round-trips and for
@@ -31,7 +33,9 @@ import orjson
 __all__ = [
     "DEFAULT_TOLERANCE",
     "GraphPoint",
+    "InternalInconsistencyError",
     "OperatorGraph",
+    "OrthonormalBasis",
     "ParseError",
     "SkewfitError",
     "ToleranceConfig",
@@ -55,6 +59,11 @@ class ValidationError(SkewfitError, ValueError):
 
 class ParseError(SkewfitError, ValueError):
     """A byte stream could not be parsed into a graph."""
+
+
+class InternalInconsistencyError(SkewfitError, RuntimeError):
+    """Two internal views of the same data disagree; indicates a tolerance
+    miscalibration rather than a property of the input."""
 
 
 # Array code runs with numpy's overflow warnings silenced and hands what it
@@ -325,6 +334,38 @@ class OperatorGraph:
 
     def __repr__(self) -> str:
         return f"OperatorGraph(dimension={self.dimension}, points=<{len(self._x)}>)"
+
+
+@dataclass(frozen=True, eq=False)
+class OrthonormalBasis:
+    """Column-orthonormal matrix whose columns span a subspace of R^n.
+
+    Zero columns (an empty basis for the trivial subspace) are allowed.
+    """
+
+    q: np.ndarray
+
+    @quiet_overflow
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "q", finite_array(self.q, "basis", 2))
+        n, k = self.q.shape
+        if k > n:
+            raise ValidationError(f"basis has {k} columns but only {n} rows")
+        gram = self.q.T @ self.q - np.eye(k)
+        check_overflow(~np.isfinite(gram), lambda f: f"basis column {f // k}")
+        gram_defect = float(np.max(np.abs(gram))) if k else 0.0
+        if gram_defect > 1e-12:
+            raise ValidationError(
+                f"basis columns are not orthonormal (defect {gram_defect:.3e})"
+            )
+
+    @property
+    def ambient_dimension(self) -> int:
+        return self.q.shape[0]
+
+    @property
+    def rank(self) -> int:
+        return self.q.shape[1]
 
 
 def contains_origin(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> bool:

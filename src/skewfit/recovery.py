@@ -19,6 +19,7 @@ to its range, since pairings do not change under translation.
 Dual components orthogonal to the span are invisible to the reduction and
 discarded; residuals are measured after projection onto the span.  Off it, a
 pairing gains <dw, de> from the discarded parts dw and off-span parts de.
+The span is a ``graphs.OrthonormalBasis``; the fallback is ``classify``'s.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ from .classify import ClassificationReport, bimonotone_check
 from .graphs import (
     DEFAULT_TOLERANCE,
     GraphPoint,
+    InternalInconsistencyError,
     OperatorGraph,
+    OrthonormalBasis,
     SkewfitError,
     ToleranceConfig,
     ValidationError,
@@ -45,9 +48,7 @@ from .graphs import (
 )
 
 __all__ = [
-    "InternalInconsistencyError",
     "NotBimonotoneError",
-    "OrthonormalBasis",
     "ReconstructionReport",
     "SkewDecomposition",
     "build_skew_operator",
@@ -63,43 +64,6 @@ class NotBimonotoneError(SkewfitError):
     def __init__(self, message: str, report: ClassificationReport) -> None:
         super().__init__(message)
         self.report = report
-
-
-class InternalInconsistencyError(SkewfitError, RuntimeError):
-    """Two internal views of the same data disagree; indicates a tolerance
-    miscalibration rather than a property of the input."""
-
-
-@dataclass(frozen=True, eq=False)
-class OrthonormalBasis:
-    """Column-orthonormal matrix whose columns span a subspace of R^n.
-
-    Zero columns (an empty basis for the trivial subspace) are allowed.
-    """
-
-    q: np.ndarray
-
-    @quiet_overflow
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "q", finite_array(self.q, "basis", 2))
-        n, k = self.q.shape
-        if k > n:
-            raise ValidationError(f"basis has {k} columns but only {n} rows")
-        gram = self.q.T @ self.q - np.eye(k)
-        check_overflow(~np.isfinite(gram), lambda f: f"basis column {f // k}")
-        gram_defect = float(np.max(np.abs(gram))) if k else 0.0
-        if gram_defect > 1e-12:
-            raise ValidationError(
-                f"basis columns are not orthonormal (defect {gram_defect:.3e})"
-            )
-
-    @property
-    def ambient_dimension(self) -> int:
-        return self.q.shape[0]
-
-    @property
-    def rank(self) -> int:
-        return self.q.shape[1]
 
 
 @quiet_overflow

@@ -5,10 +5,12 @@ double loops and a least-squares fit over the free parameters of an
 antisymmetric matrix, solved through the normal equations.  The two
 exceptions are the former full-square pair scan, the bit-for-bit reference
 for the library's upper-triangle pass, and the per-column ``math.fsum``
-centre at the end, the bit-for-bit reference for ``recovery._centre``.
+centre at the end, the bit-for-bit reference for ``recovery._centre``; the
+exact mean beside it is that centre's independent reference.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -292,3 +294,18 @@ def centre(g):
     except OverflowError:
         e = len(g.primal_matrix).bit_length()
         return GraphPoint(*(np.ldexp([math.fsum(c.tolist()) / len(c) for c in np.ldexp(a, -e).T], e) for a in arrays))
+
+
+# Every finite double is an integer multiple of 2^-1074, the least subnormal.
+_LEAST_SUBNORMAL_DENOMINATOR = 2 ** 1074
+
+
+def exact_mean(column):
+    """The mean of a sequence of finite doubles, exactly, as a Fraction: each
+    double n / d (d a power of two, at most 2^1074) is summed as the integer
+    n 2^1074 / d, with no rounding anywhere."""
+    total = 0
+    for value in column:
+        n, d = value.as_integer_ratio()
+        total += n * (_LEAST_SUBNORMAL_DENOMINATOR // d)
+    return Fraction(total, len(column) * _LEAST_SUBNORMAL_DENOMINATOR)

@@ -284,3 +284,28 @@ def test_every_import_in_the_package_is_used():
                         and any(getattr(target, "id", None) == "__all__" for target in node.targets)
                         for leaf in ast.walk(node.value) if isinstance(leaf, ast.Constant)}
             assert imported <= read | exported, (path.name, sorted(imported - read - exported))
+
+
+# the package modules each module imports: graphs is the data model under all
+# of them, recovery falls back on classify's pair check, and only cli and the
+# package itself sit above recovery or fixtures
+IMPORT_LAYERS = {
+    "graphs": set(),
+    "classify": {"graphs"},
+    "recovery": {"graphs", "classify"},
+    "fixtures": {"graphs"},
+    "cli": {"graphs", "classify", "recovery", "fixtures"},
+    "__init__": {"graphs", "classify", "recovery", "fixtures"},
+    "__main__": {"cli"},
+}
+
+
+def test_the_package_imports_in_one_way_layers():
+    # each module's relative imports, read with ast, are its layer's and no others
+    with criterion("import-layers"):
+        for path in sorted(Path(skewfit.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            imported = {node.module.split(".")[0] if node.module else alias.name
+                        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+                        for alias in node.names}
+            assert imported == IMPORT_LAYERS[path.stem], (path.name, sorted(imported))

@@ -1,8 +1,10 @@
 import dataclasses
 import functools
 import json
+import math
 import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -372,10 +374,44 @@ def test_decompose_fits_every_sample_of_the_overflowing_sum_family():
                                                                     dec.basepoint.xstar.tolist())
 
 
-def _assert_former_centre(g):
+_UNIT_ROUNDOFF = Fraction(1, 2 ** 53)
+_HALF_LEAST_SUBNORMAL = Fraction(1, 2 ** 1075)
+
+
+def _fsum_overflows(a):
+    try:
+        for column in a.T.tolist():
+            math.fsum(column)
+    except OverflowError:
+        return True
+    return False
+
+
+def _assert_centre(g):
+    """``recovery._centre(g)`` is the former fsum centre bit for bit, which
+    pins ``decompose``'s basepoint bytes, and each of its coordinates q lies
+    within the rounding of its steps of the exact mean mu of its column.
+
+    ``math.fsum`` rounds the exact sum S once, by at most u |S| (u = 2^-53;
+    a sum in the subnormal range is exact), and the division by m rounds by
+    at most half an ulp of q: |q - mu| <= u |mu| + ulp(q) / 2.  When a sum of
+    the sample overflows, every coordinate is summed in units of 2^e, with
+    e = m.bit_length(); scaling a value by 2^-e rounds it by at most 2^-1075,
+    half the least subnormal, and so moves the mean by as much.  In those
+    units, with q' = q 2^-e and mu' = mu 2^-e,
+    |q' - mu'| <= 2^-1075 + u (|mu'| + 2^-1075) + ulp(q') / 2.
+    """
     got, want = recovery._centre(g), oracles.centre(g)
     assert got.x.tobytes() == want.x.tobytes()
     assert got.xstar.tobytes() == want.xstar.tobytes()
+    arrays = g.primal_matrix, g.dual_matrix
+    e = len(g.primal_matrix).bit_length() if any(map(_fsum_overflows, arrays)) else 0
+    scaling = _HALF_LEAST_SUBNORMAL if e else 0
+    for coordinates, a in zip((got.x, got.xstar), arrays):
+        for j, (q, column) in enumerate(zip(coordinates.tolist(), a.T.tolist())):
+            q_units, mu_units = math.ldexp(q, -e), oracles.exact_mean(column) / 2 ** e
+            bound = scaling + _UNIT_ROUNDOFF * (abs(mu_units) + scaling) + Fraction(math.ulp(q_units)) / 2
+            assert abs(Fraction(q_units) - mu_units) <= bound, (j, q, float(mu_units))
 
 
 _SMALLEST_NORMAL = 2.2250738585072014e-308
@@ -404,19 +440,19 @@ def centre_graphs(draw):
 @settings(derandomize=True, max_examples=300)
 @given(centre_graphs())
 def test_centre_is_the_former_fsum_centre(g):
-    _assert_former_centre(g)
+    _assert_centre(g)
 
 
 @pytest.mark.parametrize("v", [0.1, 1 / 3, -2.5e-310, -0.0, 1e300])
 @pytest.mark.parametrize("m", [1, 3, 1000])
 def test_centre_of_equal_rows_is_the_former_fsum_centre(v, m):
-    _assert_former_centre(OperatorGraph.from_arrays(np.full((m, 2), v), np.full((m, 2), -v)))
+    _assert_centre(OperatorGraph.from_arrays(np.full((m, 2), v), np.full((m, 2), -v)))
 
 
 def test_centre_where_a_sum_may_overflow_is_the_former_fsum_centre():
     # the 1.7e308 rows sum beyond double range, so every coordinate is summed in units of 2^e > m
     for g in overflowing_sum_family():
-        _assert_former_centre(g)
+        _assert_centre(g)
 
 
 @pytest.mark.parametrize("kind", ["600-decades", "normal-20000"])
@@ -429,7 +465,7 @@ def test_centre_of_a_large_sample_is_the_former_fsum_centre(kind):
     else:
         rng = np.random.Generator(np.random.Philox(39))
         g = OperatorGraph.from_arrays(rng.normal(size=(20000, 20)), rng.normal(size=(20000, 20)))
-    _assert_former_centre(g)
+    _assert_centre(g)
 
 
 def test_decompose_basis_change_is_a_conjugation():
