@@ -17,9 +17,13 @@ for any finite points; ``verify_reconstruction`` by the sample's mean clipped
 to its range, since pairings do not change under translation.
 
 Dual components orthogonal to the span are invisible to the reduction and
-discarded; residuals are measured after projection onto the span.  Off it, a
-pairing gains <dw, de> from the discarded parts dw and off-span parts de.
-The span is a ``graphs.OrthonormalBasis``; the fallback is ``classify``'s.
+discarded; residuals are measured after projection onto the span.  ``_parts``
+is the one projection onto a span, for the fit, the certificate and
+``reduce``: coordinates xi, eta and off-span parts e, w of the rows.  By the
+paper's identity a pairing is the misfit <dr, dxi> of the fit's residual r,
+less the Gram term <deta, G dxi> of the basis's rounding, plus the leakage
+<dw, de>; ``_bound`` bounds each.  The span is a ``graphs.OrthonormalBasis``;
+the fallback is ``classify``'s.
 """
 
 from __future__ import annotations
@@ -101,11 +105,7 @@ def span_basis(vectors, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Orthonormal
 
 
 @quiet_overflow
-def reduce(
-    g: OperatorGraph,
-    basis: OrthonormalBasis,
-    tol: ToleranceConfig = DEFAULT_TOLERANCE,
-) -> OperatorGraph:
+def reduce(g: OperatorGraph, basis: OrthonormalBasis, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> OperatorGraph:
     """Express every pair in the coordinates of ``basis``.
 
     The result is a graph on R^k, where k = ``basis.rank`` may be zero.
@@ -115,24 +115,16 @@ def reduce(
     Raises ValidationError when a point's residual or allowance overflows.
     """
     if basis.ambient_dimension != g.dimension:
-        raise ValidationError(
-            f"basis lives in R^{basis.ambient_dimension}, graph in R^{g.dimension}"
-        )
-    q = basis.q
-    x = g.primal_matrix
-    s = g.dual_matrix
-    x_hat = x @ q
-    s_hat = s @ q
-    residual = np.linalg.norm(x - x_hat @ q.T, axis=1)
-    allowed = tol.abs_tol + tol.rel_tol * np.linalg.norm(x, axis=1)
+        raise ValidationError(f"basis lives in R^{basis.ambient_dimension}, graph in R^{g.dimension}")
+    x_hat, off_span, s_hat, _ = _parts(g.primal_matrix, g.dual_matrix, basis.q)
+    residual = np.linalg.norm(off_span, axis=1)
+    allowed = tol.abs_tol + tol.rel_tol * np.linalg.norm(g.primal_matrix, axis=1)
     check_overflow(~(np.isfinite(residual) & np.isfinite(allowed)), lambda i: f"points[{i}].x")
     bad = np.nonzero(residual > allowed)[0]
     if bad.size:
         i = int(bad[0])
-        raise ValidationError(
-            f"points[{i}].x lies outside the span of the basis "
-            f"(out-of-span residual {residual[i]:.6e})"
-        )
+        raise ValidationError(f"points[{i}].x lies outside the span of the basis "
+                              f"(out-of-span residual {residual[i]:.6e})")
     return OperatorGraph.from_arrays(x_hat, s_hat)
 
 
@@ -189,20 +181,29 @@ def _skew_fit(w: np.ndarray, sing: np.ndarray) -> np.ndarray:
 
 
 @quiet_overflow
-def _bound_certifies(x: np.ndarray, s: np.ndarray, q: np.ndarray, a_hat: np.ndarray,
-                     tol: ToleranceConfig) -> bool:
+def _parts(x: np.ndarray, s: np.ndarray, q: np.ndarray):
+    """The rows ``x``, ``s`` split by the basis ``q`` of a span, as ``(xi, e,
+    eta, w)``: xi_i = q^T x_i and eta_i = q^T s_i in the span's coordinates,
+    and e_i = x_i - q xi_i and w_i = s_i - q eta_i off the span."""
+    xi, eta = x @ q, s @ q
+    return xi, x - xi @ q.T, eta, s - eta @ q.T
+
+
+@quiet_overflow
+def _bound(x: np.ndarray, s: np.ndarray, q: np.ndarray, a_hat: np.ndarray, parts, tol: ToleranceConfig):
     """The one certificate: whether the bound B of a fit ``(q, a_hat)``, a_hat
     antisymmetric, keeps every pair of the primal and dual rows ``x``, ``s``
-    within its margin.  With xi_i = q^T x_i, e_i = x_i - q xi_i (off the span),
-    eta_i = q^T s_i, w_i = s_i - q eta_i and r_i = eta_i - a_hat xi_i (the fit's
-    residual), exactly <ds, dx> = <dr, dxi> - <deta, G dxi> + <dw, de> for
-    G = q^T q - I, so every pairing is at most B = 4 (rho R + g H R + omega eps),
-    with g >= ||G||_2 and maxima over the points of upper bounds of |r| (rho),
-    |xi| (R), |eta| (H), |w| (omega) and |e| (eps).  Each norm is padded by
-    2^-500, beyond underflow, and by tau = 4 (n + k + 4) sqrt(k + 1) (1 + g)^2 u
-    times its row's norm (|x_i|, |s_i|, or |s_i| + ||a_hat|| |x_i| for r),
-    beyond the rounding of a centred row and of each step here (Higham,
-    Accuracy and Stability of Numerical Algorithms, ch. 3).
+    within its margin; with that decision, B's terms and budget as a dict
+    (misfit 4 rho R, gram 4 g H R, leakage 4 omega eps, rounding, budget).
+    With ``parts`` = ``_parts(x, s, q)`` and the fit's residual r_i = eta_i -
+    a_hat xi_i, exactly <ds, dx> = <dr, dxi> - <deta, G dxi> + <dw, de> for
+    G = q^T q - I, so every pairing is at most B = 4 (rho R + g H R + omega
+    eps), with g >= ||G||_2 and maxima over the points of upper bounds of |r|
+    (rho), |xi| (R), |eta| (H), |w| (omega) and |e| (eps).  Each norm is
+    padded by 2^-500, beyond underflow, and by tau = 4 (n + k + 4) sqrt(k + 1)
+    (1 + g)^2 u times its row's norm (|x_i|, |s_i|, or |s_i| + ||a_hat|| |x_i|
+    for r), beyond the rounding of a centred row and of each step here
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).
     ``bimonotone_check``'s rounding, gamma_{n+2} |ds| |dx|, is within
     rel_tol |ds| |dx| / 2 if rel_tol >= 2 gamma_{n+2}, else B adds it at the
     largest differences.  B <= (abs_tol + rel_tol / 2) (1 - 8 (n + 4) u) then
@@ -212,33 +213,37 @@ def _bound_certifies(x: np.ndarray, s: np.ndarray, q: np.ndarray, a_hat: np.ndar
     gram = 2.0 * (np.linalg.norm(q.T @ q - np.eye(k)) + k * (n + 2) * u)
     tau = 4 * (n + k + 4) * math.sqrt(k + 1) * (1.0 + gram) ** 2 * u
     size_x, size_s = (tau * np.linalg.norm(v, axis=1) for v in (x, s))
-    xi, eta = x @ q, s @ q
-    parts = (x - xi @ q.T, s - eta @ q.T, eta - xi @ a_hat.T, xi, eta)
+    xi, e, eta, w = parts
+    rows = (e, w, eta - xi @ a_hat.T, xi, eta)
     pads = (size_x, size_s, size_s + np.linalg.norm(a_hat) * size_x, size_x, size_s)
-    eps, omega, rho, xi, eta = (np.max(np.linalg.norm(v, axis=1) + p + 2.0**-500) for v, p in zip(parts, pads))
+    eps, omega, rho, xi, eta = (np.max(np.linalg.norm(v, axis=1) + p + 2.0**-500) for v, p in zip(rows, pads))
     gamma = (n + 2) * u / (1 - (n + 2) * u)
     reach_x, reach_s = 2 * ((1 + gram) * xi + eps), 2 * ((1 + gram) * eta + omega)
-    bound = 4 * (rho * xi + gram * eta * xi + omega * eps)
-    bound += gamma * reach_x * reach_s if tol.rel_tol < 2 * gamma else 0.0
+    rounding = gamma * reach_x * reach_s if tol.rel_tol < 2 * gamma else 0.0
+    bound = 4 * (rho * xi + gram * eta * xi + omega * eps) + rounding
+    budget = (tol.abs_tol + tol.rel_tol / 2) * (1 - 8 * (n + 4) * u)
     guard = (n + 2) * (tol.abs_tol + tol.rel_tol + 1) * (reach_x + reach_s + 1) ** 2
-    return bool(np.isfinite(guard) and bound <= (tol.abs_tol + tol.rel_tol / 2) * (1 - 8 * (n + 4) * u))
+    terms = {"misfit": 4 * rho * xi, "gram": 4 * gram * eta * xi, "leakage": 4 * omega * eps}
+    return bool(np.isfinite(guard) and bound <= budget), {**terms, "rounding": rounding, "budget": budget}
 
 
 @quiet_overflow
 def _certified(g: OperatorGraph, centre: GraphPoint, tol: ToleranceConfig, fit=None):
     """The fit ``(q, a_hat)`` of the rows of ``g`` less ``centre``, once ``g``
-    is certified bimonotone: by ``_bound_certifies`` on those rows, else by
+    is certified bimonotone: by ``_bound`` on those rows, else by
     ``_certify``, run before anything raises.  Without a given ``fit`` it is
     the ``span_basis`` q of the primal rows X = u diag(sing) q^T and the skew
-    least-squares fit in its coordinates from W = u^T S q."""
+    least-squares fit in its coordinates from W = u^T S q, whose S q is the
+    eta of the certificate's ``_parts``."""
     try:
         x, s = g.primal_matrix - centre.x, g.dual_matrix - centre.xstar
+        u_k, sing, q = _span_svd(x, tol) if fit is None else (None, None, fit[0])
+        parts = _parts(x, s, q)
         if fit is None:
-            u_k, sing, q = _span_svd(x, tol)
-            a_hat = _skew_fit(u_k.T @ (s @ q), sing)
+            a_hat = _skew_fit(u_k.T @ parts[2], sing)
             check_overflow(~np.isfinite(a_hat), lambda f: "the skew fit")
             fit = q, a_hat
-        certified = _bound_certifies(x, s, *fit, tol)
+        certified = _bound(x, s, *fit, parts, tol)[0]
     except Exception:
         _certify(g, tol)
         raise

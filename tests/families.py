@@ -5,7 +5,8 @@ Each generator yields ``OperatorGraph`` samples from its own seeded stream,
 so every module that draws ``count`` samples of a family gets the same ones.
 ``off_plane_rotation`` and ``converse_document`` give the planted
 decompositions that ``verify`` must not accept on a sample that is not
-bimonotone.
+bimonotone, and ``fallback_graph`` a bimonotone sample that the fit's bound
+does not certify at m = 2000.
 """
 
 import numpy as np
@@ -104,6 +105,20 @@ def near_constant_family(count):
         x = 10 ** rng.uniform(-3, 6) * rng.normal(size=(m, n))
         s = rng.normal(size=n) + 10 ** rng.uniform(-12, -8) * rng.normal(size=(m, n))
         yield OperatorGraph.from_arrays(x, s)
+
+
+def fallback_graph(m):
+    """README's fallback graph of m points: the planted rank-8 skew sample
+    ``FixtureSpec(n=20, k=8, m, offset_norm=0.3, seed=1)`` with noise off the
+    planted span, 1e-11 N(0, 1) on the primal rows, then N(0, 1) on the dual
+    rows, both from ``default_rng(5)``.  At the default tolerance the fit's
+    bound B certifies it at m = 200 and 500 but not at m = 2000, where its
+    leakage term 4 omega eps alone fits the budget."""
+    fix = make_fixture(FixtureSpec(n=20, k=8, m=m, offset_norm=0.3, seed=1))
+    q = fix.truth.basis.q
+    rng = np.random.default_rng(5)
+    off = [v - (v @ q) @ q.T for v in (rng.normal(size=(m, 20)), rng.normal(size=(m, 20)))]
+    return OperatorGraph.from_arrays(fix.graph.primal_matrix + 1e-11 * off[0], fix.graph.dual_matrix + off[1])
 
 
 def _planted_document(a_hat):

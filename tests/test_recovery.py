@@ -37,7 +37,7 @@ from skewfit.fixtures import FixtureSpec
 
 import oracles
 from families import (HARD_FAMILIES, TOLERANCE_GRID, boundary_family, converse_document, converse_family,
-                      hard_families, hard_family_graph, off_plane_rotation, overflowing_sum_family,
+                      fallback_graph, hard_families, hard_family_graph, off_plane_rotation, overflowing_sum_family,
                       two_branch_family)
 
 
@@ -616,6 +616,65 @@ def test_build_skew_operator_waits_for_the_pair_check(dual, error, message, pair
     with pytest.raises(error, match=message):
         build_skew_operator(OperatorGraph.from_arrays(x, s), ToleranceConfig(0.0, 1e-9))
     assert len(pair_checks) == 1
+
+
+def certificate(g, tol=ToleranceConfig()):
+    """``(x, s, q, a_hat, parts)`` as ``decompose``'s certificate forms them:
+    the rows of ``g`` less its centre, the fit, and ``recovery._parts``."""
+    centre = recovery._centre(g)
+    x, s = g.primal_matrix - centre.x, g.dual_matrix - centre.xstar
+    u_k, sing, q = recovery._span_svd(x, tol)
+    parts = recovery._parts(x, s, q)
+    return x, s, q, recovery._skew_fit(u_k.T @ parts[2], sing), parts
+
+
+def pairings(a, b):
+    """The (m, m) array of <a_i - a_j, b_i - b_j>."""
+    return np.einsum("ijk,ijk->ij", a[:, None] - a[None], b[:, None] - b[None])
+
+
+def test_every_pairing_is_the_identity_of_the_parts():
+    # the identity that B cites: <ds, dx> = <dr, dxi> - <deta, G dxi> +
+    # <dw, de> for every pair, with r = eta - xi a_hat^T and G = q^T q - I,
+    # up to the rounding of the parts and of the inner products, here at most
+    # 2 (n + k) u (|x_i| + |x_j|) (|s_i| + |s_j| + ||a_hat|| (|x_i| + |x_j|))
+    # (Higham, ch. 3); each term's largest value over the pairs is within
+    # its term of B
+    samples = [planted_fixture(seed=seed).graph for seed in range(30, 40)]
+    samples += list(boundary_family(300)) + list(converse_family(60)) + [fallback_graph(200)]
+    for g in samples:
+        x, s, q, a_hat, (xi, e, eta, w) = certificate(g)
+        (n, k), u = q.shape, np.finfo(np.float64).eps / 2
+        terms = {"misfit": pairings(eta - xi @ a_hat.T, xi), "gram": pairings(eta, xi @ (q.T @ q - np.eye(k))),
+                 "leakage": pairings(w, e)}
+        norm_x, norm_s = (np.linalg.norm(v, axis=1) for v in (x, s))
+        sum_x, sum_s = norm_x[:, None] + norm_x[None], norm_s[:, None] + norm_s[None]
+        gap = pairings(s, x) - (terms["misfit"] - terms["gram"] + terms["leakage"])
+        assert np.all(np.abs(gap) <= 2 * (n + k) * u * sum_x * (sum_s + np.linalg.norm(a_hat) * sum_x))
+        bound = recovery._bound(x, s, q, a_hat, (xi, e, eta, w), ToleranceConfig())[1]
+        assert all(np.abs(t).max() <= bound[name] for name, t in terms.items())
+
+
+def test_the_bound_misses_the_fallback_graph_by_its_leakage_term():
+    # README's fallback graph: B certifies it at m = 200 and 500; at m = 2000
+    # its three terms sum past the budget though the leakage term alone fits,
+    # and the exact leakage max |<dw, de>| = max |d_i + d_j - M_ij - M_ji|
+    # (M = W E^T, d_i = <w_i, e_i>) leaves room beside the other two terms,
+    # which is what a certificate by the exact leakage would read
+    tol = ToleranceConfig()
+    assert recovery._bound(*certificate(fallback_graph(200)), tol)[0]
+    assert recovery._bound(*certificate(fallback_graph(500)), tol)[0]
+    x, s, q, a_hat, (xi, e, eta, w) = certificate(fallback_graph(2000))
+    certified, b = recovery._bound(x, s, q, a_hat, (xi, e, eta, w), tol)
+    assert not certified and b["rounding"] == 0.0
+    assert [b["misfit"], b["leakage"], b["budget"]] == pytest.approx([1.27e-10, 1.43e-9, 1.50e-9], rel=0.01)
+    # g is k (n + 2) u padded by ||q^T q - I||, which follows LAPACK's rounding
+    assert b["gram"] == pytest.approx(1.04e-11, rel=0.15)
+    assert b["leakage"] < b["budget"] < b["misfit"] + b["gram"] + b["leakage"]
+    d, cross = np.einsum("ij,ij->i", w, e), w @ e.T
+    exact = np.abs(d[:, None] + d[None] - cross - cross.T).max()
+    assert exact == pytest.approx(4.27e-10, rel=0.01)
+    assert b["misfit"] + b["gram"] + exact < b["budget"]
 
 
 @functools.cache
