@@ -8,7 +8,8 @@ for every check.  The conditions, for pairs (x, xstar) and (y, ystar):
 * bimonotone:          <xstar - ystar, x - y> == 0 within tolerance
 * paramonotone:        whenever that product vanishes, the crossed pairs
                        (x, ystar) and (y, xstar) must already be in the graph
-* constant on domain:  all dual points coincide
+* constant on domain:  |xstar - ystar| |x - y| == 0 within the pairing's
+                       margin, so constant => bimonotone => monotone, per pair
 
 Every check is one pass over the upper triangle of point pairs, exact
 double arithmetic quadratic in the number of points: each pair's differences
@@ -113,7 +114,7 @@ def _pair_pass(
 ) -> tuple[dict, list | None]:
     """The records of the monotone, bimonotone and constant violations of
     ``g`` from one pass over its pairs (i, j), j >= i, and, with ``store``,
-    of the primal gap and the matrices that ``_crossed_pairs`` reads.
+    of the two gaps and the matrices that ``_crossed_pairs`` reads.
 
     Row blocks are sized for about ``_CHUNK_FLOATS`` floats (2 MB of float64)
     per (rows, m, n) array, and block [i0, i1) takes its differences dx, ds
@@ -123,8 +124,9 @@ def _pair_pass(
 
     * pairing:    -<ds, dx> against |ds| |dx|.  Its maximum is the monotone
                   record, the maximum of its absolute value the bimonotone one.
-    * dual gap:   |ds| against max(|xstar_i|, |xstar_j|); the constant record.
+    * constant:   max(|ds| |dx|, |<ds, dx>|) against |ds| |dx|, the pairing's.
     * primal gap: |dx| against max(|x_i|, |x_j|), with ``store`` only.
+    * dual gap:   |ds| against max(|xstar_i|, |xstar_j|), with ``store`` only.
 
     Returns the records, keyed by name, each (worst, pair): the largest
     violation and the first pair in row-major order attaining it (blocks
@@ -138,14 +140,15 @@ def _pair_pass(
     i < j, its primal gap at [i, j] and its dual gap at [j, i] (the zero
     diagonal serves both), 9 m^2 bytes in all, written block by block.  They
     are allocated with the first block, unless it shows a monotone violation,
-    and dropped, with the primal gap's computation, at the first block that
+    and dropped, with the gaps' computation, at the first block that
     does, so ``stored`` is None for a sample that is not monotone.
     """
     x, s = g.primal_matrix, g.dual_matrix
     m, n = x.shape
     rows = max(1, _CHUNK_FLOATS // max(1, m * n))
-    norm_x, norm_s = np.linalg.norm(x, axis=1), np.linalg.norm(s, axis=1)
-    records = dict.fromkeys(("monotone", "bimonotone", "constant", "primal_gap"), (0.0, None))
+    if store:
+        norm_x, norm_s = np.linalg.norm(x, axis=1), np.linalg.norm(s, axis=1)
+    records = dict.fromkeys(("monotone", "bimonotone", "constant", "primal_gap", "dual_gap"), (0.0, None))
     stored = None
     for i0 in range(0, m, rows):
         i1, w = min(m, i0 + rows), m - i0
@@ -155,13 +158,13 @@ def _pair_pass(
         pairing = -np.einsum("ijk,ijk->ij", ds, dx)
         # np.linalg.norm's arithmetic, squaring the differences in place
         nx, ns = (np.sqrt(np.add.reduce(np.square(d, out=d), axis=2)) for d in (dx, ds))
-        terms = {"monotone": (pairing, ns * nx),
-                 "constant": (ns, np.maximum(norm_s[i0:i1, None], norm_s[None, i0:]))}
+        margin = tol.margin(scale := ns * nx)
+        terms = {"monotone": (pairing, margin), "constant": (np.maximum(scale, np.abs(pairing)), margin)}
         if store:
-            terms["primal_gap"] = (nx, np.maximum(norm_x[i0:i1, None], norm_x[None, i0:]))
+            terms["primal_gap"] = (nx, tol.margin(np.maximum(norm_x[i0:i1, None], norm_x[None, i0:])))
+            terms["dual_gap"] = (ns, tol.margin(np.maximum(norm_s[i0:i1, None], norm_s[None, i0:])))
         viol = {}
-        for name, (residual, scale) in terms.items():
-            margin = tol.margin(scale)
+        for name, (residual, margin) in terms.items():
             viol[name] = residual / margin
             viol[name][~(np.isfinite(viol[name]) & np.isfinite(margin))] = np.inf
         viol["bimonotone"] = np.abs(viol["monotone"])
@@ -176,9 +179,9 @@ def _pair_pass(
             if stored is None:
                 stored = [np.zeros((m, m), dtype=bool), np.empty((m, m))]
             np.less_equal(np.abs(viol["monotone"]), 1.0, out=stored[0][i0:i1, i0:])
-            stored[1][i0:, i0:i1] = viol["constant"].T  # dual gaps below the diagonal
+            stored[1][i0:, i0:i1] = viol["dual_gap"].T  # dual gaps below the diagonal
             np.copyto(stored[1][i0:i1, i0:], viol["primal_gap"], where=~below)  # primal on and above
-        del dx, ds  # before the next block allocates its own
+        del dx, ds, pairing, nx, ns, scale, margin, terms, viol  # before the next block allocates its own
     if stored is not None:
         np.fill_diagonal(stored[0], False)
     return records, stored
@@ -209,7 +212,8 @@ def bimonotone_check(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE)
 def constant_on_domain_check(
     g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE
 ) -> ClassificationReport:
-    """All dual points of the graph coincide within vector tolerance."""
+    """Every |xstar_i - xstar_j| |x_i - x_j| vanishes within the margin of the
+    pairing, so duals may differ only at a repeated x; a constant sample is bimonotone."""
     return _report(_pair_pass(g, tol)[0]["constant"])
 
 
@@ -393,7 +397,7 @@ def _paramonotone(records: dict, stored: list | None, mono) -> ClassificationRep
     if stored is None:
         return NotMonotone(monotone=mono)
     _report(records["primal_gap"])
-    _report(records["constant"])
+    _report(records["dual_gap"])
     return _crossed_pairs(stored)
 
 

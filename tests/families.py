@@ -6,7 +6,8 @@ so every module that draws ``count`` samples of a family gets the same ones.
 ``off_plane_rotation`` and ``converse_document`` give the planted
 decompositions that ``verify`` must not accept on a sample that is not
 bimonotone, and ``fallback_graph`` a bimonotone sample that the fit's bound
-does not certify at m = 2000.
+does not certify at m = 2000.  ``maps`` moves a sample by the maps that keep
+the pairing condition, for the agreement and implication modules.
 """
 
 import numpy as np
@@ -79,6 +80,26 @@ def two_branch_family(count):
             n=n, k=int(rng.integers(1, n + 1)), m=int(rng.integers(3, 16)), branches=2,
             offset_norm=1.0, noise_orthogonal=float(rng.uniform(0, 2)),
             zero_operator=seed % 4 == 0, seed=seed)).graph
+
+
+def maps(g, seed):
+    """``g`` translated by 10^3 N(0, I) in x and s, scaled by c = 0.01 and
+    c = 100, mapped by a random P, and moved by the skew-affine map
+    (x, s) -> (x, s + B x + c) with B = (b - b^T) / 2 and b, c ~ N(0, 1), each
+    drawn from ``default_rng(seed)``, keyed by the map's name."""
+    x, s = g.primal_matrix, g.dual_matrix
+    rng = np.random.default_rng(seed)
+    n = g.dimension
+    p = rng.normal(size=(n, n))
+    u, ustar = 1e3 * rng.normal(size=n), 1e3 * rng.normal(size=n)
+    b, c = rng.normal(size=(n, n)), rng.normal(size=n)
+    return {
+        "translation": OperatorGraph.from_arrays(x + u, s + ustar),
+        "c = 0.01": OperatorGraph.from_arrays(0.01 * x, s / 0.01),
+        "c = 100": OperatorGraph.from_arrays(100.0 * x, s / 100.0),
+        "random P": OperatorGraph.from_arrays(x @ p.T, s @ np.linalg.inv(p)),
+        "skew-affine": OperatorGraph.from_arrays(x, s + x @ ((b - b.T) / 2).T + c),
+    }
 
 
 def converse_family(count):

@@ -162,8 +162,8 @@ def paramonotone(graph, tol):
 # The former full-square pair scan, kept as the bit-for-bit reference for
 # classify's upper-triangle pass.  Each row block is differenced against all
 # m columns, and the pairs below the diagonal are then overwritten with -inf.
-# ``analyze`` ran one pairing scan, one scan of its absolute values and two
-# gap scans (the primal one only for a monotone sample).
+# ``analyze`` runs one pairing scan, one scan of its absolute values, for a
+# monotone sample the two gap scans, and the constant scan, in that order.
 # ---------------------------------------------------------------------------
 
 def _scan(g, tol, terms, out=None):
@@ -214,19 +214,39 @@ def scan_monotone(g, tol):
     return _scan(g, tol, _pairing_terms(g))
 
 
+def _ruled(g, rule):
+    """The pairing terms of ``g``, mapped by ``rule(residual, scale)``."""
+    pairing = _pairing_terms(g)
+    return lambda i0, i1: rule(*pairing(i0, i1))
+
+
+def _bimonotone(residual, scale):
+    return np.abs(residual), scale
+
+
+def _constant(residual, scale):
+    # the constant rule in pairing units: max(|ds| |dx|, |<ds, dx>|) over the
+    # pairing's margin, so it bounds the bimonotone violation pair by pair
+    return np.maximum(scale, np.abs(residual)), scale
+
+
 @quiet_overflow
 def scan_bimonotone(g, tol):
-    pairing = _pairing_terms(g)
-
-    def terms(i0, i1):
-        residual, scale = pairing(i0, i1)
-        return np.abs(residual), scale
-    return _scan(g, tol, terms)
+    return _scan(g, tol, _ruled(g, _bimonotone))
 
 
 @quiet_overflow
 def scan_constant(g, tol):
-    return _scan(g, tol, _gap_terms(g.dual_matrix))
+    return _scan(g, tol, _ruled(g, _constant))
+
+
+@quiet_overflow
+def pair_violations(g, tol):
+    """The monotone, bimonotone and constant violations of every pair (i, j),
+    three m x m matrices of the full-square scans' residuals over their
+    margins, on a sample that overflows nowhere."""
+    terms = _pairing_terms(g)(0, len(g.primal_matrix))
+    return [residual / tol.margin(scale) for residual, scale in (terms, _bimonotone(*terms), _constant(*terms))]
 
 
 def _stored(pairing, gap_x, gap_s):
@@ -262,12 +282,12 @@ def scan_analyze(g, tol):
     pairing, gap_x, gap_s = np.empty((m, m)), np.empty((m, m)), np.empty((m, m))
     mono = _scan(g, tol, _pairing_terms(g), out=pairing)
     bimonotone = _scan(g, tol, lambda i0, i1: (np.abs(pairing[i0:i1]), None))
-    if mono.verdict:
-        _scan(g, tol, _gap_terms(g.primal_matrix), out=gap_x)
-    constant = _scan(g, tol, _gap_terms(g.dual_matrix), out=gap_s)
     paramonotone = NotMonotone(monotone=mono)
     if mono.verdict:
+        _scan(g, tol, _gap_terms(g.primal_matrix), out=gap_x)
+        _scan(g, tol, _gap_terms(g.dual_matrix), out=gap_s)
         paramonotone = classify._crossed_pairs(_stored(pairing, gap_x, gap_s))
+    constant = _scan(g, tol, _ruled(g, _constant))
     return {"monotone": mono, "bimonotone": bimonotone,
             "paramonotone": paramonotone, "constant_on_domain": constant}
 

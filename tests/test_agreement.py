@@ -46,8 +46,8 @@ the item of ROADMAP.md meant to bring them to 0:
 
 | map                     | default   | abs-only | hard, default | hard, abs-only | item         |
 |-------------------------|-----------|----------|---------------|----------------|--------------|
-| c = 0.01                | 0 / 0     | 0 / 0    | 0 / 0         | 2 / 2          | 6            |
-| c = 100                 | 0 / 0     | 0 / 0    | 0 / 0         | 3 / 3          | 6            |
+| c = 0.01                | 0 / 0     | 0 / 0    | 0 / 0         | 2 / 2          | none planned |
+| c = 100                 | 0 / 0     | 0 / 0    | 0 / 0         | 3 / 3          | none planned |
 | random P                | 96 / 96   | 0 / 0    | 2 / 2         | 9 / 9          | none planned |
 | skew-affine             | 79 / 79   | 0 / 0    | 0 / 0         | 3 / 3          | none planned |
 
@@ -58,9 +58,9 @@ map at abs-only.
 
 Under P and under the skew-affine map the default tolerance moves the
 bimonotone verdict because its relative margin scales with |ds| |dx|,
-which P changes and B x adds to.  Item 6 states the constant rule in
-pairing units and leaves that margin as it is, so its route leaves these
-cells as they are, and no item is planned for them.  At abs-only
+which P changes and B x adds to.  The constant rule shares that margin
+(item 6, done), which leaves these cells as they are, and no item is
+planned for them.  At abs-only
 tolerance a far_from_origin pairing carries the rounding of points near
 |x| ~ 10^6, about 10^-10 per coordinate, so it sits at the margin: a
 rescaling, or a B x near 10^6 added to s, moves that rounding and the
@@ -82,7 +82,7 @@ from skewfit import (
     decompose,
     inverse_graph,
 )
-from families import (TOLERANCE_GRID, boundary_family, converse_family, hard_families,
+from families import (TOLERANCE_GRID, boundary_family, converse_family, hard_families, maps,
                       near_constant_family, two_branch_family)
 
 TOLERANCES = {"default": ToleranceConfig(), "abs-only": ToleranceConfig(abs_tol=1e-9, rel_tol=0.0)}
@@ -107,24 +107,8 @@ def _negated(i):
 
 @functools.cache
 def _moved(i):
-    """Sample ``i`` translated by 10^3 N(0, I) in x and s, scaled by c = 0.01
-    and c = 100, mapped by a random P, and moved by the skew-affine map
-    (x, s) -> (x, s + B x + c) with B = (b - b^T) / 2 and b, c ~ N(0, 1), each
-    drawn from the sample's seed."""
-    g = SAMPLES[i]
-    x, s = g.primal_matrix, g.dual_matrix
-    rng = np.random.default_rng(20_000 + i)
-    n = g.dimension
-    p = rng.normal(size=(n, n))
-    u, ustar = 1e3 * rng.normal(size=n), 1e3 * rng.normal(size=n)
-    b, c = rng.normal(size=(n, n)), rng.normal(size=n)
-    return {
-        "translation": OperatorGraph.from_arrays(x + u, s + ustar),
-        "c = 0.01": OperatorGraph.from_arrays(0.01 * x, s / 0.01),
-        "c = 100": OperatorGraph.from_arrays(100.0 * x, s / 100.0),
-        "random P": OperatorGraph.from_arrays(x @ p.T, s @ np.linalg.inv(p)),
-        "skew-affine": OperatorGraph.from_arrays(x, s + x @ ((b - b.T) / 2).T + c),
-    }
+    """Sample ``i`` under each map of ``families.maps``, drawn from its seed."""
+    return maps(SAMPLES[i], 20_000 + i)
 
 
 @functools.cache

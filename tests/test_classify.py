@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skewfit import (
@@ -332,13 +332,27 @@ def tie_prone_graphs(draw):
     return OperatorGraph.from_arrays(draw(rows), draw(rows))
 
 
+# README's sample (Tolerances): 50 points in R^3, x = 1e6 N(0, 1) drawn
+# first, then xstar = 1 + 3e-10 N(0, 1), from default_rng(0); a constant
+# rule in dual units called it constant, yet it is not monotone
+_rng = np.random.default_rng(0)
+README_SAMPLE = OperatorGraph.from_arrays(1e6 * _rng.normal(size=(50, 3)), 1 + 3e-10 * _rng.normal(size=(50, 3)))
+
+
 @settings(derandomize=True, max_examples=150)
 @given(tie_prone_graphs())
+@example(README_SAMPLE)
 def test_one_row_blocks_match_default_blocks(g):
     checks = {"monotone": monotone_check, "bimonotone": bimonotone_check,
               "paramonotone": paramonotone_check, "constant_on_domain": constant_on_domain_check}
     reference = [(name, check(g)) for name, check in checks.items()]
     assert list(classify.analyze(g).items()) == reference
+    # constant => bimonotone => monotone, on the records and on every pair
+    records = dict(reference)
+    assert (records["constant_on_domain"].worst_violation >= records["bimonotone"].worst_violation
+            >= records["monotone"].worst_violation)
+    mono, bi, const = oracles.pair_violations(g, ToleranceConfig())
+    assert (const >= bi).all() and (bi >= mono).all()
     _assert_matches_full_square_scan(g)
     _assert_stores_full_square_gaps(g)
     with mock.patch.object(classify, "_CHUNK_FLOATS", 1):
@@ -402,18 +416,22 @@ def test_pair_pass_matches_full_square_scan(name):
 
 # Whichever of the pairing, the primal gap and the dual gap overflows, the
 # error names the pair the full-square scans met first: the pairing's first
-# overflow, then a monotone sample's primal gap, then the dual gap.  A norm
-# above about 1.34e154 overflows while a difference of such points need not.
+# overflow, then a monotone sample's primal gap, then its dual gap.  A sample
+# that is not monotone reads neither gap, so their overflows raise nothing
+# (pair None).  A norm above about 1.34e154 overflows while a difference of
+# such points need not.
 _BIG = 1.5e154
 OVERFLOWS = {
     # the dual gap overflows at (0, 0), before the pairing at (0, 1)
     "pairing": ([[0.0, 0.0], [1e300, 0.0]], [[0.0, _BIG], [0.0, _BIG]], "pair (0, 1)"),
-    # only the pairing overflows: the constant report never reads its error
+    # only the pairing's scale overflows, |ds| |dx| = 0 inf, which the
+    # constant report reads too
     "pairing only": ([[0.0, 0.0], [1e300, 0.0]], [[0.0, 1.0], [0.0, 1.0]], "pair (0, 1)"),
     # monotone: the dual gap overflows at (0, 0), the primal gap at (0, 1)
     "primal gap": ([[1e154, 0.0], [_BIG, 0.0]], [[_BIG, 0.0], [_BIG, 0.0]], "pair (0, 1)"),
-    # not monotone: the primal gap's overflow at (0, 1) is never used
-    "dual gap": ([[1e154, 0.0], [_BIG, 0.0]], [[1.0, _BIG], [0.0, _BIG]], "pair (0, 0)"),
+    # not monotone: neither the dual gap's overflow at (0, 0) nor the primal
+    # gap's at (0, 1) is read, and every report violates by about 1e9 at (0, 1)
+    "dual gap": ([[1e154, 0.0], [_BIG, 0.0]], [[1.0, _BIG], [0.0, _BIG]], None),
     # row 0 violates monotonicity by about 1e9, finitely; the first overflow,
     # of the pairing and both gaps, is at (1, 2), in a later row block when
     # blocks are one row, and must still win
@@ -430,7 +448,11 @@ OVERFLOWS = {
 def test_overflow_order_matches_full_square_scan(first, chunk):
     x, s, pair = OVERFLOWS[first]
     g = OperatorGraph.from_arrays(x, s)
-    assert _outcome(classify.analyze, g) == f"ValidationError: {pair} overflows double precision; rescale the sample"
+    if pair is None:
+        reports = classify.analyze(g).values()
+        assert [r.witness for r in reports if isinstance(r, ClassificationReport)] == [(0, 1)] * 3
+    else:
+        assert _outcome(classify.analyze, g) == f"ValidationError: {pair} overflows double precision; rescale the sample"
     with mock.patch.object(classify, "_CHUNK_FLOATS", chunk or classify._CHUNK_FLOATS):
         _assert_matches_full_square_scan(g)
 
