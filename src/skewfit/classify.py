@@ -25,7 +25,10 @@ all four reports from that one pass and the search.  Verdicts are
 order-independent; witnesses break ties by the smallest index pair, and an
 overflow raises ValidationError by the rule of ``_pair_pass``, which
 carries the module's one overflow guard: the search only compares stored
-gaps and multiplies 0/1 tiles whose counts stay at most m.
+gaps and multiplies 0/1 tiles whose counts stay at most m.  Every norm is
+``graphs._norm``'s, so a sample mapped by (2^k x, 2^-k s) keeps its pairing
+reports bit for bit, and what overflows is a pairing, a norm, a margin or a
+violation whose exact value lies beyond double range.
 
 The search stores 9 m^2 bytes for m points: a bool mask and the gap matrix
 (``_pair_pass`` and ``_crossed_pairs`` state what each stores and costs).
@@ -45,6 +48,8 @@ from .graphs import (
     OperatorGraph,
     ToleranceConfig,
     ValidationError,
+    _LEAST_NORM,
+    _norm,
     quiet_overflow,
 )
 
@@ -120,7 +125,12 @@ def _pair_pass(
     per (rows, m, n) array, and block [i0, i1) takes its differences dx, ds
     against the columns [i0, m) only.  It computes <ds, dx> and both
     difference norms once, and derives from them each normalized violation,
-    a residual over ``tol.margin`` of its scale:
+    a residual over ``tol.margin`` of its scale.  The norms are squared as
+    they are, which is ``graphs._norm``'s arithmetic; a pair with a norm
+    that ``_norm`` would take again, not above 2^-511 or not finite, has
+    both its norms taken by ``_norm`` and its pairing in units of powers of
+    two near them, which changes only values whose plain arithmetic
+    overflowed or went subnormal:
 
     * pairing:    -<ds, dx> against |ds| |dx|.  Its maximum is the monotone
                   record, the maximum of its absolute value the bimonotone one.
@@ -131,8 +141,9 @@ def _pair_pass(
     Returns the records, keyed by name, each (worst, pair): the largest
     violation and the first pair in row-major order attaining it (blocks
     ascend, np.argmax takes the first maximum), or (0.0, None).  A violation
-    whose value or margin is not finite overflows and counts as +inf, so an
-    infinite worst names the first overflowing pair; ``_report`` raises it.
+    whose value or margin is not finite, so lies beyond double range,
+    overflows and counts as +inf, so an infinite worst names the first
+    overflowing pair; ``_report`` raises it.
 
     With ``store``, ``stored`` = [vanishing, gaps], a list that
     ``_crossed_pairs`` empties: the bool mask of the pairs i < j with
@@ -147,7 +158,7 @@ def _pair_pass(
     m, n = x.shape
     rows = max(1, _CHUNK_FLOATS // max(1, m * n))
     if store:
-        norm_x, norm_s = np.linalg.norm(x, axis=1), np.linalg.norm(s, axis=1)
+        norm_x, norm_s = _norm(x), _norm(s)
     records = dict.fromkeys(("monotone", "bimonotone", "constant", "primal_gap", "dual_gap"), (0.0, None))
     stored = None
     for i0 in range(0, m, rows):
@@ -158,6 +169,17 @@ def _pair_pass(
         pairing = -np.einsum("ijk,ijk->ij", ds, dx)
         # np.linalg.norm's arithmetic, squaring the differences in place
         nx, ns = (np.sqrt(np.add.reduce(np.square(d, out=d), axis=2)) for d in (dx, ds))
+        # a pair j >= i with a norm that ``_norm`` would take again: both
+        # norms are ``_norm``'s, and the pairing is taken in units of 2^ex
+        # and 2^es, powers of two near them
+        a, b = np.nonzero((~(np.isfinite(nx) & np.isfinite(ns)) | (nx <= _LEAST_NORM) | (ns <= _LEAST_NORM)) & ~below)
+        if a.size:
+            fx, fs = x[i0 + a] - x[i0 + b], s[i0 + a] - s[i0 + b]
+            nx[a, b], ns[a, b] = _norm(fx), _norm(fs)
+            ex, es = np.frexp(nx[a, b])[1], np.frexp(ns[a, b])[1]
+            units = np.einsum("ij,ij->i", np.ldexp(fs, -es[:, None]), np.ldexp(fx, -ex[:, None]))
+            pairing[a, b] = -np.ldexp(units, ex + es)
+            del fx, fs
         margin = tol.margin(scale := ns * nx)
         terms = {"monotone": (pairing, margin), "constant": (np.maximum(scale, np.abs(pairing)), margin)}
         if store:
@@ -181,7 +203,7 @@ def _pair_pass(
             np.less_equal(np.abs(viol["monotone"]), 1.0, out=stored[0][i0:i1, i0:])
             stored[1][i0:, i0:i1] = viol["dual_gap"].T  # dual gaps below the diagonal
             np.copyto(stored[1][i0:i1, i0:], viol["primal_gap"], where=~below)  # primal on and above
-        del dx, ds, pairing, nx, ns, scale, margin, terms, viol  # before the next block allocates its own
+        del dx, ds, pairing, nx, ns, a, b, scale, margin, terms, viol  # before the next block allocates its own
     if stored is not None:
         np.fill_diagonal(stored[0], False)
     return records, stored

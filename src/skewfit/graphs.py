@@ -68,6 +68,7 @@ class InternalInconsistencyError(SkewfitError, RuntimeError):
 
 # Array code runs with numpy's overflow warnings silenced and hands what it
 # computed to ``check_overflow``, so an overflow raises instead of passing.
+# Every norm is ``_norm``'s, so what overflows is a quantity beyond double range.
 quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -208,13 +209,39 @@ class ToleranceConfig:
 DEFAULT_TOLERANCE = ToleranceConfig()
 
 
+# A norm above this, 2^-511, squares to a normal double, so ``_norm`` keeps a
+# norm in (_LEAST_NORM, max double] as np.linalg.norm takes it.
+_LEAST_NORM = 2.0 ** -511
+
+
+@quiet_overflow
+def _norm(v: np.ndarray, axis: int | None = -1) -> np.ndarray:
+    """``np.linalg.norm(v, axis=axis)``, over the last axis or, with axis
+    None, the whole array: bit for bit wherever its sum of squares is finite
+    and normal, and elsewhere taken by power-of-two scaling (Higham, Accuracy
+    and Stability of Numerical Algorithms, ch. 3).  A norm not above
+    ``_LEAST_NORM``, or not finite, is taken again as the norm of v 2^-e
+    times 2^e, with e from np.frexp of the lane's largest |entry|, so that
+    its squares neither overflow nor lose bits below the smallest normal.  A
+    norm is then inf or NaN only where the lane holds an inf or a NaN or its
+    exact norm lies beyond double range."""
+    norm = np.asarray(np.linalg.norm(v, axis=axis))
+    if not (norm.min(initial=np.inf) > _LEAST_NORM and norm.max(initial=0.0) < np.inf):
+        again = ~((norm > _LEAST_NORM) & (norm < np.inf))
+        lanes = v.reshape(1, -1) if axis is None else v[again]
+        e = np.frexp(np.max(np.abs(lanes), axis=-1, initial=0.0))[1]
+        norm[again] = np.ldexp(np.linalg.norm(np.ldexp(lanes, -e[:, None]), axis=-1), e)
+    return norm
+
+
 @quiet_overflow
 def _close(a: np.ndarray, b: np.ndarray, tol: ToleranceConfig, name):
     """Whether ``||a - b|| <= abs_tol + rel_tol * max(||a||, ||b||)`` over the
-    last axis, broadcasting leading axes.  Raises ValidationError when a
-    distance or an allowance overflows; ``name(flat_index)`` names the first."""
-    gap = np.linalg.norm(a - b, axis=-1)
-    scale = np.maximum(np.linalg.norm(a, axis=-1), np.linalg.norm(b, axis=-1))
+    last axis, broadcasting leading axes, with every norm ``_norm``'s.  Raises
+    ValidationError when a distance or an allowance lies beyond double range;
+    ``name(flat_index)`` names the first."""
+    gap = _norm(a - b)
+    scale = np.maximum(_norm(a), _norm(b))
     allowed = tol.abs_tol + tol.rel_tol * scale
     check_overflow(~(np.isfinite(gap) & np.isfinite(allowed)), name)
     return gap <= allowed

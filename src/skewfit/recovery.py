@@ -23,7 +23,9 @@ is the one projection onto a span, for the fit, the certificate and
 paper's identity a pairing is the misfit <dr, dxi> of the fit's residual r,
 less the Gram term <deta, G dxi> of the basis's rounding, plus the leakage
 <dw, de>; ``_bound`` bounds each.  The span is a ``graphs.OrthonormalBasis``;
-the fallback is ``classify``'s.
+the fallback is ``classify``'s.  Every norm is ``graphs._norm``'s, so a
+residual, a scale or an allowance overflows only when its exact value lies
+beyond double range.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .graphs import (
     SkewfitError,
     ToleranceConfig,
     ValidationError,
+    _norm,
     check_keys,
     check_overflow,
     contains_origin,
@@ -112,13 +115,14 @@ def reduce(g: OperatorGraph, basis: OrthonormalBasis, tol: ToleranceConfig = DEF
     Primal points must lie in the span of the basis within vector
     tolerance.  Dual points are projected without such a requirement: their
     orthogonal components carry no pairing information and are dropped.
-    Raises ValidationError when a point's residual or allowance overflows.
+    Raises ValidationError when a point's residual or allowance lies beyond
+    double range.
     """
     if basis.ambient_dimension != g.dimension:
         raise ValidationError(f"basis lives in R^{basis.ambient_dimension}, graph in R^{g.dimension}")
     x_hat, off_span, s_hat, _ = _parts(g.primal_matrix, g.dual_matrix, basis.q)
-    residual = np.linalg.norm(off_span, axis=1)
-    allowed = tol.abs_tol + tol.rel_tol * np.linalg.norm(g.primal_matrix, axis=1)
+    residual = _norm(off_span)
+    allowed = tol.abs_tol + tol.rel_tol * _norm(g.primal_matrix)
     check_overflow(~(np.isfinite(residual) & np.isfinite(allowed)), lambda i: f"points[{i}].x")
     bad = np.nonzero(residual > allowed)[0]
     if bad.size:
@@ -147,11 +151,11 @@ def _reconstruction(q, a_hat, v_hat, g: OperatorGraph, tol: ToleranceConfig, all
     """The residual rule: each pair of ``g`` against q^T xstar = a_hat q^T x
     + v_hat, normalized by the larger of ``allowance`` and the tolerance
     margin at the larger side's norm.  Raises ValidationError when a residual
-    or its scale overflows."""
+    or its scale lies beyond double range."""
     projected = g.dual_matrix @ q
     predicted = (g.primal_matrix @ q) @ a_hat.T + v_hat
-    scale = np.maximum(np.linalg.norm(projected, axis=1), np.linalg.norm(predicted, axis=1))
-    residual = np.linalg.norm(projected - predicted, axis=1)
+    scale = np.maximum(_norm(projected), _norm(predicted))
+    residual = _norm(projected - predicted)
     check_overflow(~(np.isfinite(residual) & np.isfinite(scale)), lambda i: f"points[{i}]")
     normalized = residual / np.maximum(tol.margin(scale), allowance)
     worst = int(np.argmax(normalized))
@@ -210,13 +214,13 @@ def _bound(x: np.ndarray, s: np.ndarray, q: np.ndarray, a_hat: np.ndarray, parts
     keeps every pair within its margin, unless the pass overflows, which the
     guard on those differences rules out; a non-finite B certifies nothing."""
     (n, k), u = q.shape, np.finfo(np.float64).eps / 2
-    gram = 2.0 * (np.linalg.norm(q.T @ q - np.eye(k)) + k * (n + 2) * u)
+    gram = 2.0 * (_norm(q.T @ q - np.eye(k), None) + k * (n + 2) * u)
     tau = 4 * (n + k + 4) * math.sqrt(k + 1) * (1.0 + gram) ** 2 * u
-    size_x, size_s = (tau * np.linalg.norm(v, axis=1) for v in (x, s))
+    size_x, size_s = (tau * _norm(v) for v in (x, s))
     xi, e, eta, w = parts
     rows = (e, w, eta - xi @ a_hat.T, xi, eta)
-    pads = (size_x, size_s, size_s + np.linalg.norm(a_hat) * size_x, size_x, size_s)
-    eps, omega, rho, xi, eta = (np.max(np.linalg.norm(v, axis=1) + p + 2.0**-500) for v, p in zip(rows, pads))
+    pads = (size_x, size_s, size_s + _norm(a_hat, None) * size_x, size_x, size_s)
+    eps, omega, rho, xi, eta = (np.max(_norm(v) + p + 2.0**-500) for v, p in zip(rows, pads))
     gamma = (n + 2) * u / (1 - (n + 2) * u)
     reach_x, reach_s = 2 * ((1 + gram) * xi + eps), 2 * ((1 + gram) * eta + omega)
     rounding = gamma * reach_x * reach_s if tol.rel_tol < 2 * gamma else 0.0
@@ -252,16 +256,29 @@ def _certified(g: OperatorGraph, centre: GraphPoint, tol: ToleranceConfig, fit=N
     return fit
 
 
+def _sum(column: list, one_norm: float) -> float | None:
+    """``math.fsum(column)``, its sum rounded once, or None when that sum
+    lies beyond double range, from 2^1024 - 2^970 on.  A column whose 1-norm
+    reaches 2^1023, where a partial sum of fsum's may overflow, is summed
+    exactly, in integer multiples of 2^-1074, as every finite double is."""
+    if one_norm < 2.0 ** 1023:
+        return math.fsum(column)
+    total = sum(n * (2 ** 1074 // d) for n, d in map(float.as_integer_ratio, column))
+    return total / 2 ** 1074 if abs(total) < 2 ** 2098 - 2 ** 2044 else None
+
+
+@quiet_overflow
 def _centre(g: OperatorGraph) -> GraphPoint:
-    """The exact (``math.fsum``) centre of ``g``, ``decompose``'s ``basepoint``,
-    finite for finite points: when a sum overflows, every coordinate is summed
-    in units of 2^e > m."""
-    arrays = g.primal_matrix, g.dual_matrix
-    try:
-        return GraphPoint(*([math.fsum(c.tolist()) / len(c) for c in a.T] for a in arrays))
-    except OverflowError:
-        e = len(g.primal_matrix).bit_length()
-        return GraphPoint(*(np.ldexp([math.fsum(c.tolist()) / len(c) for c in np.ldexp(a, -e).T], e) for a in arrays))
+    """The centre of ``g``, ``decompose``'s ``basepoint``: each coordinate is
+    its column's sum, rounded once by ``_sum``, over m.  When a sum lies
+    beyond double range, every coordinate is summed in units of 2^e > m, so
+    the centre of finite points is finite."""
+    arrays, m = (g.primal_matrix, g.dual_matrix), len(g.primal_matrix)
+    sums = [list(map(_sum, a.T.tolist(), np.add.reduce(np.abs(a), axis=0).tolist())) for a in arrays]
+    if not any(None in row for row in sums):
+        return GraphPoint(*([total / m for total in row] for row in sums))
+    e = m.bit_length()
+    return GraphPoint(*(np.ldexp([math.fsum(c.tolist()) / m for c in np.ldexp(a, -e).T], e) for a in arrays))
 
 
 @quiet_overflow
@@ -383,7 +400,7 @@ def decompose(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Ske
 
     Raises NotBimonotoneError, with ``bimonotone_check``'s report attached,
     exactly when the input fails it, and otherwise ValidationError when the
-    fit or a residual overflows.
+    fit or a residual lies beyond double range.
     """
     centre = _centre(g)
     q, a_hat = _certified(g, centre, tol)

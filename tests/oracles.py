@@ -4,9 +4,10 @@ These deliberately avoid the library's own vectorized code paths: plain
 double loops and a least-squares fit over the free parameters of an
 antisymmetric matrix, solved through the normal equations.  The two
 exceptions are the former full-square pair scan, the bit-for-bit reference
-for the library's upper-triangle pass, and the per-column ``math.fsum``
-centre at the end, the bit-for-bit reference for ``recovery._centre``; the
-exact mean beside it is that centre's independent reference.
+for the library's upper-triangle pass, which takes its norms by
+``graphs._norm``, and the per-column ``math.fsum`` centre at the end,
+``recovery._centre``'s former body and now its independent bit-for-bit
+reference; the exact mean beside it bounds that centre's rounding.
 """
 
 import math
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from skewfit import classify
+from skewfit import classify, graphs
 from skewfit.classify import ClassificationReport, NotMonotone
 from skewfit.graphs import GraphPoint, check_overflow, quiet_overflow
 
@@ -162,6 +163,9 @@ def paramonotone(graph, tol):
 # The former full-square pair scan, kept as the bit-for-bit reference for
 # classify's upper-triangle pass.  Each row block is differenced against all
 # m columns, and the pairs below the diagonal are then overwritten with -inf.
+# Every norm is ``graphs._norm``'s, and a pair with a norm that it takes again
+# has its pairing taken in units of powers of two near its norms, as the pass
+# takes it.
 # ``analyze`` runs one pairing scan, one scan of its absolute values, for a
 # monotone sample the two gap scans, and the constant scan, in that order.
 # ---------------------------------------------------------------------------
@@ -195,16 +199,20 @@ def _pairing_terms(g):
         dx = x[i0:i1, None, :] - x[None, :, :]
         ds = s[i0:i1, None, :] - s[None, :, :]
         prod = np.einsum("ijk,ijk->ij", ds, dx)
-        scale = np.linalg.norm(ds, axis=2) * np.linalg.norm(dx, axis=2)
-        return -prod, scale
+        nx, ns = graphs._norm(dx), graphs._norm(ds)
+        again = ~((np.minimum(nx, ns) > graphs._LEAST_NORM) & (np.maximum(nx, ns) < np.inf))
+        ex, es = np.frexp(nx[again])[1], np.frexp(ns[again])[1]
+        units = np.einsum("ij,ij->i", np.ldexp(ds[again], -es[:, None]), np.ldexp(dx[again], -ex[:, None]))
+        prod[again] = np.ldexp(units, ex + es)
+        return -prod, ns * nx
     return terms
 
 
 def _gap_terms(v):
-    norms = np.linalg.norm(v, axis=1)
+    norms = graphs._norm(v)
 
     def terms(i0, i1):
-        gap = np.linalg.norm(v[i0:i1, None, :] - v[None, :, :], axis=2)
+        gap = graphs._norm(v[i0:i1, None, :] - v[None, :, :])
         return gap, np.maximum(norms[i0:i1, None], norms[None, :])
     return terms
 
@@ -304,7 +312,13 @@ FULL_SQUARE = {
 
 # ---------------------------------------------------------------------------
 # The fsum centre: one ``math.fsum`` over each column's list of m floats, and
-# when a sum overflows, every coordinate summed in units of 2^e > m.
+# when a sum overflows, every coordinate summed in units of 2^e > m.  This is
+# the body that ``recovery._centre`` had, kept as an independent reference:
+# ``_centre`` now decides by exact integer sums where fsum's partial sums may
+# overflow, and catches no OverflowError.  The two differ only where a
+# column's partial sums overflow while its exact sum does not: there this
+# reference sums every column in units of 2^e, and ``_centre`` sums each as
+# it is.
 # ---------------------------------------------------------------------------
 
 def centre(g):

@@ -20,7 +20,7 @@ from skewfit import (
     monotone_check,
     paramonotone_check,
 )
-from skewfit import classify
+from skewfit import classify, graphs
 from skewfit.fixtures import FixtureSpec
 
 import oracles
@@ -257,10 +257,15 @@ def test_overflow_raises_instead_of_passing(check):
 
 @pytest.mark.filterwarnings("error")
 def test_paramonotone_overflowing_gap_raises():
-    # the pairing stays finite, but the primal gap's norm overflows to inf,
-    # which makes the margin infinite and would normalize a real violation
-    # of 1e9 to 0; every scan must raise instead
+    # |dx| = 2e200 is finite, so its norm is too, by power-of-two scaling: the
+    # margins stay finite, and the violation of 1e9 is reported, not hidden
+    # by an infinite margin.  Where the gap itself lies beyond double range,
+    # |dx| = 3.4e308, every scan raises
     g = OperatorGraph.from_arrays([[1e200], [-1e200]], [[1e-100], [0.0]])
+    assert monotone_check(g) == ClassificationReport(True, 0.0)
+    assert bimonotone_check(g) == ClassificationReport(False, 999999999.9999999, (0, 1))
+    assert paramonotone_check(g) == ClassificationReport(True, 0.0)
+    g = OperatorGraph.from_arrays([[1.7e308], [-1.7e308]], [[1e-100], [0.0]])
     for check in (monotone_check, bimonotone_check, paramonotone_check):
         with pytest.raises(ValidationError, match="overflows"):
             check(g)
@@ -417,27 +422,38 @@ def test_pair_pass_matches_full_square_scan(name):
 # Whichever of the pairing, the primal gap and the dual gap overflows, the
 # error names the pair the full-square scans met first: the pairing's first
 # overflow, then a monotone sample's primal gap, then its dual gap.  A sample
-# that is not monotone reads neither gap, so their overflows raise nothing
-# (pair None).  A norm above about 1.34e154 overflows while a difference of
-# such points need not.
+# that is not monotone reads neither gap, so their overflows raise nothing.
+# A case that raises nothing gives the witnesses of the reports that
+# ``analyze`` returns (None for a passing one).  Only a quantity beyond double
+# range overflows: a norm of 1.5e154, whose square does, is taken by
+# ``graphs._norm``, so the first four cases, which overflowed while norms
+# were squared as they are, return their reports.
 _BIG = 1.5e154
 OVERFLOWS = {
-    # the dual gap overflows at (0, 0), before the pairing at (0, 1)
-    "pairing": ([[0.0, 0.0], [1e300, 0.0]], [[0.0, _BIG], [0.0, _BIG]], "pair (0, 1)"),
-    # only the pairing's scale overflows, |ds| |dx| = 0 inf, which the
-    # constant report reads too
-    "pairing only": ([[0.0, 0.0], [1e300, 0.0]], [[0.0, 1.0], [0.0, 1.0]], "pair (0, 1)"),
-    # monotone: the dual gap overflows at (0, 0), the primal gap at (0, 1)
-    "primal gap": ([[1e154, 0.0], [_BIG, 0.0]], [[_BIG, 0.0], [_BIG, 0.0]], "pair (0, 1)"),
-    # not monotone: neither the dual gap's overflow at (0, 0) nor the primal
-    # gap's at (0, 1) is read, and every report violates by about 1e9 at (0, 1)
-    "dual gap": ([[1e154, 0.0], [_BIG, 0.0]], [[1.0, _BIG], [0.0, _BIG]], None),
+    # the dual norms are 2.1e154 and |dx| = 1e300: the pairing is 0
+    "pairing": ([[0.0, 0.0], [1e300, 0.0]], [[0.0, _BIG], [0.0, _BIG]], [None] * 4),
+    # |ds| |dx| = 0 * 1e300, which the constant report reads too
+    "pairing only": ([[0.0, 0.0], [1e300, 0.0]], [[0.0, 1.0], [0.0, 1.0]], [None] * 4),
+    # monotone, with primal and dual gaps against norms near 1.5e154
+    "primal gap": ([[1e154, 0.0], [_BIG, 0.0]], [[_BIG, 0.0], [_BIG, 0.0]], [None] * 4),
+    # not monotone: every report violates by about 1e9 at (0, 1)
+    "dual gap": ([[1e154, 0.0], [_BIG, 0.0]], [[1.0, _BIG], [0.0, _BIG]], [(0, 1)] * 3),
+    # monotone, with finite differences: the dual gap's margin, the norm of
+    # row 0's dual, lies beyond double range at (0, 0), and the primal gap's,
+    # row 1's primal norm, at (0, 1); the primal gap is read first
+    "norms beyond range": ([[1.2e308, 1.2e308, 0.0], [1.2e308, 1.2e308, 6e307]],
+                           [[1.7e308, 1.7e308, 0.0], [1.7e308, 1.7e308, 1e-300]], "pair (0, 1)"),
+    # not monotone, by about 5e8 at (0, 1): no gap is read, so neither
+    # primal norm beyond double range raises
+    "norms beyond range, not monotone": ([[1.7e308, 1.7e308, 0.0], [1.7e308, 1.7e308, 1.0]],
+                                         [[0.0, 0.0, 0.0], [0.0, 0.0, -1.0]], [(0, 1)] * 3),
     # row 0 violates monotonicity by about 1e9, finitely; the first overflow,
-    # of the pairing and both gaps, is at (1, 2), in a later row block when
-    # blocks are one row, and must still win
+    # of the pairing (-4e308) and both gaps, is at (1, 2), in a later row block
+    # when blocks are one row, and must still win
     "after a finite violation": ([[0.0, 0.0], [1e154, 0.0], [-1e154, 0.0]],
                                  [[0.0, 0.0], [-1e154, 0.0], [1e154, 0.0]], "pair (1, 2)"),
-    # <ds, dx> = 1e400 - 1e400: the pairing is NaN, not +-inf
+    # <ds, dx> = 1e400 - 1e400: the pairing is NaN, not +-inf, and the
+    # scale |ds| |dx| is 2e400
     "NaN pairing": ([[0.0, 0.0], [1e200, -1e200]], [[0.0, 0.0], [1e200, 1e200]], "pair (0, 1)"),
 }
 
@@ -446,15 +462,31 @@ OVERFLOWS = {
 @pytest.mark.parametrize("chunk", [1, None])
 @pytest.mark.parametrize("first", sorted(OVERFLOWS))
 def test_overflow_order_matches_full_square_scan(first, chunk):
-    x, s, pair = OVERFLOWS[first]
+    x, s, expected = OVERFLOWS[first]
     g = OperatorGraph.from_arrays(x, s)
-    if pair is None:
+    if isinstance(expected, list):
         reports = classify.analyze(g).values()
-        assert [r.witness for r in reports if isinstance(r, ClassificationReport)] == [(0, 1)] * 3
+        assert [r.witness for r in reports if isinstance(r, ClassificationReport)] == expected
     else:
-        assert _outcome(classify.analyze, g) == f"ValidationError: {pair} overflows double precision; rescale the sample"
+        assert _outcome(classify.analyze, g) == f"ValidationError: {expected} overflows double precision; rescale the sample"
     with mock.patch.object(classify, "_CHUNK_FLOATS", chunk or classify._CHUNK_FLOATS):
         _assert_matches_full_square_scan(g)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_mixed_scale_pair_keeps_its_small_difference():
+    # each norm is taken at its own row's scale: a sample rescaled as a whole
+    # by 2^-e, e from frexp(max |x|) = 997, would flush 1e-20 to zero.  The
+    # pairing reports read as they did while norms were squared as they are;
+    # the row norms of 1e300, whose squares overflowed, now give a
+    # paramonotone report instead of an overflow at pair (0, 0)
+    x = [[1e300, 1e-20], [1e300, 2e-20], [1e300, 4e-20]]
+    g = OperatorGraph.from_arrays(x, [[0.0, 0.0], [0.0, 1.0], [1.0, 3.0]])
+    assert graphs._norm(np.subtract(x[1], x[0])) == 1e-20
+    assert monotone_check(g) == ClassificationReport(True, 0.0)
+    assert bimonotone_check(g) == ClassificationReport(True, 4.4999999999999993e-11, (0, 2))
+    assert constant_on_domain_check(g) == ClassificationReport(True, 4.743416490252568e-11, (0, 2))
+    assert paramonotone_check(g) == ClassificationReport(True, 3e-311, (0, 2))
 
 
 def _assert_paramonotone_matches(g, tol, expected):

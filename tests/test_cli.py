@@ -359,9 +359,10 @@ MALFORMED = {
     # the pairings overflow to NaN, which must not pass as a verdict
     "overflow": ("analyze", b'{"dimension": 1, "points": [{"x": [1e300], "xstar": [1e300]}, '
                             b'{"x": [-1e300], "xstar": [0]}]}'),
-    # the primal gap's norm overflows to inf, which would hide a violation of 1e9
-    "overflow_margin": ("decompose", b'{"dimension":1,"points":[{"x":[1e200],"xstar":[1e-100]},'
-                                     b'{"x":[-1e200],"xstar":[0]}]}'),
+    # the primal gap, 3.4e308, lies beyond double range, and an infinite
+    # margin would hide a violation of 1e9
+    "overflow_margin": ("decompose", b'{"dimension":1,"points":[{"x":[1.7e308],"xstar":[1e-100]},'
+                                     b'{"x":[-1.7e308],"xstar":[0]}]}'),
     # sizes whose float64 arrays no platform can index
     "huge_spec_n": ("generate", b'{"n": 1000000000000000000000000000000, "k": 1, "m": 2}'),
     "huge_spec_m": ("generate", b'{"n": 2, "k": 1, "m": 1000000000000000000000000000000}'),
@@ -371,20 +372,22 @@ MALFORMED = {
     "huge_integer": ("analyze", b'{"dimension": 1, "points": [{"x": [1' + b"0" * 400 + b'], "xstar": [0]}]}'),
     # the basis's Gram matrix overflows, which must not leak a numpy warning
     "basis_overflow": ("verify", DECOMPOSITION % (b"[[1e200], [0.0]]", b"0.0")),
-    # the norms of duals near 1e160 overflow to inf, which would make the
-    # margin inf and pass a relative error of 1e-7
+    # the residual, 3.4e308, lies beyond double range, which would make the
+    # margin inf and pass any residual
     "residual_overflow": (
         "verify",
-        b'{"basis": [[1.0]], "a_hat": [[0.0]], "v_hat": [1e160], '
-        b'"basepoint": {"x": [0.0], "xstar": [1e160]}, '
+        b'{"basis": [[1.0]], "a_hat": [[0.0]], "v_hat": [-1.7e308], '
+        b'"basepoint": {"x": [0.0], "xstar": [-1.7e308]}, '
         b'"max_residual": 0.0, "skewness_defect": 0.0}',
-        b'{"dimension": 1, "points": [{"x": [0.0], "xstar": [1.0000001e160]}]}',
+        b'{"dimension": 1, "points": [{"x": [0.0], "xstar": [1.7e308]}]}',
     ),
-    # a bimonotone sample whose duals sit near 1e160: the fit's residual scales overflow
-    "decompose_overflow": ("decompose", b'{"dimension": 2, "points": ['
-                                        b'{"x": [0.0, 1.0], "xstar": [1e160, 0.0]}, '
-                                        b'{"x": [1.0, 0.0], "xstar": [1e160, 0.0]}, '
-                                        b'{"x": [2.0, 3.0], "xstar": [1e160, 0.0]}]}'),
+    # a bimonotone sample whose duals' norms, 2.4e308, lie beyond double
+    # range: the fit's residual scales overflow
+    "decompose_overflow": ("decompose", b'{"dimension": 3, "points": ['
+                                        b'{"x": [0.0, 0.0, 0.0], "xstar": [1.7e308, 1.7e308, 0.0]}, '
+                                        b'{"x": [1.0, 0.0, 0.0], "xstar": [1.7e308, 1.7e308, 0.0]}, '
+                                        b'{"x": [0.0, 1.0, 0.0], "xstar": [1.7e308, 1.7e308, 0.0]}, '
+                                        b'{"x": [0.0, 0.0, 1.0], "xstar": [1.7e308, 1.7e308, 0.0]}]}'),
 }
 
 

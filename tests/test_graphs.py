@@ -187,14 +187,21 @@ def test_domain_three_distinct_of_five():
 
 @pytest.mark.filterwarnings("error")
 def test_closeness_overflow_raises():
-    # a norm of a 1e200 point overflows to inf, and an infinite distance
-    # within an infinite allowance must not read as close
+    # the norms of 1e200 points square beyond double range but are finite,
+    # so every distance and allowance is finite: three distinct points, none
+    # near (0, 0)
     far = OperatorGraph.from_arrays([[1e200, 0.0], [0.0, 1e200], [3e200, 1e200]], np.zeros((3, 2)))
+    assert len(domain(far)) == 3
+    g = OperatorGraph.from_arrays([[1e200, 0.0], [1.0, 1.0]], [[1e200, 0.0], [1.0, 0.0]])
+    assert not contains_origin(g)
+    # a distance of 3.4e308 lies beyond double range, and an infinite distance
+    # within an infinite allowance must not read as close
+    far = OperatorGraph.from_arrays([[1.7e308, 0.0], [-1.7e308, 0.0]], np.zeros((2, 2)))
     with pytest.raises(ValidationError, match=r"^the distance from points\[1\]\.x to points\[0\]\.x "
                                               "overflows double precision"):
         domain(far)
-    # no pair is near (0, 0)
-    g = OperatorGraph.from_arrays([[1e200, 0.0], [1.0, 1.0]], [[1e200, 0.0], [1.0, 0.0]])
+    # the norm of points[0].x, 2.4e308, lies beyond double range
+    g = OperatorGraph.from_arrays([[1.7e308, 1.7e308], [1.0, 1.0]], [[1e200, 0.0], [1.0, 0.0]])
     with pytest.raises(ValidationError, match=r"^points\[0\]\.x overflows double precision"):
         contains_origin(g)
 

@@ -141,16 +141,22 @@ def test_reduce_rejects_out_of_span_primal():
 
 @pytest.mark.filterwarnings("error")
 def test_reduce_overflow_raises_instead_of_passing():
-    # the second point lies wholly outside the basis, but its residual and
-    # its allowance both overflow to inf, and inf > inf is false
+    # the second point lies wholly outside the basis; its residual and its
+    # allowance square beyond double range, but are finite
     g = OperatorGraph.from_arrays([[1e200, 0.0], [0.0, 1e200]], np.zeros((2, 2)))
-    with pytest.raises(ValidationError, match="overflows double precision"):
+    with pytest.raises(ValidationError, match=r"^points\[1\]\.x lies outside the span of the basis "
+                                              r"\(out-of-span residual 1\.000000e\+200\)$"):
         reduce(g, OrthonormalBasis([[1.0], [0.0]]))
     # reduce called on its own, without decompose's bimonotone scan first
     g = translate(OperatorGraph.from_arrays([[1e200], [-1e200]], [[1e-100], [0.0]]),
                   [1e200], [1e-100])
-    with pytest.raises(ValidationError, match="overflows double precision"):
-        reduce(g, span_basis(g.primal_matrix))
+    reduced = reduce(g, span_basis(g.primal_matrix))
+    assert np.abs(reduced.primal_matrix).tolist() == [[0.0], [2e200]]
+    # the allowance of points[0], rel_tol |x| with |x| = 2.4e308, lies
+    # beyond double range, and inf > inf is false
+    g = OperatorGraph.from_arrays([[1.7e308, 1.7e308], [0.0, 0.0]], np.zeros((2, 2)))
+    with pytest.raises(ValidationError, match=r"^points\[0\]\.x overflows double precision"):
+        reduce(g, OrthonormalBasis([[1.0], [0.0]]))
 
 
 def test_reduce_dimension_mismatch():
@@ -358,12 +364,15 @@ def test_decompose_fits_every_sample_of_the_overflowing_sum_family():
     """``decompose`` succeeds on all 60 samples of ``overflowing_sum_family``
     (an unscaled sum overflows on 52 of them), as
     ``bimonotone_check`` passes, and its JSON round-tripped document verifies;
-    a permutation of the points keeps the basepoint.  Duals of about 1e307
-    along the large coordinate can still be refused with "points[i]
-    overflows", as at v = 1.7e308 and m = 3: the centre is an ulp (2e292) off
-    the equal coordinates, and a norm above about 1.3e154 overflows (ROADMAP
-    item 10)."""
-    for g in overflowing_sum_family():
+    a permutation of the points keeps the basepoint.  So it does with duals
+    of 1e307 along the large coordinate, at v = 1.7e308 and m = 3, which
+    were refused with "points[0] overflows" while norms were squared as they
+    are: the centre is an ulp (2e292) off the equal coordinates, and the
+    centred rows' norms square beyond double range.  That ulp is why the
+    fit there is along the first axis only (ROADMAP item 10)."""
+    x = np.column_stack([np.full(3, 1.7e308), np.arange(3.0), np.arange(3.0) % 3])
+    offset = OperatorGraph.from_arrays(x, np.column_stack([np.full(3, 1e307), x[:, 2], -x[:, 1]]))
+    for g in [*overflowing_sum_family(), offset]:
         assert bimonotone_check(g).verdict
         dec = decompose(g)
         loaded = SkewDecomposition.from_dict(json.loads(dumps_canonical(dec.to_dict())))
@@ -391,6 +400,10 @@ def _assert_centre(g):
     """``recovery._centre(g)`` is the former fsum centre bit for bit, which
     pins ``decompose``'s basepoint bytes, and each of its coordinates q lies
     within the rounding of its steps of the exact mean mu of its column.
+    ``oracles.centre``, the body that caught fsum's OverflowError, is an
+    independent reference: ``_centre`` decides by exact integer sums, and the
+    two can differ only where a column's partial sums overflow while its
+    exact sum does not, and some column loses bits in units of 2^e.
 
     ``math.fsum`` rounds the exact sum S once, by at most u |S| (u = 2^-53;
     a sum in the subnormal range is exact), and the division by m rounds by
@@ -453,6 +466,19 @@ def test_centre_where_a_sum_may_overflow_is_the_former_fsum_centre():
     # the 1.7e308 rows sum beyond double range, so every coordinate is summed in units of 2^e > m
     for g in overflowing_sum_family():
         _assert_centre(g)
+
+
+@pytest.mark.parametrize("column", [[0.0] * 4, [2.0 ** 1023, 0.0, -(2.0 ** 1023), 0.0], [1.7e308] * 2 + [0.0] * 2],
+                         ids=["zeros", "1-norm 2^1024", "sum beyond range"])
+def test_centre_of_subnormal_columns_is_the_former_fsum_centre(column):
+    # a column of subnormals is summed as it is beside a column of zeros, and
+    # beside one whose 1-norm reaches 2^1023 (that column's sum, 0, is taken
+    # exactly in integers); beside a sum beyond double range, every column is
+    # summed in units of 2^e, and the subnormals lose their low bits as they did
+    subnormals = np.array([[4.061291744326625e-309, 5e-324, -2.5e-310, 3e-320]]).T
+    other = np.array([column]).T
+    _assert_centre(OperatorGraph.from_arrays(subnormals, other))
+    _assert_centre(OperatorGraph.from_arrays(other, subnormals))
 
 
 @pytest.mark.parametrize("kind", ["600-decades", "normal-20000"])
@@ -577,8 +603,9 @@ def test_every_error_waits_for_the_pair_check(case, pair_checks):
         s[3:5, 2], s[5:7, 1] = [1e149, -1e149], [-1e149, 1e149]
         s[1, 0], tol, error = 1.0, ToleranceConfig(0.0, 1e-9), "the skew fit"
     else:  # the decompose_overflow case of the CLI tests, one dual moved
-        x = [[0.0, 1.0], [1.0, 0.0], [2.0, 3.0]]
-        s, tol, error = [[1e160, 0.0], [1e160, 1.0], [1e160, 0.0]], ToleranceConfig(), "points[0]"
+        x = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        s = [[1.7e308, 1.7e308, 0.0]] * 3 + [[1.7e308, 1.7e308, 1.0]]
+        tol, error = ToleranceConfig(), "points[0]"
     g = OperatorGraph.from_arrays(x, s)
     with pytest.raises(NotBimonotoneError) as refused:
         decompose(g, tol)
