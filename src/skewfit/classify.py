@@ -126,8 +126,8 @@ def _pair_pass(
     against the columns [i0, m) only.  It computes <ds, dx> and both
     difference norms once, and derives from them each normalized violation,
     a residual over ``tol.margin`` of its scale.  The norms are squared as
-    they are, which is ``graphs._norm``'s arithmetic; a pair with a norm
-    that ``_norm`` would take again, not above 2^-511 or not finite, has
+    they are, which is ``graphs._norm``'s arithmetic; a pair j > i with a
+    norm that ``_norm`` would take again, not above 2^-511 or not finite, has
     both its norms taken by ``_norm`` and its pairing in units of powers of
     two near them, which changes only values whose plain arithmetic
     overflowed or went subnormal:
@@ -169,10 +169,11 @@ def _pair_pass(
         pairing = -np.einsum("ijk,ijk->ij", ds, dx)
         # np.linalg.norm's arithmetic, squaring the differences in place
         nx, ns = (np.sqrt(np.add.reduce(np.square(d, out=d), axis=2)) for d in (dx, ds))
-        # a pair j >= i with a norm that ``_norm`` would take again: both
-        # norms are ``_norm``'s, and the pairing is taken in units of 2^ex
-        # and 2^es, powers of two near them
-        a, b = np.nonzero((~(np.isfinite(nx) & np.isfinite(ns)) | (nx <= _LEAST_NORM) | (ns <= _LEAST_NORM)) & ~below)
+        # a pair j > i (the diagonal's are exact zeros) with a norm that
+        # ``_norm`` would take again: both norms are ``_norm``'s, and the
+        # pairing is taken in units of 2^ex and 2^es, powers of two near them
+        a, b = np.nonzero(~(np.isfinite(nx) & np.isfinite(ns)) | (nx <= _LEAST_NORM) | (ns <= _LEAST_NORM))
+        a, b = a[a < b], b[a < b]
         if a.size:
             fx, fs = x[i0 + a] - x[i0 + b], s[i0 + a] - s[i0 + b]
             nx[a, b], ns[a, b] = _norm(fx), _norm(fs)

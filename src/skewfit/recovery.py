@@ -12,9 +12,9 @@ bound, else ``bimonotone_check``'s O(m^2 n) pass (36-43 s for ``verify`` at
 m = 20000, n = 20, measured on a 2-vCPU Intel Xeon), and refuse exactly
 what that check refuses: NotBimonotoneError with its report (on the command
 line, the not_bimonotone document, exit 1).  ``decompose`` translates by
-the exactly summed centre of the sample, its ``basepoint``, which is finite
-for any finite points; ``verify_reconstruction`` by the sample's mean clipped
-to its range, since pairings do not change under translation.
+the centre of the sample, its ``basepoint``, each coordinate its column's
+exact mean rounded once; ``verify_reconstruction`` by the sample's mean
+clipped to its range, since pairings do not change under translation.
 
 Dual components orthogonal to the span are invisible to the reduction and
 discarded; residuals are measured after projection onto the span.  ``_parts``
@@ -256,29 +256,27 @@ def _certified(g: OperatorGraph, centre: GraphPoint, tol: ToleranceConfig, fit=N
     return fit
 
 
-def _sum(column: list, one_norm: float) -> float | None:
-    """``math.fsum(column)``, its sum rounded once, or None when that sum
-    lies beyond double range, from 2^1024 - 2^970 on.  A column whose 1-norm
-    reaches 2^1023, where a partial sum of fsum's may overflow, is summed
-    exactly, in integer multiples of 2^-1074, as every finite double is."""
-    if one_norm < 2.0 ** 1023:
-        return math.fsum(column)
-    total = sum(n * (2 ** 1074 // d) for n, d in map(float.as_integer_ratio, column))
-    return total / 2 ** 1074 if abs(total) < 2 ** 2098 - 2 ** 2044 else None
-
-
-@quiet_overflow
 def _centre(g: OperatorGraph) -> GraphPoint:
     """The centre of ``g``, ``decompose``'s ``basepoint``: each coordinate is
-    its column's sum, rounded once by ``_sum``, over m.  When a sum lies
-    beyond double range, every coordinate is summed in units of 2^e > m, so
-    the centre of finite points is finite."""
-    arrays, m = (g.primal_matrix, g.dual_matrix), len(g.primal_matrix)
-    sums = [list(map(_sum, a.T.tolist(), np.add.reduce(np.abs(a), axis=0).tolist())) for a in arrays]
-    if not any(None in row for row in sums):
-        return GraphPoint(*([total / m for total in row] for row in sums))
-    e = m.bit_length()
-    return GraphPoint(*(np.ldexp([math.fsum(c.tolist()) / m for c in np.ldexp(a, -e).T], e) for a in arrays))
+    its column's exact mean rounded once, so it is finite, equal points have
+    that point as centre, no order of points changes it, and a zero mean is
+    -0.0 only for a column of -0.0.  A double is an integer d, |d| < 2^53,
+    times 2^(k - 1126), k = np.frexp's exponent + 1073; np.bincount sums the
+    halves d >> 26 and d mod 2^26 of 2^25 rows at most exactly per (column,
+    k), and int / int rounds the sum of the nonzero bins over m 2^1126 once."""
+    m, means = len(g.primal_matrix), []
+    for a in (g.primal_matrix, g.dual_matrix):
+        n, totals = a.shape[1], [0] * a.shape[1]
+        for r in range(0, m, 2 ** 25):
+            mant, e = np.frexp(a[r:r + 2 ** 25])
+            low, width = int(e.min(initial=0)), int(e.max(initial=0) - e.min(initial=0)) + 1
+            bins, digits = (e - low + width * np.arange(n)).ravel(), (mant * 2.0 ** 53).astype(np.int64).ravel()
+            hi, lo = (np.bincount(bins, h, width * n).reshape(n, width) for h in (digits >> 26, digits % 2 ** 26))
+            col, k = np.nonzero((hi != 0) | (lo != 0))
+            for j, h, d, p in zip(col.tolist(), hi[col, k].tolist(), lo[col, k].tolist(), (k + low + 1073).tolist()):
+                totals[j] += (int(h) * 2 ** 26 + int(d)) << p
+        means.append([t / (m << 1126) if t or not np.signbit(a[:, j]).all() else -0.0 for j, t in enumerate(totals)])
+    return GraphPoint(*means)
 
 
 @quiet_overflow
@@ -394,8 +392,8 @@ def decompose(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Ske
     take one thin SVD of the translated primal points cut at the tolerance
     rank (the basis is its right factor, and the skew least-squares fit comes
     from its other factors), and certify the sample.  The centre, recorded as
-    ``basepoint``, sums each coordinate exactly (``math.fsum``), so the order
-    of the points cannot change it.  With v_hat = basis^T sbar - a_hat basis^T xbar,
+    ``basepoint``, is each column's exact mean rounded once, so the order of
+    the points cannot change it.  With v_hat = basis^T sbar - a_hat basis^T xbar,
     ``max_residual`` is the fit's largest residual on ``g``.
 
     Raises NotBimonotoneError, with ``bimonotone_check``'s report attached,

@@ -5,19 +5,17 @@ double loops and a least-squares fit over the free parameters of an
 antisymmetric matrix, solved through the normal equations.  The two
 exceptions are the former full-square pair scan, the bit-for-bit reference
 for the library's upper-triangle pass, which takes its norms by
-``graphs._norm``, and the per-column ``math.fsum`` centre at the end,
-``recovery._centre``'s former body and now its independent bit-for-bit
-reference; the exact mean beside it bounds that centre's rounding.
+``graphs._norm``, and the exact mean at the end, a ``Fraction`` summed in
+integers, whose rounding is ``recovery._centre``'s bit-for-bit reference.
 """
 
-import math
 from fractions import Fraction
 
 import numpy as np
 
 from skewfit import classify, graphs
 from skewfit.classify import ClassificationReport, NotMonotone
-from skewfit.graphs import GraphPoint, check_overflow, quiet_overflow
+from skewfit.graphs import check_overflow, quiet_overflow
 
 
 def pairwise_products(graph):
@@ -308,26 +306,6 @@ FULL_SQUARE = {
     "paramonotone_check": scan_paramonotone,
     "constant_on_domain_check": scan_constant,
 }
-
-
-# ---------------------------------------------------------------------------
-# The fsum centre: one ``math.fsum`` over each column's list of m floats, and
-# when a sum overflows, every coordinate summed in units of 2^e > m.  This is
-# the body that ``recovery._centre`` had, kept as an independent reference:
-# ``_centre`` now decides by exact integer sums where fsum's partial sums may
-# overflow, and catches no OverflowError.  The two differ only where a
-# column's partial sums overflow while its exact sum does not: there this
-# reference sums every column in units of 2^e, and ``_centre`` sums each as
-# it is.
-# ---------------------------------------------------------------------------
-
-def centre(g):
-    arrays = g.primal_matrix, g.dual_matrix
-    try:
-        return GraphPoint(*([math.fsum(c.tolist()) / len(c) for c in a.T] for a in arrays))
-    except OverflowError:
-        e = len(g.primal_matrix).bit_length()
-        return GraphPoint(*(np.ldexp([math.fsum(c.tolist()) / len(c) for c in np.ldexp(a, -e).T], e) for a in arrays))
 
 
 # Every finite double is an integer multiple of 2^-1074, the least subnormal.

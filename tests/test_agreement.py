@@ -16,8 +16,8 @@ module runs the first 600 boundary samples, which keeps it under 10 s:
   sample and under every map below, so each map keeps the ``decompose``
   answer exactly where it keeps the bimonotone verdict;
 - a permutation keeps every ``analyze`` verdict and worst violation, bit for
-  bit, and ``decompose``, which fits through the exactly summed centre of
-  the sample, succeeds exactly when it did;
+  bit, and ``decompose``, which fits through the exact mean of the sample,
+  succeeds exactly when it did;
 - negating the duals keeps the bimonotone and constant reports, witness
   included, and ``decompose`` succeeds exactly when it did;
 - ``inverse_graph`` keeps the monotone, bimonotone and paramonotone reports,

@@ -720,6 +720,18 @@ def test_pair_pass_peak_memory():
     assert report.verdict and peak < 10e6
 
 
+def test_pair_pass_takes_no_norm_again_on_the_diagonal(monkeypatch):
+    # a diagonal pair's differences are exact zeros, so its norms need no
+    # second take: a planted sample of distinct points, 77 row blocks of 13
+    # at m = 1000 in R^20, calls graphs._norm in none of them
+    calls = []
+    monkeypatch.setattr(classify, "_norm", lambda *args, **kwargs: calls.append(1) or graphs._norm(*args, **kwargs))
+    planted = make_fixture(FixtureSpec(n=20, k=8, m=1000, offset_norm=1.0, seed=3)).graph
+    assert len(range(0, 1000, classify._CHUNK_FLOATS // (1000 * 20))) == 77
+    assert monotone_check(planted).verdict
+    assert calls == []
+
+
 def test_paramonotone_stores_nothing_for_a_sample_that_is_not_monotone():
     # the first block of a random sample shows a monotone violation, so the
     # pass never allocates the mask and the gap matrix that analyze

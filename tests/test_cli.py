@@ -25,6 +25,7 @@ from skewfit.cli import run
 from skewfit.fixtures import FixtureSpec
 
 from families import off_plane_rotation
+from oracles import exact_mean
 
 SPEC = {"n": 4, "k": 2, "m": 6, "offset_norm": 1.0, "seed": 5}
 CONSTANT_SPEC = {"n": 3, "k": 3, "m": 5, "offset_norm": 2.0,
@@ -232,8 +233,9 @@ def test_analyze_header_only_csv_exits_2(capsys, tmp_path):
 
 
 def test_decompose_basepoint_flag(capsys, tmp_path):
-    # the fit goes through the centre of the sample, which the document
-    # records as its basepoint; no flag chooses a point instead
+    # the fit goes through the centre of the sample, each coordinate its
+    # column's exact mean rounded once, which the document records as its
+    # basepoint; no flag chooses a point instead
     out, _ = generate(capsys, tmp_path)
     code, stdout, stderr = invoke(capsys, "decompose", out, "--basepoint", "0")
     assert (code, stdout) == (2, "")
@@ -242,7 +244,7 @@ def test_decompose_basepoint_flag(capsys, tmp_path):
     assert code == 0
     points = json.loads((tmp_path / "graph.json").read_text())["points"]
     for key in ("x", "xstar"):
-        centre = [math.fsum(column) / len(points) for column in zip(*(p[key] for p in points))]
+        centre = [float(exact_mean(column)) for column in zip(*(p[key] for p in points))]
         assert json.loads(stdout)["basepoint"][key] == centre
 
 
