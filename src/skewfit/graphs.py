@@ -215,20 +215,19 @@ _LEAST_NORM = 2.0 ** -511
 
 
 @quiet_overflow
-def _norm(v: np.ndarray, axis: int | None = -1) -> np.ndarray:
-    """``np.linalg.norm(v, axis=axis)``, over the last axis or, with axis
-    None, the whole array: bit for bit wherever its sum of squares is finite
-    and normal, and elsewhere taken by power-of-two scaling (Higham, Accuracy
-    and Stability of Numerical Algorithms, ch. 3).  A norm not above
-    ``_LEAST_NORM``, or not finite, is taken again as the norm of v 2^-e
-    times 2^e, with e from np.frexp of the lane's largest |entry|, so that
-    its squares neither overflow nor lose bits below the smallest normal.  A
-    norm is then inf or NaN only where the lane holds an inf or a NaN or its
-    exact norm lies beyond double range."""
-    norm = np.asarray(np.linalg.norm(v, axis=axis))
+def _norm(v: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(v, axis=-1)``: bit for bit wherever its sum of
+    squares is finite and normal, and elsewhere taken by power-of-two scaling
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).  A norm
+    not above ``_LEAST_NORM``, or not finite, is taken again as the norm of v
+    2^-e times 2^e, with e from np.frexp of the lane's largest |entry|, so
+    that its squares neither overflow nor lose bits below the smallest
+    normal.  A norm is then inf or NaN only where the lane holds an inf or a
+    NaN or its exact norm lies beyond double range."""
+    norm = np.asarray(np.linalg.norm(v, axis=-1))
     if not (norm.min(initial=np.inf) > _LEAST_NORM and norm.max(initial=0.0) < np.inf):
         again = ~((norm > _LEAST_NORM) & (norm < np.inf))
-        lanes = v.reshape(1, -1) if axis is None else v[again]
+        lanes = v[again]
         e = np.frexp(np.max(np.abs(lanes), axis=-1, initial=0.0))[1]
         norm[again] = np.ldexp(np.linalg.norm(np.ldexp(lanes, -e[:, None]), axis=-1), e)
     return norm

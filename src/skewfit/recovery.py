@@ -11,10 +11,11 @@ the span and the skew least-squares fit in closed form.  With
 bound, else ``bimonotone_check``'s O(m^2 n) pass (36-43 s for ``verify`` at
 m = 20000, n = 20, measured on a 2-vCPU Intel Xeon), and refuse exactly
 what that check refuses: NotBimonotoneError with its report (on the command
-line, the not_bimonotone document, exit 1).  ``decompose`` translates by
-the centre of the sample, its ``basepoint``, each coordinate its column's
-exact mean rounded once; ``verify_reconstruction`` by the sample's mean
-clipped to its range, since pairings do not change under translation.
+line, the not_bimonotone document, exit 1).  ``decompose`` and
+``verify_reconstruction`` certify at one centre, ``_centre``, each
+coordinate its column's exact mean rounded once, which ``decompose`` records
+as its ``basepoint``; so on ``decompose``'s own sample and document,
+``verify_reconstruction`` runs the pass exactly when ``decompose`` did.
 
 Dual components orthogonal to the span are invisible to the reduction and
 discarded; residuals are measured after projection onto the span.  ``_parts``
@@ -214,12 +215,12 @@ def _bound(x: np.ndarray, s: np.ndarray, q: np.ndarray, a_hat: np.ndarray, parts
     keeps every pair within its margin, unless the pass overflows, which the
     guard on those differences rules out; a non-finite B certifies nothing."""
     (n, k), u = q.shape, np.finfo(np.float64).eps / 2
-    gram = 2.0 * (_norm(q.T @ q - np.eye(k), None) + k * (n + 2) * u)
+    gram = 2.0 * (_norm((q.T @ q - np.eye(k)).ravel()) + k * (n + 2) * u)
     tau = 4 * (n + k + 4) * math.sqrt(k + 1) * (1.0 + gram) ** 2 * u
     size_x, size_s = (tau * _norm(v) for v in (x, s))
     xi, e, eta, w = parts
     rows = (e, w, eta - xi @ a_hat.T, xi, eta)
-    pads = (size_x, size_s, size_s + _norm(a_hat, None) * size_x, size_x, size_s)
+    pads = (size_x, size_s, size_s + _norm(a_hat.ravel()) * size_x, size_x, size_s)
     eps, omega, rho, xi, eta = (np.max(_norm(v) + p + 2.0**-500) for v, p in zip(rows, pads))
     gamma = (n + 2) * u / (1 - (n + 2) * u)
     reach_x, reach_s = 2 * ((1 + gram) * xi + eps), 2 * ((1 + gram) * eta + omega)
@@ -235,10 +236,11 @@ def _bound(x: np.ndarray, s: np.ndarray, q: np.ndarray, a_hat: np.ndarray, parts
 def _certified(g: OperatorGraph, centre: GraphPoint, tol: ToleranceConfig, fit=None):
     """The fit ``(q, a_hat)`` of the rows of ``g`` less ``centre``, once ``g``
     is certified bimonotone: by ``_bound`` on those rows, else by
-    ``_certify``, run before anything raises.  Without a given ``fit`` it is
-    the ``span_basis`` q of the primal rows X = u diag(sing) q^T and the skew
-    least-squares fit in its coordinates from W = u^T S q, whose S q is the
-    eta of the certificate's ``_parts``."""
+    ``_certify``, run before any error that the fit can raise on valid input
+    propagates; any other exception is a fault and propagates at once.
+    Without a given ``fit`` it is the ``span_basis`` q of the primal rows X =
+    u diag(sing) q^T and the skew least-squares fit in its coordinates from
+    W = u^T S q, whose S q is the eta of the certificate's ``_parts``."""
     try:
         x, s = g.primal_matrix - centre.x, g.dual_matrix - centre.xstar
         u_k, sing, q = _span_svd(x, tol) if fit is None else (None, None, fit[0])
@@ -248,7 +250,7 @@ def _certified(g: OperatorGraph, centre: GraphPoint, tol: ToleranceConfig, fit=N
             check_overflow(~np.isfinite(a_hat), lambda f: "the skew fit")
             fit = q, a_hat
         certified = _bound(x, s, *fit, parts, tol)[0]
-    except Exception:
+    except (SkewfitError, np.linalg.LinAlgError, MemoryError):
         _certify(g, tol)
         raise
     if not certified:
@@ -271,7 +273,7 @@ def _centre(g: OperatorGraph) -> GraphPoint:
             mant, e = np.frexp(a[r:r + 2 ** 25])
             low, width = int(e.min(initial=0)), int(e.max(initial=0) - e.min(initial=0)) + 1
             bins, digits = (e - low + width * np.arange(n)).ravel(), (mant * 2.0 ** 53).astype(np.int64).ravel()
-            hi, lo = (np.bincount(bins, h, width * n).reshape(n, width) for h in (digits >> 26, digits % 2 ** 26))
+            hi, lo = (np.bincount(bins, h, width * n).reshape(n, width) for h in (digits >> 26, digits & (2 ** 26 - 1)))
             col, k = np.nonzero((hi != 0) | (lo != 0))
             for j, h, d, p in zip(col.tolist(), hi[col, k].tolist(), lo[col, k].tolist(), (k + low + 1073).tolist()):
                 totals[j] += (int(h) * 2 ** 26 + int(d)) << p
@@ -414,16 +416,12 @@ def verify_reconstruction(dec: SkewDecomposition, g: OperatorGraph,
     """Check basis^T xstar = a_hat basis^T x + v_hat for every pair of ``g``
     within the larger of the margin and the document's ``max_residual``; if
     all pass, certify ``g`` as ``decompose`` does, with the document's basis
-    and a_hat, on ``g`` less its own mean (not the ``basepoint``).  So
-    ``max_residual`` buys no verdict: a sample within it that is not
-    bimonotone raises NotBimonotoneError.  Pairings do not change under
-    translation, so the mean need not be exact, only finite: each coordinate
-    is clipped to the points' range."""
+    and a_hat, on ``g`` less its ``_centre`` (not the ``basepoint``, which
+    may belong to another sample).  So ``max_residual`` buys no verdict: a
+    sample within it that is not bimonotone raises NotBimonotoneError."""
     if g.dimension != dec.basis.ambient_dimension:
         raise ValidationError(f"graph lives in R^{g.dimension}, decomposition in R^{dec.basis.ambient_dimension}")
     report = _reconstruction(dec.basis.q, dec.a_hat, dec.v_hat, g, tol, dec.max_residual)
     if report.verdict:
-        arrays = g.primal_matrix, g.dual_matrix
-        mean = (np.clip((a / len(a)).sum(axis=0), a.min(axis=0), a.max(axis=0)) for a in arrays)
-        _certified(g, GraphPoint(*mean), tol, (dec.basis.q, dec.a_hat))
+        _certified(g, _centre(g), tol, (dec.basis.q, dec.a_hat))
     return report

@@ -34,7 +34,9 @@ module runs the first 600 boundary samples, which keeps it under 10 s:
 - ``decompose`` skips the pair check only on a sample that passes it, at
   every tolerance of ``TOLERANCE_GRID``: on the first 200 boundary samples,
   the two-branch and hard samples, every tenth sample under each map, and
-  the converse and near-constant samples of ``families``.
+  the converse and near-constant samples of ``families``; on each of them,
+  ``verify`` of ``decompose``'s own document certifies at the same centre
+  and runs the pair check exactly when ``decompose`` did.
 
 A permutation may move a witness to another pair of equal violation, so
 only verdicts and worst violations are compared there.  On the boundary
@@ -81,6 +83,7 @@ from skewfit import (
     bimonotone_check,
     decompose,
     inverse_graph,
+    verify_reconstruction,
 )
 from families import (TOLERANCE_GRID, boundary_family, converse_family, hard_families, maps,
                       near_constant_family, two_branch_family)
@@ -227,21 +230,32 @@ def test_decompose_succeeds_exactly_when_bimonotone_check_passes_on_every_mapped
 
 def test_a_fit_certifies_only_a_sample_that_passes_the_pair_check(pair_checks):
     # decompose runs no pair check when its fit's own bound shows that the
-    # pass would pass; wherever it runs none, an independent one passes
+    # pass would pass; wherever it runs none, an independent one passes, and
+    # verify on its document runs one exactly where decompose did
     families = {
         "boundary": BOUNDARY[:200], "two-branch": TWO_BRANCH, "hard": HARD,
         "maps": [_moved(i)[name] for i in range(0, len(SAMPLES), 10) for name in _moved(i)],
         "converse": list(converse_family(60)), "near-constant": list(near_constant_family(60)),
     }
-    certified, wrong = dict.fromkeys(families, 0), []
+    certified, wrong, unrepeated = dict.fromkeys(families, 0), [], []
     for family, graphs in families.items():
         for tol in TOLERANCE_GRID:
             for i, g in enumerate(graphs):
                 before = len(pair_checks)
-                _decomposes(g, tol)
-                if len(pair_checks) == before:
+                try:
+                    dec = decompose(g, tol)
+                except NotBimonotoneError:
+                    dec = None
+                checked = len(pair_checks) > before
+                if not checked:
                     certified[family] += 1
                     if not bimonotone_check(g, tol).verdict:
                         wrong.append((family, i, tol))
+                if dec is not None:
+                    before = len(pair_checks)
+                    verify_reconstruction(dec, g, tol)
+                    if (len(pair_checks) > before) != checked:
+                        unrepeated.append((family, i, tol))
     assert wrong == []
+    assert unrepeated == []
     assert all(certified.values())  # no family is vacuous

@@ -601,9 +601,22 @@ def test_every_error_waits_for_the_pair_check(case, pair_checks):
             decompose(OperatorGraph.from_arrays(x, np.where(np.abs(s) == 1.0, 0.0, s)), tol)
 
 
+def test_a_fault_in_the_fit_is_never_read_as_a_verdict(monkeypatch, pair_checks):
+    # a fault, not an error the fit can raise on valid input, propagates
+    # before any pair check, even on a sample that is not bimonotone
+    def fault(*args):
+        raise RuntimeError("fault in the fit")
+    monkeypatch.setattr(recovery, "_skew_fit", fault)
+    with pytest.raises(RuntimeError, match="^fault in the fit$"):
+        decompose(OperatorGraph.from_arrays([[0.0], [1.0]], [[0.0], [1.0]]))
+    assert pair_checks == []
+
+
 def test_verify_refuses_an_overflowing_centre_through_the_pair_check(pair_checks):
-    # every residual is within the document's max_residual, and the centre
-    # overflows: the pair check runs first, once, and refuses the sample
+    # every residual is within the document's max_residual; the centre
+    # (1e308, 0.5) does not overflow, nor does any centred row, but the
+    # fit's bound cannot certify the pairing 1 at (0, 1), so the pair check
+    # runs once and refuses the sample
     g = OperatorGraph.from_arrays([[1e308, 0.0], [1e308, 1.0]], [[0.0, 0.0], [0.0, 1.0]])
     dec = SkewDecomposition(basis=OrthonormalBasis([[0.0], [1.0]]), a_hat=[[0.0]], v_hat=[0.0],
                             basepoint=GraphPoint([0.0, 0.0], [0.0, 0.0]), max_residual=1.0,
@@ -906,9 +919,9 @@ def test_verify_certifies_a_sample_whose_sum_overflows_by_the_bound(pair_checks)
 
 @pytest.mark.filterwarnings("error")
 def test_verify_certifies_rows_at_the_largest_double_by_a_clipped_mean(pair_checks):
-    # the plain mean of three rows at the largest double, a third of it summed
-    # three times, overflows; clipped to the rows' range it is that double, so
-    # the fit's bound certifies the sample with no pair check and no warning
+    # the exact centre of equal rows is the row itself, here the largest
+    # double, so the fit's bound certifies the sample with no pair check and
+    # no warning, though a third of that double summed three times overflows
     g = OperatorGraph.from_arrays([[sys.float_info.max]] * 3, np.zeros((3, 1)))
     report = verify_reconstruction(RANK_ONE, g)
     assert report.verdict and report.residuals == (0.0, 0.0, 0.0)
