@@ -15,8 +15,9 @@ Every check is one pass over the upper triangle of point pairs, exact
 double arithmetic quadratic in the number of points: each pair's differences
 are formed once, and their product and two norms give the pairing and both
 gap violations.  Paramonotone's crossed-pair search is exact too: it reads
-the float64 gap values that the pass stores in one m x m matrix, the primal
-gaps above its diagonal and the dual gaps below.  Each step tests a
+the gaps that the pass stores as float32 in each triangle's own power-of-two
+unit, rounded by one monotone rule r (``_Gaps``), and takes a gap again in
+float64 only where r cannot order it against a threshold.  Each step tests a
 threshold against every pair left, first over a subset of at most
 ``_SEED_POINTS`` points, whose worst violation seeds the search over all of
 them; every other threshold is the exact violation of a sampled pair, and
@@ -24,17 +25,18 @@ the few pairs that the steps leave are read exactly.  ``analyze`` returns
 all four reports from that one pass and the search.  Verdicts are
 order-independent; witnesses break ties by the smallest index pair, and an
 overflow raises ValidationError by the rule of ``_pair_pass``, which
-carries the module's one overflow guard: the search only compares stored
-gaps and multiplies 0/1 tiles whose counts stay at most m.  Every norm is
-``graphs._norm``'s, so a sample mapped by (2^k x, 2^-k s) keeps its pairing
-reports bit for bit, and what overflows is a pairing, a norm, a margin or a
-violation whose exact value lies beyond double range.
+carries the module's one overflow guard: the search compares stored gaps,
+takes again only finite ones and multiplies 0/1 tiles whose counts stay at
+most m.  Every norm is ``graphs._norm``'s, so a sample mapped by
+(2^k x, 2^-k s) keeps its pairing reports bit for bit, and what overflows is
+a pairing, a norm, a margin or a violation whose exact value lies beyond
+double range.
 
-The search stores 9 m^2 bytes for m points: a bool mask and the gap matrix
-(``_pair_pass`` and ``_crossed_pairs`` state what each stores and costs).
-Beyond that, the working set is one 2 MB budget: the pass's difference
-blocks, the search's gap blocks and gap lines, and its float32 tiles, which
-take at least an eighth of the points each.
+The search stores 5 m^2 bytes for m points, a bool mask and the gaps, and
+holds 3 m^2 bytes more at its step over every point (``_pair_pass`` and
+``_crossed_pairs`` give each cost).  Beyond that, the working set is one 2 MB
+budget: the pass's difference blocks, the search's gap lines, and its float32
+tiles, which take at least an eighth of the points each.
 """
 
 from __future__ import annotations
@@ -67,6 +69,40 @@ __all__ = [
 _CHUNK_FLOATS = 1 << 18
 # The most points of the subset that seeds the crossed-pair search.
 _SEED_POINTS = 128
+_TOP = 127  # every stored gap lies below 2^_TOP, and float32's largest value is near 2^128
+
+
+@quiet_overflow
+def _rounded(gap, e: int):
+    """r(gap): float64 gaps (0 to inf) as float32 in units of 2^(e - _TOP),
+    rounded to nearest, except that a nonzero gap is never sent to 0.  So r
+    is monotone, and r(gap) is 0 exactly when the gap is."""
+    return np.maximum(np.ldexp(gap, _TOP - e), 2.0 ** -149 * np.greater(gap, 0.0)).astype(np.float32)
+
+
+class _Gaps:
+    """The gaps that ``_crossed_pairs`` reads, for m points: ``values``, one
+    m x m float32 matrix holding each pair i < j's primal gap at [i, j] and
+    its dual gap at [j, i] (the zero diagonal serves both), each triangle
+    rounded by ``_rounded`` in its own unit 2^(e - _TOP): with N its largest
+    row norm, each gap is at most 2 N / margin(N), so below 2^e (``units``),
+    or 2^1024, and float32 keeps 24 bits of every gap above 2^(e - 253)."""
+
+    def __init__(self, x: np.ndarray, s: np.ndarray, tol: ToleranceConfig, norms: tuple) -> None:
+        self.sides = ((x, tol.margin(norms[0])), (s, tol.margin(norms[1])))
+        bounds = [n.max(initial=0.0) / tol.margin(n.max(initial=0.0)) for n in norms]
+        self.units = tuple(int(np.frexp(b)[1]) + 2 if b < np.inf else 1024 for b in bounds)
+        self.values = np.empty((len(x), len(x)), dtype=np.float32)
+
+    @quiet_overflow
+    def exact(self, side: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The float64 gaps between the points a and b, primal (``side`` 0)
+        or dual (1), by ``_pair_pass``'s arithmetic, bit for bit."""
+        v, margins = self.sides[side]
+        margin = np.maximum(margins[a], margins[b])
+        gap = _norm(v[a] - v[b]) / margin
+        gap[~(np.isfinite(gap) & np.isfinite(margin))] = np.inf
+        return gap
 
 
 @dataclass(frozen=True)
@@ -147,18 +183,20 @@ def _pair_pass(
 
     With ``store``, ``stored`` = [vanishing, gaps], a list that
     ``_crossed_pairs`` empties: the bool mask of the pairs i < j with
-    |pairing| <= 1, and one m x m float64 matrix holding, for each pair
-    i < j, its primal gap at [i, j] and its dual gap at [j, i] (the zero
-    diagonal serves both), 9 m^2 bytes in all, written block by block.  They
-    are allocated with the first block, unless it shows a monotone violation,
-    and dropped, with the gaps' computation, at the first block that
-    does, so ``stored`` is None for a sample that is not monotone.
+    |pairing| <= 1, and a ``_Gaps`` holding both gaps of each pair i < j in
+    one m x m float32 matrix, each triangle in the unit that its largest row
+    norm fixes, 5 m^2 bytes in all, written block by block.  They are
+    allocated with the first block, unless it shows a monotone violation,
+    and dropped, with the gaps' computation, at the first block that does,
+    so ``stored`` is None for a sample that is not monotone.
     """
     x, s = g.primal_matrix, g.dual_matrix
     m, n = x.shape
     rows = max(1, _CHUNK_FLOATS // max(1, m * n))
     if store:
         norm_x, norm_s = _norm(x), _norm(s)
+        # margin is monotone, so margin(max(|v_i|, |v_j|)) = max(margin(|v_i|), margin(|v_j|))
+        margin_x, margin_s = tol.margin(norm_x), tol.margin(norm_s)
     records = dict.fromkeys(("monotone", "bimonotone", "constant", "primal_gap", "dual_gap"), (0.0, None))
     stored = None
     for i0 in range(0, m, rows):
@@ -184,8 +222,8 @@ def _pair_pass(
         margin = tol.margin(scale := ns * nx)
         terms = {"monotone": (pairing, margin), "constant": (np.maximum(scale, np.abs(pairing)), margin)}
         if store:
-            terms["primal_gap"] = (nx, tol.margin(np.maximum(norm_x[i0:i1, None], norm_x[None, i0:])))
-            terms["dual_gap"] = (ns, tol.margin(np.maximum(norm_s[i0:i1, None], norm_s[None, i0:])))
+            terms["primal_gap"] = (nx, np.maximum(margin_x[i0:i1, None], margin_x[None, i0:]))
+            terms["dual_gap"] = (ns, np.maximum(margin_s[i0:i1, None], margin_s[None, i0:]))
         viol = {}
         for name, (residual, margin) in terms.items():
             viol[name] = residual / margin
@@ -200,10 +238,11 @@ def _pair_pass(
             store, stored = False, None  # not monotone: nothing stored is read
         if store:
             if stored is None:
-                stored = [np.zeros((m, m), dtype=bool), np.empty((m, m))]
+                stored = [np.zeros((m, m), dtype=bool), _Gaps(x, s, tol, (norm_x, norm_s))]
             np.less_equal(np.abs(viol["monotone"]), 1.0, out=stored[0][i0:i1, i0:])
-            stored[1][i0:, i0:i1] = viol["dual_gap"].T  # dual gaps below the diagonal
-            np.copyto(stored[1][i0:i1, i0:], viol["primal_gap"], where=~below)  # primal on and above
+            gaps, (ux, us) = stored[1].values, stored[1].units
+            gaps[i0:, i0:i1] = _rounded(viol["dual_gap"].T, us)  # dual gaps below the diagonal
+            np.copyto(gaps[i0:i1, i0:], _rounded(viol["primal_gap"], ux), where=~below)  # primal on and above
         del dx, ds, pairing, nx, ns, a, b, scale, margin, terms, viol  # before the next block allocates its own
     if stored is not None:
         np.fill_diagonal(stored[0], False)
@@ -240,39 +279,34 @@ def constant_on_domain_check(
     return _report(_pair_pass(g, tol)[0]["constant"])
 
 
-def _near(gaps: np.ndarray, pts: np.ndarray, t: float) -> np.ndarray:
+def _near(gaps: _Gaps, pts: np.ndarray, t: float) -> np.ndarray:
     """near[a, l] = (gap_x[pts[a], l] <= t) + 2 (gap_s[pts[a], l] <= t), a
-    |pts| x m uint8 matrix, read from the two-triangle matrix ``gaps`` of
-    ``_pair_pass``: a point's primal gaps are its row right of the diagonal
-    and its column above it, its dual gaps the other way round.
-
-    Points are read in blocks of about ``_CHUNK_FLOATS // m``: a block of
-    consecutive points is sliced, any other gathered by index (per seeded
-    search, gathering every block took 1 ms more on certify's inputs and
-    54 ms more at m = 3000; np.take, 1.4-2.1 ms more and 30 ms less)."""
-    m = gaps.shape[0]
-    near = np.empty((pts.size, m), dtype=np.uint8)
-    ls = np.arange(m)
+    |pts| x m uint8 matrix, from the gap lines of blocks of about
+    ``_CHUNK_FLOATS // m`` points, each compared with r(t) in its unit.  A
+    stored 0 is an exact 0, and only an entry equal to a nonzero r(t), a gap
+    within a part in 2^24 of a real pair's violation t, is taken again."""
+    m = gaps.values.shape[0]
+    near = np.zeros((pts.size, m), dtype=np.uint8)
     step = max(1, _CHUNK_FLOATS // m)
     for a0 in range(0, pts.size, step):
         p = pts[a0:a0 + step]
-        index = slice(p[0], p[-1] + 1) if p[-1] - p[0] == p.size - 1 else p
-        row = gaps[index] <= t
-        col = np.ascontiguousarray(gaps[:, index].T <= t)
         block = near[a0:a0 + p.size]
-        block[...] = col  # dual: the column right of the diagonal, the row left of it
-        np.copyto(block, row, where=ls < p[:, None])
-        block += row  # row + col = primal + dual, so block = primal + 2 dual
-        block += col
+        for side, line, level in zip((0, 1), _lines(gaps.values, p), (_rounded(t, e) for e in gaps.units)):
+            within = line <= level
+            if level > 0.0 and (line == level).any():
+                a, b = np.divmod(np.flatnonzero(line == level), m)
+                within[a, b] = gaps.exact(side, p[a], b) <= t
+            for _ in range(1 + side):  # block = primal + 2 dual
+                block += within
     return near
 
 
-def _unmatched(gaps: np.ndarray, pts: np.ndarray, t: float) -> np.ndarray:
+def _unmatched(gaps: _Gaps, pts: np.ndarray, t: float) -> np.ndarray:
     """u[a, b]: no point l has gap_x[pts[a], l] <= t and gap_s[pts[b], l] <= t,
     i.e. (x_pts[a], xstar_pts[b]) is farther than t from the graph.  Each
-    step thresholds the points' rows and columns once, into one |pts| x m
-    uint8 matrix (``_near``).  One float32 0/1 product per pair of tiles;
-    its counts sum nonnegative terms, so a count is zero exactly when no l
+    step thresholds the points' gap lines once, into one |pts| x m uint8
+    matrix (``_near``).  One float32 0/1 product per pair of tiles; its
+    counts sum nonnegative terms, so a count is zero exactly when no l
     matches, at any m.
 
     A tile is ``_CHUNK_FLOATS // m`` rows, but at least ceil(m / 8), since
@@ -280,7 +314,7 @@ def _unmatched(gaps: np.ndarray, pts: np.ndarray, t: float) -> np.ndarray:
     m = 3000: 375 rows, 4.5 MB, which cut this function's time per seeded
     search from 1.3-1.7 to 0.8-1.2 s there; the floor binds only above
     m = 1448)."""
-    m, n = gaps.shape[0], pts.size
+    m, n = gaps.values.shape[0], pts.size
     rows = max(_CHUNK_FLOATS // m, -(-m // 8))
     near = _near(gaps, pts, t)
     u = np.empty((n, n), dtype=bool)
@@ -296,30 +330,48 @@ def _unmatched(gaps: np.ndarray, pts: np.ndarray, t: float) -> np.ndarray:
     return u
 
 
-def _lines(gaps: np.ndarray, p: np.ndarray) -> tuple:
-    """The primal and dual gap lines of the points ``p``, two |p| x m
-    float64 matrices, read from ``gaps`` by the rule of ``_near``."""
-    row, col = gaps[p], gaps[:, p].T
-    left = np.arange(gaps.shape[0]) < p[:, None]
-    return np.where(left, col, row), np.where(left, row, col)
+def _lines(values: np.ndarray, p: np.ndarray) -> tuple:
+    """The primal and dual gap lines of the points ``p``, two |p| x m float32
+    matrices: a point's primal gaps are its row of ``_Gaps.values`` right of
+    the diagonal and its column left of it, its dual gaps the other way round."""
+    index = slice(p[0], p[0] + p.size) if (np.diff(p) == 1).all() else p
+    row, dual = values[index], values[:, index].T.copy()
+    left = np.arange(values.shape[0], dtype=np.int32) < p.astype(np.int32)[:, None]  # m < 2^31 fits in memory
+    primal = row.copy()
+    np.copyto(primal, dual, where=left)
+    np.copyto(dual, row, where=left)
+    return primal, dual
 
 
-def _violations(gaps: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+@quiet_overflow
+def _violations(gaps: _Gaps, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """The violation max(need(i, j), need(j, i)) of each pair of points
-    (i[k], j[k]) (see ``_crossed_pairs``), from the gap lines of its two
-    points, for blocks of pairs whose four line sets hold about
-    ``_CHUNK_FLOATS`` floats."""
+    (i[k], j[k]) (see ``_crossed_pairs``), in blocks whose gap lines hold
+    about ``_CHUNK_FLOATS`` floats.  The l whose stored gaps, in one unit,
+    have the least maximum bounds a need by its exact value u; only another
+    l with both gaps stored at most r(u) can attain it, and is read again."""
     out = np.empty(i.size)
-    step = max(1, _CHUNK_FLOATS // (4 * gaps.shape[0]))
+    step = max(1, _CHUNK_FLOATS // (4 * gaps.values.shape[0]))
+    shift = gaps.units[1] - gaps.units[0]
     for k0 in range(0, i.size, step):
-        (xi, si), (xj, sj) = _lines(gaps, i[k0:k0 + step]), _lines(gaps, j[k0:k0 + step])
-        need_ij, need_ji = np.maximum(xi, sj, out=xi).min(axis=1), np.maximum(xj, si, out=xj).min(axis=1)
-        out[k0:k0 + step] = np.maximum(need_ij, need_ji)
-        del xi, si, xj, sj  # before the next block reads its own
+        a, b = i[k0:k0 + step], j[k0:k0 + step]
+        a, b = np.concatenate([a, b]), np.concatenate([b, a])  # the pairs' needs either way
+        x, s = _lines(gaps.values, a)
+        s = np.roll(s, -(a.size // 2), axis=0)  # the dual lines of b
+        best = np.maximum(x, np.ldexp(s, shift) if shift else s).argmin(axis=1)
+        need = np.maximum(gaps.exact(0, a, best), gaps.exact(1, b, best))
+        tx, ts = (_rounded(need, e) for e in gaps.units)
+        within = x <= tx[:, None]
+        within &= s <= ts[:, None]
+        within[np.arange(a.size), best] = False  # read already
+        k, l = np.divmod(np.flatnonzero(within), x.shape[1])
+        np.minimum.at(need, k, np.maximum(gaps.exact(0, a[k], l), gaps.exact(1, b[k], l)))
+        out[k0:k0 + step] = np.maximum(need[:a.size // 2], need[a.size // 2:])
+        del x, s, within  # before the next block reads its own
     return out
 
 
-def _worst(gaps: np.ndarray, pts: np.ndarray, active: np.ndarray, t: float = -np.inf) -> tuple:
+def _worst(gaps: _Gaps, pts: np.ndarray, active: np.ndarray, t: float = -np.inf) -> tuple:
     """(W, pts, attaining): the worst violation W of the pairs ``active``
     (bool, |pts| x |pts|) of the points ``pts``, the pairs attaining it and
     their points.  While one gap line per pair exceeds ``_CHUNK_FLOATS``, a
@@ -332,7 +384,7 @@ def _worst(gaps: np.ndarray, pts: np.ndarray, active: np.ndarray, t: float = -np
     every sampled pair violates by hi, the step is just below hi, and the
     pairs that fail it attain W = hi; if a t <= 0 fails no pair, W = 0.
     Otherwise the pairs left are read exactly."""
-    m, hi = gaps.shape[0], np.inf
+    m, hi = gaps.values.shape[0], np.inf
     block = max(1, _CHUNK_FLOATS // (4 * m))
     while (n := np.count_nonzero(active)) * m > _CHUNK_FLOATS:
         if t == -np.inf:
@@ -367,15 +419,19 @@ def _crossed_pairs(stored: list) -> ClassificationReport:
     """Paramonotone report of a monotone sample from what ``_pair_pass``
     stores, [vanishing, gaps], which it takes out of ``stored``: the bool
     mask of the vanishing pairs i < j (an m x m upper triangle, m^2 bytes)
-    and the m x m float64 matrix of the normalized gaps, primal above the
-    diagonal and dual below it (8 m^2 bytes).
+    and the ``_Gaps`` of the normalized gaps, one m x m float32 matrix,
+    primal above the diagonal and dual below it (4 m^2 bytes).
 
     need(i, j) = min_l max(gap_x[l, i], gap_s[l, j]) is the distance from
     (x_i, xstar_j) to the nearest stored pair, and a vanishing pair i < j
     violates by max(need(i, j), need(j, i)).  Every need value is a gap
     entry, so the worst violation W is the smallest gap value t at which no
     vanishing pair is ``_unmatched`` either way; ``_worst`` finds it, and
-    the witness is the smallest pair attaining W in row-major order.
+    the witness is the smallest pair attaining W in row-major order.  A
+    step takes again only the stored gaps equal to r(t) (``_near``), and
+    a pair read exactly only the gaps that can attain its needs
+    (``_violations``): on certify's inputs, 0 to 4 entries per step, and
+    four gaps per pair, rarely a few more.
 
     When more than ``_SEED_POINTS`` points lie in vanishing pairs, ``_worst``
     first runs on an evenly strided subset of at most that many, with only
@@ -387,13 +443,12 @@ def _crossed_pairs(stored: list) -> ClassificationReport:
 
     On certify's 1000-point inputs this makes one step over 125 points,
     one over all of them (the most costly, in float32 tiles of
-    ``_unmatched``), and exact reads of the pairs left.  Beside the 8 m^2
-    bytes of gaps, the step over every point holds the active and failing
-    pairs (bool, m^2 bytes each; the mask is dropped once the active pairs
-    are copied out), the m x m uint8 matrix of ``_near`` and two float32
-    tiles: about 12 m^2 bytes in all.  If W_Q is 0, the sample before that
-    step holds the flat indices of the active pairs, 8 bytes each (4 m^2
-    bytes if every pair vanishes), and drops them before the step.
+    ``_unmatched``), and exact reads of the pairs left.  That step holds
+    the gaps, the active and failing pairs (bool; the mask is dropped once
+    the active pairs are copied out) and the uint8 matrix of ``_near``,
+    m x m each, and two tiles: about 8 m^2 bytes.  If W_Q is 0, the sample
+    before it holds the flat indices of the active pairs, 8 bytes each (4
+    m^2 bytes if every pair vanishes), and drops them before the step.
     """
     vanishing, gaps = stored
     stored.clear()
@@ -414,14 +469,21 @@ def _crossed_pairs(stored: list) -> ClassificationReport:
     return ClassificationReport(verdict=w <= 1.0, worst_violation=w, witness=(pts[a], pts[b]))
 
 
-def _paramonotone(records: dict, stored: list | None, mono) -> ClassificationReport | NotMonotone:
-    """NotMonotone with the monotone report ``mono`` when ``_pair_pass``
-    stored nothing, else, unless a gap overflows, the crossed-pair search."""
-    if stored is None:
-        return NotMonotone(monotone=mono)
-    _report(records["primal_gap"])
-    _report(records["dual_gap"])
-    return _crossed_pairs(stored)
+def _searched(g: OperatorGraph, tol: ToleranceConfig) -> tuple:
+    """The records of ``_pair_pass(g, tol, store=True)`` and the paramonotone
+    report; a MemoryError is raised again with the search's size rule."""
+    try:
+        records, stored = _pair_pass(g, tol, store=True)
+        mono = _report(records["monotone"])
+        if stored is None:
+            return records, NotMonotone(monotone=mono)
+        _report(records["primal_gap"]), _report(records["dual_gap"])
+        return records, _crossed_pairs(stored)
+    except MemoryError as exc:
+        m = len(g.primal_matrix)
+        raise MemoryError(f"paramonotone's crossed-pair search of m = {m} points holds about 8 m^2 bytes, "
+                          f"{8 * m * m / 2**30:.2f} GiB (5 m^2 stored, 3 m^2 more at its step over every "
+                          f"point): {exc}") from exc
 
 
 def analyze(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> dict:
@@ -430,15 +492,14 @@ def analyze(g: OperatorGraph, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> dict:
 
     Each report equals the one its ``*_check`` function returns.  One
     ``_pair_pass`` gives the monotone, bimonotone and constant reports and,
-    for a monotone sample, the matrices that the crossed-pair search
-    ``_crossed_pairs`` reads; their docstrings give the cost of each.
+    for a monotone sample, what the crossed-pair search ``_crossed_pairs``
+    reads; their docstrings give the cost of each.
     """
-    records, stored = _pair_pass(g, tol, store=True)
-    mono = _report(records["monotone"])
+    records, paramonotone = _searched(g, tol)
     return {
-        "monotone": mono,
+        "monotone": _report(records["monotone"]),
         "bimonotone": _report(records["bimonotone"]),
-        "paramonotone": _paramonotone(records, stored, mono),
+        "paramonotone": paramonotone,
         "constant_on_domain": _report(records["constant"]),
     }
 
@@ -458,5 +519,4 @@ def paramonotone_check(
     pass and the crossed-pair search of ``analyze``, and returns NotMonotone
     for a sample that is not monotone.
     """
-    records, stored = _pair_pass(g, tol, store=True)
-    return _paramonotone(records, stored, _report(records["monotone"]))
+    return _searched(g, tol)[1]

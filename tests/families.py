@@ -7,7 +7,8 @@ so every module that draws ``count`` samples of a family gets the same ones.
 decompositions that ``verify`` must not accept on a sample that is not
 bimonotone, and ``fallback_graph`` a bimonotone sample that the fit's bound
 does not certify at m = 2000.  ``maps`` moves a sample by the maps that keep
-the pairing condition, for the agreement and implication modules.
+the pairing condition, for the agreement and implication modules, and
+``product_graph`` gives a sample that is bimonotone and paramonotone.
 """
 
 import numpy as np
@@ -185,3 +186,18 @@ def overflowing_sum_family():
             x = np.column_stack([np.full(m, v), i, i % 3])
             yield OperatorGraph.from_arrays(x, np.zeros((m, 3)))
             yield OperatorGraph.from_arrays(x, np.column_stack([np.zeros(m), x[:, 2], -x[:, 1]]))
+
+
+def product_graph(domain, images, n, seed):
+    """Every pair (d, r) of a product D x R in R^n: ``domain`` points D on the
+    first n // 2 axes, and ``images`` points R = c + W with c fixed and W on
+    the other axes, so R - R is orthogonal to D - D.  Each pairing
+    <r - r', d - d'> sums products with a zero factor, so is exactly 0, and
+    every crossed pair (d, r') is a point of the sample."""
+    rng = np.random.default_rng(seed)
+    half = n // 2
+    d = np.zeros((domain, n))
+    d[:, :half] = rng.normal(size=(domain, half))
+    r = np.tile(rng.normal(size=n), (images, 1))
+    r[:, half:] = rng.normal(size=(images, n - half))
+    return OperatorGraph.from_arrays(np.repeat(d, images, axis=0), np.tile(r, (domain, 1)))

@@ -5,7 +5,8 @@ double loops and a least-squares fit over the free parameters of an
 antisymmetric matrix, solved through the normal equations.  The two
 exceptions are the former full-square pair scan, the bit-for-bit reference
 for the library's upper-triangle pass, which takes its norms by
-``graphs._norm``, and the exact mean at the end, a ``Fraction`` summed in
+``graphs._norm`` and rounds the gaps it stores by ``classify._rounded``,
+and the exact mean at the end, a ``Fraction`` summed in
 integers, whose rounding is ``recovery._centre``'s bit-for-bit reference.
 """
 
@@ -256,17 +257,18 @@ def pair_violations(g, tol):
 
 
 def _stored(pairing, gap_x, gap_s):
-    """[vanishing, gaps] as ``_pair_pass`` stores them for ``_crossed_pairs``:
-    the mask of the vanishing pairs i < j, and the primal gaps on and above
-    the diagonal with the dual gaps below it."""
+    """[vanishing, gaps]: the mask of the vanishing pairs i < j, and the
+    float64 gaps in ``_pair_pass``'s layout, primal on and above the
+    diagonal and dual below it."""
     upper = np.triu(np.ones(pairing.shape, dtype=bool))
     return [np.triu(np.abs(pairing) <= 1.0, 1), np.where(upper, gap_x, gap_s.T)]
 
 
 @quiet_overflow
 def stored(g, tol):
-    """What ``_pair_pass(g, tol, store=True)`` stores, from the full-square
-    scans, or None for a sample that is not monotone."""
+    """The mask that ``_pair_pass(g, tol, store=True)`` stores and the float64
+    gaps that its float32 store rounds, from the full-square scans, or None
+    for a sample that is not monotone."""
     m = g.primal_matrix.shape[0]
     pairing, gap_x, gap_s = np.empty((m, m)), np.empty((m, m)), np.empty((m, m))
     if not _scan(g, tol, _pairing_terms(g), out=pairing).verdict:
@@ -276,10 +278,31 @@ def stored(g, tol):
     return _stored(pairing, gap_x, gap_s)
 
 
+def rounded(reference, units):
+    """The float64 two-triangle ``reference`` rounded by classify's rule,
+    the upper triangle (the diagonal included) in the primal unit and the
+    lower one in the dual unit."""
+    upper = np.triu(np.ones(reference.shape, dtype=bool))
+    return np.where(upper, classify._rounded(reference, units[0]), classify._rounded(reference, units[1]))
+
+
+def searchable(g, tol, found):
+    """[vanishing, gaps] in the form ``_crossed_pairs`` reads, from what
+    ``stored`` returns: its float64 gaps rounded by classify's rule in the
+    units that ``_pair_pass`` picks for ``g``."""
+    vanishing, reference = found
+    x, s = g.primal_matrix, g.dual_matrix
+    gaps = classify._Gaps(x, s, tol, (graphs._norm(x), graphs._norm(s)))
+    gaps.values[...] = rounded(reference, gaps.units)
+    return [vanishing, gaps]
+
+
 @quiet_overflow
 def scan_paramonotone(g, tol):
     found = stored(g, tol)
-    return NotMonotone(monotone=scan_monotone(g, tol)) if found is None else classify._crossed_pairs(found)
+    if found is None:
+        return NotMonotone(monotone=scan_monotone(g, tol))
+    return classify._crossed_pairs(searchable(g, tol, found))
 
 
 @quiet_overflow
@@ -292,7 +315,7 @@ def scan_analyze(g, tol):
     if mono.verdict:
         _scan(g, tol, _gap_terms(g.primal_matrix), out=gap_x)
         _scan(g, tol, _gap_terms(g.dual_matrix), out=gap_s)
-        paramonotone = classify._crossed_pairs(_stored(pairing, gap_x, gap_s))
+        paramonotone = classify._crossed_pairs(searchable(g, tol, _stored(pairing, gap_x, gap_s)))
     constant = _scan(g, tol, _ruled(g, _constant))
     return {"monotone": mono, "bimonotone": bimonotone,
             "paramonotone": paramonotone, "constant_on_domain": constant}

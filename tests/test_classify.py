@@ -15,6 +15,7 @@ from skewfit import (
     ValidationError,
     bimonotone_check,
     constant_on_domain_check,
+    decompose,
     inverse_graph,
     make_fixture,
     monotone_check,
@@ -24,6 +25,7 @@ from skewfit import classify, graphs
 from skewfit.fixtures import FixtureSpec
 
 import oracles
+from families import product_graph
 
 SKEW_2D = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -186,6 +188,17 @@ def test_paramonotone_not_monotone_outcome(monkeypatch):
     calls.update(dict.fromkeys(calls, 0))
     assert paramonotone_check(OperatorGraph.from_arrays([[0.0], [1.0]], [[0.0], [1.0]])).verdict
     assert calls == {"_pair_pass": 1, "_crossed_pairs": 1}
+
+
+def test_a_product_sample_is_bimonotone_and_paramonotone():
+    # D x R with R - R orthogonal to D - D: every pairing is exactly 0 and
+    # every crossed pair is stored, so the search ends at t = 0, where a
+    # stored 0 is an exact 0, not a tie; the fit of the product is 0
+    g = product_graph(12, 9, 6, seed=0)
+    reports = classify.analyze(g)
+    for name in ("bimonotone", "paramonotone"):
+        assert reports[name] == ClassificationReport(True, 0.0), name
+    assert np.abs(decompose(g).a_hat).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -384,14 +397,50 @@ def _assert_matches_full_square_scan(g):
 
 
 def _assert_stores_full_square_gaps(g):
-    # the mask and the two-triangle gap matrix equal the full-square scans'
-    # values bit for bit: primal gaps on and above the diagonal, dual below
+    # the mask equals the full-square scans' bit for bit; the float32 gap
+    # matrix is their float64 gaps rounded by the rule, primal gaps on and
+    # above the diagonal in the primal unit and dual gaps below in the dual
+    # one, every finite gap below 2^e in its triangle's unit; and the exact
+    # reads give back every one of those float64 gaps bit for bit
     tol = ToleranceConfig()
     stored, expected = classify._pair_pass(g, tol, store=True)[1], oracles.stored(g, tol)
     assert (stored is None) == (expected is None)
-    if expected is not None:
-        assert [(a.dtype, a.shape, a.tobytes()) for a in stored] == [
-            (a.dtype, a.shape, a.tobytes()) for a in expected]
+    if expected is None:
+        return
+    (mask, gaps), (vanishing, reference) = stored, expected
+    assert (mask.dtype, mask.shape, mask.tobytes()) == (vanishing.dtype, vanishing.shape, vanishing.tobytes())
+    rounded = oracles.rounded(reference, gaps.units)
+    assert (gaps.values.dtype, gaps.values.shape, gaps.values.tobytes()) == (np.float32, rounded.shape, rounded.tobytes())
+    i, j = np.indices(reference.shape)
+    upper = i <= j
+    for side, part in ((0, upper), (1, ~upper)):
+        assert gaps.exact(side, i[part], j[part]).tobytes() == reference[part].tobytes()
+        finite = reference[part][np.isfinite(reference[part])]
+        assert (finite < np.ldexp(1.0, gaps.units[side])).all()
+
+
+# Gaps of every kind the pass can store: 0, subnormals, normals on both
+# sides of float32's range, and inf.
+_gap_values = st.one_of(
+    st.just(0.0), st.just(np.inf),
+    st.floats(min_value=0.0, max_value=2.0 ** -1022, allow_subnormal=True),
+    st.floats(min_value=0.0, max_value=np.finfo(float).max),
+)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.lists(_gap_values, min_size=1, max_size=30), st.integers(-1071, 1026))
+def test_the_gap_rounding_rule_is_monotone_and_keeps_exact_zeros(values, e):
+    # every unit that ``_unit`` can pick, 2^(e - 127) with e from -1071 (a
+    # bound of 2^-1074) to 1026: the stored value never decreases with the
+    # gap, is 0 exactly when the gap is, and rounds a scalar threshold as it
+    # rounds an array entry
+    gaps = np.sort(np.array(values + [0.0, 5e-324, 2.0 ** -1022, 3.4e38, 1e39, np.finfo(float).max, np.inf]))
+    stored = classify._rounded(gaps, e)
+    assert stored.dtype == np.float32
+    assert (stored[1:] >= stored[:-1]).all()
+    assert ((stored == 0) == (gaps == 0)).all()
+    assert [classify._rounded(v, e) for v in gaps] == list(stored)
 
 
 def _seeded_samples():
@@ -548,9 +597,11 @@ def test_paramonotone_matches_oracle_where_the_tile_row_floor_binds(tol):
             assert paramonotone_check(g, tol).to_dict() == expected
 
 
-# The crossed-pair search reads the float64 gaps as the pass stores them, so
-# gaps at float32's edges, which a float32 copy would round to one value, are
-# told apart exactly.  Each case is checked against the plain-loop oracle.
+# The crossed-pair search stores float32 gaps in each triangle's own unit and
+# takes a gap again in float64 wherever float32 cannot tell it from a
+# threshold, so gaps at float32's edges, which one float32 unit for every
+# gap would round to one value, are told apart exactly.  Each case is
+# checked against the plain-loop oracle.
 
 def test_paramonotone_crossed_distances_below_float32_subnormals():
     # points about 1e-60 apart: every nonzero normalized gap, about 1e-51, is
@@ -634,9 +685,10 @@ def test_seeded_search_takes_one_full_step_on_the_planted_sample():
 
 def test_tiny_gaps_take_no_more_full_search_steps():
     # scaled by 1e-60, every nonzero gap of the planted sample lies below
-    # float32's smallest subnormal, where a float32 copy would tie them all;
-    # on the float64 gaps the search runs over all 1000 points no more often
-    # than on the unscaled sample, or than the unseeded bisection
+    # float32's smallest subnormal, where a float32 copy in a fixed unit
+    # would tie them all; in the triangles' own units the search runs over
+    # all 1000 points no more often than on the unscaled sample, or than the
+    # unseeded bisection
     g = make_fixture(_PLANTED_1000).graph
     tiny = OperatorGraph.from_arrays(g.primal_matrix * 1e-60, g.dual_matrix * 1e-60)
     assert _full_searches(tiny) <= min(_full_searches(g), _full_searches(tiny, seed_points=1000))
@@ -669,6 +721,62 @@ def test_a_sample_with_every_crossed_pair_stored_takes_one_full_search_step():
     assert paramonotone_check(g).to_dict() == {"verdict": True, "worst_violation": 0.0, "witness": None}
 
 
+def _steps_and_reads(g):
+    """The number of points of each step of the crossed-pair search of
+    ``analyze(g)``, how many gaps each step takes again in float64, and the
+    paramonotone report."""
+    steps, reads, unmatched, exact = [], [], classify._unmatched, classify._Gaps.exact
+
+    def step(gaps, pts, t):
+        steps.append(pts.size)
+        reads.append(0)
+        try:
+            return unmatched(gaps, pts, t)
+        finally:
+            steps.append(None)
+
+    def counted(self, side, a, b):
+        if steps and steps[-1] is not None:
+            reads[-1] += np.size(a)
+        return exact(self, side, a, b)
+    with mock.patch.object(classify, "_unmatched", step), mock.patch.object(classify._Gaps, "exact", counted):
+        report = classify.analyze(g)["paramonotone"]
+    return [s for s in steps if s is not None], reads, report
+
+
+def _hard_sample(name):
+    if name == "zero operator":
+        return make_fixture(FixtureSpec(n=20, k=8, m=1000, offset_norm=1.0, zero_operator=True, seed=3)).graph
+    g = make_fixture(_PLANTED_1000).graph
+    x, s = g.primal_matrix * 1e-60, g.dual_matrix * 1e-60
+    k = 0 if name == "1e-60" else int(name.split("=")[1])
+    return OperatorGraph.from_arrays(np.ldexp(x, k), np.ldexp(s, -k))
+
+
+# Each sample's step sizes and report, as the search on float64 gaps made
+# them: the planted sample scaled by 1e-60, where every nonzero gap lies
+# below float32's smallest subnormal, then mapped by (2^k x, 2^-k s), which
+# moves the primal and the dual gaps some 2^(2k) apart, and the zero-operator
+# sample, whose dual gaps are all 0.
+HARD_SEARCHES = {
+    "1e-60": ([125, 1000, 743], ClassificationReport(True, 2.951967132762722e-51, (161, 638))),
+    "k=-200": ([125, 1000], ClassificationReport(True, 2.709487607709353e-111, (161, 298))),
+    "k=200": ([125, 1000, 376], ClassificationReport(True, 5.310434442325019e-111, (161, 638))),
+    "k=600": ([125, 1000, 376], ClassificationReport(True, 2.0565145485685217e-231, (161, 638))),
+    "zero operator": ([125, 1000], ClassificationReport(True, 0.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HARD_SEARCHES))
+def test_float32_gaps_keep_the_search_steps_of_float64_gaps(name):
+    # each triangle's own unit keeps the float32 gaps apart wherever float64
+    # ones are: the search makes the steps it made on float64 gaps and
+    # reaches the same report, and each step takes fewer than m gaps again
+    steps, reads, report = _steps_and_reads(_hard_sample(name))
+    assert (steps, report) == HARD_SEARCHES[name]
+    assert max(reads) < 1000
+
+
 def test_paramonotone_memory_is_blocked(monkeypatch):
     # one m x m x n difference array is 25.6 MB here; the scan holds blocks of
     # about 100_000 floats and a few m x m matrices.  A strictly monotone
@@ -679,13 +787,13 @@ def test_paramonotone_memory_is_blocked(monkeypatch):
     strict = OperatorGraph.from_arrays(x, 2.0 * x)
     planted = make_fixture(FixtureSpec(n=20, k=8, m=400, offset_norm=1.0, seed=8)).graph
     assert bimonotone_check(planted).verdict
-    # At m = 1200 the pass stores an m x m bool mask and one float64 gap
-    # matrix, 9 m^2 bytes, and the search adds m x m bool and uint8 matrices
-    # and blocks: 12.1 m^2 traced in all.  Another m x m float64 matrix
-    # (8 m^2) would break the bound.
+    # At m = 1200 the pass stores an m x m bool mask and one float32 gap
+    # matrix, 5 m^2 bytes, and the search adds m x m bool and uint8 matrices
+    # and blocks: 8.1 m^2 traced in all (12.1 m^2 with a float64 gap
+    # matrix).  Another m x m float32 matrix (4 m^2) would break the bound.
     m = 1200
     large = make_fixture(FixtureSpec(n=20, k=8, m=m, offset_norm=1.0, seed=8)).graph
-    for g, verdict, bound in ((strict, True, 16e6), (planted, False, 16e6), (large, False, 16 * m * m)):
+    for g, verdict, bound in ((strict, True, 16e6), (planted, False, 16e6), (large, False, 10 * m * m)):
         tracemalloc.start()
         try:
             rep = paramonotone_check(g)
@@ -708,14 +816,14 @@ def _traced_peak(call, g):
 
 def test_pair_pass_peak_memory():
     # m = 1000 in R^20 at the default _CHUNK_FLOATS: a pass holds a few 2 MB
-    # difference blocks (7.2 MB traced), and analyze adds the 9 m^2 bytes it
+    # difference blocks (7.2 MB traced), and analyze adds the 5 m^2 bytes it
     # stores for the crossed-pair search and the search's m x m bool and
-    # uint8 matrices (16.5 MB).  Two float64 gap matrices, 17 m^2 bytes,
-    # peaked at 24.6 MB; 8 MB blocks at 46.5 MB and 28.7 MB, a float64
-    # pairing matrix and 32 MB blocks at 125 MB and 101 MB.
+    # uint8 matrices (10.9 MB).  One float64 gap matrix, 9 m^2 bytes stored,
+    # peaked at 14.6 MB, two at 24.6 MB; 8 MB blocks at 46.5 MB and 28.7 MB,
+    # a float64 pairing matrix and 32 MB blocks at 125 MB and 101 MB.
     planted = make_fixture(FixtureSpec(n=20, k=8, m=1000, offset_norm=1.0, seed=3)).graph
     report, peak = _traced_peak(classify.analyze, planted)
-    assert report["bimonotone"].verdict and peak < 20e6
+    assert report["bimonotone"].verdict and peak < 12e6
     report, peak = _traced_peak(bimonotone_check, planted)
     assert report.verdict and peak < 10e6
 
@@ -735,8 +843,8 @@ def test_pair_pass_takes_no_norm_again_on_the_diagonal(monkeypatch):
 def test_paramonotone_stores_nothing_for_a_sample_that_is_not_monotone():
     # the first block of a random sample shows a monotone violation, so the
     # pass never allocates the mask and the gap matrix that analyze
-    # keeps for a monotone sample of the same shape; the margin is the gaps'
-    # 8 m^2 bytes
+    # keeps for a monotone sample of the same shape; the margin is the float32
+    # gaps' 4 m^2 bytes (5.3 m^2 measured)
     m = 1000
     planted = make_fixture(FixtureSpec(n=20, k=8, m=m, offset_norm=1.0, seed=3)).graph
     rng = np.random.Generator(np.random.Philox(5))
@@ -745,4 +853,4 @@ def test_paramonotone_stores_nothing_for_a_sample_that_is_not_monotone():
     assert report["monotone"].verdict
     report, peak = _traced_peak(paramonotone_check, random)
     assert isinstance(report, NotMonotone)
-    assert peak <= monotone_peak - 8 * m * m
+    assert peak <= monotone_peak - 4 * m * m

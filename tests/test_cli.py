@@ -943,6 +943,28 @@ def test_analyze_makes_one_pair_pass(capsys, tmp_path, monkeypatch):
         assert list(calls.values()) == counts
 
 
+# numpy's text when the float32 store of m = 20000 points does not fit
+_NO_MEMORY = "Unable to allocate 1.49 GiB for an array with shape (20000, 20000) and data type float32"
+
+
+@pytest.mark.parametrize("where", ["_Gaps", "_unmatched"])
+def test_analyze_out_of_memory_names_the_crossed_pair_rule(capsys, tmp_path, monkeypatch, where):
+    # the store's allocation or a step of the search over every point fails:
+    # analyze exits 2 with one stderr line naming the search, m and its size
+    # rule, numpy's text appended, and paramonotone_check raises the same
+    def refused(*args, **kwargs):
+        raise MemoryError(_NO_MEMORY)
+    monkeypatch.setattr(classify, where, refused)
+    monkeypatch.setattr(classify, "_CHUNK_FLOATS", 1)  # every search step runs _unmatched
+    planted, _ = generate(capsys, tmp_path)
+    message = ("paramonotone's crossed-pair search of m = 6 points holds about 8 m^2 bytes, 0.00 GiB "
+               f"(5 m^2 stored, 3 m^2 more at its step over every point): {_NO_MEMORY}")
+    assert invoke(capsys, "analyze", planted) == (2, "", f"skewfit: error: {message}\n")
+    with pytest.raises(MemoryError) as info:
+        classify.paramonotone_check(make_fixture(FixtureSpec(**SPEC)).graph)
+    assert str(info.value) == message
+
+
 def test_analyze_output_is_byte_deterministic(capsys, tmp_path):
     out, _ = generate(capsys, tmp_path)
     first = invoke(capsys, "analyze", out)
