@@ -198,36 +198,36 @@ def _parts(x: np.ndarray, s: np.ndarray, q: np.ndarray):
 def _bound(x: np.ndarray, s: np.ndarray, q: np.ndarray, a_hat: np.ndarray, parts, tol: ToleranceConfig):
     """The one certificate: whether the bound B of a fit ``(q, a_hat)``, a_hat
     antisymmetric, keeps every pair of the primal and dual rows ``x``, ``s``
-    within its margin; with that decision, B's terms and budget as a dict
-    (misfit 4 rho R, gram 4 g H R, leakage 4 omega eps, rounding, budget).
-    With ``parts`` = ``_parts(x, s, q)`` and the fit's residual r_i = eta_i -
-    a_hat xi_i, exactly <ds, dx> = <dr, dxi> - <deta, G dxi> + <dw, de> for
-    G = q^T q - I, so every pairing is at most B = 4 (rho R + g H R + omega
-    eps), with g >= ||G||_2 and maxima over the points of upper bounds of |r|
-    (rho), |xi| (R), |eta| (H), |w| (omega) and |e| (eps).  Each norm is
-    padded by 2^-500, beyond underflow, and by tau = 4 (n + k + 4) sqrt(k + 1)
-    (1 + g)^2 u times its row's norm (|x_i|, |s_i|, or |s_i| + ||a_hat|| |x_i|
-    for r), beyond the rounding of a centred row and of each step here
-    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).
-    ``bimonotone_check``'s rounding, gamma_{n+2} |ds| |dx|, is within
-    rel_tol |ds| |dx| / 2 if rel_tol >= 2 gamma_{n+2}, else B adds it at the
-    largest differences.  B <= (abs_tol + rel_tol / 2) (1 - 8 (n + 4) u) then
-    keeps every pair within its margin, unless the pass overflows, which the
-    guard on those differences rules out; a non-finite B certifies nothing."""
+    within its margin, and B's terms as a dict (misfit 4 rho R, gram 4 g H R,
+    leakage 4 omega eps, rounding, budget).  With ``parts`` = ``_parts(x, s,
+    q)``, r_i = eta_i - a_hat xi_i and G = q^T q - I, exactly <ds, dx> = <dr,
+    dxi> - <deta, G dxi> + <dw, de>, so every pairing is at most B = 4 (rho R +
+    g H R + omega eps), g >= ||G||_2, with maxima of upper bounds of |r| (rho),
+    |xi| (R), |eta| (H), |w| (omega) and |e| (eps): each norm plus its
+    rounding, tau = 4 (n + k + 4) sqrt(k + 1) (1 + g)^2 u times its row's norm
+    plus N = 2^-1022 (for r, |s_i| + N plus ||a_hat|| (|x_i| + N)).  Underflow
+    adds at most u N to a product and none to a sum (Higham, ch. 3), so at most
+    (1 + g) (sqrt(k) n + sqrt(n) k + 2) u N <= tau N to a norm here, as k <= n.
+    With the pass's rounding gamma_{n+2} |ds| |dx| in B if rel_tol < 2
+    gamma_{n+2}, B <= (abs_tol + rel_tol / 2) (1 - 8 (n + 4) u) - tau N (B's
+    and the pass's underflow) keeps every pair within its margin unless the
+    pass overflows; the guard bounds its scale |ds| |dx| <= reach_x reach_s and
+    margin.  Each product pairs a primal and a dual length: B is scale-free
+    while rows stay above N, and a non-finite B certifies nothing."""
     (n, k), u = q.shape, np.finfo(np.float64).eps / 2
     gram = 2.0 * (_norm((q.T @ q - np.eye(k)).ravel()) + k * (n + 2) * u)
     tau = 4 * (n + k + 4) * math.sqrt(k + 1) * (1.0 + gram) ** 2 * u
-    size_x, size_s = (tau * _norm(v) for v in (x, s))
+    size_x, size_s = (tau * (_norm(v) + 2.0**-1022) for v in (x, s))
     xi, e, eta, w = parts
     rows = (e, w, eta - xi @ a_hat.T, xi, eta)
     pads = (size_x, size_s, size_s + _norm(a_hat.ravel()) * size_x, size_x, size_s)
-    eps, omega, rho, xi, eta = (np.max(_norm(v) + p + 2.0**-500) for v, p in zip(rows, pads))
+    eps, omega, rho, xi, eta = (np.max(_norm(v) + p) for v, p in zip(rows, pads))
     gamma = (n + 2) * u / (1 - (n + 2) * u)
     reach_x, reach_s = 2 * ((1 + gram) * xi + eps), 2 * ((1 + gram) * eta + omega)
     rounding = gamma * reach_x * reach_s if tol.rel_tol < 2 * gamma else 0.0
     bound = 4 * (rho * xi + gram * eta * xi + omega * eps) + rounding
-    budget = (tol.abs_tol + tol.rel_tol / 2) * (1 - 8 * (n + 4) * u)
-    guard = (n + 2) * (tol.abs_tol + tol.rel_tol + 1) * (reach_x + reach_s + 1) ** 2
+    budget = (tol.abs_tol + tol.rel_tol / 2) * (1 - 8 * (n + 4) * u) - tau * 2.0**-1022
+    guard = (n + 2) * (tol.abs_tol + tol.rel_tol + 1) * (reach_x + 1) * (reach_s + 1)
     terms = {"misfit": 4 * rho * xi, "gram": 4 * gram * eta * xi, "leakage": 4 * omega * eps}
     return bool(np.isfinite(guard) and bound <= budget), {**terms, "rounding": rounding, "budget": budget}
 

@@ -6,8 +6,9 @@ antisymmetric matrix, solved through the normal equations.  The two
 exceptions are the former full-square pair scan, the bit-for-bit reference
 for the library's upper-triangle pass, which takes its norms by
 ``graphs._norm`` and rounds the gaps it stores by ``classify._rounded``,
-and the exact mean at the end, a ``Fraction`` summed in
-integers, whose rounding is ``recovery._centre``'s bit-for-bit reference.
+and the two exact oracles at the end, in integers and ``Fraction``s: the
+mean, whose rounding is ``recovery._centre``'s bit-for-bit reference, and the
+bimonotone rule on the float inputs, with no rounding anywhere.
 """
 
 from fractions import Fraction
@@ -335,12 +336,38 @@ FULL_SQUARE = {
 _LEAST_SUBNORMAL_DENOMINATOR = 2 ** 1074
 
 
+def _units(value):
+    """A finite double n / d (d a power of two, at most 2^1074) as the
+    integer n 2^1074 / d, its exact value in units of 2^-1074."""
+    n, d = value.as_integer_ratio()
+    return n * (_LEAST_SUBNORMAL_DENOMINATOR // d)
+
+
 def exact_mean(column):
     """The mean of a sequence of finite doubles, exactly, as a Fraction: each
-    double n / d (d a power of two, at most 2^1074) is summed as the integer
-    n 2^1074 / d, with no rounding anywhere."""
-    total = 0
-    for value in column:
-        n, d = value.as_integer_ratio()
-        total += n * (_LEAST_SUBNORMAL_DENOMINATOR // d)
-    return Fraction(total, len(column) * _LEAST_SUBNORMAL_DENOMINATOR)
+    double is summed in units of 2^-1074, with no rounding anywhere."""
+    return Fraction(sum(_units(value) for value in column), len(column) * _LEAST_SUBNORMAL_DENOMINATOR)
+
+
+def exact_bimonotone(g, tol):
+    """Whether every pair of ``g`` passes the bimonotone rule in exact
+    arithmetic on its float inputs.  With p = <ds, dx> exactly, a pair passes
+    if |p| <= abs_tol + rel_tol, and otherwise (then |p| > abs_tol) exactly
+    when (|p| - abs_tol)^2 <= rel_tol^2 max(1, |dx|^2 |ds|^2): the rule |p| <=
+    abs_tol + rel_tol max(1, |ds| |dx|) without a square root.  The
+    differences are integers in units of 2^-1074, so p, |dx|^2 and |ds|^2 are
+    integers in units of 1 / ``unit`` = 2^-2148."""
+    x, s = ([[_units(v) for v in row] for row in a.tolist()] for a in (g.primal_matrix, g.dual_matrix))
+    unit = _LEAST_SUBNORMAL_DENOMINATOR ** 2
+    abs_tol, rel_tol = Fraction(tol.abs_tol) * unit, Fraction(tol.rel_tol)
+    for i in range(len(x)):
+        for j in range(i + 1, len(x)):
+            dx = [a - b for a, b in zip(x[i], x[j])]
+            ds = [a - b for a, b in zip(s[i], s[j])]
+            p = abs(sum(a * b for a, b in zip(ds, dx)))
+            if p <= abs_tol + rel_tol * unit:
+                continue
+            scale_squared = sum(a * a for a in dx) * sum(b * b for b in ds)
+            if (p - abs_tol) ** 2 > rel_tol ** 2 * max(unit ** 2, scale_squared):
+                return False
+    return True

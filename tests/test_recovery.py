@@ -680,6 +680,22 @@ def test_every_pairing_is_the_identity_of_the_parts():
         assert all(np.abs(t).max() <= bound[name] for name, t in terms.items())
 
 
+def test_the_guard_sends_a_difference_beyond_double_range_to_the_pair_check(monkeypatch):
+    # a constant sample whose two primal rows differ by 2e308: its fit is
+    # finite and B fits the budget, but the pass's |dx| lies beyond double
+    # range, so the guard refuses to certify and the one pair check raises
+    g = OperatorGraph.from_arrays([[1e308], [-1e308]], [[1.0], [1.0]])
+    certified, b = recovery._bound(*certificate(g), ToleranceConfig())
+    assert not certified and b["misfit"] + b["gram"] + b["leakage"] + b["rounding"] <= b["budget"]
+    with pytest.raises(ValidationError, match=re.escape("pair (0, 1) overflows double precision")) as raised:
+        bimonotone_check(g)
+    calls = []
+    monkeypatch.setattr(recovery, "bimonotone_check", lambda g, tol: calls.append(g) or bimonotone_check(g, tol))
+    with pytest.raises(ValidationError) as refused:
+        decompose(g)
+    assert str(refused.value) == str(raised.value) and len(calls) == 1
+
+
 def test_the_bound_misses_the_fallback_graph_by_its_leakage_term():
     # README's fallback graph: B certifies it at m = 200 and 500; at m = 2000
     # its three terms sum past the budget though the leakage term alone fits,
