@@ -40,9 +40,10 @@ def test_every_sample_the_bound_certifies_passes_the_exact_check(pair_checks):
     assert [len(c) for c in certified] == [54, 67]
 
 
-def test_the_exact_check_agrees_with_the_pair_check_away_from_the_boundary():
-    # the oracle is not vacuous: on these samples it refuses what the float
-    # pass refuses, none of them being within rounding of its margin
+def test_the_exact_check_agrees_with_the_pair_check():
+    # the oracle is not vacuous: it refuses exactly what the float pass
+    # refuses on these samples, none of which lies within rounding of the
+    # margin
     samples = [*SAMPLES, *boundary_family(60)]
     verdicts = [(exact_bimonotone(g, TOL), bimonotone_check(g, TOL).verdict) for g in samples]
     assert [i for i, (exact, float_) in enumerate(verdicts) if exact != float_] == []
